@@ -57,21 +57,20 @@ class EnvConfig:
     k_p: int = 2
     k_s: int = 2
     radius: float = 100.0
-    episode_len: int = 200
     pair_ring_min: float = 10.0
     pair_ring_max: float = 30.0
     channel: ChannelParams = field(default_factory=ChannelParams)
     radio: RadioConfig = field(default_factory=RadioConfig)
 
     def __post_init__(self):
-        if self.k_p < 1 or self.k_s < 1:
-            raise ValueError("k_p and k_s must be >= 1")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.episode_len < 1:
-            raise ValueError("episode_len must be >= 1")
-        if not 0.0 < self.pair_ring_min <= self.pair_ring_max:
-            raise ValueError("pair ring must satisfy 0 < min <= max")
+        for name in ("k_p", "k_s"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("radius", "pair_ring_min", "pair_ring_max"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.pair_ring_min > self.pair_ring_max:
+            raise ValueError("pair_ring_min must not exceed pair_ring_max")
 
 
 @dataclass(eq=False)
@@ -84,7 +83,6 @@ class WorldState:
     last_ee_s: np.ndarray
     last_nqos_p: float
     step_index: int
-    episode_length: int
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,13 @@ class SpectrumSharingEnv:
 
     The constructor draws home positions once; every reset jitters them by at
     most ``channel.max_displacement`` (displacements do not accumulate over
-    episodes) and redraws the channel.
+    episodes) and redraws the channel. Every episode lasts ``episode_len``
+    steps.
     """
 
-    def __init__(self, cfg: EnvConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EnvConfig, rng: np.random.Generator, episode_len: int):
         self.cfg = cfg
+        self.episode_len = episode_len
         self.base_topology = sample_topology(
             rng,
             cfg.k_p,
@@ -203,7 +203,6 @@ class SpectrumSharingEnv:
             last_ee_s=np.zeros(cfg.k_s),
             last_nqos_p=0.0,
             step_index=0,
-            episode_length=cfg.episode_len,
         )
         return world, build_primary_obs(world), build_secondary_obs(world)
 
@@ -215,7 +214,7 @@ class SpectrumSharingEnv:
         rng: np.random.Generator,
     ) -> StepOutcome:
         """Advance the world by one slot under both agents' raw power vectors."""
-        if world.step_index >= world.episode_length:
+        if world.step_index >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
         cfg = self.cfg
         radio = cfg.radio
@@ -238,7 +237,7 @@ class SpectrumSharingEnv:
         world.last_ee_s = links.ee_s
         world.last_nqos_p = float(links.nqos_p)
         world.step_index += 1
-        done = int(world.step_index == world.episode_length)
+        done = int(world.step_index == self.episode_len)
 
         metrics = StepMetrics(
             sum_rate_p=float(links.rate_p.sum()),

@@ -34,16 +34,16 @@ class ChannelParams:
     max_displacement: float = 5.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_los < self.alpha_nlos:
-            raise ValueError("need 0 < alpha_los < alpha_nlos")
-        if self.d0 <= 0.0 or self.d1 <= 0.0:
-            raise ValueError("d0 and d1 must be positive")
+        for name in ("alpha_los", "alpha_nlos", "d0", "d1"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.alpha_los >= self.alpha_nlos:
+            raise ValueError("alpha_los must be below alpha_nlos")
         if self.nakagami_m < 0.5:
             raise ValueError("nakagami_m must be >= 0.5")
-        if self.shadow_std_los_db < 0.0 or self.shadow_std_nlos_db < 0.0:
-            raise ValueError("shadowing stds must be non-negative")
-        if self.max_displacement < 0.0:
-            raise ValueError("max_displacement must be non-negative")
+        for name in ("shadow_std_los_db", "shadow_std_nlos_db", "max_displacement"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,11 @@
 Config files hold one ``key=value`` per line with ``#`` comments. Values are
 applied in order: built-in defaults, then the selected profile and experiment
 preset, then the file's lines, then command-line overrides. Unknown keys and
-out-of-range values are rejected with their source location.
+malformed values are rejected on every line; range checks run once on the
+resolved values and name the location that supplied the offending value.
+
+Besides the run-level keys, every key is a field of ``ChannelParams``,
+``RadioConfig``, ``EnvConfig`` or ``PpoHyper`` and takes its default and type.
 
 Each run writes one ``seed_<seed>.csv`` per seed plus ``aggregate.csv`` with
 per-iteration cross-seed means. Columns are fixed: iter, seed (per-seed files
@@ -14,17 +18,18 @@ an identical config reproduces the files byte for byte.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .env import EnvConfig
 from .geometry import ChannelParams
-from .phy import DEFAULT_NOISE_POWER_W, RadioConfig
+from .phy import RadioConfig
 from .ppo import (
     METRIC_FIELDS,
     MODE_COEXIST,
@@ -44,7 +49,8 @@ class ConfigError(ValueError):
     """Configuration problem the caller can fix; message names the culprit."""
 
 
-_DEFAULTS = {
+# run-level keys; every other key is a config dataclass field (_FIELD_DEFAULTS)
+_RUN_DEFAULTS = {
     "experiment": "custom",
     "mode": MODE_COEXIST,
     "profile": "desk",
@@ -55,39 +61,13 @@ _DEFAULTS = {
     "seeds": (1, 4, 7),
     "out": "",
     "force": False,
-    "k_p": 2,
-    "k_s": 2,
-    "radius": 100.0,
-    "pair_ring_min": 10.0,
-    "pair_ring_max": 30.0,
-    "alpha_los": 2.4,
-    "alpha_nlos": 3.78,
-    "d0": 18.0,
-    "d1": 36.0,
-    "nakagami_m": 10.0,
-    "shadow_std_los_db": 5.0,
-    "shadow_std_nlos_db": 8.6,
-    "max_displacement": 5.0,
-    "kappa_t_p": 0.1,
-    "kappa_r_p": 0.1,
-    "kappa_t_s": 0.1,
-    "kappa_r_s": 0.1,
-    "noise_power": DEFAULT_NOISE_POWER_W,
-    "p_max_p": 1.0,
-    "p_max_s": 1.0,
-    "rate_threshold": 0.5,
-    "tau": 1.0,
-    "p_circuit": 0.1,
-    "rho_decode": 0.1,
-    "gamma": 0.1,
-    "lam": 0.94,
-    "clip": 0.1,
-    "iters": 300,
-    "batch": 200,
-    "episode_len": 200,
-    "update_epochs": 10,
-    "lr_policy": 3e-4,
-    "lr_value": 1e-3,
+}
+# nested sections (EnvConfig.channel, .radio) have no plain default and are no keys
+_FIELD_DEFAULTS = {
+    f.name: f.default
+    for cls in (ChannelParams, RadioConfig, EnvConfig, PpoHyper)
+    for f in fields(cls)
+    if f.default is not MISSING
 }
 
 # user-count presets; scale knobs come from the profile
@@ -116,40 +96,6 @@ _PROFILE_PRESETS = {
     },
 }
 
-_INT_KEYS = {
-    "k_p": 1,
-    "k_s": 1,
-    "iters": 1,
-    "batch": 1,
-    "episode_len": 1,
-    "update_epochs": 1,
-}
-_UNIT_INTERVAL_KEYS = ("gamma", "lam", "clip")  # valid range (0, 1]
-_POSITIVE_KEYS = (
-    "radius",
-    "pair_ring_min",
-    "pair_ring_max",
-    "alpha_los",
-    "alpha_nlos",
-    "d0",
-    "d1",
-    "noise_power",
-    "p_max",
-    "p_max_p",
-    "p_max_s",
-    "p_circuit",
-    "lr_policy",
-    "lr_value",
-)
-_NONNEGATIVE_KEYS = (
-    "shadow_std_los_db",
-    "shadow_std_nlos_db",
-    "max_displacement",
-    "rate_threshold",
-    "tau",
-    "rho_decode",
-)
-_KAPPA_KEYS = ("kappa", "kappa_t_p", "kappa_r_p", "kappa_t_s", "kappa_r_s")
 _CHOICE_KEYS = {
     "experiment": EXPERIMENTS,
     "mode": MODES,
@@ -160,11 +106,7 @@ _EXPANSIONS = {
     "p_max": ("p_max_p", "p_max_s"),
 }
 
-KNOWN_KEYS = frozenset(
-    set(_DEFAULTS)
-    | set(_EXPANSIONS)
-    | {"nakagami_m"}
-)
+KNOWN_KEYS = frozenset(set(_RUN_DEFAULTS) | set(_FIELD_DEFAULTS) | set(_EXPANSIONS))
 
 
 @dataclass(frozen=True)
@@ -182,15 +124,8 @@ class ExperimentConfig:
     settings: tuple[tuple[str, str], ...] = ()
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"malformed value for '{key}': {raw!r}") from None
-
-
 def _parse_value(key: str, raw):
-    """Parse and range-check one setting; raises ConfigError naming the key."""
+    """Parse one setting; raises ConfigError naming the key."""
     if key in _CHOICE_KEYS:
         if raw not in _CHOICE_KEYS[key]:
             raise ConfigError(
@@ -217,31 +152,15 @@ def _parse_value(key: str, raw):
         if len(set(seeds)) != len(seeds):
             raise ConfigError("'seeds' must not contain duplicates")
         return seeds
-    if key in _INT_KEYS:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"malformed value for '{key}': {raw!r}") from None
-        if value < _INT_KEYS[key]:
-            raise ConfigError(f"value out of range for '{key}': must be >= {_INT_KEYS[key]}")
-        return value
-    value = _parse_float(key, raw)
-    if key in _UNIT_INTERVAL_KEYS:
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"value out of range for '{key}': must lie in (0, 1]")
-    elif key in _KAPPA_KEYS:
-        if not 0.0 <= value <= 0.5:
-            raise ConfigError(f"value out of range for '{key}': must lie in [0, 0.5]")
-    elif key in _POSITIVE_KEYS:
-        if value <= 0.0:
-            raise ConfigError(f"value out of range for '{key}': must be positive")
-    elif key in _NONNEGATIVE_KEYS:
-        if value < 0.0:
-            raise ConfigError(f"value out of range for '{key}': must be non-negative")
-    elif key == "nakagami_m":
-        if value < 0.5:
-            raise ConfigError("value out of range for 'nakagami_m': must be >= 0.5")
-    return value
+    kind = type(_FIELD_DEFAULTS[_EXPANSIONS.get(key, (key,))[0]])
+    try:
+        value = kind(raw)
+        # nan and infinities are malformed rather than out of range
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"malformed value for '{key}': {raw!r}")
 
 
 def read_config_file(path) -> list[tuple[str, str, str]]:
@@ -264,6 +183,11 @@ def read_config_file(path) -> list[tuple[str, str, str]]:
     return items
 
 
+def _build(cls, settings: dict, **sections):
+    names = [f.name for f in fields(cls) if f.default is not MISSING]
+    return cls(**{name: settings[name] for name in names}, **sections)
+
+
 def build_config(config_file=None, overrides=()) -> ExperimentConfig:
     """Resolve defaults, profile/experiment presets, file lines and overrides.
 
@@ -282,68 +206,33 @@ def build_config(config_file=None, overrides=()) -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
-    settings = dict(_DEFAULTS)
+    settings = {**_RUN_DEFAULTS, **_FIELD_DEFAULTS}
+    # resolved name -> (key as written, location that supplied the value)
+    sources = {name: (name, "built-in default") for name in settings}
+
+    def assign(key, value, where):
+        for name in _EXPANSIONS.get(key, (key,)):
+            settings[name] = value
+            sources[name] = (key, where)
+
+    # presets apply before every file line and override, wherever they are chosen
+    chosen = {key: value for key, value, _ in parsed}
     for name, presets in (("profile", _PROFILE_PRESETS), ("experiment", _EXPERIMENT_PRESETS)):
-        chosen = settings[name]
-        for key, value, _ in parsed:
-            if key == name:
-                chosen = value
-        settings[name] = chosen
-        settings.update(presets[chosen])
-    for key, value, _ in parsed:
-        if key in _EXPANSIONS:
-            for target in _EXPANSIONS[key]:
-                settings[target] = value
-        else:
-            settings[key] = value
+        preset = chosen.get(name, settings[name])
+        for key, value in presets[preset].items():
+            assign(key, value, f"{name} preset '{preset}'")
+    for key, value, where in parsed:
+        assign(key, value, where)
 
     try:
-        channel = ChannelParams(
-            alpha_los=settings["alpha_los"],
-            alpha_nlos=settings["alpha_nlos"],
-            d0=settings["d0"],
-            d1=settings["d1"],
-            nakagami_m=settings["nakagami_m"],
-            shadow_std_los_db=settings["shadow_std_los_db"],
-            shadow_std_nlos_db=settings["shadow_std_nlos_db"],
-            max_displacement=settings["max_displacement"],
-        )
-        radio = RadioConfig(
-            kappa_t_p=settings["kappa_t_p"],
-            kappa_r_p=settings["kappa_r_p"],
-            kappa_t_s=settings["kappa_t_s"],
-            kappa_r_s=settings["kappa_r_s"],
-            noise_power=settings["noise_power"],
-            p_max_p=settings["p_max_p"],
-            p_max_s=settings["p_max_s"],
-            rate_threshold=settings["rate_threshold"],
-            tau=settings["tau"],
-            p_circuit=settings["p_circuit"],
-            rho_decode=settings["rho_decode"],
-        )
-        env_cfg = EnvConfig(
-            k_p=settings["k_p"],
-            k_s=settings["k_s"],
-            radius=settings["radius"],
-            episode_len=settings["episode_len"],
-            pair_ring_min=settings["pair_ring_min"],
-            pair_ring_max=settings["pair_ring_max"],
-            channel=channel,
-            radio=radio,
-        )
-        hyper = PpoHyper(
-            gamma=settings["gamma"],
-            lam=settings["lam"],
-            clip=settings["clip"],
-            iters=settings["iters"],
-            batch=settings["batch"],
-            episode_len=settings["episode_len"],
-            update_epochs=settings["update_epochs"],
-            lr_policy=settings["lr_policy"],
-            lr_value=settings["lr_value"],
-        )
+        channel, radio = _build(ChannelParams, settings), _build(RadioConfig, settings)
+        env_cfg = _build(EnvConfig, settings, channel=channel, radio=radio)
+        hyper = _build(PpoHyper, settings)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # every range check raises ValueError("<field> <rule>")
+        name, _, rule = str(exc).partition(" ")
+        key, where = sources[name]
+        raise ConfigError(f"{where}: value out of range for '{key}': {rule}") from None
 
     rendered = tuple(
         sorted((k, _render_setting(v)) for k, v in settings.items())

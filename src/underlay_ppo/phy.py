@@ -40,18 +40,12 @@ class RadioConfig:
             k = getattr(self, name)
             if not 0.0 <= k <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5]")
-        if self.noise_power <= 0.0:
-            raise ValueError("noise_power must be positive")
-        if self.p_max_p <= 0.0 or self.p_max_s <= 0.0:
-            raise ValueError("power caps must be positive")
-        if self.rate_threshold < 0.0:
-            raise ValueError("rate_threshold must be non-negative")
-        if self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
-        if self.p_circuit <= 0.0:
-            raise ValueError("p_circuit must be positive")
-        if self.rho_decode < 0.0:
-            raise ValueError("rho_decode must be non-negative")
+        for name in ("noise_power", "p_max_p", "p_max_s", "p_circuit"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("rate_threshold", "tau", "rho_decode"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +91,14 @@ def distortion_powers(
     (kappa_r**2 * h_kk * P_k). Transmit distortion from every transmitter,
     the desired one included, arrives through the corresponding channel, so
     the sums below run over all j including j = k.
+
+    Modelling choice (secondary-kappa cross terms): at a primary receiver
+    each transmitter's distortion carries that transmitter's own kappa
+    (kappa_t_p for primary, kappa_t_s for secondary transmitters), but at a
+    secondary receiver the distortion of the primary transmitters is scaled
+    by kappa_t_s as well. This is deliberate, not a typo for kappa_t_p;
+    test_cross_terms_use_secondary_transmit_kappa and the loop oracle in
+    tests/oracles.py pin it.
     """
     _check_dims(h, p)
     pp, ps = p.p_primary, p.p_secondary

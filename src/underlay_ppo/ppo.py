@@ -66,7 +66,10 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class PpoHyper:
-    """Optimization hyperparameters; batch must hold whole episodes."""
+    """Optimization hyperparameters; batch must hold whole episodes.
+
+    ``episode_len`` is also the length of every environment episode.
+    """
 
     gamma: float = 0.1
     lam: float = 0.94
@@ -79,20 +82,17 @@ class PpoHyper:
     lr_value: float = 1e-3
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lam must lie in (0, 1]")
-        if not 0.0 < self.clip <= 1.0:
-            raise ValueError("clip must lie in (0, 1]")
-        if self.iters < 1 or self.batch < 1 or self.episode_len < 1:
-            raise ValueError("iters, batch and episode_len must be >= 1")
+        for name in ("gamma", "lam", "clip"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
+        for name in ("iters", "batch", "episode_len", "update_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.batch % self.episode_len != 0:
             raise ValueError("batch must be a multiple of episode_len")
-        if self.update_epochs < 1:
-            raise ValueError("update_epochs must be >= 1")
-        if self.lr_policy <= 0.0 or self.lr_value <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_policy", "lr_value"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +332,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
         _empty_batch(n, agent.policy.obs_dim, agent.policy.action_dim)
         for agent in agents
     ]
-    sums = dict.fromkeys(METRIC_FIELDS, 0.0)
+    sums = np.zeros(len(METRIC_FIELDS))  # in METRIC_FIELDS order
     k_p = env.cfg.k_p
     idx = 0
     for _ in range(episodes):
@@ -362,22 +362,13 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
                 batch.rewards[idx] = reward
                 batch.dones[idx] = float(out.done)
             m = out.metrics
-            sums["reward_p"] += out.reward_p
-            sums["reward_s"] += out.reward_s
-            sums["sum_rate_p"] += m.sum_rate_p
-            sums["sum_rate_s"] += m.sum_rate_s
-            sums["sum_ee_s"] += m.sum_ee_s
-            sums["sum_power_p"] += m.sum_power_p
-            sums["sum_power_s"] += m.sum_power_s
-            sums["nqos_p"] += m.nqos_p
-            sums["delta_p"] += m.delta_p
-            sums["delta_s"] += m.delta_s
-            sums["active_p"] += m.active_p
-            sums["active_s"] += m.active_s
+            sums += (out.reward_p, out.reward_s, m.sum_rate_p, m.sum_rate_s,
+                     m.sum_ee_s, m.sum_power_p, m.sum_power_s, m.nqos_p,
+                     m.delta_p, m.delta_s, m.active_p, m.active_s)
             idx += 1
     for agent, batch, ob in zip(agents, batches, obs):
         batch.bootstrap_value = agent.value.value(ob)
-    means = {k: v / n for k, v in sums.items()}
+    means = dict(zip(METRIC_FIELDS, (sums / n).tolist()))
     return batches, means
 
 
@@ -397,9 +388,7 @@ def train(
     (suffixed with the agent name). With the same seed and config, histories
     are bit-for-bit reproducible.
     """
-    if env_cfg.episode_len != hyper.episode_len:
-        raise ValueError("env and hyper disagree on episode length")
-    env = SpectrumSharingEnv(env_cfg, rng)
+    env = SpectrumSharingEnv(env_cfg, rng, hyper.episode_len)
     agents = build_agents(mode, env_cfg, hyper, rng)
     start_iter = 0
     if resume_from is not None:

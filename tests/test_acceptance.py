@@ -363,7 +363,7 @@ def test_criterion_9_observation_dims():
 
     # the live environment must agree with the formula
     rng = np.random.default_rng(3)
-    env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8, episode_len=4), rng)
+    env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng, episode_len=4)
     world, obs_p, obs_s = env.reset(rng)
     live_ok = (
         obs_p.shape == (20,)

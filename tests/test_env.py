@@ -24,9 +24,9 @@ from underlay_ppo.env import (
 from underlay_ppo.geometry import pairwise_distance_features
 
 
-def make_env(seed=0, **kwargs):
+def make_env(seed=0, episode_len=10, **kwargs):
     cfg = EnvConfig(**kwargs)
-    return SpectrumSharingEnv(cfg, np.random.default_rng(seed)), cfg
+    return SpectrumSharingEnv(cfg, np.random.default_rng(seed), episode_len), cfg
 
 
 class TestObservationDims:

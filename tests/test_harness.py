@@ -21,6 +21,92 @@ from underlay_ppo.ppo import METRIC_FIELDS
 TINY = [("iters", "3"), ("batch", "10"), ("episode_len", "5")]
 
 
+# exact config_used.txt bytes; {out} stands for the run's output directory
+USED_DEFAULT = """\
+alpha_los=2.4
+alpha_nlos=3.78
+batch=200
+clip=0.1
+d0=18
+d1=36
+episode_len=200
+experiment=custom
+force=false
+gamma=0.1
+iters=300
+k_p=2
+k_s=2
+kappa_r_p=0.1
+kappa_r_s=0.1
+kappa_t_p=0.1
+kappa_t_s=0.1
+lam=0.94
+lr_policy=0.001
+lr_value=0.003
+max_displacement=5
+mode=coexist_dist
+nakagami_m=10
+noise_power=5.01187234e-14
+out={out}
+p_circuit=0.1
+p_max_p=1
+p_max_s=1
+pair_ring_max=30
+pair_ring_min=10
+profile=desk
+radius=100
+rate_threshold=0.5
+rho_decode=0.1
+seeds=1,4,7
+shadow_std_los_db=5
+shadow_std_nlos_db=8.6
+tau=1
+update_epochs=10
+"""
+
+USED_PAPER_EX1 = """\
+alpha_los=2.4
+alpha_nlos=3.78
+batch=500
+clip=0.1
+d0=18
+d1=36
+episode_len=500
+experiment=ex1
+force=false
+gamma=0.1
+iters=4000
+k_p=4
+k_s=8
+kappa_r_p=0.1
+kappa_r_s=0.1
+kappa_t_p=0.1
+kappa_t_s=0.1
+lam=0.94
+lr_policy=0.0003
+lr_value=0.001
+max_displacement=5
+mode=coexist_dist
+nakagami_m=10
+noise_power=5.01187234e-14
+out={out}
+p_circuit=0.1
+p_max_p=1
+p_max_s=1
+pair_ring_max=30
+pair_ring_min=10
+profile=paper
+radius=100
+rate_threshold=0.5
+rho_decode=0.1
+seeds=1,4,7
+shadow_std_los_db=5
+shadow_std_nlos_db=8.6
+tau=1
+update_epochs=10
+"""
+
+
 def tiny_cfg(out=None, extra=()):
     overrides = list(TINY) + [("seeds", "0,1")] + list(extra)
     if out is not None:
@@ -155,6 +241,50 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 build_config(None, [(key, value)])
 
+    @pytest.mark.parametrize("key, value", [
+        ("radius", "nan"),
+        ("noise_power", "nan"),
+        ("d0", "nan"),
+        ("nakagami_m", "nan"),
+        ("rate_threshold", "nan"),
+        ("lr_policy", "inf"),
+        ("p_max", "inf"),
+        ("max_displacement", "inf"),
+        ("alpha_nlos", "inf"),
+        ("gamma", "-inf"),
+    ])
+    def test_non_finite_numbers_are_malformed(self, key, value):
+        expected = f"command line: malformed value for '{key}'"
+        with pytest.raises(ConfigError, match=expected):
+            build_config(None, [(key, value)])
+
+    @pytest.mark.parametrize("line", ["pair_ring_min=40", "alpha_los=4"])
+    def test_cross_field_error_names_key_and_line(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"gamma=0.5\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=rf"cfg\.txt:2.*'{key}'"):
+            build_config(path, [])
+
+    # -1 breaks the range rule of every numeric key, so each check must name its key
+    @pytest.mark.parametrize("key", sorted(
+        harness.KNOWN_KEYS - {"experiment", "mode", "profile", "seeds", "out", "force"}
+    ))
+    def test_every_range_check_names_its_key(self, key):
+        expected = f"^command line: value out of range for '{key}': "
+        with pytest.raises(ConfigError, match=expected):
+            build_config(None, [(key, "-1")])
+
+    def test_only_resolved_values_are_range_checked(self):
+        cfg = build_config(None, [("gamma", "1.5"), ("gamma", "0.5")])
+        assert cfg.hyper.gamma == 0.5
+
+    def test_preset_and_default_locations(self):
+        with pytest.raises(ConfigError, match=r"^profile preset 'desk': .*'batch'"):
+            build_config(None, [("episode_len", "7")])
+        with pytest.raises(ConfigError, match=r"^built-in default: .*'alpha_los'"):
+            build_config(None, [("alpha_nlos", "2")])
+
     def test_cross_field_check_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             build_config(None, [("pair_ring_min", "40"), ("pair_ring_max", "20")])
@@ -232,6 +362,17 @@ class TestRunExperiment:
         used = (out / "config_used.txt").read_text()
         assert "gamma=0.1\n" in used
         assert "iters=3\n" in used
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ([], USED_DEFAULT),
+        ([("profile", "paper"), ("experiment", "ex1")], USED_PAPER_EX1),
+    ])
+    def test_config_used_bytes(self, tmp_path, monkeypatch, overrides, expected):
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: [])
+        out = tmp_path / "run"
+        assert run_experiment(build_config(None, overrides + [("out", str(out))])) == 0
+        used = (out / "config_used.txt").read_bytes()
+        assert used == expected.format(out=out).encode("utf-8")
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         out = tmp_path / "run"

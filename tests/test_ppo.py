@@ -28,7 +28,7 @@ from underlay_ppo.ppo import (
     value_objective,
 )
 
-SMALL_ENV = EnvConfig(k_p=2, k_s=2, episode_len=5)
+SMALL_ENV = EnvConfig(k_p=2, k_s=2)
 
 
 def tiny_hyper(**kwargs):
@@ -442,11 +442,6 @@ class TestTrain:
             rows = train(SMALL_ENV, tiny_hyper(), mode, np.random.default_rng(23))
             assert len(rows) == 2
             assert "policy_objective_c" in rows[0]
-
-    def test_episode_len_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            train(SMALL_ENV, tiny_hyper(episode_len=10, batch=20),
-                  MODE_COEXIST, np.random.default_rng(24))
 
 
 class TestCheckpointing:
