@@ -11,6 +11,12 @@ Episodes have fixed length. Node positions get a fresh small jitter around
 their home locations at every reset; shadowing and fading are redrawn every
 step. Observation vectors hold the previous step's metrics, so agents act on
 what they last measured.
+
+Positions are fixed within an episode, so everything derived from them (the
+distance matrix, the LOS probabilities, the floored distances and the
+distance features of the observations) is computed once at ``reset`` into
+``WorldState.geometry``; ``step`` only draws the random parts of the channel
+and runs the physics.
 """
 from __future__ import annotations
 
@@ -21,9 +27,11 @@ import numpy as np
 from .geometry import (
     ChannelParams,
     GainMatrices,
+    LinkGeometry,
     Topology,
-    pairwise_distance_features,
+    link_geometry,
     perturb_topology,
+    require_finite,
     sample_gain_matrices,
     sample_topology,
 )
@@ -63,6 +71,7 @@ class EnvConfig:
     radio: RadioConfig = field(default_factory=RadioConfig)
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("k_p", "k_s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -75,14 +84,21 @@ class EnvConfig:
 
 @dataclass(eq=False)
 class WorldState:
-    """Mutable per-episode state; exclusively owned by one rollout."""
+    """Mutable per-episode state; exclusively owned by one rollout.
 
-    topology: Topology
+    ``geometry`` is fixed for the episode; ``gains`` is redrawn every step.
+    """
+
+    geometry: LinkGeometry
     gains: GainMatrices
     last_rate_p: np.ndarray
     last_ee_s: np.ndarray
     last_nqos_p: float
     step_index: int
+
+    @property
+    def topology(self) -> Topology:
+        return self.geometry.topology
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,7 @@ class StepOutcome:
 def clamp_and_penalize(raw_action, p_max: float) -> tuple[np.ndarray, float]:
     """Clip raw powers into [0, p_max]; the penalty is the total clipped mass."""
     raw = np.asarray(raw_action, dtype=float)
-    applied = np.clip(raw, 0.0, p_max)
+    applied = raw.clip(0.0, p_max)
     delta = float(np.sum(np.maximum(raw - p_max, 0.0) + np.maximum(-raw, 0.0)))
     return applied, delta
 
@@ -137,15 +153,13 @@ def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
 
 
 def build_primary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate(
-        (pairwise_distance_features(world.topology, "primary"), world.last_rate_p)
-    )
+    return np.concatenate((world.geometry.features["primary"], world.last_rate_p))
 
 
 def build_secondary_obs(world: WorldState) -> np.ndarray:
     return np.concatenate(
         (
-            pairwise_distance_features(world.topology, "secondary"),
+            world.geometry.features["secondary"],
             world.last_ee_s,
             [world.last_nqos_p],
         )
@@ -163,7 +177,7 @@ def build_centralized_obs(world: WorldState, variant: str) -> np.ndarray:
     if variant == OBS_CENTRALIZED_FULL_CSI:
         head = _scaled_log_gains(world.gains)
     elif variant == OBS_CENTRALIZED_DIST:
-        head = pairwise_distance_features(world.topology, "all")
+        head = world.geometry.features["all"]
     else:
         raise ValueError(f"unknown centralized variant {variant!r}")
     return np.concatenate((head, world.last_rate_p, world.last_ee_s, [world.last_nqos_p]))
@@ -195,10 +209,10 @@ class SpectrumSharingEnv:
         """Start an episode; metric slots in the first observation are zero."""
         cfg = self.cfg
         topo = perturb_topology(self.base_topology, rng, cfg.channel.max_displacement)
-        gains = sample_gain_matrices(topo, cfg.channel, rng)
+        geometry = link_geometry(topo, cfg.channel)
         world = WorldState(
-            topology=topo,
-            gains=gains,
+            geometry=geometry,
+            gains=sample_gain_matrices(geometry, rng),
             last_rate_p=np.zeros(cfg.k_p),
             last_ee_s=np.zeros(cfg.k_s),
             last_nqos_p=0.0,
@@ -224,7 +238,7 @@ class SpectrumSharingEnv:
         if raw_p.shape != (cfg.k_p,) or raw_s.shape != (cfg.k_s,):
             raise ValueError("action vectors must have shapes (k_p,) and (k_s,)")
 
-        world.gains = sample_gain_matrices(world.topology, cfg.channel, rng)
+        world.gains = sample_gain_matrices(world.geometry, rng)
         applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
         applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
         links = evaluate_links(

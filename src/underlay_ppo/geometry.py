@@ -6,10 +6,16 @@ path loss with a per-draw LOS/NLOS mode decision, lognormal shadowing
 (parameterized by a dB standard deviation) and unit-mean small-scale power
 fading: Nakagami-m (Gamma) under LOS, exponential under NLOS. All randomness
 flows through an explicit ``numpy.random.Generator`` so runs are repeatable.
+
+Validation runs at the API boundary: the config dataclasses and the keyword
+constructors of ``Topology`` and ``GainMatrices`` check everything they are
+given. The per-step path checks each gain draw once, with one vectorised
+"positive and finite" test on the stacked array (``GainMatrices.from_stacked``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +24,17 @@ import numpy as np
 DISTANCE_FLOOR_M = 1.0
 
 _TWO_PI = 2.0 * np.pi
+
+def require_finite(config) -> None:
+    """Reject nan/inf in any float field of a config dataclass.
+
+    Range checks such as ``x <= 0.0`` are false for nan, so every config
+    ``__post_init__`` calls this before its own checks.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +51,7 @@ class ChannelParams:
     max_displacement: float = 5.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("alpha_los", "alpha_nlos", "d0", "d1"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -82,38 +100,66 @@ class Topology:
         return self.s_tx.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class GainMatrices:
-    """Linear power gains for one channel draw; entry [j, k] is tx j -> rx k."""
+    """Linear power gains for one channel draw; entry [j, k] is tx j -> rx k.
 
-    h_pp: np.ndarray  # (k_p, k_p)
-    h_ps: np.ndarray  # (k_p, k_s)
-    h_sp: np.ndarray  # (k_s, k_p)
-    h_ss: np.ndarray  # (k_s, k_s)
+    The gains live in one (k_p + k_s) x (k_p + k_s) array, primary
+    transmitters (rows) and receivers (columns) first; ``h_pp``, ``h_ps``,
+    ``h_sp`` and ``h_ss`` are views of its blocks. The array is made
+    read-only, so the validated gains cannot be changed in place.
+    """
 
-    def __post_init__(self):
-        k_p = self.h_pp.shape[0]
-        k_s = self.h_ss.shape[0]
-        if self.h_pp.shape != (k_p, k_p) or self.h_ss.shape != (k_s, k_s):
+    def __init__(self, h_pp: np.ndarray, h_ps: np.ndarray, h_sp: np.ndarray,
+                 h_ss: np.ndarray):
+        k_p = h_pp.shape[0]
+        k_s = h_ss.shape[0]
+        if h_pp.shape != (k_p, k_p) or h_ss.shape != (k_s, k_s):
             raise ValueError("h_pp and h_ss must be square")
-        if self.h_ps.shape != (k_p, k_s) or self.h_sp.shape != (k_s, k_p):
+        if h_ps.shape != (k_p, k_s) or h_sp.shape != (k_s, k_p):
             raise ValueError("cross matrices must be (k_p, k_s) and (k_s, k_p)")
-        for name in ("h_pp", "h_ps", "h_sp", "h_ss"):
-            h = getattr(self, name)
+        for name, h in (("h_pp", h_pp), ("h_ps", h_ps), ("h_sp", h_sp), ("h_ss", h_ss)):
             if h.size and (not np.all(np.isfinite(h)) or np.any(h <= 0.0)):
                 raise ValueError(f"{name} entries must be positive and finite")
+        self._h = np.block([[h_pp, h_ps], [h_sp, h_ss]])
+        self._h.flags.writeable = False
+        self.k_p = k_p
 
-    @property
-    def k_p(self) -> int:
-        return self.h_pp.shape[0]
+    @classmethod
+    def from_stacked(cls, h: np.ndarray, k_p: int) -> "GainMatrices":
+        """Wrap a stacked gain array without a copy and make it read-only; one check."""
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or not 0 < k_p < h.shape[0]:
+            raise ValueError("stacked gains must be (k, k) with 0 < k_p < k")
+        if not 0.0 < h.min() or not h.max() < np.inf:  # nan fails both
+            raise ValueError("gain entries must be positive and finite")
+        h.flags.writeable = False
+        gains = cls.__new__(cls)
+        gains._h = h
+        gains.k_p = k_p
+        return gains
 
     @property
     def k_s(self) -> int:
-        return self.h_ss.shape[0]
+        return self._h.shape[0] - self.k_p
+
+    @property
+    def h_pp(self) -> np.ndarray:
+        return self._h[: self.k_p, : self.k_p]
+
+    @property
+    def h_ps(self) -> np.ndarray:
+        return self._h[: self.k_p, self.k_p :]
+
+    @property
+    def h_sp(self) -> np.ndarray:
+        return self._h[self.k_p :, : self.k_p]
+
+    @property
+    def h_ss(self) -> np.ndarray:
+        return self._h[self.k_p :, self.k_p :]
 
     def stacked(self) -> np.ndarray:
-        """All gains as one (k_p + k_s) x (k_p + k_s) matrix, primary rows/cols first."""
-        return np.block([[self.h_pp, self.h_ps], [self.h_sp, self.h_ss]])
+        """All gains as one (k_p + k_s) x (k_p + k_s) matrix (the array itself, not a copy)."""
+        return self._h
 
 
 def sample_disc_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -147,7 +193,7 @@ def sample_topology(
     k_p: int,
     k_s: int,
     radius: float,
-    pair_ring: tuple[float, float] = (10.0, 30.0),
+    pair_ring: tuple[float, float],
 ) -> Topology:
     """Drop both systems into the disc.
 
@@ -221,12 +267,14 @@ def path_loss(d, alpha: float):
     return out
 
 
-def _sample_gains(
-    dists: np.ndarray, params: ChannelParams, rng: np.random.Generator
+def _draw_gains(
+    p_los: np.ndarray, d_eff: np.ndarray, params: ChannelParams,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized gain draw for a flat array of link distances."""
-    n = dists.shape[0]
-    p_los = np.asarray(los_probability(dists, params))
+    """Gain draw for a flat array of links, given their LOS probabilities and
+    floored distances. Four rng calls, each of the array's length, in a
+    fixed order; the streams depend on it."""
+    n = p_los.shape[0]
     is_los = rng.random(n) < p_los
     alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
     shadow_db = rng.standard_normal(n) * np.where(
@@ -235,8 +283,15 @@ def _sample_gains(
     fade_los = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, n)
     fade_nlos = rng.exponential(1.0, n)
     fade = np.where(is_los, fade_los, fade_nlos)
-    d_eff = np.maximum(dists, DISTANCE_FLOOR_M)
     return d_eff ** (-alpha) * 10.0 ** (shadow_db / 10.0) * fade
+
+
+def _sample_gains(
+    dists: np.ndarray, params: ChannelParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorized gain draw for a flat array of link distances."""
+    p_los = np.asarray(los_probability(dists, params))
+    return _draw_gains(p_los, np.maximum(dists, DISTANCE_FLOOR_M), params, rng)
 
 
 def sample_link_gain(d: float, params: ChannelParams, rng: np.random.Generator) -> float:
@@ -250,24 +305,66 @@ def _distance_matrix(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
 
 
-def sample_gain_matrices(
-    topo: Topology, params: ChannelParams, rng: np.random.Generator
-) -> GainMatrices:
+def _stacked_distances(topo: Topology) -> np.ndarray:
+    """(K, K) tx -> rx distances, K = k_p + k_s, primary nodes first."""
+    tx = np.vstack((topo.p_tx, topo.s_tx))
+    rx = np.vstack((topo.p_rx, topo.s_rx))
+    return _distance_matrix(tx, rx)
+
+
+def _distance_features(dists: np.ndarray, k_p: int, radius: float, which: str) -> np.ndarray:
+    if which == "primary":
+        block = dists[:k_p, :k_p]
+    elif which == "secondary":
+        block = dists[k_p:, k_p:]
+    elif which == "all":
+        block = dists
+    else:
+        raise ValueError(f"unknown population {which!r}")
+    return (block / radius).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class LinkGeometry:
+    """Everything about the links that depends on node positions only.
+
+    Positions stay fixed within an episode, so ``link_geometry`` builds this
+    once per topology and ``sample_gain_matrices`` redraws only the random
+    parts of the channel on top of it. Flat arrays are the row-major
+    flattening of the (K, K) tx -> rx matrix, primary nodes first.
+    """
+
+    topology: Topology
+    params: ChannelParams
+    p_los: np.ndarray  # (K * K,) LOS probability of each link
+    d_eff: np.ndarray  # (K * K,) max(d, 1 m)
+    features: dict  # population name -> pairwise_distance_features(topology, name)
+
+
+def link_geometry(topo: Topology, params: ChannelParams) -> LinkGeometry:
+    """Distances, LOS probabilities and distance features of one topology."""
+    dists = _stacked_distances(topo)
+    flat = dists.ravel()
+    return LinkGeometry(
+        topology=topo,
+        params=params,
+        p_los=np.asarray(los_probability(flat, params)),
+        d_eff=np.maximum(flat, DISTANCE_FLOOR_M),
+        features={
+            which: _distance_features(dists, topo.k_p, topo.radius, which)
+            for which in ("primary", "secondary", "all")
+        },
+    )
+
+
+def sample_gain_matrices(links: LinkGeometry, rng: np.random.Generator) -> GainMatrices:
     """Independent gain draw for every tx/rx pair across both systems.
 
     Coincident pairs fall back to the 1 m distance floor instead of erroring.
     """
-    tx = np.vstack((topo.p_tx, topo.s_tx))
-    rx = np.vstack((topo.p_rx, topo.s_rx))
-    dists = _distance_matrix(tx, rx)
-    gains = _sample_gains(dists.ravel(), params, rng).reshape(dists.shape)
-    kp = topo.k_p
-    return GainMatrices(
-        h_pp=gains[:kp, :kp].copy(),
-        h_ps=gains[:kp, kp:].copy(),
-        h_sp=gains[kp:, :kp].copy(),
-        h_ss=gains[kp:, kp:].copy(),
-    )
+    k = links.topology.k_p + links.topology.k_s
+    gains = _draw_gains(links.p_los, links.d_eff, links.params, rng)
+    return GainMatrices.from_stacked(gains.reshape(k, k), links.topology.k_p)
 
 
 def pairwise_distance_features(topo: Topology, which: str) -> np.ndarray:
@@ -277,13 +374,4 @@ def pairwise_distance_features(topo: Topology, which: str) -> np.ndarray:
     (k_s**2) or "all" ((k_p + k_s)**2, primary transmitters/receivers first).
     Scaled values lie in [0, 2] because the disc has diameter 2 * radius.
     """
-    if which == "primary":
-        tx, rx = topo.p_tx, topo.p_rx
-    elif which == "secondary":
-        tx, rx = topo.s_tx, topo.s_rx
-    elif which == "all":
-        tx = np.vstack((topo.p_tx, topo.s_tx))
-        rx = np.vstack((topo.p_rx, topo.s_rx))
-    else:
-        raise ValueError(f"unknown population {which!r}")
-    return (_distance_matrix(tx, rx) / topo.radius).ravel()
+    return _distance_features(_stacked_distances(topo), topo.k_p, topo.radius, which)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GainMatrices
+from .geometry import GainMatrices, require_finite
 
 # -173 dBm/Hz thermal noise density over a 10 MHz band = -103 dBm.
 DEFAULT_NOISE_POWER_W = 10.0 ** (-13.3)
@@ -36,6 +36,7 @@ class RadioConfig:
     rho_decode: float = 0.1
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("kappa_t_p", "kappa_r_p", "kappa_t_s", "kappa_r_s"):
             k = getattr(self, name)
             if not 0.0 <= k <= 0.5:
@@ -60,7 +61,7 @@ class PowerAllocation:
             p = getattr(self, name)
             if p.ndim != 1:
                 raise ValueError(f"{name} must be 1-D")
-            if p.size and (not np.all(np.isfinite(p)) or np.any(p < 0.0)):
+            if p.size and not (0.0 <= p.min() and p.max() < np.inf):  # nan fails both
                 raise ValueError(f"{name} entries must be finite and non-negative")
 
 
@@ -82,15 +83,12 @@ def _check_dims(h: GainMatrices, p: PowerAllocation) -> None:
         raise ValueError("power vector lengths must match gain matrix dimensions")
 
 
-def distortion_powers(
-    h: GainMatrices, p: PowerAllocation, cfg: RadioConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate distortion power at each primary and secondary receiver.
+def _distortion_and_sindr(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig):
+    """(d_p, d_s, sindr_p, sindr_s) in one pass over the stacked gains.
 
-    Receiver distortion scales with the direct link's received power
-    (kappa_r**2 * h_kk * P_k). Transmit distortion from every transmitter,
-    the desired one included, arrives through the corresponding channel, so
-    the sums below run over all j including j = k.
+    Each direct gain is read once and each cross product (``ps @ h_sp``,
+    ``pp @ h_ps``) is computed once and shared by the distortion and the
+    interference sums.
 
     Modelling choice (secondary-kappa cross terms): at a primary receiver
     each transmitter's distortion carries that transmitter's own kappa
@@ -102,12 +100,36 @@ def distortion_powers(
     """
     _check_dims(h, p)
     pp, ps = p.p_primary, p.p_secondary
-    kt_p2 = cfg.kappa_t_p**2
-    kr_p2 = cfg.kappa_r_p**2
+    diag = h.stacked().diagonal()
+    diag_pp, diag_ss = diag[: h.k_p], diag[h.k_p :]
+    from_s = ps @ h.h_sp  # secondary transmitters at primary receivers
+    from_p = pp @ h.h_ps  # primary transmitters at secondary receivers
     kt_s2 = cfg.kappa_t_s**2
-    kr_s2 = cfg.kappa_r_s**2
-    d_p = kr_p2 * np.diag(h.h_pp) * pp + kt_p2 * (pp @ h.h_pp) + kt_s2 * (ps @ h.h_sp)
-    d_s = kr_s2 * np.diag(h.h_ss) * ps + kt_s2 * (ps @ h.h_ss) + kt_s2 * (pp @ h.h_ps)
+    d_p = cfg.kappa_r_p**2 * diag_pp * pp + cfg.kappa_t_p**2 * (pp @ h.h_pp) + kt_s2 * from_s
+    d_s = cfg.kappa_r_s**2 * diag_ss * ps + kt_s2 * (ps @ h.h_ss) + kt_s2 * from_p
+
+    off_pp = h.h_pp.copy()
+    np.fill_diagonal(off_pp, 0.0)
+    off_ss = h.h_ss.copy()
+    np.fill_diagonal(off_ss, 0.0)
+
+    denom_p = cfg.noise_power + d_p + pp @ off_pp + from_s
+    denom_s = cfg.noise_power + d_s + ps @ off_ss + from_p
+    return d_p, d_s, diag_pp * pp / denom_p, diag_ss * ps / denom_s
+
+
+def distortion_powers(
+    h: GainMatrices, p: PowerAllocation, cfg: RadioConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate distortion power at each primary and secondary receiver.
+
+    Receiver distortion scales with the direct link's received power
+    (kappa_r**2 * h_kk * P_k). Transmit distortion from every transmitter,
+    the desired one included, arrives through the corresponding channel, so
+    the sums run over all j including j = k. See ``_distortion_and_sindr``
+    for the secondary-kappa cross-term modelling choice.
+    """
+    d_p, d_s, _, _ = _distortion_and_sindr(h, p, cfg)
     return d_p, d_s
 
 
@@ -119,20 +141,8 @@ def compute_sindr(
     Each link k sees its own direct power over noise + distortion + same-system
     interference (j != k) + everything the other system transmits.
     """
-    _check_dims(h, p)
-    pp, ps = p.p_primary, p.p_secondary
-    d_p, d_s = distortion_powers(h, p, cfg)
-
-    off_pp = h.h_pp.copy()
-    np.fill_diagonal(off_pp, 0.0)
-    off_ss = h.h_ss.copy()
-    np.fill_diagonal(off_ss, 0.0)
-
-    direct_p = np.diag(h.h_pp) * pp
-    denom_p = cfg.noise_power + d_p + pp @ off_pp + ps @ h.h_sp
-    direct_s = np.diag(h.h_ss) * ps
-    denom_s = cfg.noise_power + d_s + ps @ off_ss + pp @ h.h_ps
-    return direct_p / denom_p, direct_s / denom_s
+    _, _, sindr_p, sindr_s = _distortion_and_sindr(h, p, cfg)
+    return sindr_p, sindr_s
 
 
 def compute_rates(sindr: np.ndarray) -> np.ndarray:
@@ -150,10 +160,7 @@ def energy_efficiency(
     rate_s = np.asarray(rate_s, dtype=float)
     p_s = np.asarray(p_s, dtype=float)
     denom = cfg.tau * (p_s + cfg.p_circuit) + cfg.rho_decode * rate_s
-    ee = np.zeros_like(rate_s)
-    mask = rate_s > 0.0
-    ee[mask] = rate_s[mask] / denom[mask]
-    return ee
+    return np.divide(rate_s, denom, out=np.zeros_like(rate_s), where=rate_s > 0.0)
 
 
 def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
@@ -169,9 +176,10 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
 
 def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
     """Full physics chain for one channel draw: SINDR, rates, EE, QoS flags."""
-    sindr_p, sindr_s = compute_sindr(h, p, cfg)
-    rate_p = compute_rates(sindr_p)
-    rate_s = compute_rates(sindr_s)
+    _, _, sindr_p, sindr_s = _distortion_and_sindr(h, p, cfg)
+    # SINDRs of positive gains and non-negative powers need no sign check
+    rate_p = np.log2(1.0 + sindr_p)
+    rate_s = np.log2(1.0 + sindr_s)
     ee_s = energy_efficiency(rate_s, p.p_secondary, cfg)
     nack_p, count = nqos(rate_p, cfg)
     return LinkMetrics(

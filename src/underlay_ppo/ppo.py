@@ -25,6 +25,7 @@ from .env import (
     build_centralized_obs,
     observation_dim,
 )
+from .geometry import require_finite
 from .nets import (
     AdamState,
     GaussianPolicyNet,
@@ -82,6 +83,7 @@ class PpoHyper:
     lr_value: float = 1e-3
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("gamma", "lam", "clip"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")

@@ -114,3 +114,32 @@ def random_gains(rng, k_p, k_s, scale=1.0):
         h_sp=block(k_s, k_p),
         h_ss=block(k_s, k_s),
     )
+
+
+def gains_reference(topo, params, rng):
+    """Stacked (K, K) gain draw recomputed from the node positions.
+
+    This is the per-step formula from before the per-episode link geometry:
+    distances, LOS probabilities and the 1 m floor are all derived afresh,
+    then the same four rng calls (random, standard_normal, gamma,
+    exponential) are made in the same order.
+    """
+    from underlay_ppo.geometry import los_probability
+
+    tx = np.vstack((topo.p_tx, topo.s_tx))
+    rx = np.vstack((topo.p_rx, topo.s_rx))
+    dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
+    d = dists.ravel()
+    n = d.shape[0]
+    p_los = np.asarray(los_probability(d, params))
+    is_los = rng.random(n) < p_los
+    alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
+    shadow_db = rng.standard_normal(n) * np.where(
+        is_los, params.shadow_std_los_db, params.shadow_std_nlos_db
+    )
+    fade_los = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, n)
+    fade_nlos = rng.exponential(1.0, n)
+    fade = np.where(is_los, fade_los, fade_nlos)
+    d_eff = np.maximum(d, 1.0)
+    gains = d_eff ** (-alpha) * 10.0 ** (shadow_db / 10.0) * fade
+    return gains.reshape(dists.shape)

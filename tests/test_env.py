@@ -21,7 +21,14 @@ from underlay_ppo.env import (
     reward_primary,
     reward_secondary,
 )
-from underlay_ppo.geometry import pairwise_distance_features
+from underlay_ppo.geometry import (
+    GainMatrices,
+    pairwise_distance_features,
+    perturb_topology,
+)
+from underlay_ppo.phy import PowerAllocation, evaluate_links
+
+from oracles import gains_reference
 
 
 def make_env(seed=0, episode_len=10, **kwargs):
@@ -197,6 +204,13 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(world, np.zeros(cfg.k_p + 1), np.zeros(cfg.k_s), rng)
 
+    def test_nan_action_rejected(self):
+        env, cfg = make_env(seed=15, episode_len=2)
+        rng = np.random.default_rng(16)
+        world, _, _ = env.reset(rng)
+        with pytest.raises(ValueError):
+            env.step(world, np.array([np.nan, 0.5]), np.zeros(cfg.k_s), rng)
+
     def test_observations_carry_this_steps_metrics(self):
         env, cfg = make_env(seed=17, episode_len=3)
         rng = np.random.default_rng(18)
@@ -233,6 +247,57 @@ class TestStep:
         assert out_a.reward_p == out_b.reward_p
         assert out_a.reward_s == out_b.reward_s
         assert out_a.metrics == out_b.metrics
+
+
+class TestPerEpisodeGeometry:
+    """The per-episode link geometry against the physics recomputed from positions."""
+
+    @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8)])
+    def test_matches_reference_over_episodes(self, k_p, k_s):
+        episodes, steps = 3, 50
+        env, cfg = make_env(seed=32, episode_len=steps, k_p=k_p, k_s=k_s)
+        radio = cfg.radio
+        rng = np.random.default_rng(33)
+        twin = np.random.default_rng()
+        actions = np.random.default_rng(34)
+        for _ in range(episodes):
+            # the twin redoes the reset's draws: jittered positions, then gains
+            twin.bit_generator.state = rng.bit_generator.state
+            world, obs_p, obs_s = env.reset(rng)
+            topo = perturb_topology(env.base_topology, twin, cfg.channel.max_displacement)
+            np.testing.assert_array_equal(world.topology.p_tx, topo.p_tx)
+            np.testing.assert_array_equal(
+                world.gains.stacked(), gains_reference(topo, cfg.channel, twin))
+            np.testing.assert_array_equal(
+                obs_p[: k_p * k_p], pairwise_distance_features(topo, "primary"))
+            np.testing.assert_array_equal(
+                obs_s[: k_s * k_s], pairwise_distance_features(topo, "secondary"))
+            np.testing.assert_array_equal(
+                build_centralized_obs(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
+                pairwise_distance_features(topo, "all"))
+            for _ in range(steps):
+                raw_p = actions.uniform(-0.2, 1.2, k_p)
+                raw_s = actions.uniform(-0.2, 1.2, k_s)
+                twin.bit_generator.state = rng.bit_generator.state
+                out = env.step(world, raw_p, raw_s, rng)
+                ref = gains_reference(topo, cfg.channel, twin)
+                np.testing.assert_array_equal(world.gains.stacked(), ref)
+                assert twin.bit_generator.state == rng.bit_generator.state
+                h = GainMatrices(
+                    h_pp=ref[:k_p, :k_p].copy(),
+                    h_ps=ref[:k_p, k_p:].copy(),
+                    h_sp=ref[k_p:, :k_p].copy(),
+                    h_ss=ref[k_p:, k_p:].copy(),
+                )
+                power = PowerAllocation(
+                    clamp_and_penalize(raw_p, radio.p_max_p)[0],
+                    clamp_and_penalize(raw_s, radio.p_max_s)[0],
+                )
+                expect = evaluate_links(h, power, radio)
+                for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s", "nack_p"):
+                    np.testing.assert_array_equal(
+                        getattr(out.links, name), getattr(expect, name), err_msg=name)
+                assert out.links.nqos_p == expect.nqos_p
 
 
 class TestObservationContent:

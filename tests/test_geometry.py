@@ -8,6 +8,7 @@ from underlay_ppo.geometry import (
     GainMatrices,
     Topology,
     clamp_to_disc,
+    link_geometry,
     los_probability,
     pairwise_distance_features,
     path_loss,
@@ -19,6 +20,7 @@ from underlay_ppo.geometry import (
 )
 
 PARAMS = ChannelParams()
+RING = (10.0, 30.0)
 
 
 def small_topology():
@@ -134,7 +136,7 @@ class TestPathLoss:
 class TestTopology:
     def test_sampled_inside_disc(self):
         rng = np.random.default_rng(3)
-        topo = sample_topology(rng, 4, 8, 100.0)
+        topo = sample_topology(rng, 4, 8, 100.0, RING)
         for pts in (topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx):
             assert np.all(np.linalg.norm(pts, axis=1) <= 100.0 * (1.0 + 1e-9))
         assert topo.k_p == 4 and topo.k_s == 8
@@ -143,7 +145,7 @@ class TestTopology:
         # clamping can only shorten a pair link, never stretch it
         rng = np.random.default_rng(4)
         for _ in range(20):
-            topo = sample_topology(rng, 3, 3, 60.0, pair_ring=(10.0, 30.0))
+            topo = sample_topology(rng, 3, 3, 60.0, pair_ring=RING)
             d = np.linalg.norm(topo.p_tx - topo.p_rx, axis=1)
             assert np.all(d <= 30.0 + 1e-9)
 
@@ -159,7 +161,7 @@ class TestTopology:
 
     def test_perturb_displacement_bounded(self):
         rng = np.random.default_rng(5)
-        topo = sample_topology(rng, 4, 4, 80.0)
+        topo = sample_topology(rng, 4, 4, 80.0, RING)
         moved = perturb_topology(topo, rng, 5.0)
         for before, after in (
             (topo.p_tx, moved.p_tx),
@@ -173,15 +175,15 @@ class TestTopology:
 
     def test_perturb_zero_is_identity(self):
         rng = np.random.default_rng(6)
-        topo = sample_topology(rng, 2, 2, 50.0)
+        topo = sample_topology(rng, 2, 2, 50.0, RING)
         moved = perturb_topology(topo, np.random.default_rng(7), 0.0)
         np.testing.assert_array_equal(moved.p_tx, topo.p_tx)
         np.testing.assert_array_equal(moved.s_rx, topo.s_rx)
 
     def test_seed_determinism(self):
-        a = sample_topology(np.random.default_rng(42), 3, 5, 100.0)
-        b = sample_topology(np.random.default_rng(42), 3, 5, 100.0)
-        c = sample_topology(np.random.default_rng(43), 3, 5, 100.0)
+        a = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
+        b = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
+        c = sample_topology(np.random.default_rng(43), 3, 5, 100.0, RING)
         np.testing.assert_array_equal(a.p_tx, b.p_tx)
         np.testing.assert_array_equal(a.s_rx, b.s_rx)
         assert not np.array_equal(a.p_tx, c.p_tx)
@@ -190,8 +192,8 @@ class TestTopology:
 class TestGainSampling:
     def test_matrices_positive_and_shaped(self):
         rng = np.random.default_rng(8)
-        topo = sample_topology(rng, 4, 8, 100.0)
-        h = sample_gain_matrices(topo, PARAMS, rng)
+        topo = sample_topology(rng, 4, 8, 100.0, RING)
+        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
         assert h.h_pp.shape == (4, 4)
         assert h.h_ps.shape == (4, 8)
         assert h.h_sp.shape == (8, 4)
@@ -202,8 +204,8 @@ class TestGainSampling:
 
     def test_stacked_layout(self):
         rng = np.random.default_rng(9)
-        topo = sample_topology(rng, 2, 3, 100.0)
-        h = sample_gain_matrices(topo, PARAMS, rng)
+        topo = sample_topology(rng, 2, 3, 100.0, RING)
+        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
         s = h.stacked()
         assert s.shape == (5, 5)
         np.testing.assert_array_equal(s[:2, :2], h.h_pp)
@@ -211,11 +213,23 @@ class TestGainSampling:
         np.testing.assert_array_equal(s[2:, :2], h.h_sp)
         np.testing.assert_array_equal(s[2:, 2:], h.h_ss)
 
+    def test_blocks_are_views_of_one_array(self):
+        rng = np.random.default_rng(17)
+        topo = sample_topology(rng, 2, 3, 100.0, RING)
+        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
+        for block in (h.h_pp, h.h_ps, h.h_sp, h.h_ss):
+            assert np.shares_memory(block, h.stacked())
+        with pytest.raises(ValueError, match="read-only"):
+            h.stacked()[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            h.h_ss[0, 0] = 1.0
+
     def test_seed_determinism(self):
-        topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0)
-        h1 = sample_gain_matrices(topo, PARAMS, np.random.default_rng(11))
-        h2 = sample_gain_matrices(topo, PARAMS, np.random.default_rng(11))
-        h3 = sample_gain_matrices(topo, PARAMS, np.random.default_rng(12))
+        topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
+        links = link_geometry(topo, PARAMS)
+        h1 = sample_gain_matrices(links, np.random.default_rng(11))
+        h2 = sample_gain_matrices(links, np.random.default_rng(11))
+        h3 = sample_gain_matrices(links, np.random.default_rng(12))
         np.testing.assert_array_equal(h1.stacked(), h2.stacked())
         assert not np.array_equal(h1.stacked(), h3.stacked())
 
@@ -250,6 +264,34 @@ class TestGainSampling:
         assert abs(gains.mean() / expect - 1.0) < 0.02
 
 
+class TestGainMatricesValidation:
+    @staticmethod
+    def blocks(bad):
+        h_pp = np.ones((2, 2))
+        h_pp[1, 0] = bad
+        return dict(h_pp=h_pp, h_ps=np.ones((2, 1)), h_sp=np.ones((1, 2)),
+                    h_ss=np.ones((1, 1)))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_keyword_constructor_rejects(self, bad):
+        with pytest.raises(ValueError, match="^h_pp entries must be positive and finite"):
+            GainMatrices(**self.blocks(bad))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_drawn_gains_check_rejects(self, bad):
+        h = np.ones((3, 3))
+        h[2, 1] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            GainMatrices.from_stacked(h, 2)
+
+    def test_keyword_and_stacked_agree(self):
+        h = GainMatrices(**self.blocks(2.0))
+        np.testing.assert_array_equal(h.stacked(), [[1, 1, 1], [2, 1, 1], [1, 1, 1]])
+        assert (h.k_p, h.k_s) == (2, 1)
+        same = GainMatrices.from_stacked(h.stacked(), 2)
+        np.testing.assert_array_equal(same.h_sp, h.h_sp)
+
+
 class TestDistanceFeatures:
     def test_primary_row_major_layout(self):
         topo = small_topology()
@@ -270,7 +312,7 @@ class TestDistanceFeatures:
 
     def test_population_sizes(self):
         rng = np.random.default_rng(15)
-        topo = sample_topology(rng, 4, 8, 100.0)
+        topo = sample_topology(rng, 4, 8, 100.0, RING)
         assert pairwise_distance_features(topo, "primary").shape == (16,)
         assert pairwise_distance_features(topo, "secondary").shape == (64,)
         assert pairwise_distance_features(topo, "all").shape == (144,)
@@ -291,7 +333,7 @@ class TestDistanceFeatures:
     def test_scaled_range(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            topo = sample_topology(rng, 3, 3, 100.0)
+            topo = sample_topology(rng, 3, 3, 100.0, RING)
             feats = pairwise_distance_features(topo, "all")
             assert np.all(feats >= 0.0)
             assert np.all(feats <= 2.0)

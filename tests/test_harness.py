@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from underlay_ppo import cli
 from underlay_ppo import harness
+from underlay_ppo.env import EnvConfig
+from underlay_ppo.geometry import ChannelParams
+from underlay_ppo.phy import RadioConfig
 from underlay_ppo.harness import (
     AGGREGATE_COLUMNS,
     SEED_COLUMNS,
@@ -16,7 +21,7 @@ from underlay_ppo.harness import (
     write_aggregate_csv,
     write_seed_csv,
 )
-from underlay_ppo.ppo import METRIC_FIELDS
+from underlay_ppo.ppo import METRIC_FIELDS, PpoHyper
 
 TINY = [("iters", "3"), ("batch", "10"), ("episode_len", "5")]
 
@@ -274,6 +279,18 @@ class TestConfigValidation:
         expected = f"^command line: value out of range for '{key}': "
         with pytest.raises(ConfigError, match=expected):
             build_config(None, [(key, "-1")])
+
+    # the same rule for code that builds the dataclasses without the harness
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name)
+        for cls in (ChannelParams, RadioConfig, EnvConfig, PpoHyper)
+        for f in dataclasses.fields(cls)
+        if isinstance(f.default, float)
+    ])
+    def test_config_dataclasses_reject_non_finite(self, cls, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            cls(**{name: bad})
 
     def test_only_resolved_values_are_range_checked(self):
         cfg = build_config(None, [("gamma", "1.5"), ("gamma", "0.5")])
