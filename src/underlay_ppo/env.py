@@ -7,19 +7,24 @@ previous step) tells it how much trouble it is causing. Raw actions are
 unconstrained real vectors; the environment clips them into [0, p_max] and
 charges a penalty proportional to the clipped-away amount.
 
-Episodes have fixed length. Node positions get a fresh small jitter around
-their home locations at every reset; shadowing and fading are redrawn every
-step. Observation vectors hold the previous step's metrics, so agents act on
-what they last measured.
+Episodes have fixed length T. Node positions get a fresh small jitter around
+their home locations at every reset; shadowing and fading change every step.
+Observation vectors hold the previous step's metrics, so agents act on what
+they last measured.
 
 Positions are fixed within an episode, so everything derived from them (the
 distance matrix, the LOS probabilities, the floored distances and the
 distance features of the observations) is computed once at ``reset`` into
-``WorldState.geometry``; ``step`` only draws the random parts of the channel
-and runs the physics.
+``WorldState.geometry``. No power action changes the channel either, so
+``reset`` also draws the whole episode's gains at once: T + 1 matrices, the
+first for the reset observation and matrix t + 1 for step t. ``step`` draws
+nothing: advancing ``WorldState.step_index`` moves ``WorldState.gains`` on to
+the step's matrix, and the physics runs on it. Within a rollout, the only
+draws made between two resets are the agents' action noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,11 +91,12 @@ class EnvConfig:
 class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
-    ``geometry`` is fixed for the episode; ``gains`` is redrawn every step.
+    ``geometry`` and ``episode_gains`` (the T + 1 channel draws of the
+    episode) are fixed at reset; ``gains`` is the one for ``step_index``.
     """
 
     geometry: LinkGeometry
-    gains: GainMatrices
+    episode_gains: tuple[GainMatrices, ...]
     last_rate_p: np.ndarray
     last_ee_s: np.ndarray
     last_nqos_p: float
@@ -99,6 +105,10 @@ class WorldState:
     @property
     def topology(self) -> Topology:
         return self.geometry.topology
+
+    @property
+    def gains(self) -> GainMatrices:
+        return self.episode_gains[self.step_index]
 
 
 @dataclass(frozen=True)
@@ -132,13 +142,13 @@ def clamp_and_penalize(raw_action, p_max: float) -> tuple[np.ndarray, float]:
     """Clip raw powers into [0, p_max]; the penalty is the total clipped mass."""
     raw = np.asarray(raw_action, dtype=float)
     applied = raw.clip(0.0, p_max)
-    delta = float(np.sum(np.maximum(raw - p_max, 0.0) + np.maximum(-raw, 0.0)))
+    delta = float(np.abs(raw - applied).sum())
     return applied, delta
 
 
 def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) -> float:
     """Sum of rate margins; scaled down and fined while actions leave the box."""
-    margin = float(np.sum(np.asarray(rate_p, dtype=float) - rate_threshold))
+    margin = float((np.asarray(rate_p, dtype=float) - rate_threshold).sum())
     if delta_p > 0.0:
         return 0.1 * margin - 5.0 * delta_p
     return margin
@@ -146,7 +156,7 @@ def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) ->
 
 def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
     """Total secondary EE minus the primary-NACK fine, boundary-penalized."""
-    total = float(np.sum(np.asarray(ee_s, dtype=float)))
+    total = float(np.asarray(ee_s, dtype=float).sum())
     if delta_s > 0.0:
         return 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s
     return total - 10.0 * nqos_p
@@ -188,8 +198,8 @@ class SpectrumSharingEnv:
 
     The constructor draws home positions once; every reset jitters them by at
     most ``channel.max_displacement`` (displacements do not accumulate over
-    episodes) and redraws the channel. Every episode lasts ``episode_len``
-    steps.
+    episodes) and draws the episode's channel. Every episode lasts
+    ``episode_len`` steps.
     """
 
     def __init__(self, cfg: EnvConfig, rng: np.random.Generator, episode_len: int):
@@ -212,7 +222,7 @@ class SpectrumSharingEnv:
         geometry = link_geometry(topo, cfg.channel)
         world = WorldState(
             geometry=geometry,
-            gains=sample_gain_matrices(geometry, rng),
+            episode_gains=sample_gain_matrices(geometry, rng, self.episode_len + 1),
             last_rate_p=np.zeros(cfg.k_p),
             last_ee_s=np.zeros(cfg.k_s),
             last_nqos_p=0.0,
@@ -220,13 +230,7 @@ class SpectrumSharingEnv:
         )
         return world, build_primary_obs(world), build_secondary_obs(world)
 
-    def step(
-        self,
-        world: WorldState,
-        raw_action_p,
-        raw_action_s,
-        rng: np.random.Generator,
-    ) -> StepOutcome:
+    def step(self, world: WorldState, raw_action_p, raw_action_s) -> StepOutcome:
         """Advance the world by one slot under both agents' raw power vectors."""
         if world.step_index >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
@@ -237,20 +241,22 @@ class SpectrumSharingEnv:
         raw_s = np.asarray(raw_action_s, dtype=float)
         if raw_p.shape != (cfg.k_p,) or raw_s.shape != (cfg.k_s,):
             raise ValueError("action vectors must have shapes (k_p,) and (k_s,)")
-
-        world.gains = sample_gain_matrices(world.geometry, rng)
         applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
         applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
-        links = evaluate_links(
-            world.gains, PowerAllocation(applied_p, applied_s), radio
-        )
+        # a nan or infinite raw action makes its clip penalty non-finite
+        if not math.isfinite(delta_p + delta_s):
+            raise ValueError("raw actions must be finite")
+
+        power = PowerAllocation(applied_p, applied_s)
+
+        world.step_index += 1
+        links = evaluate_links(world.gains, power, radio)
         r_p = reward_primary(links.rate_p, radio.rate_threshold, delta_p)
         r_s = reward_secondary(links.ee_s, float(links.nqos_p), delta_s)
 
         world.last_rate_p = links.rate_p
         world.last_ee_s = links.ee_s
         world.last_nqos_p = float(links.nqos_p)
-        world.step_index += 1
         done = int(world.step_index == self.episode_len)
 
         metrics = StepMetrics(
@@ -262,8 +268,8 @@ class SpectrumSharingEnv:
             nqos_p=links.nqos_p,
             delta_p=delta_p,
             delta_s=delta_s,
-            active_p=int(np.sum(applied_p > ACTIVE_POWER_FRACTION * radio.p_max_p)),
-            active_s=int(np.sum(applied_s > ACTIVE_POWER_FRACTION * radio.p_max_s)),
+            active_p=int((applied_p > ACTIVE_POWER_FRACTION * radio.p_max_p).sum()),
+            active_s=int((applied_s > ACTIVE_POWER_FRACTION * radio.p_max_s).sum()),
         )
         return StepOutcome(
             obs_primary=build_primary_obs(world),

@@ -9,8 +9,9 @@ flows through an explicit ``numpy.random.Generator`` so runs are repeatable.
 
 Validation runs at the API boundary: the config dataclasses and the keyword
 constructors of ``Topology`` and ``GainMatrices`` check everything they are
-given. The per-step path checks each gain draw once, with one vectorised
-"positive and finite" test on the stacked array (``GainMatrices.from_stacked``).
+given. ``sample_gain_matrices`` draws a whole block of channel realisations
+at once and checks the block once, with one vectorised "positive and finite"
+test; each realisation is then a read-only view of it.
 """
 from __future__ import annotations
 
@@ -85,11 +86,12 @@ class Topology:
             pts = getattr(self, name)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
                 raise ValueError(f"{name} must be an (n, 2) array with n >= 1")
-            # allow a hair of slack for points clamped onto the boundary
-            if np.any(np.linalg.norm(pts, axis=1) > self.radius * (1.0 + 1e-9)):
-                raise ValueError(f"{name} contains points outside the disc")
         if self.p_tx.shape != self.p_rx.shape or self.s_tx.shape != self.s_rx.shape:
             raise ValueError("transmitter and receiver counts must match per system")
+        nodes = np.concatenate((self.p_tx, self.p_rx, self.s_tx, self.s_rx))
+        # allow a hair of slack for points clamped onto the boundary; nan fails
+        if not np.linalg.norm(nodes, axis=1).max() <= self.radius * (1.0 + 1e-9):
+            raise ValueError("node positions must lie inside the disc")
 
     @property
     def k_p(self) -> int:
@@ -125,13 +127,9 @@ class GainMatrices:
         self.k_p = k_p
 
     @classmethod
-    def from_stacked(cls, h: np.ndarray, k_p: int) -> "GainMatrices":
-        """Wrap a stacked gain array without a copy and make it read-only; one check."""
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or not 0 < k_p < h.shape[0]:
-            raise ValueError("stacked gains must be (k, k) with 0 < k_p < k")
-        if not 0.0 < h.min() or not h.max() < np.inf:  # nan fails both
-            raise ValueError("gain entries must be positive and finite")
-        h.flags.writeable = False
+    def _view(cls, h: np.ndarray, k_p: int) -> "GainMatrices":
+        """Wrap, without a copy, a (k, k) slice of a gain block that
+        ``sample_gain_matrices`` checked and made read-only."""
         gains = cls.__new__(cls)
         gains._h = h
         gains.k_p = k_p
@@ -222,21 +220,16 @@ def perturb_topology(
     uniform random direction, clamping escapees back onto the disc boundary."""
     if max_displacement < 0.0:
         raise ValueError("max_displacement must be non-negative")
-
-    def move(pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[0]
-        dist = rng.random(n) * max_displacement
-        ang = rng.uniform(0.0, _TWO_PI, n)
-        moved = pts + np.column_stack((dist * np.cos(ang), dist * np.sin(ang)))
-        return clamp_to_disc(moved, topo.radius)
-
-    return Topology(
-        p_tx=move(topo.p_tx),
-        p_rx=move(topo.p_rx),
-        s_tx=move(topo.s_tx),
-        s_rx=move(topo.s_rx),
-        radius=topo.radius,
-    )
+    # one draw over all nodes, stacked as p_tx, p_rx, s_tx, s_rx
+    nodes = np.concatenate((topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx), dtype=float)
+    n = nodes.shape[0]
+    dist = rng.random(n) * max_displacement
+    ang = rng.uniform(0.0, _TWO_PI, n)
+    nodes += np.column_stack((dist * np.cos(ang), dist * np.sin(ang)))
+    k_p, k_s = topo.k_p, topo.k_s
+    p_tx, p_rx, s_tx, s_rx = np.split(
+        clamp_to_disc(nodes, topo.radius), (k_p, 2 * k_p, 2 * k_p + k_s))
+    return Topology(p_tx=p_tx, p_rx=p_rx, s_tx=s_tx, s_rx=s_rx, radius=topo.radius)
 
 
 def los_probability(d, params: ChannelParams):
@@ -269,21 +262,27 @@ def path_loss(d, alpha: float):
 
 def _draw_gains(
     p_los: np.ndarray, d_eff: np.ndarray, params: ChannelParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator, size: tuple[int, ...],
 ) -> np.ndarray:
-    """Gain draw for a flat array of links, given their LOS probabilities and
-    floored distances. Four rng calls, each of the array's length, in a
-    fixed order; the streams depend on it."""
-    n = p_los.shape[0]
-    is_los = rng.random(n) < p_los
-    alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
-    shadow_db = rng.standard_normal(n) * np.where(
-        is_los, params.shadow_std_los_db, params.shadow_std_nlos_db
-    )
-    fade_los = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, n)
-    fade_nlos = rng.exponential(1.0, n)
-    fade = np.where(is_los, fade_los, fade_nlos)
-    return d_eff ** (-alpha) * 10.0 ** (shadow_db / 10.0) * fade
+    """Gain draws of the given size for a flat array of links, given their LOS
+    probabilities and floored distances, which broadcast along the last axis.
+
+    Four rng calls, each of the full size, in a fixed order; the streams
+    depend on it. The arithmetic runs in place, so at most three float arrays
+    of the full size are alive at once.
+    """
+    is_los = rng.random(size) < p_los
+    gains = np.where(is_los, -params.alpha_los, -params.alpha_nlos)
+    np.power(d_eff, gains, out=gains)
+    shadow = rng.standard_normal(size)
+    shadow *= np.where(is_los, params.shadow_std_los_db, params.shadow_std_nlos_db)
+    shadow /= 10.0
+    gains *= np.power(10.0, shadow, out=shadow)
+    del shadow
+    fade = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, size)
+    np.copyto(fade, rng.exponential(1.0, size), where=~is_los)
+    gains *= fade
+    return gains
 
 
 def _sample_gains(
@@ -291,7 +290,8 @@ def _sample_gains(
 ) -> np.ndarray:
     """Vectorized gain draw for a flat array of link distances."""
     p_los = np.asarray(los_probability(dists, params))
-    return _draw_gains(p_los, np.maximum(dists, DISTANCE_FLOOR_M), params, rng)
+    return _draw_gains(
+        p_los, np.maximum(dists, DISTANCE_FLOOR_M), params, rng, dists.shape)
 
 
 def sample_link_gain(d: float, params: ChannelParams, rng: np.random.Generator) -> float:
@@ -329,7 +329,7 @@ class LinkGeometry:
     """Everything about the links that depends on node positions only.
 
     Positions stay fixed within an episode, so ``link_geometry`` builds this
-    once per topology and ``sample_gain_matrices`` redraws only the random
+    once per topology and ``sample_gain_matrices`` draws only the random
     parts of the channel on top of it. Flat arrays are the row-major
     flattening of the (K, K) tx -> rx matrix, primary nodes first.
     """
@@ -357,14 +357,28 @@ def link_geometry(topo: Topology, params: ChannelParams) -> LinkGeometry:
     )
 
 
-def sample_gain_matrices(links: LinkGeometry, rng: np.random.Generator) -> GainMatrices:
-    """Independent gain draw for every tx/rx pair across both systems.
+def sample_gain_matrices(
+    links: LinkGeometry, rng: np.random.Generator, draws: int
+) -> tuple[GainMatrices, ...]:
+    """``draws`` independent gain draws for every tx/rx pair across both systems.
 
-    Coincident pairs fall back to the 1 m distance floor instead of erroring.
+    All draws come from one (draws, K, K) block: each of the four rng calls
+    (``random``, ``standard_normal``, ``gamma``, ``exponential``) covers the
+    whole block, and the block is checked once and made read-only. Draw t is
+    a ``GainMatrices`` view of slice t. Coincident pairs fall back to the 1 m
+    distance floor instead of erroring.
     """
-    k = links.topology.k_p + links.topology.k_s
-    gains = _draw_gains(links.p_los, links.d_eff, links.params, rng)
-    return GainMatrices.from_stacked(gains.reshape(k, k), links.topology.k_p)
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    k_p = links.topology.k_p
+    k = k_p + links.topology.k_s
+    block = _draw_gains(
+        links.p_los, links.d_eff, links.params, rng, (draws, k * k)
+    ).reshape(draws, k, k)
+    if not 0.0 < block.min() or not block.max() < np.inf:  # nan fails both
+        raise ValueError("gain entries must be positive and finite")
+    block.flags.writeable = False
+    return tuple(GainMatrices._view(h, k_p) for h in block)
 
 
 def pairwise_distance_features(topo: Topology, which: str) -> np.ndarray:

@@ -6,10 +6,31 @@ transmitter excites, and a receive distortion that rides on the direct link's
 received power. Both systems (primary "p", secondary "s") share the band, so
 each receiver sees its own system's residual interference plus everything the
 other system radiates.
+
+All of it is one coupling form. Stack the K = k_p + k_s links, primary
+first; let H be the (K, K) gain matrix (H[j, k]: transmitter j to receiver
+k) and p the joint K-vector of powers. Then, at every receiver at once,
+
+    distortion = p @ (H * W_dist)
+    sindr      = diag(H) * p / (noise + p @ (H * W)),   W = W_dist + 1 - I
+
+where W_dist[j, k] = kt[j, k]**2 + [j == k] * kr[k]**2 (transmit and
+receive distortion) and the off-diagonal ones of W add the interference of
+every other transmitter. ``coupling_weights`` builds W and W_dist from the
+four kappas; it is the one home of the transmit-kappa choice below.
+
+Modelling choice (secondary-kappa cross terms): kt[j, k] is kappa_t_p only
+when transmitter j and receiver k are both primary, and kappa_t_s otherwise.
+So at a primary receiver each transmitter's distortion carries that
+transmitter's own kappa, but at a secondary receiver the distortion of the
+primary transmitters is scaled by kappa_t_s as well. This is deliberate, not
+a typo for kappa_t_p; test_cross_terms_use_secondary_transmit_kappa and the
+loop oracle in tests/oracles.py pin it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,44 +99,30 @@ class LinkMetrics:
     nqos_p: int
 
 
-def _check_dims(h: GainMatrices, p: PowerAllocation) -> None:
+@lru_cache(maxsize=16)
+def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, K) weights (W, W_dist) of the coupling form; see module doc."""
+    primary = np.arange(k_p + k_s) < k_p
+    kt = np.where(np.outer(primary, primary), cfg.kappa_t_p, cfg.kappa_t_s)
+    kr = np.where(primary, cfg.kappa_r_p, cfg.kappa_r_s)
+    w_dist = kt**2 + np.diag(kr**2)
+    w = w_dist + (1.0 - np.eye(k_p + k_s))
+    w.flags.writeable = w_dist.flags.writeable = False
+    return w, w_dist
+
+
+def _joint_powers(h: GainMatrices, p: PowerAllocation) -> np.ndarray:
     if p.p_primary.shape[0] != h.k_p or p.p_secondary.shape[0] != h.k_s:
         raise ValueError("power vector lengths must match gain matrix dimensions")
+    return np.concatenate((p.p_primary, p.p_secondary))
 
 
-def _distortion_and_sindr(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig):
-    """(d_p, d_s, sindr_p, sindr_s) in one pass over the stacked gains.
-
-    Each direct gain is read once and each cross product (``ps @ h_sp``,
-    ``pp @ h_ps``) is computed once and shared by the distortion and the
-    interference sums.
-
-    Modelling choice (secondary-kappa cross terms): at a primary receiver
-    each transmitter's distortion carries that transmitter's own kappa
-    (kappa_t_p for primary, kappa_t_s for secondary transmitters), but at a
-    secondary receiver the distortion of the primary transmitters is scaled
-    by kappa_t_s as well. This is deliberate, not a typo for kappa_t_p;
-    test_cross_terms_use_secondary_transmit_kappa and the loop oracle in
-    tests/oracles.py pin it.
-    """
-    _check_dims(h, p)
-    pp, ps = p.p_primary, p.p_secondary
-    diag = h.stacked().diagonal()
-    diag_pp, diag_ss = diag[: h.k_p], diag[h.k_p :]
-    from_s = ps @ h.h_sp  # secondary transmitters at primary receivers
-    from_p = pp @ h.h_ps  # primary transmitters at secondary receivers
-    kt_s2 = cfg.kappa_t_s**2
-    d_p = cfg.kappa_r_p**2 * diag_pp * pp + cfg.kappa_t_p**2 * (pp @ h.h_pp) + kt_s2 * from_s
-    d_s = cfg.kappa_r_s**2 * diag_ss * ps + kt_s2 * (ps @ h.h_ss) + kt_s2 * from_p
-
-    off_pp = h.h_pp.copy()
-    np.fill_diagonal(off_pp, 0.0)
-    off_ss = h.h_ss.copy()
-    np.fill_diagonal(off_ss, 0.0)
-
-    denom_p = cfg.noise_power + d_p + pp @ off_pp + from_s
-    denom_s = cfg.noise_power + d_s + ps @ off_ss + from_p
-    return d_p, d_s, diag_pp * pp / denom_p, diag_ss * ps / denom_s
+def _sindr(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> np.ndarray:
+    """Joint (K,) SINDR vector, primary links first."""
+    power = _joint_powers(h, p)
+    w, _ = coupling_weights(cfg, h.k_p, h.k_s)
+    gains = h.stacked()
+    return gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
 
 
 def distortion_powers(
@@ -126,11 +133,13 @@ def distortion_powers(
     Receiver distortion scales with the direct link's received power
     (kappa_r**2 * h_kk * P_k). Transmit distortion from every transmitter,
     the desired one included, arrives through the corresponding channel, so
-    the sums run over all j including j = k. See ``_distortion_and_sindr``
-    for the secondary-kappa cross-term modelling choice.
+    the sums run over all j including j = k. The module doc gives the
+    secondary-kappa cross-term modelling choice.
     """
-    d_p, d_s, _, _ = _distortion_and_sindr(h, p, cfg)
-    return d_p, d_s
+    power = _joint_powers(h, p)
+    _, w_dist = coupling_weights(cfg, h.k_p, h.k_s)
+    d = power @ (h.stacked() * w_dist)
+    return d[: h.k_p], d[h.k_p :]
 
 
 def compute_sindr(
@@ -141,8 +150,8 @@ def compute_sindr(
     Each link k sees its own direct power over noise + distortion + same-system
     interference (j != k) + everything the other system transmits.
     """
-    _, _, sindr_p, sindr_s = _distortion_and_sindr(h, p, cfg)
-    return sindr_p, sindr_s
+    sindr = _sindr(h, p, cfg)
+    return sindr[: h.k_p], sindr[h.k_p :]
 
 
 def compute_rates(sindr: np.ndarray) -> np.ndarray:
@@ -176,15 +185,15 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
 
 def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
     """Full physics chain for one channel draw: SINDR, rates, EE, QoS flags."""
-    _, _, sindr_p, sindr_s = _distortion_and_sindr(h, p, cfg)
+    sindr = _sindr(h, p, cfg)
     # SINDRs of positive gains and non-negative powers need no sign check
-    rate_p = np.log2(1.0 + sindr_p)
-    rate_s = np.log2(1.0 + sindr_s)
+    rate = np.log2(1.0 + sindr)
+    rate_p, rate_s = rate[: h.k_p], rate[h.k_p :]
     ee_s = energy_efficiency(rate_s, p.p_secondary, cfg)
     nack_p, count = nqos(rate_p, cfg)
     return LinkMetrics(
-        sindr_p=sindr_p,
-        sindr_s=sindr_s,
+        sindr_p=sindr[: h.k_p],
+        sindr_s=sindr[h.k_p :],
         rate_p=rate_p,
         rate_s=rate_s,
         ee_s=ee_s,

@@ -350,14 +350,13 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
                 batch.obs[idx] = ob
                 batch.actions[idx] = act
                 batch.log_probs_old[idx] = logp
-                batch.values[idx] = agent.value.value(ob)
                 actions.append(act)
             if coexist:
-                out = env.step(world, actions[0], actions[1], rng)
+                out = env.step(world, actions[0], actions[1])
                 rewards = (out.reward_p, out.reward_s)
                 obs = [out.obs_primary, out.obs_secondary]
             else:
-                out = env.step(world, actions[0][:k_p], actions[0][k_p:], rng)
+                out = env.step(world, actions[0][:k_p], actions[0][k_p:])
                 rewards = (out.reward_p + out.reward_s,)
                 obs = [build_centralized_obs(world, mode)]
             for batch, reward in zip(batches, rewards):
@@ -368,7 +367,9 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
                      m.sum_ee_s, m.sum_power_p, m.sum_power_s, m.nqos_p,
                      m.delta_p, m.delta_s, m.active_p, m.active_s)
             idx += 1
+    # the nets do not change during a rollout, so one batched pass per agent
     for agent, batch, ob in zip(agents, batches, obs):
+        batch.values[:] = agent.value.forward(batch.obs)[0]
         batch.bootstrap_value = agent.value.value(ob)
     means = dict(zip(METRIC_FIELDS, (sums / n).tolist()))
     return batches, means

@@ -7,42 +7,59 @@ vectorized / backward-recursive production code it validates.
 import numpy as np
 
 
-def sindr_loops(h, pp, ps, cfg):
-    """Per-link SINDRs via explicit double loops over transmitters.
+def distortion_loops(h, pp, ps, cfg):
+    """Per-receiver distortion powers via explicit loops over transmitters.
 
-    ``h`` is a GainMatrices instance; returns (sindr_p, sindr_s) lists.
+    ``h`` is a GainMatrices instance; returns (d_p, d_s) lists. Transmit
+    distortion at a secondary receiver carries kappa_t_s for both systems.
     """
     k_p, k_s = len(pp), len(ps)
-    out_p = []
+    d_p = []
     for k in range(k_p):
-        direct = h.h_pp[k][k] * pp[k]
         dist = cfg.kappa_r_p**2 * h.h_pp[k][k] * pp[k]
         for j in range(k_p):
             dist += cfg.kappa_t_p**2 * pp[j] * h.h_pp[j][k]
         for j in range(k_s):
             dist += cfg.kappa_t_s**2 * ps[j] * h.h_sp[j][k]
+        d_p.append(dist)
+    d_s = []
+    for k in range(k_s):
+        dist = cfg.kappa_r_s**2 * h.h_ss[k][k] * ps[k]
+        for j in range(k_s):
+            dist += cfg.kappa_t_s**2 * ps[j] * h.h_ss[j][k]
+        for j in range(k_p):
+            dist += cfg.kappa_t_s**2 * pp[j] * h.h_ps[j][k]
+        d_s.append(dist)
+    return d_p, d_s
+
+
+def sindr_loops(h, pp, ps, cfg):
+    """Per-link SINDRs via explicit double loops over transmitters.
+
+    ``h`` is a GainMatrices instance; returns (sindr_p, sindr_s) arrays.
+    """
+    k_p, k_s = len(pp), len(ps)
+    dist_p, dist_s = distortion_loops(h, pp, ps, cfg)
+    out_p = []
+    for k in range(k_p):
+        direct = h.h_pp[k][k] * pp[k]
         interference = 0.0
         for j in range(k_p):
             if j != k:
                 interference += pp[j] * h.h_pp[j][k]
         for j in range(k_s):
             interference += ps[j] * h.h_sp[j][k]
-        out_p.append(direct / (cfg.noise_power + dist + interference))
+        out_p.append(direct / (cfg.noise_power + dist_p[k] + interference))
     out_s = []
     for k in range(k_s):
         direct = h.h_ss[k][k] * ps[k]
-        dist = cfg.kappa_r_s**2 * h.h_ss[k][k] * ps[k]
-        for j in range(k_s):
-            dist += cfg.kappa_t_s**2 * ps[j] * h.h_ss[j][k]
-        for j in range(k_p):
-            dist += cfg.kappa_t_s**2 * pp[j] * h.h_ps[j][k]
         interference = 0.0
         for j in range(k_s):
             if j != k:
                 interference += ps[j] * h.h_ss[j][k]
         for j in range(k_p):
             interference += pp[j] * h.h_ps[j][k]
-        out_s.append(direct / (cfg.noise_power + dist + interference))
+        out_s.append(direct / (cfg.noise_power + dist_s[k] + interference))
     return np.array(out_p), np.array(out_s)
 
 
@@ -116,13 +133,13 @@ def random_gains(rng, k_p, k_s, scale=1.0):
     )
 
 
-def gains_reference(topo, params, rng):
-    """Stacked (K, K) gain draw recomputed from the node positions.
+def gains_reference(topo, params, rng, draws):
+    """(draws, K, K) block of gain draws recomputed from the node positions.
 
-    This is the per-step formula from before the per-episode link geometry:
-    distances, LOS probabilities and the 1 m floor are all derived afresh,
-    then the same four rng calls (random, standard_normal, gamma,
-    exponential) are made in the same order.
+    This is the gain formula written out plainly: distances, LOS
+    probabilities and the 1 m floor are all derived afresh from the
+    positions, then the four rng calls (random, standard_normal, gamma,
+    exponential), each of size draws * K * K, are made in that order.
     """
     from underlay_ppo.geometry import los_probability
 
@@ -130,16 +147,16 @@ def gains_reference(topo, params, rng):
     rx = np.vstack((topo.p_rx, topo.s_rx))
     dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
     d = dists.ravel()
-    n = d.shape[0]
+    size = (draws, d.shape[0])
     p_los = np.asarray(los_probability(d, params))
-    is_los = rng.random(n) < p_los
+    is_los = rng.random(size) < p_los
     alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
-    shadow_db = rng.standard_normal(n) * np.where(
+    shadow_db = rng.standard_normal(size) * np.where(
         is_los, params.shadow_std_los_db, params.shadow_std_nlos_db
     )
-    fade_los = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, n)
-    fade_nlos = rng.exponential(1.0, n)
+    fade_los = rng.gamma(params.nakagami_m, 1.0 / params.nakagami_m, size)
+    fade_nlos = rng.exponential(1.0, size)
     fade = np.where(is_los, fade_los, fade_nlos)
     d_eff = np.maximum(d, 1.0)
     gains = d_eff ** (-alpha) * 10.0 ** (shadow_db / 10.0) * fade
-    return gains.reshape(dists.shape)
+    return gains.reshape((draws,) + dists.shape)

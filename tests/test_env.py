@@ -158,20 +158,20 @@ class TestStep:
         a_p = np.full(cfg.k_p, 0.5)
         a_s = np.full(cfg.k_s, 0.5)
         for t in range(3):
-            out = env.step(world, a_p, a_s, rng)
+            out = env.step(world, a_p, a_s)
             assert out.done == (1 if t == 2 else 0)
             m = out.metrics
             assert m.sum_power_p == pytest.approx(0.5 * cfg.k_p)
             assert 0 <= m.nqos_p <= cfg.k_p
             assert m.delta_p == 0.0 and m.delta_s == 0.0
         with pytest.raises(RuntimeError):
-            env.step(world, a_p, a_s, rng)
+            env.step(world, a_p, a_s)
 
     def test_zero_powers_propagate(self):
         env, cfg = make_env(seed=9, episode_len=4)
         rng = np.random.default_rng(10)
         world, _, _ = env.reset(rng)
-        out = env.step(world, np.zeros(cfg.k_p), np.zeros(cfg.k_s), rng)
+        out = env.step(world, np.zeros(cfg.k_p), np.zeros(cfg.k_s))
         assert out.metrics.sum_rate_p == 0.0
         assert out.metrics.sum_ee_s == 0.0
         assert out.metrics.nqos_p == cfg.k_p
@@ -184,7 +184,7 @@ class TestStep:
         world, _, _ = env.reset(rng)
         a_p = np.array([0.0, 0.5])
         a_s = np.array([2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
-        out = env.step(world, a_p, a_s, rng)
+        out = env.step(world, a_p, a_s)
         assert out.metrics.active_p == 1
         assert out.metrics.active_s == 1
 
@@ -193,7 +193,7 @@ class TestStep:
         rng = np.random.default_rng(14)
         world, _, _ = env.reset(rng)
         g0 = world.gains.stacked().copy()
-        env.step(world, np.full(cfg.k_p, 0.4), np.full(cfg.k_s, 0.4), rng)
+        env.step(world, np.full(cfg.k_p, 0.4), np.full(cfg.k_s, 0.4))
         g1 = world.gains.stacked().copy()
         assert not np.array_equal(g0, g1)
 
@@ -202,20 +202,25 @@ class TestStep:
         rng = np.random.default_rng(16)
         world, _, _ = env.reset(rng)
         with pytest.raises(ValueError):
-            env.step(world, np.zeros(cfg.k_p + 1), np.zeros(cfg.k_s), rng)
+            env.step(world, np.zeros(cfg.k_p + 1), np.zeros(cfg.k_s))
 
     def test_nan_action_rejected(self):
         env, cfg = make_env(seed=15, episode_len=2)
         rng = np.random.default_rng(16)
         world, _, _ = env.reset(rng)
-        with pytest.raises(ValueError):
-            env.step(world, np.array([np.nan, 0.5]), np.zeros(cfg.k_s), rng)
+        # the clip penalty catches nan and both infinities, in either system
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                env.step(world, np.array([bad, 0.5]), np.zeros(cfg.k_s))
+            with pytest.raises(ValueError, match="finite"):
+                env.step(world, np.zeros(cfg.k_p), np.array([0.5, bad]))
+        assert world.step_index == 0
 
     def test_observations_carry_this_steps_metrics(self):
         env, cfg = make_env(seed=17, episode_len=3)
         rng = np.random.default_rng(18)
         world, _, _ = env.reset(rng)
-        out = env.step(world, np.full(cfg.k_p, 0.7), np.full(cfg.k_s, 0.7), rng)
+        out = env.step(world, np.full(cfg.k_p, 0.7), np.full(cfg.k_s, 0.7))
         np.testing.assert_array_equal(out.obs_primary[cfg.k_p**2 :], out.links.rate_p)
         np.testing.assert_array_equal(
             out.obs_secondary[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], out.links.ee_s
@@ -228,29 +233,27 @@ class TestStep:
             env, cfg = make_env(seed=19, episode_len=4)
             rng = np.random.default_rng(20)
             world, _, _ = env.reset(rng)
-            out = env.step(
-                world, np.full(cfg.k_p, 0.3), np.full(cfg.k_s, 0.6), rng
-            )
+            out = env.step(world, np.full(cfg.k_p, 0.3), np.full(cfg.k_s, 0.6))
             rows.append((out.reward_p, out.reward_s, out.metrics.sum_rate_p))
         assert rows[0] == rows[1]
 
     def test_same_powers_same_stream_same_physics(self):
-        # identical world snapshots and rng streams yield identical metrics,
-        # regardless of which controller shape produced the actions
+        # identical world snapshots yield identical metrics, regardless of
+        # which controller shape produced the actions
         env, cfg = make_env(seed=21, episode_len=3)
         world_a, _, _ = env.reset(np.random.default_rng(22))
         world_b = copy.deepcopy(world_a)
         a_p = np.full(cfg.k_p, 0.45)
         a_s = np.full(cfg.k_s, 0.55)
-        out_a = env.step(world_a, a_p, a_s, np.random.default_rng(23))
-        out_b = env.step(world_b, a_p, a_s, np.random.default_rng(23))
+        out_a = env.step(world_a, a_p, a_s)
+        out_b = env.step(world_b, a_p, a_s)
         assert out_a.reward_p == out_b.reward_p
         assert out_a.reward_s == out_b.reward_s
         assert out_a.metrics == out_b.metrics
 
 
 class TestPerEpisodeGeometry:
-    """The per-episode link geometry against the physics recomputed from positions."""
+    """The episode's geometry and gain block against a twin rng redoing the reset."""
 
     @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8)])
     def test_matches_reference_over_episodes(self, k_p, k_s):
@@ -261,13 +264,19 @@ class TestPerEpisodeGeometry:
         twin = np.random.default_rng()
         actions = np.random.default_rng(34)
         for _ in range(episodes):
-            # the twin redoes the reset's draws: jittered positions, then gains
+            # the twin redoes the reset's draws: the jitter, then the whole
+            # episode's gain block, slice 0 for the reset observation
             twin.bit_generator.state = rng.bit_generator.state
             world, obs_p, obs_s = env.reset(rng)
             topo = perturb_topology(env.base_topology, twin, cfg.channel.max_displacement)
+            block = gains_reference(topo, cfg.channel, twin, steps + 1)
+            after_reset = rng.bit_generator.state
+            assert after_reset == twin.bit_generator.state
             np.testing.assert_array_equal(world.topology.p_tx, topo.p_tx)
-            np.testing.assert_array_equal(
-                world.gains.stacked(), gains_reference(topo, cfg.channel, twin))
+            np.testing.assert_array_equal(world.topology.s_rx, topo.s_rx)
+            np.testing.assert_array_equal(world.gains.stacked(), block[0])
+            with pytest.raises(ValueError, match="read-only"):
+                world.gains.stacked()[0, 0] = 1.0
             np.testing.assert_array_equal(
                 obs_p[: k_p * k_p], pairwise_distance_features(topo, "primary"))
             np.testing.assert_array_equal(
@@ -275,14 +284,13 @@ class TestPerEpisodeGeometry:
             np.testing.assert_array_equal(
                 build_centralized_obs(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
                 pairwise_distance_features(topo, "all"))
-            for _ in range(steps):
+            for t in range(steps):
                 raw_p = actions.uniform(-0.2, 1.2, k_p)
                 raw_s = actions.uniform(-0.2, 1.2, k_s)
-                twin.bit_generator.state = rng.bit_generator.state
-                out = env.step(world, raw_p, raw_s, rng)
-                ref = gains_reference(topo, cfg.channel, twin)
+                out = env.step(world, raw_p, raw_s)
+                ref = block[t + 1]
                 np.testing.assert_array_equal(world.gains.stacked(), ref)
-                assert twin.bit_generator.state == rng.bit_generator.state
+                assert not world.gains.stacked().flags.writeable
                 h = GainMatrices(
                     h_pp=ref[:k_p, :k_p].copy(),
                     h_ps=ref[:k_p, k_p:].copy(),
@@ -298,6 +306,10 @@ class TestPerEpisodeGeometry:
                     np.testing.assert_array_equal(
                         getattr(out.links, name), getattr(expect, name), err_msg=name)
                 assert out.links.nqos_p == expect.nqos_p
+            # steps draw nothing: the stream is where the reset left it
+            assert rng.bit_generator.state == after_reset
+            with pytest.raises(RuntimeError):
+                env.step(world, raw_p, raw_s)
 
 
 class TestObservationContent:
@@ -335,9 +347,7 @@ class TestObservationContent:
         world, obs_p, obs_s = env.reset(rng)
         assert np.all(np.isfinite(obs_p)) and np.all(np.isfinite(obs_s))
         for _ in range(6):
-            out = env.step(
-                world, rng.random(cfg.k_p), rng.random(cfg.k_s), rng
-            )
+            out = env.step(world, rng.random(cfg.k_p), rng.random(cfg.k_s))
             assert np.all(np.isfinite(out.obs_primary))
             assert np.all(np.isfinite(out.obs_secondary))
             assert np.all(np.isfinite(build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from underlay_ppo import geometry
 from underlay_ppo.geometry import (
     ChannelParams,
     GainMatrices,
@@ -159,6 +160,16 @@ class TestTopology:
                 radius=100.0,
             )
 
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match="inside the disc"):
+            Topology(
+                p_tx=np.array([[0.0, 0.0]]),
+                p_rx=np.array([[0.0, 0.0]]),
+                s_tx=np.array([[0.0, 0.0]]),
+                s_rx=np.array([[np.nan, 0.0]]),
+                radius=100.0,
+            )
+
     def test_perturb_displacement_bounded(self):
         rng = np.random.default_rng(5)
         topo = sample_topology(rng, 4, 4, 80.0, RING)
@@ -180,6 +191,14 @@ class TestTopology:
         np.testing.assert_array_equal(moved.p_tx, topo.p_tx)
         np.testing.assert_array_equal(moved.s_rx, topo.s_rx)
 
+    def test_perturb_integer_positions(self):
+        one = np.array([[1, 2]])
+        topo = Topology(p_tx=one, p_rx=one * 3, s_tx=-one, s_rx=one * 0, radius=50.0)
+        moved = perturb_topology(topo, np.random.default_rng(8), 2.0)
+        assert moved.p_tx.dtype == np.float64
+        step = np.linalg.norm(moved.p_rx - topo.p_rx, axis=1)
+        assert 0.0 < step.max() <= 2.0 + 1e-9
+
     def test_seed_determinism(self):
         a = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
         b = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
@@ -193,7 +212,7 @@ class TestGainSampling:
     def test_matrices_positive_and_shaped(self):
         rng = np.random.default_rng(8)
         topo = sample_topology(rng, 4, 8, 100.0, RING)
-        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
+        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
         assert h.h_pp.shape == (4, 4)
         assert h.h_ps.shape == (4, 8)
         assert h.h_sp.shape == (8, 4)
@@ -205,7 +224,7 @@ class TestGainSampling:
     def test_stacked_layout(self):
         rng = np.random.default_rng(9)
         topo = sample_topology(rng, 2, 3, 100.0, RING)
-        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
+        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
         s = h.stacked()
         assert s.shape == (5, 5)
         np.testing.assert_array_equal(s[:2, :2], h.h_pp)
@@ -216,7 +235,7 @@ class TestGainSampling:
     def test_blocks_are_views_of_one_array(self):
         rng = np.random.default_rng(17)
         topo = sample_topology(rng, 2, 3, 100.0, RING)
-        h = sample_gain_matrices(link_geometry(topo, PARAMS), rng)
+        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
         for block in (h.h_pp, h.h_ps, h.h_sp, h.h_ss):
             assert np.shares_memory(block, h.stacked())
         with pytest.raises(ValueError, match="read-only"):
@@ -227,9 +246,9 @@ class TestGainSampling:
     def test_seed_determinism(self):
         topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
         links = link_geometry(topo, PARAMS)
-        h1 = sample_gain_matrices(links, np.random.default_rng(11))
-        h2 = sample_gain_matrices(links, np.random.default_rng(11))
-        h3 = sample_gain_matrices(links, np.random.default_rng(12))
+        [h1] = sample_gain_matrices(links, np.random.default_rng(11), 1)
+        [h2] = sample_gain_matrices(links, np.random.default_rng(11), 1)
+        [h3] = sample_gain_matrices(links, np.random.default_rng(12), 1)
         np.testing.assert_array_equal(h1.stacked(), h2.stacked())
         assert not np.array_equal(h1.stacked(), h3.stacked())
 
@@ -278,18 +297,24 @@ class TestGainMatricesValidation:
             GainMatrices(**self.blocks(bad))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_drawn_gains_check_rejects(self, bad):
-        h = np.ones((3, 3))
-        h[2, 1] = bad
+    def test_drawn_gains_check_rejects(self, bad, monkeypatch):
+        # one bad entry in the last draw of the block fails the whole block
+        def draw(p_los, d_eff, params, rng, size):
+            block = np.ones(size)
+            block[-1, 5] = bad
+            return block
+
+        monkeypatch.setattr(geometry, "_draw_gains", draw)
+        links = link_geometry(sample_topology(np.random.default_rng(3), 2, 1, 100.0, RING),
+                              PARAMS)
         with pytest.raises(ValueError, match="positive and finite"):
-            GainMatrices.from_stacked(h, 2)
+            sample_gain_matrices(links, np.random.default_rng(4), 3)
 
     def test_keyword_and_stacked_agree(self):
         h = GainMatrices(**self.blocks(2.0))
         np.testing.assert_array_equal(h.stacked(), [[1, 1, 1], [2, 1, 1], [1, 1, 1]])
         assert (h.k_p, h.k_s) == (2, 1)
-        same = GainMatrices.from_stacked(h.stacked(), 2)
-        np.testing.assert_array_equal(same.h_sp, h.h_sp)
+        np.testing.assert_array_equal(h.h_sp, [[1, 1]])
 
 
 class TestDistanceFeatures:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_gains, sindr_loops
+from oracles import distortion_loops, random_gains, sindr_loops
 from underlay_ppo.geometry import GainMatrices
 from underlay_ppo.phy import (
     DEFAULT_NOISE_POWER_W,
@@ -263,6 +263,47 @@ class TestEvaluateLinks:
             for field in (links.sindr_p, links.sindr_s, links.rate_p,
                           links.rate_s, links.ee_s):
                 assert np.all(np.isfinite(field))
+
+
+class TestCouplingForm:
+    """evaluate_links and distortion_powers against the loop oracle, wide ranges."""
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for _ in range(500):
+            k_p, k_s = (int(k) for k in rng.integers(1, 9, 2))
+            cfg = RadioConfig(
+                kappa_t_p=float(rng.uniform(0.0, 0.5)),
+                kappa_r_p=float(rng.uniform(0.0, 0.5)),
+                kappa_t_s=float(rng.uniform(0.0, 0.5)),
+                kappa_r_s=float(rng.uniform(0.0, 0.5)),
+                noise_power=float(10.0 ** rng.uniform(-16.0, -8.0)),
+            )
+            g = 10.0 ** rng.uniform(-14.0, 0.0, (k_p + k_s, k_p + k_s))
+            h = GainMatrices(h_pp=g[:k_p, :k_p], h_ps=g[:k_p, k_p:],
+                             h_sp=g[k_p:, :k_p], h_ss=g[k_p:, k_p:])
+            power = rng.uniform(0.0, 1.0, k_p + k_s)
+            power[rng.random(k_p + k_s) < 0.25] = 0.0
+            pp, ps = power[:k_p], power[k_p:]
+            p = PowerAllocation(pp, ps)
+
+            links = evaluate_links(h, p, cfg)
+            got = (links.sindr_p, links.sindr_s, *distortion_powers(h, p, cfg))
+            ref = (*sindr_loops(h, pp, ps, cfg), *distortion_loops(h, pp, ps, cfg))
+            for g_arr, r_arr in zip(got, ref):
+                r_arr = np.asarray(r_arr)
+                zero = r_arr == 0.0
+                np.testing.assert_array_equal(g_arr[zero], 0.0)
+                if not zero.all():
+                    worst = max(worst, float(np.max(
+                        np.abs(g_arr[~zero] / r_arr[~zero] - 1.0))))
+            # a silent link has exactly zero SINDR, rate and EE
+            for arr in (links.sindr_p, links.rate_p):
+                np.testing.assert_array_equal(arr[pp == 0.0], 0.0)
+            for arr in (links.sindr_s, links.rate_s, links.ee_s):
+                np.testing.assert_array_equal(arr[ps == 0.0], 0.0)
+        assert worst <= 1e-12
 
 
 class TestPowerAllocation:

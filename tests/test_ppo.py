@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gae_loops, max_rel_err, numeric_grad
-from underlay_ppo.env import EnvConfig, observation_dim
+from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, observation_dim
 from underlay_ppo.nets import gaussian_log_prob, policy_logprob_grads
 from underlay_ppo.ppo import (
     MODE_CENTRALIZED_DIST,
@@ -15,6 +20,7 @@ from underlay_ppo.ppo import (
     TrainingDiverged,
     TrajectoryBatch,
     Transition,
+    _collect,
     build_agents,
     clip_envelope,
     compute_gae,
@@ -444,6 +450,19 @@ class TestTrain:
             assert "policy_objective_c" in rows[0]
 
 
+class TestCollect:
+    @pytest.mark.parametrize("mode", [MODE_COEXIST, MODE_CENTRALIZED_FULL_CSI])
+    def test_batched_values_match_per_row_values(self, mode):
+        rng = np.random.default_rng(24)
+        hyper = tiny_hyper()
+        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        agents = build_agents(mode, SMALL_ENV, hyper, rng)
+        batches, _ = _collect(env, agents, mode, hyper, rng)
+        for agent, batch in zip(agents, batches):
+            per_row = [agent.value.value(ob) for ob in batch.obs]
+            np.testing.assert_allclose(batch.values, per_row, rtol=1e-12, atol=0.0)
+
+
 class TestCheckpointing:
     def test_round_trip_restores_networks(self, tmp_path):
         rng = np.random.default_rng(25)
@@ -487,3 +506,61 @@ class TestCheckpointing:
                         np.random.default_rng(30), resume_from=path)
         assert [int(r["iter"]) for r in resumed] == [4, 5, 6]
         assert resumed == full[3:]
+
+
+# Trains in a fresh interpreter, so the BLAS thread count set in its
+# environment applies from the first numpy import; prints a digest of the
+# full-precision history, then the BLAS numpy was built against.
+_THREADED_TRAIN = """
+import hashlib, sys
+import numpy as np
+from underlay_ppo.env import EnvConfig
+from underlay_ppo.ppo import PpoHyper, train
+k_p, k_s, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+hyper = PpoHyper(iters=3, batch=200, episode_len=200)
+rows = train(EnvConfig(k_p=k_p, k_s=k_s), hyper, mode, np.random.default_rng(5))
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}")
+"""
+
+
+def _history_digest(threads: int, k_p: int, k_s: int, mode: str) -> tuple[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADED_TRAIN, str(k_p), str(k_s), mode],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    digest, blas = done.stdout.strip().split("\n")
+    return digest, blas
+
+
+class TestBlasThreadCount:
+    """At batch 200 the training history does not depend on the BLAS thread count.
+
+    This covers the rollout, the batched value pass and the PPO update. The
+    result belongs to the BLAS as much as to this program: it was established
+    with OpenBLAS 0.3.31 (the scipy-openblas64 build numpy 2.4 ships,
+    DYNAMIC_ARCH, Haswell kernels) on a 2-core x86-64 machine. Whether a
+    product is split across threads is that library's choice, and with it
+    the result does not hold at every batch size: at batch 400 and 500 the
+    histories differ, because past some size between 200 and 399 rows
+    OpenBLAS splits the weight-gradient products across threads and their
+    sums round differently. Another BLAS, build or core count can move that
+    point below 200.
+    """
+
+    @pytest.mark.parametrize("k_p, k_s, mode", [
+        (2, 2, MODE_COEXIST),
+        (4, 8, MODE_CENTRALIZED_FULL_CSI),
+    ])
+    def test_history_same_with_one_and_two_threads(self, k_p, k_s, mode):
+        one, blas = _history_digest(1, k_p, k_s, mode)
+        two, _ = _history_digest(2, k_p, k_s, mode)
+        assert len(one) == 64
+        assert one == two, (
+            f"histories differ between 1 and 2 BLAS threads under {blas!r}; if "
+            "that is not OpenBLAS 0.3.31 on 2 cores, a different BLAS split a "
+            "product across threads, which need not be a defect of the program")
