@@ -7,7 +7,7 @@ path loss with a per-draw LOS/NLOS mode decision, lognormal shadowing
 fading: Nakagami-m (Gamma) under LOS, exponential under NLOS. All randomness
 flows through an explicit ``numpy.random.Generator`` so runs are repeatable.
 
-Validation runs at the API boundary: the config dataclasses and the keyword
+Validation runs at the API boundary: the config dataclasses and the
 constructors of ``Topology`` and ``GainMatrices`` check everything they are
 given. ``sample_gain_matrices`` draws a whole block of channel realisations
 at once and checks the block once, with one vectorised "positive and finite"
@@ -105,25 +105,22 @@ class Topology:
 class GainMatrices:
     """Linear power gains for one channel draw; entry [j, k] is tx j -> rx k.
 
-    The gains live in one (k_p + k_s) x (k_p + k_s) array, primary
-    transmitters (rows) and receivers (columns) first; ``h_pp``, ``h_ps``,
-    ``h_sp`` and ``h_ss`` are views of its blocks. The array is made
-    read-only, so the validated gains cannot be changed in place.
+    The gains live in one (k_p + k_s) x (k_p + k_s) array: rows are
+    transmitters and columns receivers, the first k_p of each primary. The
+    constructor checks a copy of ``h`` and makes it read-only, so the
+    validated gains cannot be changed in place.
     """
 
-    def __init__(self, h_pp: np.ndarray, h_ps: np.ndarray, h_sp: np.ndarray,
-                 h_ss: np.ndarray):
-        k_p = h_pp.shape[0]
-        k_s = h_ss.shape[0]
-        if h_pp.shape != (k_p, k_p) or h_ss.shape != (k_s, k_s):
-            raise ValueError("h_pp and h_ss must be square")
-        if h_ps.shape != (k_p, k_s) or h_sp.shape != (k_s, k_p):
-            raise ValueError("cross matrices must be (k_p, k_s) and (k_s, k_p)")
-        for name, h in (("h_pp", h_pp), ("h_ps", h_ps), ("h_sp", h_sp), ("h_ss", h_ss)):
-            if h.size and (not np.all(np.isfinite(h)) or np.any(h <= 0.0)):
-                raise ValueError(f"{name} entries must be positive and finite")
-        self._h = np.block([[h_pp, h_ps], [h_sp, h_ss]])
-        self._h.flags.writeable = False
+    def __init__(self, h: np.ndarray, k_p: int):
+        h = np.array(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("gain matrix must be square")
+        if not 1 <= k_p < h.shape[0]:
+            raise ValueError("k_p must satisfy 1 <= k_p < k_p + k_s")
+        if not 0.0 < h.min() or not h.max() < np.inf:  # nan fails both
+            raise ValueError("gain entries must be positive and finite")
+        h.flags.writeable = False
+        self._h = h
         self.k_p = k_p
 
     @classmethod
@@ -138,22 +135,6 @@ class GainMatrices:
     @property
     def k_s(self) -> int:
         return self._h.shape[0] - self.k_p
-
-    @property
-    def h_pp(self) -> np.ndarray:
-        return self._h[: self.k_p, : self.k_p]
-
-    @property
-    def h_ps(self) -> np.ndarray:
-        return self._h[: self.k_p, self.k_p :]
-
-    @property
-    def h_sp(self) -> np.ndarray:
-        return self._h[self.k_p :, : self.k_p]
-
-    @property
-    def h_ss(self) -> np.ndarray:
-        return self._h[self.k_p :, self.k_p :]
 
     def stacked(self) -> np.ndarray:
         """All gains as one (k_p + k_s) x (k_p + k_s) matrix (the array itself, not a copy)."""
@@ -198,12 +179,9 @@ def sample_topology(
     Transmitters are i.i.d. uniform over the disc. Each receiver sits at a
     uniform angle and a uniform distance in ``pair_ring`` from its own
     transmitter, then gets clamped back into the disc, so that direct links
-    are statistically much stronger than cross links.
+    are statistically much stronger than cross links. ``sample_disc_points``
+    rejects a population size below 1 and a non-positive radius.
     """
-    if k_p < 1 or k_s < 1:
-        raise ValueError("k_p and k_s must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
     if not 0.0 < pair_ring[0] <= pair_ring[1]:
         raise ValueError("pair_ring must satisfy 0 < min <= max")
     p_tx = sample_disc_points(rng, k_p, radius)
@@ -232,32 +210,20 @@ def perturb_topology(
     return Topology(p_tx=p_tx, p_rx=p_rx, s_tx=s_tx, s_rx=s_rx, radius=topo.radius)
 
 
-def los_probability(d, params: ChannelParams):
+def los_probability(d, params: ChannelParams) -> np.ndarray:
     """Probability that a link of length d is line-of-sight.
 
     p(d) = min(d0 / d, 1) * (1 - exp(-d / d1)) + exp(-d / d1), with p(0) = 1
-    by continuity. Accepts scalars or arrays; negative distances are invalid.
+    by continuity. Returns an array of d's shape; negative or nan d is invalid.
     """
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # nan fails too
         raise ValueError("distance must be non-negative")
     far = arr > params.d0
     near = np.where(far, params.d0 / np.where(far, arr, 1.0), 1.0)
     decay = np.exp(-arr / params.d1)
     # the d <= d0 branch is exactly 1 analytically; keep it exact in floats
-    p = np.where(far, near * (1.0 - decay) + decay, 1.0)
-    if np.ndim(d) == 0:
-        return float(p)
-    return p
-
-
-def path_loss(d, alpha: float):
-    """Deterministic path-loss factor max(d, 1 m) ** -alpha."""
-    arr = np.maximum(np.asarray(d, dtype=float), DISTANCE_FLOOR_M)
-    out = arr ** (-alpha)
-    if np.ndim(d) == 0:
-        return float(out)
-    return out
+    return np.where(far, near * (1.0 - decay) + decay, 1.0)
 
 
 def _draw_gains(
@@ -285,45 +251,6 @@ def _draw_gains(
     return gains
 
 
-def _sample_gains(
-    dists: np.ndarray, params: ChannelParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized gain draw for a flat array of link distances."""
-    p_los = np.asarray(los_probability(dists, params))
-    return _draw_gains(
-        p_los, np.maximum(dists, DISTANCE_FLOOR_M), params, rng, dists.shape)
-
-
-def sample_link_gain(d: float, params: ChannelParams, rng: np.random.Generator) -> float:
-    """One gain draw for a single link of length d (d > 0)."""
-    if d <= 0.0:
-        raise ValueError("distance must be positive")
-    return float(_sample_gains(np.array([d], dtype=float), params, rng)[0])
-
-
-def _distance_matrix(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-
-
-def _stacked_distances(topo: Topology) -> np.ndarray:
-    """(K, K) tx -> rx distances, K = k_p + k_s, primary nodes first."""
-    tx = np.vstack((topo.p_tx, topo.s_tx))
-    rx = np.vstack((topo.p_rx, topo.s_rx))
-    return _distance_matrix(tx, rx)
-
-
-def _distance_features(dists: np.ndarray, k_p: int, radius: float, which: str) -> np.ndarray:
-    if which == "primary":
-        block = dists[:k_p, :k_p]
-    elif which == "secondary":
-        block = dists[k_p:, k_p:]
-    elif which == "all":
-        block = dists
-    else:
-        raise ValueError(f"unknown population {which!r}")
-    return (block / radius).ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class LinkGeometry:
     """Everything about the links that depends on node positions only.
@@ -338,21 +265,26 @@ class LinkGeometry:
     params: ChannelParams
     p_los: np.ndarray  # (K * K,) LOS probability of each link
     d_eff: np.ndarray  # (K * K,) max(d, 1 m)
-    features: dict  # population name -> pairwise_distance_features(topology, name)
+    features: dict  # "primary"/"secondary"/"all" -> flat distances / radius, in [0, 2]
 
 
 def link_geometry(topo: Topology, params: ChannelParams) -> LinkGeometry:
     """Distances, LOS probabilities and distance features of one topology."""
-    dists = _stacked_distances(topo)
+    tx = np.vstack((topo.p_tx, topo.s_tx))
+    rx = np.vstack((topo.p_rx, topo.s_rx))
+    dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
     flat = dists.ravel()
+    scaled = dists / topo.radius
+    k_p = topo.k_p
     return LinkGeometry(
         topology=topo,
         params=params,
-        p_los=np.asarray(los_probability(flat, params)),
+        p_los=los_probability(flat, params),
         d_eff=np.maximum(flat, DISTANCE_FLOOR_M),
         features={
-            which: _distance_features(dists, topo.k_p, topo.radius, which)
-            for which in ("primary", "secondary", "all")
+            "primary": scaled[:k_p, :k_p].ravel(),
+            "secondary": scaled[k_p:, k_p:].ravel(),
+            "all": scaled.ravel(),
         },
     )
 
@@ -379,13 +311,3 @@ def sample_gain_matrices(
         raise ValueError("gain entries must be positive and finite")
     block.flags.writeable = False
     return tuple(GainMatrices._view(h, k_p) for h in block)
-
-
-def pairwise_distance_features(topo: Topology, which: str) -> np.ndarray:
-    """Row-major flattened tx -> rx distance matrix, scaled by 1 / radius.
-
-    ``which`` selects the population: "primary" (k_p**2 entries), "secondary"
-    (k_s**2) or "all" ((k_p + k_s)**2, primary transmitters/receivers first).
-    Scaled values lie in [0, 2] because the disc has diameter 2 * radius.
-    """
-    return _distance_features(_stacked_distances(topo), topo.k_p, topo.radius, which)

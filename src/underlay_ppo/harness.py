@@ -54,10 +54,10 @@ _RUN_DEFAULTS = {
     "experiment": "custom",
     "mode": MODE_COEXIST,
     "profile": "desk",
-    # Default seeds are screened so the sampled topology admits a joint QoS
-    # solution at symmetric full power (some draws place an interfering
-    # transmitter a few metres from a victim receiver, where no power
-    # allocation can satisfy every primary link).
+    # Default seeds were chosen by hand; nothing checks at run time that a
+    # seed's topology admits a joint QoS solution (some draws place an
+    # interfering transmitter a few metres from a victim receiver, where no
+    # power allocation can satisfy every primary link).
     "seeds": (1, 4, 7),
     "out": "",
     "force": False,
@@ -306,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
 
     Refuses to overwrite an existing result directory unless forced. A
     training failure leaves a traceback in failure_diagnostics.txt and
-    returns 1.
+    returns 1; the next run into the directory removes it.
     """
     if cfg.out_dir is None:
         raise ConfigError("no output directory configured; set --out or out=...")
@@ -322,6 +322,8 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for stale in existing:
         stale.unlink()
+    # a report left by an earlier failed run does not count as results
+    (out / "failure_diagnostics.txt").unlink(missing_ok=True)
     (out / "config_used.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in cfg.settings), encoding="utf-8"
     )

@@ -210,20 +210,14 @@ def gaussian_log_prob(mean, log_std, actions):
 
 
 def sample_action(policy: GaussianPolicyNet, obs, rng: np.random.Generator):
-    """Draw an action for one observation; returns (action, log_prob)."""
+    """Draw an action for one observation; returns (action, its log density)."""
     mean, log_std, _ = policy.forward(obs)
     z = rng.standard_normal(mean.shape[-1])
     action = mean + np.exp(log_std) * z
-    log_prob = float(
+    logp = float(
         -0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * z.shape[0] * _LOG_2PI
     )
-    return action, log_prob
-
-
-def log_prob(policy: GaussianPolicyNet, obs, action) -> float:
-    """Log probability of a given action under the current policy."""
-    mean, log_std, _ = policy.forward(obs)
-    return float(gaussian_log_prob(mean, log_std, action))
+    return action, logp
 
 
 def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
@@ -236,14 +230,6 @@ def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
     dmean = w * z * inv_std
     dlog_std = w * (z * z - 1.0)
     return policy.backward(cache, dmean, dlog_std)
-
-
-def policy_logprob_grads(policy: GaussianPolicyNet, obs, actions, weights):
-    """Convenience wrapper: forward pass plus weighted log-prob gradients."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    mean, log_std, cache = policy.forward(obs)
-    return logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights)
 
 
 class AdamState:

@@ -117,14 +117,6 @@ def _joint_powers(h: GainMatrices, p: PowerAllocation) -> np.ndarray:
     return np.concatenate((p.p_primary, p.p_secondary))
 
 
-def _sindr(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> np.ndarray:
-    """Joint (K,) SINDR vector, primary links first."""
-    power = _joint_powers(h, p)
-    w, _ = coupling_weights(cfg, h.k_p, h.k_s)
-    gains = h.stacked()
-    return gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
-
-
 def distortion_powers(
     h: GainMatrices, p: PowerAllocation, cfg: RadioConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,26 +132,6 @@ def distortion_powers(
     _, w_dist = coupling_weights(cfg, h.k_p, h.k_s)
     d = power @ (h.stacked() * w_dist)
     return d[: h.k_p], d[h.k_p :]
-
-
-def compute_sindr(
-    h: GainMatrices, p: PowerAllocation, cfg: RadioConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link SINDR for both systems.
-
-    Each link k sees its own direct power over noise + distortion + same-system
-    interference (j != k) + everything the other system transmits.
-    """
-    sindr = _sindr(h, p, cfg)
-    return sindr[: h.k_p], sindr[h.k_p :]
-
-
-def compute_rates(sindr: np.ndarray) -> np.ndarray:
-    """Spectral efficiency log2(1 + sindr) in bit/s/Hz."""
-    sindr = np.asarray(sindr, dtype=float)
-    if np.any(sindr < 0.0):
-        raise ValueError("sindr must be non-negative")
-    return np.log2(1.0 + sindr)
 
 
 def energy_efficiency(
@@ -184,8 +156,15 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
 
 
 def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
-    """Full physics chain for one channel draw: SINDR, rates, EE, QoS flags."""
-    sindr = _sindr(h, p, cfg)
+    """Full physics chain for one channel draw: SINDR, rates, EE, QoS flags.
+
+    Each link k sees its own direct power over noise + distortion + same-system
+    interference (j != k) + everything the other system transmits.
+    """
+    power = _joint_powers(h, p)
+    w, _ = coupling_weights(cfg, h.k_p, h.k_s)
+    gains = h.stacked()
+    sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
     rate_p, rate_s = rate[: h.k_p], rate[h.k_p :]

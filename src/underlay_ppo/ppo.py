@@ -11,7 +11,9 @@ the unclipped ratio term attains the min.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -97,16 +99,6 @@ class PpoHyper:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class Transition:
-    obs: np.ndarray
-    action: np.ndarray
-    log_prob_old: float
-    reward: float
-    done: int
-    value_pred: float
-
-
 @dataclass(eq=False)
 class TrajectoryBatch:
     """One agent's rollout; returns/advantages are filled in post-collection."""
@@ -120,20 +112,6 @@ class TrajectoryBatch:
     bootstrap_value: float
     returns: np.ndarray | None = None
     advantages: np.ndarray | None = None
-
-    @classmethod
-    def from_transitions(cls, transitions, bootstrap_value: float):
-        if not transitions:
-            raise ValueError("need at least one transition")
-        return cls(
-            obs=np.stack([t.obs for t in transitions]),
-            actions=np.stack([t.action for t in transitions]),
-            log_probs_old=np.array([t.log_prob_old for t in transitions]),
-            rewards=np.array([t.reward for t in transitions]),
-            dones=np.array([float(t.done) for t in transitions]),
-            values=np.array([t.value_pred for t in transitions]),
-            bootstrap_value=float(bootstrap_value),
-        )
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
@@ -173,13 +151,10 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / max(std, 1e-8)
 
 
-def clip_envelope(advantage, eps: float):
+def clip_envelope(advantage, eps: float) -> np.ndarray:
     """Best clipped objective value per sample: (1 + sign(A) * eps) * A."""
     advantage = np.asarray(advantage, dtype=float)
-    out = (1.0 + np.sign(advantage) * eps) * advantage
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return (1.0 + np.sign(advantage) * eps) * advantage
 
 
 def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
@@ -257,7 +232,11 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
 
 
 def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> None:
-    """Snapshot networks, optimizer moments, rng state and iteration index."""
+    """Snapshot networks, optimizer moments, rng state and iteration index.
+
+    Writes exactly ``path`` by renaming a synced temporary file onto it, so a
+    crash mid-save leaves the previous checkpoint intact.
+    """
     arrays = {"iteration": np.array(iteration, dtype=np.int64)}
     for agent in agents:
         for k, v in policy_to_arrays(agent.policy).items():
@@ -268,7 +247,16 @@ def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> N
         arrays.update(agent.opt_value.state_arrays(f"{agent.name}_adam_val"))
     state_json = json.dumps(rng.bit_generator.state)
     arrays["rng_state"] = np.frombuffer(state_json.encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path, agents):

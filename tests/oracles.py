@@ -7,6 +7,12 @@ vectorized / backward-recursive production code it validates.
 import numpy as np
 
 
+def _blocks(h, k_p):
+    """The four (primary/secondary tx) x (primary/secondary rx) gain blocks."""
+    g = h.stacked()
+    return g[:k_p, :k_p], g[:k_p, k_p:], g[k_p:, :k_p], g[k_p:, k_p:]
+
+
 def distortion_loops(h, pp, ps, cfg):
     """Per-receiver distortion powers via explicit loops over transmitters.
 
@@ -14,21 +20,22 @@ def distortion_loops(h, pp, ps, cfg):
     distortion at a secondary receiver carries kappa_t_s for both systems.
     """
     k_p, k_s = len(pp), len(ps)
+    h_pp, h_ps, h_sp, h_ss = _blocks(h, k_p)
     d_p = []
     for k in range(k_p):
-        dist = cfg.kappa_r_p**2 * h.h_pp[k][k] * pp[k]
+        dist = cfg.kappa_r_p**2 * h_pp[k][k] * pp[k]
         for j in range(k_p):
-            dist += cfg.kappa_t_p**2 * pp[j] * h.h_pp[j][k]
+            dist += cfg.kappa_t_p**2 * pp[j] * h_pp[j][k]
         for j in range(k_s):
-            dist += cfg.kappa_t_s**2 * ps[j] * h.h_sp[j][k]
+            dist += cfg.kappa_t_s**2 * ps[j] * h_sp[j][k]
         d_p.append(dist)
     d_s = []
     for k in range(k_s):
-        dist = cfg.kappa_r_s**2 * h.h_ss[k][k] * ps[k]
+        dist = cfg.kappa_r_s**2 * h_ss[k][k] * ps[k]
         for j in range(k_s):
-            dist += cfg.kappa_t_s**2 * ps[j] * h.h_ss[j][k]
+            dist += cfg.kappa_t_s**2 * ps[j] * h_ss[j][k]
         for j in range(k_p):
-            dist += cfg.kappa_t_s**2 * pp[j] * h.h_ps[j][k]
+            dist += cfg.kappa_t_s**2 * pp[j] * h_ps[j][k]
         d_s.append(dist)
     return d_p, d_s
 
@@ -39,26 +46,27 @@ def sindr_loops(h, pp, ps, cfg):
     ``h`` is a GainMatrices instance; returns (sindr_p, sindr_s) arrays.
     """
     k_p, k_s = len(pp), len(ps)
+    h_pp, h_ps, h_sp, h_ss = _blocks(h, k_p)
     dist_p, dist_s = distortion_loops(h, pp, ps, cfg)
     out_p = []
     for k in range(k_p):
-        direct = h.h_pp[k][k] * pp[k]
+        direct = h_pp[k][k] * pp[k]
         interference = 0.0
         for j in range(k_p):
             if j != k:
-                interference += pp[j] * h.h_pp[j][k]
+                interference += pp[j] * h_pp[j][k]
         for j in range(k_s):
-            interference += ps[j] * h.h_sp[j][k]
+            interference += ps[j] * h_sp[j][k]
         out_p.append(direct / (cfg.noise_power + dist_p[k] + interference))
     out_s = []
     for k in range(k_s):
-        direct = h.h_ss[k][k] * ps[k]
+        direct = h_ss[k][k] * ps[k]
         interference = 0.0
         for j in range(k_s):
             if j != k:
-                interference += ps[j] * h.h_ss[j][k]
+                interference += ps[j] * h_ss[j][k]
         for j in range(k_p):
-            interference += pp[j] * h.h_ps[j][k]
+            interference += pp[j] * h_ps[j][k]
         out_s.append(direct / (cfg.noise_power + dist_s[k] + interference))
     return np.array(out_p), np.array(out_s)
 
@@ -125,12 +133,32 @@ def random_gains(rng, k_p, k_s, scale=1.0):
     def block(n, m):
         return scale * np.exp(rng.normal(-2.0, 2.0, size=(n, m)))
 
-    return GainMatrices(
-        h_pp=block(k_p, k_p),
-        h_ps=block(k_p, k_s),
-        h_sp=block(k_s, k_p),
-        h_ss=block(k_s, k_s),
-    )
+    # four draws in block order (pp, ps, sp, ss), then stacked
+    h_pp, h_ps = block(k_p, k_p), block(k_p, k_s)
+    h_sp, h_ss = block(k_s, k_p), block(k_s, k_s)
+    return GainMatrices(np.block([[h_pp, h_ps], [h_sp, h_ss]]), k_p)
+
+
+def distances_reference(topo):
+    """(K, K) tx -> rx distances from the node positions, primary nodes first."""
+    tx = np.vstack((topo.p_tx, topo.s_tx))
+    rx = np.vstack((topo.p_rx, topo.s_rx))
+    return np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
+
+
+def distance_features_reference(topo, which):
+    """One population's tx -> rx distances over the radius, flattened row-major.
+
+    ``which`` is "primary", "secondary" or "all" (both systems, primary first).
+    """
+    k_p = topo.k_p
+    dists = distances_reference(topo)
+    block = {
+        "primary": dists[:k_p, :k_p],
+        "secondary": dists[k_p:, k_p:],
+        "all": dists,
+    }[which]
+    return (block / topo.radius).ravel()
 
 
 def gains_reference(topo, params, rng, draws):
@@ -143,9 +171,7 @@ def gains_reference(topo, params, rng, draws):
     """
     from underlay_ppo.geometry import los_probability
 
-    tx = np.vstack((topo.p_tx, topo.s_tx))
-    rx = np.vstack((topo.p_rx, topo.s_rx))
-    dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
+    dists = distances_reference(topo)
     d = dists.ravel()
     size = (draws, d.shape[0])
     p_los = np.asarray(los_probability(d, params))

@@ -35,13 +35,12 @@ from underlay_ppo.geometry import ChannelParams, GainMatrices, los_probability
 from underlay_ppo.nets import (
     GaussianPolicyNet,
     gaussian_log_prob,
-    policy_logprob_grads,
+    logprob_grads_from_forward,
 )
 from underlay_ppo.phy import (
     PowerAllocation,
     RadioConfig,
-    compute_rates,
-    compute_sindr,
+    evaluate_links,
     nqos,
 )
 from underlay_ppo.ppo import (
@@ -170,7 +169,8 @@ def test_criterion_1_exact_gradients():
         mean, log_std, _ = pol2.forward(obs)
         return float(np.sum(weights * gaussian_log_prob(mean, log_std, actions)))
 
-    logp_grads = policy_logprob_grads(pol2, obs, actions, weights)
+    mean, log_std, cache = pol2.forward(obs)
+    logp_grads = logprob_grads_from_forward(pol2, cache, mean, log_std, actions, weights)
     logp_numeric = numeric_grad(logp_sum, pol2.params(), h=1e-5)
     logp_err = max_rel_err(logp_grads, logp_numeric)
 
@@ -247,14 +247,14 @@ def test_criterion_3_sindr_oracle():
         h = random_gains(rng, k_p, k_s)
         pp = rng.uniform(0.0, 1.0, k_p)
         ps = rng.uniform(0.0, 1.0, k_s)
-        sindr_p, sindr_s = compute_sindr(h, PowerAllocation(pp, ps), cfg)
+        links = evaluate_links(h, PowerAllocation(pp, ps), cfg)
         ref_p, ref_s = sindr_loops(h, pp, ps, cfg)
         worst = max(
             worst,
-            float(np.max(np.abs(sindr_p / np.asarray(ref_p) - 1.0))),
-            float(np.max(np.abs(sindr_s / np.asarray(ref_s) - 1.0))),
+            float(np.max(np.abs(links.sindr_p / np.asarray(ref_p) - 1.0))),
+            float(np.max(np.abs(links.sindr_s / np.asarray(ref_s) - 1.0))),
         )
-        rate_p = compute_rates(sindr_p)
+        rate_p = links.rate_p
         flags, count = nqos(rate_p, cfg)
         recount = int(sum(1 for r in rate_p if r < cfg.rate_threshold))
         assert count == recount and int(flags.sum()) == recount
@@ -266,15 +266,14 @@ def test_criterion_4_closed_form_spot_values():
     p_los = float(los_probability(36.0, ChannelParams()))
     los_ok = abs(p_los - 0.683940) <= 1e-6
 
-    ones = np.ones((1, 1))
-    h = GainMatrices(h_pp=ones, h_ps=ones, h_sp=ones, h_ss=ones)
+    h = GainMatrices(np.ones((2, 2)), 1)
     cfg = RadioConfig(
         kappa_t_p=0.1, kappa_r_p=0.1, kappa_t_s=0.1, kappa_r_s=0.1,
         noise_power=1.0,
     )
-    sindr_p, _ = compute_sindr(
+    sindr_p = evaluate_links(
         h, PowerAllocation(np.array([1.0]), np.array([0.0])), cfg
-    )
+    ).sindr_p
     sindr_ok = abs(sindr_p[0] - 1.0 / 1.02) <= 1e-12
 
     r = reward_primary(np.array([1.0, 1.0]), 0.5, 0.5)

@@ -21,14 +21,10 @@ from underlay_ppo.env import (
     reward_primary,
     reward_secondary,
 )
-from underlay_ppo.geometry import (
-    GainMatrices,
-    pairwise_distance_features,
-    perturb_topology,
-)
+from underlay_ppo.geometry import GainMatrices, perturb_topology
 from underlay_ppo.phy import PowerAllocation, evaluate_links
 
-from oracles import gains_reference
+from oracles import distance_features_reference, gains_reference
 
 
 def make_env(seed=0, episode_len=10, **kwargs):
@@ -278,12 +274,12 @@ class TestPerEpisodeGeometry:
             with pytest.raises(ValueError, match="read-only"):
                 world.gains.stacked()[0, 0] = 1.0
             np.testing.assert_array_equal(
-                obs_p[: k_p * k_p], pairwise_distance_features(topo, "primary"))
+                obs_p[: k_p * k_p], distance_features_reference(topo, "primary"))
             np.testing.assert_array_equal(
-                obs_s[: k_s * k_s], pairwise_distance_features(topo, "secondary"))
+                obs_s[: k_s * k_s], distance_features_reference(topo, "secondary"))
             np.testing.assert_array_equal(
                 build_centralized_obs(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
-                pairwise_distance_features(topo, "all"))
+                distance_features_reference(topo, "all"))
             for t in range(steps):
                 raw_p = actions.uniform(-0.2, 1.2, k_p)
                 raw_s = actions.uniform(-0.2, 1.2, k_s)
@@ -291,12 +287,7 @@ class TestPerEpisodeGeometry:
                 ref = block[t + 1]
                 np.testing.assert_array_equal(world.gains.stacked(), ref)
                 assert not world.gains.stacked().flags.writeable
-                h = GainMatrices(
-                    h_pp=ref[:k_p, :k_p].copy(),
-                    h_ps=ref[:k_p, k_p:].copy(),
-                    h_sp=ref[k_p:, :k_p].copy(),
-                    h_ss=ref[k_p:, k_p:].copy(),
-                )
+                h = GainMatrices(ref, k_p)
                 power = PowerAllocation(
                     clamp_and_penalize(raw_p, radio.p_max_p)[0],
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
@@ -316,14 +307,14 @@ class TestObservationContent:
     def test_primary_sees_only_primary_distances(self):
         env, cfg = make_env(seed=24)
         world, obs_p, _ = env.reset(np.random.default_rng(25))
-        head = pairwise_distance_features(world.topology, "primary")
+        head = distance_features_reference(world.topology, "primary")
         np.testing.assert_array_equal(obs_p[: cfg.k_p**2], head)
         assert obs_p.shape[0] == cfg.k_p**2 + cfg.k_p
 
     def test_secondary_sees_only_secondary_distances(self):
         env, cfg = make_env(seed=26)
         world, _, obs_s = env.reset(np.random.default_rng(27))
-        head = pairwise_distance_features(world.topology, "secondary")
+        head = distance_features_reference(world.topology, "secondary")
         np.testing.assert_array_equal(obs_s[: cfg.k_s**2], head)
 
     def test_centralized_variants(self):
@@ -333,7 +324,7 @@ class TestObservationContent:
         obs_d = build_centralized_obs(world, OBS_CENTRALIZED_DIST)
         obs_c = build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)
         assert obs_d.shape == obs_c.shape == (dim,)
-        head = pairwise_distance_features(world.topology, "all")
+        head = distance_features_reference(world.topology, "all")
         np.testing.assert_array_equal(obs_d[: head.size], head)
         # CSI features are log-compressed into [-1, 1]
         assert np.all(obs_c[: head.size] >= -1.0)

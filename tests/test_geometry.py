@@ -11,12 +11,9 @@ from underlay_ppo.geometry import (
     clamp_to_disc,
     link_geometry,
     los_probability,
-    pairwise_distance_features,
-    path_loss,
     perturb_topology,
     sample_disc_points,
     sample_gain_matrices,
-    sample_link_gain,
     sample_topology,
 )
 
@@ -33,6 +30,16 @@ def small_topology():
         s_rx=np.array([[-20.0, 10.0]]),
         radius=50.0,
     )
+
+
+def same_length_topology(d):
+    """Both pairs share their tx and their rx, so all four links have length d."""
+    tx, rx = np.array([[0.0, 0.0]]), np.array([[d, 0.0]])
+    return Topology(p_tx=tx, p_rx=rx, s_tx=tx, s_rx=rx, radius=100.0)
+
+
+def features(topo, which):
+    return link_geometry(topo, PARAMS).features[which]
 
 
 class TestChannelParams:
@@ -103,9 +110,10 @@ class TestLosProbability:
     def test_zero_distance(self):
         assert los_probability(0.0, PARAMS) == 1.0
 
-    def test_negative_distance_rejected(self):
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_distance_rejected(self, bad):
         with pytest.raises(ValueError):
-            los_probability(-1.0, PARAMS)
+            los_probability(bad, PARAMS)
 
     @given(
         st.floats(min_value=0.0, max_value=1e4),
@@ -117,21 +125,6 @@ class TestLosProbability:
         p_lo = los_probability(lo, PARAMS)
         p_hi = los_probability(hi, PARAMS)
         assert 0.0 <= p_hi <= p_lo <= 1.0
-
-
-class TestPathLoss:
-    def test_spot_value(self):
-        assert path_loss(10.0, 2.4) == pytest.approx(
-            0.003981071705534973, rel=1e-12
-        )
-
-    def test_floor_below_one_meter(self):
-        assert path_loss(0.2, 2.4) == path_loss(1.0, 2.4) == 1.0
-
-    def test_monotone_decreasing(self):
-        d = np.linspace(1.0, 500.0, 100)
-        pl = path_loss(d, 3.78)
-        assert np.all(np.diff(pl) < 0.0)
 
 
 class TestTopology:
@@ -213,35 +206,20 @@ class TestGainSampling:
         rng = np.random.default_rng(8)
         topo = sample_topology(rng, 4, 8, 100.0, RING)
         [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
-        assert h.h_pp.shape == (4, 4)
-        assert h.h_ps.shape == (4, 8)
-        assert h.h_sp.shape == (8, 4)
-        assert h.h_ss.shape == (8, 8)
-        for block in (h.h_pp, h.h_ps, h.h_sp, h.h_ss):
-            assert np.all(block > 0.0)
-            assert np.all(np.isfinite(block))
+        assert (h.k_p, h.k_s) == (4, 8)
+        assert h.stacked().shape == (12, 12)
+        assert np.all(h.stacked() > 0.0)
+        assert np.all(np.isfinite(h.stacked()))
 
-    def test_stacked_layout(self):
-        rng = np.random.default_rng(9)
-        topo = sample_topology(rng, 2, 3, 100.0, RING)
-        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
-        s = h.stacked()
-        assert s.shape == (5, 5)
-        np.testing.assert_array_equal(s[:2, :2], h.h_pp)
-        np.testing.assert_array_equal(s[:2, 2:], h.h_ps)
-        np.testing.assert_array_equal(s[2:, :2], h.h_sp)
-        np.testing.assert_array_equal(s[2:, 2:], h.h_ss)
-
-    def test_blocks_are_views_of_one_array(self):
+    def test_draws_are_read_only_views_of_one_block(self):
         rng = np.random.default_rng(17)
         topo = sample_topology(rng, 2, 3, 100.0, RING)
-        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
-        for block in (h.h_pp, h.h_ps, h.h_sp, h.h_ss):
-            assert np.shares_memory(block, h.stacked())
+        h1, h2 = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 2)
+        assert h1.stacked().base is h2.stacked().base is not None
         with pytest.raises(ValueError, match="read-only"):
-            h.stacked()[0, 0] = 1.0
+            h1.stacked()[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            h.h_ss[0, 0] = 1.0
+            h2.stacked()[4, 4] = 1.0
 
     def test_seed_determinism(self):
         topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
@@ -252,49 +230,50 @@ class TestGainSampling:
         np.testing.assert_array_equal(h1.stacked(), h2.stacked())
         assert not np.array_equal(h1.stacked(), h3.stacked())
 
-    def test_distance_floor(self):
-        # below one meter the draw is identical to the one-meter draw
-        g_short = sample_link_gain(0.25, PARAMS, np.random.default_rng(13))
-        g_floor = sample_link_gain(1.0, PARAMS, np.random.default_rng(13))
-        assert g_short == g_floor
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            sample_link_gain(0.0, PARAMS, np.random.default_rng(0))
+    @pytest.mark.parametrize("short", [0.0, 0.25])
+    def test_distance_floor(self, short):
+        # below one meter (coincident nodes included) the draw is identical
+        # to the one-meter draw
+        links_short = link_geometry(same_length_topology(short), PARAMS)
+        links_floor = link_geometry(same_length_topology(1.0), PARAMS)
+        np.testing.assert_array_equal(links_short.d_eff, 1.0)
+        [g_short] = sample_gain_matrices(links_short, np.random.default_rng(13), 1)
+        [g_floor] = sample_gain_matrices(links_floor, np.random.default_rng(13), 1)
+        np.testing.assert_array_equal(g_short.stacked(), g_floor.stacked())
 
     def test_fading_means_near_unity(self):
         # LOS fading is Gamma(m, 1/m), NLOS is Exp(1); both unit mean.
         # Force each mode via extreme d0 and check the full gain against
         # the closed-form mean path loss * shadowing factor.
-        n = 200_000
+        # 200_000 gains: 50_000 draws of the four 50 m links
+        draws = 50_000
         rng = np.random.default_rng(14)
+        topo = same_length_topology(50.0)
         los_params = ChannelParams(d0=1e9, shadow_std_los_db=0.0)
-        d = np.full(n, 50.0)
-        from underlay_ppo.geometry import _sample_gains
-
-        gains = _sample_gains(d, los_params, rng)
+        gains = np.stack([h.stacked() for h in sample_gain_matrices(
+            link_geometry(topo, los_params), rng, draws)])
         expect = 50.0**-2.4
         assert abs(gains.mean() / expect - 1.0) < 0.02
 
         # d >> d0 and d >> d1 drives the LOS probability to ~ d0 / d
         nlos_params = ChannelParams(d0=1e-9, d1=1e-9, shadow_std_nlos_db=0.0)
-        gains = _sample_gains(np.full(n, 50.0), nlos_params, rng)
+        gains = np.stack([h.stacked() for h in sample_gain_matrices(
+            link_geometry(topo, nlos_params), rng, draws)])
         expect = 50.0**-3.78
         assert abs(gains.mean() / expect - 1.0) < 0.02
 
 
 class TestGainMatricesValidation:
     @staticmethod
-    def blocks(bad):
-        h_pp = np.ones((2, 2))
-        h_pp[1, 0] = bad
-        return dict(h_pp=h_pp, h_ps=np.ones((2, 1)), h_sp=np.ones((1, 2)),
-                    h_ss=np.ones((1, 1)))
+    def stacked(bad):
+        h = np.ones((3, 3))
+        h[1, 0] = bad
+        return h
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_keyword_constructor_rejects(self, bad):
-        with pytest.raises(ValueError, match="^h_pp entries must be positive and finite"):
-            GainMatrices(**self.blocks(bad))
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(ValueError, match="^gain entries must be positive and finite"):
+            GainMatrices(self.stacked(bad), 2)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_drawn_gains_check_rejects(self, bad, monkeypatch):
@@ -310,17 +289,26 @@ class TestGainMatricesValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             sample_gain_matrices(links, np.random.default_rng(4), 3)
 
-    def test_keyword_and_stacked_agree(self):
-        h = GainMatrices(**self.blocks(2.0))
+    @pytest.mark.parametrize("shape, k_p", [((3, 2), 1), ((3,), 1), ((3, 3), 0), ((3, 3), 3)],
+                             ids=["not-square", "1-d", "no-primary", "no-secondary"])
+    def test_constructor_rejects_shape_and_split(self, shape, k_p):
+        with pytest.raises(ValueError):
+            GainMatrices(np.ones(shape), k_p)
+
+    def test_constructor_stores_read_only_copy(self):
+        given = self.stacked(2.0)
+        h = GainMatrices(given, 2)
         np.testing.assert_array_equal(h.stacked(), [[1, 1, 1], [2, 1, 1], [1, 1, 1]])
         assert (h.k_p, h.k_s) == (2, 1)
-        np.testing.assert_array_equal(h.h_sp, [[1, 1]])
+        assert given.flags.writeable and not np.shares_memory(given, h.stacked())
+        with pytest.raises(ValueError, match="read-only"):
+            h.stacked()[0, 0] = 1.0
 
 
 class TestDistanceFeatures:
     def test_primary_row_major_layout(self):
         topo = small_topology()
-        feats = pairwise_distance_features(topo, "primary")
+        feats = features(topo, "primary")
         # rows are transmitters, columns receivers, flattened row-major
         expect = (
             np.array(
@@ -338,27 +326,23 @@ class TestDistanceFeatures:
     def test_population_sizes(self):
         rng = np.random.default_rng(15)
         topo = sample_topology(rng, 4, 8, 100.0, RING)
-        assert pairwise_distance_features(topo, "primary").shape == (16,)
-        assert pairwise_distance_features(topo, "secondary").shape == (64,)
-        assert pairwise_distance_features(topo, "all").shape == (144,)
+        assert features(topo, "primary").shape == (16,)
+        assert features(topo, "secondary").shape == (64,)
+        assert features(topo, "all").shape == (144,)
 
     def test_all_population_prefix(self):
         # the "all" matrix leads with primary->primary distances
         topo = small_topology()
-        all_feats = pairwise_distance_features(topo, "all")
-        prim = pairwise_distance_features(topo, "primary")
+        all_feats = features(topo, "all")
+        prim = features(topo, "primary")
         k = topo.k_p + topo.k_s
         np.testing.assert_array_equal(all_feats[:2], prim[:2])
         assert all_feats.shape == (k * k,)
-
-    def test_unknown_population(self):
-        with pytest.raises(ValueError):
-            pairwise_distance_features(small_topology(), "tertiary")
 
     def test_scaled_range(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             topo = sample_topology(rng, 3, 3, 100.0, RING)
-            feats = pairwise_distance_features(topo, "all")
+            feats = features(topo, "all")
             assert np.all(feats >= 0.0)
             assert np.all(feats <= 2.0)

@@ -435,6 +435,20 @@ class TestRunExperiment:
         assert "synthetic failure" in diag
         assert not (out / "aggregate.csv").exists()
 
+    def test_rerun_removes_failure_diagnostics(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(harness, "train", boom)
+        assert run_experiment(tiny_cfg(out)) == 1
+        assert (out / "failure_diagnostics.txt").exists()
+        monkeypatch.undo()
+        # the failed run wrote no CSVs, so the rerun needs no --force
+        assert run_experiment(tiny_cfg(out)) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["aggregate.csv", "config_used.txt", "seed_0.csv", "seed_1.csv"]
+
 
 class TestSummarize:
     def test_window_math(self, tmp_path):

@@ -12,9 +12,8 @@ from underlay_ppo.nets import (
     GaussianPolicyNet,
     ValueNet,
     gaussian_log_prob,
-    log_prob,
+    logprob_grads_from_forward,
     policy_from_arrays,
-    policy_logprob_grads,
     policy_to_arrays,
     sample_action,
     value_from_arrays,
@@ -161,7 +160,8 @@ class TestPolicyNet:
             mean, log_std, _ = pol.forward(obs)
             return float(np.sum(weights * gaussian_log_prob(mean, log_std, actions)))
 
-        analytic = policy_logprob_grads(pol, obs, actions, weights)
+        mean, log_std, cache = pol.forward(obs)
+        analytic = logprob_grads_from_forward(pol, cache, mean, log_std, actions, weights)
         numeric = numeric_grad(loss, pol.params(), h=FD_STEP)
         assert max_rel_err(analytic, numeric) < GRAD_TOL
 
@@ -172,7 +172,8 @@ class TestPolicyNet:
         obs = rng.standard_normal((5, 3))
         actions = rng.standard_normal((5, 2))
         weights = rng.standard_normal(5)
-        analytic = policy_logprob_grads(pol, obs, actions, weights)
+        mean, log_std, cache = pol.forward(obs)
+        analytic = logprob_grads_from_forward(pol, cache, mean, log_std, actions, weights)
 
         def loss():
             mean, log_std, _ = pol.forward(obs)
@@ -189,7 +190,8 @@ class TestPolicyNet:
         pol = GaussianPolicyNet.init(rng, 4, 2)
         obs = rng.standard_normal(4)
         action, lp = sample_action(pol, obs, np.random.default_rng(12))
-        assert lp == pytest.approx(log_prob(pol, obs, action), rel=1e-12)
+        mean, log_std, _ = pol.forward(obs)
+        assert lp == pytest.approx(gaussian_log_prob(mean, log_std, action), rel=1e-12)
 
     def test_sampling_deterministic_under_seed(self):
         rng = np.random.default_rng(13)
@@ -213,11 +215,11 @@ class TestPolicyNet:
         rng = np.random.default_rng(16)
         pol = GaussianPolicyNet.init(rng, 4, 2)
         obs = rng.standard_normal(4)
-        mean, _, _ = pol.forward(obs)
-        at_mean = log_prob(pol, obs, mean)
+        mean, log_std, _ = pol.forward(obs)
+        at_mean = gaussian_log_prob(mean, log_std, mean)
         for _ in range(20):
             other = mean + rng.standard_normal(2) * 0.5
-            assert log_prob(pol, obs, other) <= at_mean
+            assert gaussian_log_prob(mean, log_std, other) <= at_mean
 
 
 class TestValueNet:

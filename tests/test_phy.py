@@ -10,8 +10,6 @@ from underlay_ppo.phy import (
     LinkMetrics,
     PowerAllocation,
     RadioConfig,
-    compute_rates,
-    compute_sindr,
     distortion_powers,
     energy_efficiency,
     evaluate_links,
@@ -21,12 +19,7 @@ from underlay_ppo.phy import (
 
 def unit_gains(k_p=1, k_s=1):
     """All-ones gain matrices, handy for closed-form spot checks."""
-    return GainMatrices(
-        h_pp=np.ones((k_p, k_p)),
-        h_ps=np.ones((k_p, k_s)),
-        h_sp=np.ones((k_s, k_p)),
-        h_ss=np.ones((k_s, k_s)),
-    )
+    return GainMatrices(np.ones((k_p + k_s, k_p + k_s)), k_p)
 
 
 CFG_UNIT_NOISE = RadioConfig(noise_power=1.0)
@@ -80,8 +73,7 @@ class TestDistortion:
             kappa_t_p=0.0, kappa_r_p=0.1, kappa_t_s=0.0, kappa_r_s=0.0,
             noise_power=1.0,
         )
-        h = unit_gains()
-        h = GainMatrices(h.h_pp * 0.5, h.h_ps, h.h_sp, h.h_ss)
+        h = GainMatrices([[0.5, 1.0], [1.0, 1.0]], 1)
         p = PowerAllocation(np.array([2.0]), np.array([0.0]))
         d_p, _ = distortion_powers(h, p, cfg)
         assert d_p[0] == pytest.approx(0.01 * 0.5 * 2.0, abs=1e-15)
@@ -98,14 +90,14 @@ class TestSindr:
     def test_single_link_spot_value(self):
         h = unit_gains()
         p = PowerAllocation(np.array([1.0]), np.array([0.0]))
-        sindr_p, _ = compute_sindr(h, p, CFG_UNIT_NOISE)
+        sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
         assert sindr_p[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
 
     def test_two_symmetric_links(self):
         # both primary links identical: distortion 0.03, interference 1
         h = unit_gains(2, 1)
         p = PowerAllocation(np.array([1.0, 1.0]), np.array([0.0]))
-        sindr_p, _ = compute_sindr(h, p, CFG_UNIT_NOISE)
+        sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
         np.testing.assert_allclose(sindr_p, 1.0 / 2.03, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -119,17 +111,17 @@ class TestSindr:
             k_s = int(rng.integers(1, 9))
             h = random_gains(rng, k_p, k_s)
             p = PowerAllocation(rng.random(k_p), rng.random(k_s))
-            got_p, got_s = compute_sindr(h, p, cfg)
+            got = evaluate_links(h, p, cfg)
             ref_p, ref_s = sindr_loops(h, p.p_primary, p.p_secondary, cfg)
-            np.testing.assert_allclose(got_p, ref_p, rtol=1e-12)
-            np.testing.assert_allclose(got_s, ref_s, rtol=1e-12)
+            np.testing.assert_allclose(got.sindr_p, ref_p, rtol=1e-12)
+            np.testing.assert_allclose(got.sindr_s, ref_s, rtol=1e-12)
 
     def test_zero_power_means_zero_sindr(self):
         h = unit_gains(3, 2)
         p = PowerAllocation(np.zeros(3), np.zeros(2))
-        sindr_p, sindr_s = compute_sindr(h, p, CFG_UNIT_NOISE)
-        np.testing.assert_array_equal(sindr_p, 0.0)
-        np.testing.assert_array_equal(sindr_s, 0.0)
+        links = evaluate_links(h, p, CFG_UNIT_NOISE)
+        np.testing.assert_array_equal(links.sindr_p, 0.0)
+        np.testing.assert_array_equal(links.sindr_s, 0.0)
 
     def test_scale_invariance_without_impairments(self):
         # kappa = 0 and negligible noise: scaling every power cancels out
@@ -140,10 +132,10 @@ class TestSindr:
         rng = np.random.default_rng(21)
         h = random_gains(rng, 3, 4)
         pp, ps = rng.random(3) + 0.1, rng.random(4) + 0.1
-        base = compute_sindr(h, PowerAllocation(pp, ps), cfg)
-        scaled = compute_sindr(h, PowerAllocation(17.0 * pp, 17.0 * ps), cfg)
-        np.testing.assert_allclose(base[0], scaled[0], rtol=1e-9)
-        np.testing.assert_allclose(base[1], scaled[1], rtol=1e-9)
+        base = evaluate_links(h, PowerAllocation(pp, ps), cfg)
+        scaled = evaluate_links(h, PowerAllocation(17.0 * pp, 17.0 * ps), cfg)
+        np.testing.assert_allclose(base.sindr_p, scaled.sindr_p, rtol=1e-9)
+        np.testing.assert_allclose(base.sindr_s, scaled.sindr_s, rtol=1e-9)
 
     def test_interferer_power_never_helps(self):
         rng = np.random.default_rng(22)
@@ -151,25 +143,25 @@ class TestSindr:
         h = random_gains(rng, 2, 2)
         pp = np.array([0.5, 0.3])
         ps = np.array([0.4, 0.2])
-        base_p, base_s = compute_sindr(h, PowerAllocation(pp, ps), cfg)
+        base = evaluate_links(h, PowerAllocation(pp, ps), cfg)
         bumped = pp.copy()
         bumped[1] += 0.4
-        got_p, got_s = compute_sindr(h, PowerAllocation(bumped, ps), cfg)
-        assert got_p[0] <= base_p[0]
-        assert np.all(got_s <= base_s)
+        got = evaluate_links(h, PowerAllocation(bumped, ps), cfg)
+        assert got.sindr_p[0] <= base.sindr_p[0]
+        assert np.all(got.sindr_s <= base.sindr_s)
 
     def test_more_impairment_never_helps(self):
         rng = np.random.default_rng(23)
         h = random_gains(rng, 3, 3)
         p = PowerAllocation(rng.random(3), rng.random(3))
-        lo = compute_sindr(h, p, RadioConfig(noise_power=1e-10))
+        lo = evaluate_links(h, p, RadioConfig(noise_power=1e-10))
         hi_cfg = RadioConfig(
             kappa_t_p=0.2, kappa_r_p=0.2, kappa_t_s=0.2, kappa_r_s=0.2,
             noise_power=1e-10,
         )
-        hi = compute_sindr(h, p, hi_cfg)
-        assert np.all(hi[0] <= lo[0])
-        assert np.all(hi[1] <= lo[1])
+        hi = evaluate_links(h, p, hi_cfg)
+        assert np.all(hi.sindr_p <= lo.sindr_p)
+        assert np.all(hi.sindr_s <= lo.sindr_s)
 
     @given(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0))
     @settings(max_examples=40)
@@ -177,24 +169,13 @@ class TestSindr:
         lo, hi = sorted((p_small, p_big))
         h = unit_gains(2, 1)
         ps = np.array([0.3])
-        s_lo, _ = compute_sindr(
+        s_lo = evaluate_links(
             h, PowerAllocation(np.array([lo, 0.5]), ps), CFG_UNIT_NOISE
-        )
-        s_hi, _ = compute_sindr(
+        ).sindr_p
+        s_hi = evaluate_links(
             h, PowerAllocation(np.array([hi, 0.5]), ps), CFG_UNIT_NOISE
-        )
+        ).sindr_p
         assert s_hi[0] >= s_lo[0]
-
-
-class TestRates:
-    def test_log2_mapping(self):
-        np.testing.assert_allclose(
-            compute_rates(np.array([0.0, 1.0, 3.0])), [0.0, 1.0, 2.0]
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rates(np.array([-0.5]))
 
 
 class TestEnergyEfficiency:
@@ -281,8 +262,7 @@ class TestCouplingForm:
                 noise_power=float(10.0 ** rng.uniform(-16.0, -8.0)),
             )
             g = 10.0 ** rng.uniform(-14.0, 0.0, (k_p + k_s, k_p + k_s))
-            h = GainMatrices(h_pp=g[:k_p, :k_p], h_ps=g[:k_p, k_p:],
-                             h_sp=g[k_p:, :k_p], h_ss=g[k_p:, k_p:])
+            h = GainMatrices(g, k_p)
             power = rng.uniform(0.0, 1.0, k_p + k_s)
             power[rng.random(k_p + k_s) < 0.25] = 0.0
             pp, ps = power[:k_p], power[k_p:]

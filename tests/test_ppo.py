@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import gae_loops, max_rel_err, numeric_grad
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, observation_dim
-from underlay_ppo.nets import gaussian_log_prob, policy_logprob_grads
+from underlay_ppo.nets import gaussian_log_prob, logprob_grads_from_forward
 from underlay_ppo.ppo import (
     MODE_CENTRALIZED_DIST,
     MODE_CENTRALIZED_FULL_CSI,
@@ -19,7 +19,6 @@ from underlay_ppo.ppo import (
     PpoHyper,
     TrainingDiverged,
     TrajectoryBatch,
-    Transition,
     _collect,
     build_agents,
     clip_envelope,
@@ -252,15 +251,15 @@ class TestPolicyObjective:
         rng = np.random.default_rng(5)
         pol = make_agent(rng, "t", 4, 2, tiny_hyper(), hidden=(6,)).policy
         batch = random_batch(rng)
-        mean, log_std, _ = pol.forward(batch.obs)
+        mean, log_std, cache = pol.forward(batch.obs)
         batch.log_probs_old = gaussian_log_prob(mean, log_std, batch.actions)
         obj, grads, stats = policy_objective(pol, batch, tiny_hyper())
         assert obj == pytest.approx(float(batch.advantages.mean()), abs=1e-12)
         assert stats["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
         assert stats["clip_fraction"] == 0.0
         # with clipping inactive the gradient is the plain surrogate gradient
-        plain = policy_logprob_grads(
-            pol, batch.obs, batch.actions, batch.advantages / len(batch)
+        plain = logprob_grads_from_forward(
+            pol, cache, mean, log_std, batch.actions, batch.advantages / len(batch)
         )
         assert max_rel_err(grads, plain, floor=1e-12) < 1e-9
 
@@ -377,27 +376,6 @@ class TestPpoUpdate:
             ppo_update(agent, batch, tiny_hyper())
 
 
-class TestTrajectoryBatch:
-    def test_from_transitions(self):
-        ts = [
-            Transition(
-                obs=np.array([float(i), 0.0]), action=np.array([0.1 * i]),
-                log_prob_old=-float(i), reward=float(i), done=int(i == 2),
-                value_pred=0.5 * i,
-            )
-            for i in range(3)
-        ]
-        batch = TrajectoryBatch.from_transitions(ts, bootstrap_value=1.5)
-        assert len(batch) == 3
-        np.testing.assert_array_equal(batch.rewards, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(batch.dones, [0.0, 0.0, 1.0])
-        assert batch.bootstrap_value == 1.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TrajectoryBatch.from_transitions([], 0.0)
-
-
 class TestBuildAgents:
     def test_coexist_has_two_agents(self):
         agents = build_agents(
@@ -506,6 +484,46 @@ class TestCheckpointing:
                         np.random.default_rng(30), resume_from=path)
         assert [int(r["iter"]) for r in resumed] == [4, 5, 6]
         assert resumed == full[3:]
+
+    def test_path_without_suffix_is_used_as_given(self, tmp_path):
+        path = tmp_path / "ckpt"
+        full = train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
+                     np.random.default_rng(31))
+        train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
+              np.random.default_rng(31), checkpoint_path=path,
+              checkpoint_every=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        resumed = train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
+                        np.random.default_rng(31), resume_from=path)
+        assert resumed == full[2:]
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.npz"
+        real_savez = np.savez
+        saves = []
+
+        def savez_failing_second(file, **arrays):
+            saves.append(file)
+            if len(saves) == 2:
+                # die part-way through writing the archive
+                if hasattr(file, "write"):
+                    file.write(b"PK partial")
+                else:
+                    Path(file).write_bytes(b"PK partial")
+                raise OSError("synthetic write failure")
+            real_savez(file, **arrays)
+
+        monkeypatch.setattr(np, "savez", savez_failing_second)
+        with pytest.raises(OSError, match="synthetic"):
+            train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
+                  np.random.default_rng(32), checkpoint_path=path,
+                  checkpoint_every=1)
+        assert len(saves) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(),
+                              np.random.default_rng(33))
+        _, iteration = load_checkpoint(path, agents)
+        assert iteration == 1
 
 
 # Trains in a fresh interpreter, so the BLAS thread count set in its
