@@ -21,6 +21,13 @@ first for the reset observation and matrix t + 1 for step t. ``step`` draws
 nothing: advancing ``WorldState.step_index`` moves ``WorldState.gains`` on to
 the step's matrix, and the physics runs on it. Within a rollout, the only
 draws made between two resets are the agents' action noise.
+
+Row contract: ``step`` returns its 12 scalar metrics (rewards, summed rates,
+EE and powers, NACK count, clip penalties, active-link counts) as one
+float64 vector ``StepOutcome.row`` in ``METRIC_FIELDS`` order; a rollout's
+CSV row is the mean of its step rows. ``step`` clips the joint raw vector
+(primary first) once against the stacked caps, and each system's penalty
+sums its slice of ``|raw - applied|``.
 """
 from __future__ import annotations
 
@@ -49,6 +56,12 @@ OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
 
 # applied powers above this fraction of the cap count as "active" users
 ACTIVE_POWER_FRACTION = 1e-3
+
+# per-step scalar metrics, in the order of StepOutcome.row and the CSV columns
+METRIC_FIELDS = (
+    "reward_p", "reward_s", "sum_rate_p", "sum_rate_s", "sum_ee_s", "sum_power_p",
+    "sum_power_s", "nqos_p", "delta_p", "delta_s", "active_p", "active_s",
+)
 
 
 def observation_dim(kind: str, k_p: int, k_s: int) -> int:
@@ -111,44 +124,22 @@ class WorldState:
         return self.episode_gains[self.step_index]
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    """Scalar diagnostics of one environment step."""
-
-    sum_rate_p: float
-    sum_rate_s: float
-    sum_ee_s: float
-    sum_power_p: float
-    sum_power_s: float
-    nqos_p: int
-    delta_p: float
-    delta_s: float
-    active_p: int
-    active_s: int
-
-
 @dataclass(frozen=True, eq=False)
 class StepOutcome:
+    """One step's observations, rewards, metric row (see module doc) and physics."""
+
     obs_primary: np.ndarray
     obs_secondary: np.ndarray
     reward_p: float
     reward_s: float
     done: int
-    metrics: StepMetrics
+    row: np.ndarray
     links: LinkMetrics
-
-
-def clamp_and_penalize(raw_action, p_max: float) -> tuple[np.ndarray, float]:
-    """Clip raw powers into [0, p_max]; the penalty is the total clipped mass."""
-    raw = np.asarray(raw_action, dtype=float)
-    applied = raw.clip(0.0, p_max)
-    delta = float(np.abs(raw - applied).sum())
-    return applied, delta
 
 
 def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) -> float:
     """Sum of rate margins; scaled down and fined while actions leave the box."""
-    margin = float((np.asarray(rate_p, dtype=float) - rate_threshold).sum())
+    margin = float((rate_p - rate_threshold).sum())
     if delta_p > 0.0:
         return 0.1 * margin - 5.0 * delta_p
     return margin
@@ -156,7 +147,7 @@ def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) ->
 
 def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
     """Total secondary EE minus the primary-NACK fine, boundary-penalized."""
-    total = float(np.asarray(ee_s, dtype=float).sum())
+    total = float(ee_s.sum())
     if delta_s > 0.0:
         return 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s
     return total - 10.0 * nqos_p
@@ -212,6 +203,10 @@ class SpectrumSharingEnv:
             cfg.radius,
             (cfg.pair_ring_min, cfg.pair_ring_max),
         )
+        radio = cfg.radio
+        # per-link power caps and "active" floors of the joint vector
+        self._p_max = np.repeat((radio.p_max_p, radio.p_max_s), (cfg.k_p, cfg.k_s))
+        self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
 
     def reset(
         self, rng: np.random.Generator
@@ -234,49 +229,37 @@ class SpectrumSharingEnv:
         """Advance the world by one slot under both agents' raw power vectors."""
         if world.step_index >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
-        cfg = self.cfg
-        radio = cfg.radio
-
-        raw_p = np.asarray(raw_action_p, dtype=float)
-        raw_s = np.asarray(raw_action_s, dtype=float)
-        if raw_p.shape != (cfg.k_p,) or raw_s.shape != (cfg.k_s,):
+        radio, k_p = self.cfg.radio, self.cfg.k_p
+        if np.shape(raw_action_p) != (k_p,) or np.shape(raw_action_s) != (self.cfg.k_s,):
             raise ValueError("action vectors must have shapes (k_p,) and (k_s,)")
-        applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
-        applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
+        raw = np.concatenate((raw_action_p, raw_action_s), dtype=float)
+        applied = raw.clip(0.0, self._p_max)
+        excess = np.abs(raw - applied)
+        delta_p, delta_s = float(excess[:k_p].sum()), float(excess[k_p:].sum())
         # a nan or infinite raw action makes its clip penalty non-finite
         if not math.isfinite(delta_p + delta_s):
             raise ValueError("raw actions must be finite")
-
-        power = PowerAllocation(applied_p, applied_s)
+        applied_p, applied_s = applied[:k_p], applied[k_p:]
 
         world.step_index += 1
-        links = evaluate_links(world.gains, power, radio)
+        links = evaluate_links(world.gains, PowerAllocation(applied_p, applied_s), radio)
+        nqos_p = float(links.nqos_p)
         r_p = reward_primary(links.rate_p, radio.rate_threshold, delta_p)
-        r_s = reward_secondary(links.ee_s, float(links.nqos_p), delta_s)
+        r_s = reward_secondary(links.ee_s, nqos_p, delta_s)
+        world.last_rate_p, world.last_ee_s, world.last_nqos_p = links.rate_p, links.ee_s, nqos_p
 
-        world.last_rate_p = links.rate_p
-        world.last_ee_s = links.ee_s
-        world.last_nqos_p = float(links.nqos_p)
-        done = int(world.step_index == self.episode_len)
-
-        metrics = StepMetrics(
-            sum_rate_p=float(links.rate_p.sum()),
-            sum_rate_s=float(links.rate_s.sum()),
-            sum_ee_s=float(links.ee_s.sum()),
-            sum_power_p=float(applied_p.sum()),
-            sum_power_s=float(applied_s.sum()),
-            nqos_p=links.nqos_p,
-            delta_p=delta_p,
-            delta_s=delta_s,
-            active_p=int((applied_p > ACTIVE_POWER_FRACTION * radio.p_max_p).sum()),
-            active_s=int((applied_s > ACTIVE_POWER_FRACTION * radio.p_max_s).sum()),
-        )
+        active = applied > self._active_floor
+        row = np.array((
+            r_p, r_s, links.rate_p.sum(), links.rate_s.sum(), links.ee_s.sum(),
+            applied_p.sum(), applied_s.sum(), nqos_p, delta_p, delta_s,
+            np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
+        ))
         return StepOutcome(
             obs_primary=build_primary_obs(world),
             obs_secondary=build_secondary_obs(world),
             reward_p=r_p,
             reward_s=r_s,
-            done=done,
-            metrics=metrics,
+            done=int(world.step_index == self.episode_len),
+            row=row,
             links=links,
         )

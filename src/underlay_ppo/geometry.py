@@ -143,10 +143,6 @@ class GainMatrices:
 
 def sample_disc_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """Draw n points i.i.d. uniform over the disc of the given radius."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
     r = radius * np.sqrt(rng.random(n))
     theta = _TWO_PI * rng.random(n)
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
@@ -179,8 +175,8 @@ def sample_topology(
     Transmitters are i.i.d. uniform over the disc. Each receiver sits at a
     uniform angle and a uniform distance in ``pair_ring`` from its own
     transmitter, then gets clamped back into the disc, so that direct links
-    are statistically much stronger than cross links. ``sample_disc_points``
-    rejects a population size below 1 and a non-positive radius.
+    are statistically much stronger than cross links. ``EnvConfig`` checks
+    the population sizes and ``Topology`` the radius.
     """
     if not 0.0 < pair_ring[0] <= pair_ring[1]:
         raise ValueError("pair_ring must satisfy 0 < min <= max")
@@ -195,9 +191,8 @@ def perturb_topology(
     topo: Topology, rng: np.random.Generator, max_displacement: float
 ) -> Topology:
     """Move every node by u * max_displacement (u uniform in [0, 1]) in a
-    uniform random direction, clamping escapees back onto the disc boundary."""
-    if max_displacement < 0.0:
-        raise ValueError("max_displacement must be non-negative")
+    uniform random direction, clamping escapees back onto the disc boundary.
+    ``ChannelParams`` checks that ``max_displacement`` is non-negative."""
     # one draw over all nodes, stacked as p_tx, p_rx, s_tx, s_rx
     nodes = np.concatenate((topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx), dtype=float)
     n = nodes.shape[0]

@@ -11,7 +11,7 @@ Besides the run-level keys, every key is a field of ``ChannelParams``,
 
 Each run writes one ``seed_<seed>.csv`` per seed plus ``aggregate.csv`` with
 per-iteration cross-seed means. Columns are fixed: iter, seed (per-seed files
-only), then the metric fields in the order defined by ``ppo.METRIC_FIELDS``.
+only), then the metric fields in the order defined by ``env.METRIC_FIELDS``.
 Numbers are written locale-independently with 9 significant digits; rerunning
 an identical config reproduces the files byte for byte.
 """
@@ -27,16 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import EnvConfig
+from .blas import openblas_found
+from .env import METRIC_FIELDS, EnvConfig
 from .geometry import ChannelParams
 from .phy import RadioConfig
-from .ppo import (
-    METRIC_FIELDS,
-    MODE_COEXIST,
-    MODES,
-    PpoHyper,
-    train,
-)
+from .ppo import MODE_COEXIST, MODES, PpoHyper, train
 
 SEED_COLUMNS = ("iter", "seed") + METRIC_FIELDS
 AGGREGATE_COLUMNS = ("iter",) + METRIC_FIELDS
@@ -305,8 +300,9 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
     """Train every seed and write CSVs; returns a process-style exit status.
 
     Refuses to overwrite an existing result directory unless forced. A
-    training failure leaves a traceback in failure_diagnostics.txt and
-    returns 1; the next run into the directory removes it.
+    training failure leaves the seed and a traceback in failure_diagnostics.txt
+    and returns 1; the next run into the directory removes it. Under an
+    unknown BLAS, whose thread count ``train`` cannot pin, it says so once.
     """
     if cfg.out_dir is None:
         raise ConfigError("no output directory configured; set --out or out=...")
@@ -328,6 +324,9 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
         "".join(f"{k}={v}\n" for k, v in cfg.settings), encoding="utf-8"
     )
 
+    if not openblas_found():
+        print("note: unknown BLAS, so the BLAS thread count is not pinned; results "
+              "from batch 400 up may depend on it", file=sys.stderr)
     histories = []
     try:
         for seed in cfg.seeds:
@@ -343,7 +342,8 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
                     file=sys.stderr,
                 )
     except Exception:
-        (out / "failure_diagnostics.txt").write_text(traceback.format_exc())
+        (out / "failure_diagnostics.txt").write_text(
+            f"seed {seed} failed\n{traceback.format_exc()}")
         if verbose:
             print(
                 f"training failed; see {out / 'failure_diagnostics.txt'}",

@@ -6,6 +6,15 @@ sum of Gaussian log-densities (which also covers the clipped surrogate, whose
 per-sample weights are computed by the caller) and the mean-squared value
 error. Gradients are exact up to the usual subgradient convention at the
 log-std clamp and at min/clip kinks.
+
+Flat layout: each network owns one float64 vector ``flat``; its weights
+(fan_in, fan_out) and biases are reshaped views into it, input to output,
+listed by ``names`` (``w0``, ``b0``, ..., then a policy's ``mean_w``,
+``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one fresh
+gradient vector in the same layout, and ``AdamState`` keeps its moments as
+two such vectors. A checkpoint stores per network ``dims`` (input, hidden,
+output sizes), which fix the layout, and ``flat``; per optimizer ``m``,
+``v`` and ``t``. ``GaussianPolicyNet(dims, flat)`` rebuilds a policy.
 """
 from __future__ import annotations
 
@@ -18,43 +27,75 @@ LOG_STD_MAX = 2.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int, scale: float):
-    bound = scale / math.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, (fan_in, fan_out))
-    b = rng.uniform(-bound, bound, fan_out)
-    return w, b
+def _dense_layout(dims):
+    """Block names and shapes of a dense stack: w0, b0, w1, b1, ..."""
+    names, shapes = [], []
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        names += [f"w{i}", f"b{i}"]
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return names, shapes
 
 
-class DenseNet:
+def _uniform_init(rng: np.random.Generator, blocks, scale: float) -> None:
+    """Fill (weights, biases) pairs with U[-scale/sqrt(fan_in), +scale/sqrt(fan_in)]."""
+    for w, b in zip(blocks[0::2], blocks[1::2]):
+        bound = scale / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, w.shape)
+        b[...] = rng.uniform(-bound, bound, b.shape)
+
+
+class _FlatParams:
+    """Parameters as named blocks laid end to end in one flat vector."""
+
+    def _own(self, flat, names, shapes) -> None:
+        self.names = names
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self._spans = list(zip([0] + ends[:-1], ends, shapes))
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        if self.flat.shape != (ends[-1],) or self.flat.dtype != np.float64:
+            raise ValueError(f"flat parameters must be a float64 vector of length {ends[-1]}")
+
+    def blocks(self, flat) -> list[np.ndarray]:
+        """Views of ``flat`` (in this network's layout) as its blocks, in order."""
+        return [flat[a:b].reshape(shape) for a, b, shape in self._spans]
+
+    def params(self) -> list[np.ndarray]:
+        """Live parameter blocks, views into ``flat``."""
+        return self.blocks(self.flat)
+
+    def first_nonfinite(self, flat) -> str | None:
+        """Name of the first block of ``flat`` holding a nan or infinity."""
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size == 0:
+            return None
+        return next(name for name, (_, stop, _) in zip(self.names, self._spans)
+                    if bad[0] < stop)
+
+
+class DenseNet(_FlatParams):
     """Fully connected stack with tanh hidden units.
 
     ``tanh_output`` selects whether the final layer is squashed too (used for
     policy trunks, whose output is itself a hidden representation) or linear
-    (value heads).
+    (value heads). The parameters are views into ``flat``, which the net uses
+    as given (no copy); without one it starts from zeros.
     """
 
-    def __init__(self, weights, biases, tanh_output: bool = False):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need matching, non-empty weight/bias lists")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+    def __init__(self, dims, flat=None, tanh_output: bool = False):
+        if len(dims) < 2:
+            raise ValueError("dims needs at least input and output sizes")
+        self.dims = [int(d) for d in dims]
         self.tanh_output = tanh_output
+        self._own(flat, *_dense_layout(self.dims))
+        blocks = self.params()
+        self.weights, self.biases = blocks[0::2], blocks[1::2]
 
     @classmethod
     def init(cls, rng, dims, tanh_output: bool = False, scale: float = 1.0):
         """Scaled-uniform fan-in init: U[-scale/sqrt(fan_in), +scale/sqrt(fan_in)]."""
-        if len(dims) < 2:
-            raise ValueError("dims needs at least input and output sizes")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w, b = _uniform_init(rng, fan_in, fan_out, scale)
-            weights.append(w)
-            biases.append(b)
-        return cls(weights, biases, tanh_output=tanh_output)
-
-    @property
-    def dims(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        net = cls(dims, tanh_output=tanh_output)
+        _uniform_init(rng, net.params(), scale)
+        return net
 
     def forward(self, x):
         """Run the stack; returns (output, cache of per-layer activations)."""
@@ -67,16 +108,14 @@ class DenseNet:
             acts.append(x)
         return x, acts
 
-    def backward(self, cache, dout):
-        """Backprop ``dout`` (gradient w.r.t. the output) through the stack.
-
-        Returns (param grads interleaved [dW0, db0, dW1, db1, ...], dinput).
-        Batched 2-D activations only.
-        """
-        dout = np.asarray(dout, dtype=float)
+    def backward(self, cache, dout, grad=None):
+        """Backprop ``dout`` (gradient w.r.t. the output, batched 2-D) into the
+        parameter gradient ``grad`` (fresh if None), which it returns; the
+        gradient w.r.t. the input is not formed."""
         if dout.ndim != 2:
             raise ValueError("backward expects batched (2-D) gradients")
-        grads = [None] * (2 * len(self.weights))
+        grad = np.empty(self.flat.size) if grad is None else grad
+        blocks = self.blocks(grad)
         last = len(self.weights) - 1
         dx = dout
         for i in range(last, -1, -1):
@@ -85,109 +124,106 @@ class DenseNet:
                 dz = dx
             else:
                 dz = dx * (1.0 - a_out * a_out)
-            grads[2 * i] = a_in.T @ dz
-            grads[2 * i + 1] = dz.sum(axis=0)
-            dx = dz @ self.weights[i].T
-        return grads, dx
-
-    def params(self):
-        """Live parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+            np.matmul(a_in.T, dz, out=blocks[2 * i])
+            dz.sum(axis=0, out=blocks[2 * i + 1])
+            if i:
+                dx = dz @ self.weights[i].T
+        return grad
 
 
-class GaussianPolicyNet:
+class GaussianPolicyNet(_FlatParams):
     """Diagonal-Gaussian policy: shared tanh trunk, linear mean/log-std heads.
 
-    Head outputs are clamped so log-std stays in [-20, 2]; the clamp passes no
-    gradient while saturated.
+    ``dims`` is [obs_dim, *hidden, action_dim]; the trunk and both heads are
+    views into ``flat`` (used as given; zeros without one). Head outputs are
+    clamped so log-std stays in [-20, 2]; the clamp passes no gradient while
+    saturated.
     """
 
-    def __init__(self, trunk: DenseNet, w_mean, b_mean, w_log_std, b_log_std):
-        self.trunk = trunk
-        self.w_mean = np.asarray(w_mean, dtype=float)
-        self.b_mean = np.asarray(b_mean, dtype=float)
-        self.w_log_std = np.asarray(w_log_std, dtype=float)
-        self.b_log_std = np.asarray(b_log_std, dtype=float)
+    def __init__(self, dims, flat=None):
+        if len(dims) < 3:
+            raise ValueError("dims needs input, hidden and action sizes")
+        self.dims = [int(d) for d in dims]
+        *trunk_dims, action_dim = self.dims
+        names, shapes = _dense_layout(trunk_dims)
+        head = [(trunk_dims[-1], action_dim), (action_dim,)] * 2
+        self._own(flat, names + ["mean_w", "mean_b", "log_std_w", "log_std_b"],
+                  shapes + head)
+        trunk_size = self._spans[len(shapes) - 1][1]
+        self.trunk = DenseNet(trunk_dims, self.flat[:trunk_size], tanh_output=True)
+        self.w_mean, self.b_mean, self.w_log_std, self.b_log_std = self.params()[-4:]
 
     @classmethod
     def init(cls, rng, obs_dim: int, action_dim: int, hidden=(64, 64),
              head_scale: float = 0.01):
         """Fan-in init; heads shrunk by ``head_scale`` so the initial policy
         has near-zero mean and unit std."""
-        trunk = DenseNet.init(rng, [obs_dim, *hidden], tanh_output=True)
-        w_mean, b_mean = _uniform_init(rng, hidden[-1], action_dim, head_scale)
-        w_log_std, b_log_std = _uniform_init(rng, hidden[-1], action_dim, head_scale)
-        return cls(trunk, w_mean, b_mean, w_log_std, b_log_std)
+        policy = cls([obs_dim, *hidden, action_dim])
+        blocks = policy.params()
+        _uniform_init(rng, blocks[:-4], 1.0)
+        _uniform_init(rng, blocks[-4:], head_scale)
+        return policy
 
     @property
     def obs_dim(self) -> int:
-        return self.trunk.dims[0]
+        return self.dims[0]
 
     @property
     def action_dim(self) -> int:
-        return self.w_mean.shape[1]
+        return self.dims[-1]
 
     def forward(self, obs):
         """Returns (mean, log_std, cache); accepts a single obs or a batch."""
         h, trunk_cache = self.trunk.forward(obs)
         mean = h @ self.w_mean + self.b_mean
         raw_log_std = h @ self.w_log_std + self.b_log_std
-        log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
+        log_std = raw_log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std, (trunk_cache, h, raw_log_std)
 
     def backward(self, cache, dmean, dlog_std):
-        """Backprop head gradients; returns grads aligned with params()."""
+        """Backprop head gradients; returns one gradient vector in the flat layout."""
         trunk_cache, h, raw_log_std = cache
         dlog_std = np.where(
             (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX), dlog_std, 0.0
         )
-        dw_mean = h.T @ dmean
-        db_mean = dmean.sum(axis=0)
-        dw_log_std = h.T @ dlog_std
-        db_log_std = dlog_std.sum(axis=0)
+        grad = np.empty(self.flat.size)
+        dw_mean, db_mean, dw_log_std, db_log_std = self.blocks(grad)[-4:]
+        np.matmul(h.T, dmean, out=dw_mean)
+        dmean.sum(axis=0, out=db_mean)
+        np.matmul(h.T, dlog_std, out=dw_log_std)
+        dlog_std.sum(axis=0, out=db_log_std)
         dh = dmean @ self.w_mean.T + dlog_std @ self.w_log_std.T
-        trunk_grads, _ = self.trunk.backward(trunk_cache, dh)
-        return trunk_grads + [dw_mean, db_mean, dw_log_std, db_log_std]
-
-    def params(self):
-        return self.trunk.params() + [
-            self.w_mean,
-            self.b_mean,
-            self.w_log_std,
-            self.b_log_std,
-        ]
+        self.trunk.backward(trunk_cache, dh, grad[: self.trunk.flat.size])
+        return grad
 
 
-class ValueNet:
-    """Scalar state-value net: tanh hidden layers, single linear output."""
+class ValueNet(_FlatParams):
+    """Scalar state-value net: tanh hidden layers, single linear output.
 
-    def __init__(self, net: DenseNet):
-        if net.tanh_output or net.dims[-1] != 1:
+    ``dims`` is [obs_dim, *hidden, 1]; ``net`` is the dense stack, a view of
+    ``flat`` (used as given; zeros without one).
+    """
+
+    def __init__(self, dims, flat=None):
+        if len(dims) < 2 or dims[-1] != 1:
             raise ValueError("value net needs a linear single-unit output")
-        self.net = net
+        self.dims = [int(d) for d in dims]
+        self._own(flat, *_dense_layout(self.dims))
+        self.net = DenseNet(self.dims, self.flat)
 
     @classmethod
     def init(cls, rng, obs_dim: int, hidden=(64, 64)):
-        return cls(DenseNet.init(rng, [obs_dim, *hidden, 1], tanh_output=False))
-
-    @property
-    def obs_dim(self) -> int:
-        return self.net.dims[0]
+        value = cls([obs_dim, *hidden, 1])
+        _uniform_init(rng, value.params(), 1.0)
+        return value
 
     def forward(self, obs):
         out, cache = self.net.forward(obs)
         return out[..., 0], cache
 
     def backward(self, cache, dvalues):
-        dvalues = np.asarray(dvalues, dtype=float)
-        grads, _ = self.net.backward(cache, dvalues[:, None])
-        return grads
-
-    def params(self):
-        return self.net.params()
+        """Gradient of sum(dvalues * values) as one vector in the flat layout."""
+        return self.net.backward(cache, dvalues[:, None])
 
     def value(self, obs) -> float:
         """Scalar value of one observation."""
@@ -197,9 +233,6 @@ class ValueNet:
 
 def gaussian_log_prob(mean, log_std, actions):
     """Log density of a diagonal Gaussian, summed over action coordinates."""
-    mean = np.asarray(mean, dtype=float)
-    log_std = np.asarray(log_std, dtype=float)
-    actions = np.asarray(actions, dtype=float)
     z = (actions - mean) * np.exp(-log_std)
     dim = mean.shape[-1]
     return (
@@ -214,16 +247,12 @@ def sample_action(policy: GaussianPolicyNet, obs, rng: np.random.Generator):
     mean, log_std, _ = policy.forward(obs)
     z = rng.standard_normal(mean.shape[-1])
     action = mean + np.exp(log_std) * z
-    logp = float(
-        -0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * z.shape[0] * _LOG_2PI
-    )
+    logp = float(-0.5 * (z * z).sum() - log_std.sum() - 0.5 * z.shape[0] * _LOG_2PI)
     return action, logp
 
 
 def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
     """Gradient of sum_t weights[t] * log pi(a_t | s_t) given a forward pass."""
-    actions = np.asarray(actions, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     inv_std = np.exp(-log_std)
     z = (actions - mean) * inv_std
     w = weights[:, None]
@@ -233,7 +262,7 @@ def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
 
 
 class AdamState:
-    """Adam with bias correction; steps are applied to parameters in place."""
+    """Adam with bias correction over one flat parameter vector, in place."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -244,89 +273,29 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
     def step(self, params, grads):
         """One descent step; pass negated gradients to ascend an objective."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ValueError("parameter/gradient structure does not match state")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * np.square(grads)
+        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
         return params
 
     def state_arrays(self, prefix: str) -> dict:
-        out = {f"{prefix}_t": np.array(self.t)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"{prefix}_m{i}"] = m
-            out[f"{prefix}_v{i}"] = v
-        return out
+        return {f"{prefix}_t": np.array(self.t), f"{prefix}_m": self.m,
+                f"{prefix}_v": self.v}
 
     def load_state_arrays(self, prefix: str, arrays: dict) -> None:
         self.t = int(arrays[f"{prefix}_t"])
-        for i in range(len(self.m)):
-            self.m[i][...] = arrays[f"{prefix}_m{i}"]
-            self.v[i][...] = arrays[f"{prefix}_v{i}"]
-
-
-# --- flat parameter snapshots ------------------------------------------------
-#
-# Snapshot layout: a "dims" header plus one row-major array per layer, ordered
-# input -> output, mean head before log-std head. np.savez on such a dict (or
-# the checkpoint helpers in ppo.py) gives a self-describing file.
-
-
-def policy_to_arrays(policy: GaussianPolicyNet) -> dict:
-    out = {"dims": np.array(policy.trunk.dims + [policy.action_dim], dtype=np.int64)}
-    for i, (w, b) in enumerate(zip(policy.trunk.weights, policy.trunk.biases)):
-        out[f"trunk_w{i}"] = w
-        out[f"trunk_b{i}"] = b
-    out["mean_w"] = policy.w_mean
-    out["mean_b"] = policy.b_mean
-    out["log_std_w"] = policy.w_log_std
-    out["log_std_b"] = policy.b_log_std
-    return out
-
-
-def policy_from_arrays(arrays: dict) -> GaussianPolicyNet:
-    dims = [int(d) for d in arrays["dims"]]
-    trunk_dims = dims[:-1]
-    n_layers = len(trunk_dims) - 1
-    trunk = DenseNet(
-        [arrays[f"trunk_w{i}"] for i in range(n_layers)],
-        [arrays[f"trunk_b{i}"] for i in range(n_layers)],
-        tanh_output=True,
-    )
-    return GaussianPolicyNet(
-        trunk,
-        arrays["mean_w"],
-        arrays["mean_b"],
-        arrays["log_std_w"],
-        arrays["log_std_b"],
-    )
-
-
-def value_to_arrays(value: ValueNet) -> dict:
-    out = {"dims": np.array(value.net.dims, dtype=np.int64)}
-    for i, (w, b) in enumerate(zip(value.net.weights, value.net.biases)):
-        out[f"w{i}"] = w
-        out[f"b{i}"] = b
-    return out
-
-
-def value_from_arrays(arrays: dict) -> ValueNet:
-    dims = [int(d) for d in arrays["dims"]]
-    n_layers = len(dims) - 1
-    net = DenseNet(
-        [arrays[f"w{i}"] for i in range(n_layers)],
-        [arrays[f"b{i}"] for i in range(n_layers)],
-        tanh_output=False,
-    )
-    return ValueNet(net)
+        self.m[...] = arrays[f"{prefix}_m"]
+        self.v[...] = arrays[f"{prefix}_v"]

@@ -29,7 +29,7 @@ loop oracle in tests/oracles.py pin it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -72,18 +72,20 @@ class RadioConfig:
 
 @dataclass(frozen=True, eq=False)
 class PowerAllocation:
-    """Applied (already clamped) transmit powers for both systems, in watts."""
+    """Applied (already clamped) transmit powers for both systems, in watts;
+    ``joint`` stacks them, primary first, and is checked once on construction."""
 
     p_primary: np.ndarray
     p_secondary: np.ndarray
+    joint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("p_primary", "p_secondary"):
-            p = getattr(self, name)
-            if p.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            if p.size and not (0.0 <= p.min() and p.max() < np.inf):  # nan fails both
-                raise ValueError(f"{name} entries must be finite and non-negative")
+        if self.p_primary.ndim != 1 or self.p_secondary.ndim != 1:
+            raise ValueError("p_primary and p_secondary must be 1-D")
+        joint = np.concatenate((self.p_primary, self.p_secondary))
+        if joint.size and not (0.0 <= joint.min() and joint.max() < np.inf):  # nan fails both
+            raise ValueError("power entries must be finite and non-negative")
+        object.__setattr__(self, "joint", joint)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +116,7 @@ def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> tuple[np.ndarray, 
 def _joint_powers(h: GainMatrices, p: PowerAllocation) -> np.ndarray:
     if p.p_primary.shape[0] != h.k_p or p.p_secondary.shape[0] != h.k_s:
         raise ValueError("power vector lengths must match gain matrix dimensions")
-    return np.concatenate((p.p_primary, p.p_secondary))
+    return p.joint
 
 
 def distortion_powers(
@@ -138,10 +140,8 @@ def energy_efficiency(
     rate_s: np.ndarray, p_s: np.ndarray, cfg: RadioConfig
 ) -> np.ndarray:
     """Bits per joule proxy: rate / (tau * (p + p_circuit) + rho_decode * rate)."""
-    rate_s = np.asarray(rate_s, dtype=float)
-    p_s = np.asarray(p_s, dtype=float)
     denom = cfg.tau * (p_s + cfg.p_circuit) + cfg.rho_decode * rate_s
-    return np.divide(rate_s, denom, out=np.zeros_like(rate_s), where=rate_s > 0.0)
+    return np.divide(rate_s, denom, out=np.zeros(rate_s.shape), where=rate_s > 0.0)
 
 
 def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
@@ -150,9 +150,8 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
     A link NACKs iff its rate is strictly below the threshold; hitting the
     threshold exactly counts as satisfied.
     """
-    rate_p = np.asarray(rate_p, dtype=float)
-    nack = (rate_p < cfg.rate_threshold).astype(np.int64)
-    return nack, int(nack.sum())
+    below = rate_p < cfg.rate_threshold
+    return below.astype(np.int64), np.count_nonzero(below)
 
 
 def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
@@ -161,21 +160,21 @@ def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> Lin
     Each link k sees its own direct power over noise + distortion + same-system
     interference (j != k) + everything the other system transmits.
     """
+    k_p = h.k_p
     power = _joint_powers(h, p)
-    w, _ = coupling_weights(cfg, h.k_p, h.k_s)
+    w, _ = coupling_weights(cfg, k_p, h.k_s)
     gains = h.stacked()
     sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
-    rate_p, rate_s = rate[: h.k_p], rate[h.k_p :]
-    ee_s = energy_efficiency(rate_s, p.p_secondary, cfg)
+    rate_p, rate_s = rate[:k_p], rate[k_p:]
     nack_p, count = nqos(rate_p, cfg)
     return LinkMetrics(
-        sindr_p=sindr[: h.k_p],
-        sindr_s=sindr[h.k_p :],
+        sindr_p=sindr[:k_p],
+        sindr_s=sindr[k_p:],
         rate_p=rate_p,
         rate_s=rate_s,
-        ee_s=ee_s,
+        ee_s=energy_efficiency(rate_s, p.p_secondary, cfg),
         nack_p=nack_p,
         nqos_p=count,
     )

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .env import (
+    METRIC_FIELDS,
     OBS_CENTRALIZED_DIST,
     OBS_CENTRALIZED_FULL_CSI,
     OBS_PRIMARY,
@@ -34,11 +36,7 @@ from .nets import (
     ValueNet,
     gaussian_log_prob,
     logprob_grads_from_forward,
-    policy_from_arrays,
-    policy_to_arrays,
     sample_action,
-    value_from_arrays,
-    value_to_arrays,
 )
 
 MODE_COEXIST = "coexist_dist"
@@ -46,25 +44,10 @@ MODE_CENTRALIZED_DIST = OBS_CENTRALIZED_DIST
 MODE_CENTRALIZED_FULL_CSI = OBS_CENTRALIZED_FULL_CSI
 MODES = (MODE_COEXIST, MODE_CENTRALIZED_DIST, MODE_CENTRALIZED_FULL_CSI)
 
-# per-iteration scalar metrics, averaged over the rollout's steps
-METRIC_FIELDS = (
-    "reward_p",
-    "reward_s",
-    "sum_rate_p",
-    "sum_rate_s",
-    "sum_ee_s",
-    "sum_power_p",
-    "sum_power_s",
-    "nqos_p",
-    "delta_p",
-    "delta_s",
-    "active_p",
-    "active_s",
-)
-
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an update produces a non-finite loss or gradient."""
+    """A non-finite loss or gradient; names the agent, the first non-finite
+    parameter or gradient block and, raised from ``train``, the iteration."""
 
 
 @dataclass(frozen=True)
@@ -205,14 +188,29 @@ def make_agent(rng, name: str, obs_dim: int, action_dim: int,
         name=name,
         policy=policy,
         value=value,
-        opt_policy=AdamState(policy.params(), lr=hyper.lr_policy),
-        opt_value=AdamState(value.params(), lr=hyper.lr_value),
+        opt_policy=AdamState(policy.flat, lr=hyper.lr_policy),
+        opt_value=AdamState(value.flat, lr=hyper.lr_value),
     )
 
 
-def _check_finite(label: str, value: float, grads) -> None:
-    if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads):
-        raise TrainingDiverged(f"non-finite {label} (value={value!r})")
+def _parts(agent: Agent):
+    """(tag, network, optimizer) of the agent's policy and value function."""
+    return (("pol", agent.policy, agent.opt_policy),
+            ("val", agent.value, agent.opt_value))
+
+
+def _check_finite(agent: Agent, label: str, value: float, grad) -> None:
+    if np.isfinite(value) and np.isfinite(grad).all():
+        return
+    # failure path: name the first non-finite block, parameters before gradient
+    suspects = [("policy", agent.policy.flat, "parameters"),
+                ("value", agent.value.flat, "parameters"), (label.split()[0], grad, "gradient")]
+    found = [(net, getattr(agent, net).first_nonfinite(flat), what)
+             for net, flat, what in suspects]
+    where = next((f"{net} {block} ({what})" for net, block, what in found if block), "none")
+    raise TrainingDiverged(
+        f"agent {agent.name!r}: non-finite {label} (value={value!r}); "
+        f"first non-finite block: {where}")
 
 
 def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
@@ -221,12 +219,12 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
         raise ValueError("batch needs returns and normalized advantages")
     stats: dict = {}
     for _ in range(hyper.update_epochs):
-        objective, pgrads, pstats = policy_objective(agent.policy, batch, hyper)
-        _check_finite("policy objective", objective, pgrads)
-        agent.opt_policy.step(agent.policy.params(), [-g for g in pgrads])
-        vloss, vgrads = value_objective(agent.value, batch)
-        _check_finite("value loss", vloss, vgrads)
-        agent.opt_value.step(agent.value.params(), vgrads)
+        objective, pgrad, pstats = policy_objective(agent.policy, batch, hyper)
+        _check_finite(agent, "policy objective", objective, pgrad)
+        agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
+        vloss, vgrad = value_objective(agent.value, batch)
+        _check_finite(agent, "value loss", vloss, vgrad)
+        agent.opt_value.step(agent.value.flat, vgrad)
         stats = dict(pstats, policy_objective=objective, value_loss=vloss)
     return stats
 
@@ -234,17 +232,17 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
 def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> None:
     """Snapshot networks, optimizer moments, rng state and iteration index.
 
-    Writes exactly ``path`` by renaming a synced temporary file onto it, so a
-    crash mid-save leaves the previous checkpoint intact.
+    Keys per agent and net (``pol``/``val``): ``<agent>_<net>_{dims,flat}``
+    and ``<agent>_adam_<net>_{m,v,t}``. Writes exactly ``path`` by renaming a
+    synced temporary file onto it, so a crash mid-save leaves the previous
+    checkpoint intact.
     """
     arrays = {"iteration": np.array(iteration, dtype=np.int64)}
     for agent in agents:
-        for k, v in policy_to_arrays(agent.policy).items():
-            arrays[f"{agent.name}_pol_{k}"] = v
-        for k, v in value_to_arrays(agent.value).items():
-            arrays[f"{agent.name}_val_{k}"] = v
-        arrays.update(agent.opt_policy.state_arrays(f"{agent.name}_adam_pol"))
-        arrays.update(agent.opt_value.state_arrays(f"{agent.name}_adam_val"))
+        for tag, net, opt in _parts(agent):
+            arrays[f"{agent.name}_{tag}_dims"] = np.array(net.dims, dtype=np.int64)
+            arrays[f"{agent.name}_{tag}_flat"] = net.flat
+            arrays.update(opt.state_arrays(f"{agent.name}_adam_{tag}"))
     state_json = json.dumps(rng.bit_generator.state)
     arrays["rng_state"] = np.frombuffer(state_json.encode("utf-8"), dtype=np.uint8)
     path = Path(path)
@@ -268,20 +266,14 @@ def load_checkpoint(path, agents):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     for agent in agents:
-        pol_prefix = f"{agent.name}_pol_"
-        val_prefix = f"{agent.name}_val_"
-        pol = {k[len(pol_prefix):]: v for k, v in arrays.items()
-               if k.startswith(pol_prefix)}
-        val = {k[len(val_prefix):]: v for k, v in arrays.items()
-               if k.startswith(val_prefix)}
-        if not pol or not val:
-            raise ValueError(f"checkpoint lacks agent {agent.name!r}")
-        for dst, src in zip(agent.policy.params(), policy_from_arrays(pol).params()):
-            dst[...] = src
-        for dst, src in zip(agent.value.params(), value_from_arrays(val).params()):
-            dst[...] = src
-        agent.opt_policy.load_state_arrays(f"{agent.name}_adam_pol", arrays)
-        agent.opt_value.load_state_arrays(f"{agent.name}_adam_val", arrays)
+        for tag, net, opt in _parts(agent):
+            key = f"{agent.name}_{tag}"
+            if f"{key}_flat" not in arrays:
+                raise ValueError(f"checkpoint lacks agent {agent.name!r}")
+            if (dims := arrays[f"{key}_dims"].tolist()) != net.dims:
+                raise ValueError(f"checkpoint {key} has dims {dims}, expected {net.dims}")
+            net.flat[...] = arrays[f"{key}_flat"]
+            opt.load_state_arrays(f"{agent.name}_adam_{tag}", arrays)
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(
         arrays["rng_state"].tobytes().decode("utf-8")
@@ -350,10 +342,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
             for batch, reward in zip(batches, rewards):
                 batch.rewards[idx] = reward
                 batch.dones[idx] = float(out.done)
-            m = out.metrics
-            sums += (out.reward_p, out.reward_s, m.sum_rate_p, m.sum_rate_s,
-                     m.sum_ee_s, m.sum_power_p, m.sum_power_s, m.nqos_p,
-                     m.delta_p, m.delta_s, m.active_p, m.active_s)
+            sums += out.row
             idx += 1
     # the nets do not change during a rollout, so one batched pass per agent
     for agent, batch, ob in zip(agents, batches, obs):
@@ -363,6 +352,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
     return batches, means
 
 
+@one_blas_thread()
 def train(
     env_cfg: EnvConfig,
     hyper: PpoHyper,
@@ -377,7 +367,8 @@ def train(
 
     Rows carry the METRIC_FIELDS averages plus per-agent update diagnostics
     (suffixed with the agent name). With the same seed and config, histories
-    are bit-for-bit reproducible.
+    are bit-for-bit reproducible at any batch size: numpy's bundled OpenBLAS
+    runs on one thread during the call (``blas.one_blas_thread``).
     """
     env = SpectrumSharingEnv(env_cfg, rng, hyper.episode_len)
     agents = build_agents(mode, env_cfg, hyper, rng)
@@ -391,7 +382,10 @@ def train(
         for agent, batch in zip(agents, batches):
             batch.returns, raw_adv = compute_gae(batch, hyper)
             batch.advantages = normalize_advantages(raw_adv)
-            stats = ppo_update(agent, batch, hyper)
+            try:
+                stats = ppo_update(agent, batch, hyper)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"iteration {it + 1}, {exc}") from None
             for key, val in stats.items():
                 row[f"{key}_{agent.name}"] = val
         history.append(row)

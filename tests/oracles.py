@@ -186,3 +186,41 @@ def gains_reference(topo, params, rng, draws):
     d_eff = np.maximum(d, 1.0)
     gains = d_eff ** (-alpha) * 10.0 ** (shadow_db / 10.0) * fade
     return gains.reshape((draws,) + dists.shape)
+
+
+def clamp_and_penalize(raw_action, p_max):
+    """One system's raw powers clipped into [0, p_max], and the clipped mass."""
+    raw = np.asarray(raw_action, dtype=float)
+    applied = raw.clip(0.0, p_max)
+    return applied, float(np.abs(raw - applied).sum())
+
+
+def step_reference(gains, raw_p, raw_s, radio, active_fraction):
+    """One environment step's physics and bookkeeping, system by system.
+
+    Clamps each system on its own, then runs ``PowerAllocation``,
+    ``evaluate_links`` and the two reward functions. Returns (the metric
+    row in ``METRIC_FIELDS`` order, the link metrics).
+    """
+    from underlay_ppo.env import reward_primary, reward_secondary
+    from underlay_ppo.phy import PowerAllocation, evaluate_links
+
+    applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
+    applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
+    links = evaluate_links(gains, PowerAllocation(applied_p, applied_s), radio)
+    nqos_p = float(links.nqos_p)
+    row = [
+        reward_primary(links.rate_p, radio.rate_threshold, delta_p),
+        reward_secondary(links.ee_s, nqos_p, delta_s),
+        float(links.rate_p.sum()),
+        float(links.rate_s.sum()),
+        float(links.ee_s.sum()),
+        float(applied_p.sum()),
+        float(applied_s.sum()),
+        nqos_p,
+        delta_p,
+        delta_s,
+        int((applied_p > active_fraction * radio.p_max_p).sum()),
+        int((applied_s > active_fraction * radio.p_max_s).sum()),
+    ]
+    return np.array(row), links

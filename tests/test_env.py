@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from underlay_ppo.env import (
     ACTIVE_POWER_FRACTION,
+    METRIC_FIELDS,
     OBS_CENTRALIZED_DIST,
     OBS_CENTRALIZED_FULL_CSI,
     OBS_PRIMARY,
@@ -16,15 +17,24 @@ from underlay_ppo.env import (
     build_centralized_obs,
     build_primary_obs,
     build_secondary_obs,
-    clamp_and_penalize,
     observation_dim,
     reward_primary,
     reward_secondary,
 )
 from underlay_ppo.geometry import GainMatrices, perturb_topology
-from underlay_ppo.phy import PowerAllocation, evaluate_links
+from underlay_ppo.phy import PowerAllocation, RadioConfig, evaluate_links
 
-from oracles import distance_features_reference, gains_reference
+from oracles import (
+    clamp_and_penalize,
+    distance_features_reference,
+    gains_reference,
+    step_reference,
+)
+
+
+def metric(out, name):
+    """One entry of a step's metric row, by its METRIC_FIELDS name."""
+    return out.row[METRIC_FIELDS.index(name)]
 
 
 def make_env(seed=0, episode_len=10, **kwargs):
@@ -156,10 +166,9 @@ class TestStep:
         for t in range(3):
             out = env.step(world, a_p, a_s)
             assert out.done == (1 if t == 2 else 0)
-            m = out.metrics
-            assert m.sum_power_p == pytest.approx(0.5 * cfg.k_p)
-            assert 0 <= m.nqos_p <= cfg.k_p
-            assert m.delta_p == 0.0 and m.delta_s == 0.0
+            assert metric(out, "sum_power_p") == pytest.approx(0.5 * cfg.k_p)
+            assert 0 <= metric(out, "nqos_p") <= cfg.k_p
+            assert metric(out, "delta_p") == 0.0 and metric(out, "delta_s") == 0.0
         with pytest.raises(RuntimeError):
             env.step(world, a_p, a_s)
 
@@ -168,11 +177,11 @@ class TestStep:
         rng = np.random.default_rng(10)
         world, _, _ = env.reset(rng)
         out = env.step(world, np.zeros(cfg.k_p), np.zeros(cfg.k_s))
-        assert out.metrics.sum_rate_p == 0.0
-        assert out.metrics.sum_ee_s == 0.0
-        assert out.metrics.nqos_p == cfg.k_p
+        assert metric(out, "sum_rate_p") == 0.0
+        assert metric(out, "sum_ee_s") == 0.0
+        assert metric(out, "nqos_p") == cfg.k_p
         assert out.reward_p == pytest.approx(-cfg.k_p * 0.5)
-        assert out.metrics.active_p == 0 and out.metrics.active_s == 0
+        assert metric(out, "active_p") == 0 and metric(out, "active_s") == 0
 
     def test_active_count_threshold(self):
         env, cfg = make_env(seed=11, episode_len=4)
@@ -181,8 +190,8 @@ class TestStep:
         a_p = np.array([0.0, 0.5])
         a_s = np.array([2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
         out = env.step(world, a_p, a_s)
-        assert out.metrics.active_p == 1
-        assert out.metrics.active_s == 1
+        assert metric(out, "active_p") == 1
+        assert metric(out, "active_s") == 1
 
     def test_gains_resampled_each_step(self):
         env, cfg = make_env(seed=13, episode_len=5)
@@ -230,7 +239,7 @@ class TestStep:
             rng = np.random.default_rng(20)
             world, _, _ = env.reset(rng)
             out = env.step(world, np.full(cfg.k_p, 0.3), np.full(cfg.k_s, 0.6))
-            rows.append((out.reward_p, out.reward_s, out.metrics.sum_rate_p))
+            rows.append((out.reward_p, out.reward_s, metric(out, "sum_rate_p")))
         assert rows[0] == rows[1]
 
     def test_same_powers_same_stream_same_physics(self):
@@ -245,7 +254,51 @@ class TestStep:
         out_b = env.step(world_b, a_p, a_s)
         assert out_a.reward_p == out_b.reward_p
         assert out_a.reward_s == out_b.reward_s
-        assert out_a.metrics == out_b.metrics
+        np.testing.assert_array_equal(out_a.row, out_b.row)
+
+
+class TestStepMatchesReferenceChain:
+    """env.step against oracles.step_reference, which clamps system by system.
+
+    Raw actions mix entries inside the box, negative, above the cap and zero;
+    the caps differ per system so a swapped cap shows.
+    """
+
+    @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8)])
+    def test_row_rewards_and_observations_bit_for_bit(self, k_p, k_s):
+        steps = 40
+        env, cfg = make_env(seed=40, episode_len=steps, k_p=k_p, k_s=k_s,
+                            radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
+        radio = cfg.radio
+        world, _, _ = env.reset(np.random.default_rng(41))
+        draws = np.random.default_rng(42)
+        penalties = []
+        for t in range(steps):
+            gains = world.episode_gains[t + 1]
+            raw_p = draws.uniform(-1.0, 2.0, k_p) * radio.p_max_p
+            raw_s = draws.uniform(-1.0, 2.0, k_s) * radio.p_max_s
+            raw_p[t % k_p] = 0.0
+            raw_s[(t + 1) % k_s] = 0.0
+            if t == 0:  # every entry inside the box
+                raw_p, raw_s = np.full(k_p, 0.5), np.full(k_s, 0.25)
+            out = env.step(world, raw_p, raw_s)
+            row, links = step_reference(gains, raw_p, raw_s, radio,
+                                        ACTIVE_POWER_FRACTION)
+            assert out.row.dtype == np.float64 and out.row.shape == (len(METRIC_FIELDS),)
+            np.testing.assert_array_equal(out.row, row)
+            penalties.append((metric(out, "delta_p"), metric(out, "delta_s")))
+            assert (out.reward_p, out.reward_s) == (row[0], row[1])
+            np.testing.assert_array_equal(out.obs_primary, np.concatenate(
+                (distance_features_reference(world.topology, "primary"), links.rate_p)))
+            np.testing.assert_array_equal(out.obs_secondary, np.concatenate(
+                (distance_features_reference(world.topology, "secondary"), links.ee_s,
+                 [links.nqos_p])))
+            for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s", "nack_p"):
+                np.testing.assert_array_equal(getattr(out.links, name), getattr(links, name))
+        # the draws reached both branches of each reward
+        penalties = np.array(penalties)
+        assert np.all(penalties[0] == 0.0) and np.all(penalties[1:].max(axis=0) > 0.0)
+        assert out.done == 1
 
 
 class TestPerEpisodeGeometry:

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from underlay_ppo import cli
-from underlay_ppo import harness
+from underlay_ppo import blas, cli, harness, ppo
 from underlay_ppo.env import EnvConfig
 from underlay_ppo.geometry import ChannelParams
 from underlay_ppo.phy import RadioConfig
@@ -434,6 +433,29 @@ class TestRunExperiment:
         diag = (out / "failure_diagnostics.txt").read_text()
         assert "synthetic failure" in diag
         assert not (out / "aggregate.csv").exists()
+
+    def test_divergence_names_seed_iteration_agent_and_block(self, tmp_path, monkeypatch):
+        real_build_agents = ppo.build_agents
+
+        def poisoned(*args, **kwargs):
+            agents = real_build_agents(*args, **kwargs)
+            agents[1].value.net.weights[-1][0, 0] = np.inf
+            return agents
+
+        monkeypatch.setattr(ppo, "build_agents", poisoned)
+        out = tmp_path / "run"
+        with np.errstate(invalid="ignore"):
+            assert run_experiment(tiny_cfg(out)) == 1
+        diag = (out / "failure_diagnostics.txt").read_text()
+        assert diag.startswith("seed 0 failed\n")
+        assert "TrainingDiverged: iteration 1, agent 's'" in diag
+        assert "first non-finite block: value w2 (parameters)" in diag
+
+    def test_unknown_blas_is_reported_and_not_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(blas, "_thread_controls", lambda: None)
+        assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "BLAS thread count is not pinned" in lines[0]
 
     def test_rerun_removes_failure_diagnostics(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -13,11 +13,7 @@ from underlay_ppo.nets import (
     ValueNet,
     gaussian_log_prob,
     logprob_grads_from_forward,
-    policy_from_arrays,
-    policy_to_arrays,
     sample_action,
-    value_from_arrays,
-    value_to_arrays,
 )
 
 GRAD_TOL = 1e-4
@@ -43,10 +39,7 @@ class TestDenseNet:
             assert np.all(np.abs(a) < 1.0)
 
     def test_zero_network_identity(self):
-        net = DenseNet(
-            [np.zeros((3, 4)), np.zeros((4, 2))],
-            [np.zeros(4), np.zeros(2)],
-        )
+        net = DenseNet([3, 4, 2])  # no flat vector: all parameters zero
         out, _ = net.forward(np.ones(3))
         np.testing.assert_array_equal(out, 0.0)
 
@@ -61,24 +54,9 @@ class TestDenseNet:
             return float(np.sum(c * out))
 
         _, cache = net.forward(x)
-        analytic, _ = net.backward(cache, c)
+        analytic = net.backward(cache, c)
         numeric = numeric_grad(loss, net.params(), h=FD_STEP)
-        assert max_rel_err(analytic, numeric) < GRAD_TOL
-
-    def test_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        net = DenseNet.init(rng, [3, 5, 2], tanh_output=True)
-        x = rng.standard_normal((4, 3))
-        c = rng.standard_normal((4, 2))
-
-        def loss():
-            out, _ = net.forward(x)
-            return float(np.sum(c * out))
-
-        _, cache = net.forward(x)
-        _, dx = net.backward(cache, c)
-        numeric = numeric_grad(loss, [x], h=FD_STEP)
-        assert max_rel_err([dx], numeric) < GRAD_TOL
+        assert max_rel_err(net.blocks(analytic), numeric) < GRAD_TOL
 
     def test_init_bounds(self):
         rng = np.random.default_rng(4)
@@ -163,7 +141,7 @@ class TestPolicyNet:
         mean, log_std, cache = pol.forward(obs)
         analytic = logprob_grads_from_forward(pol, cache, mean, log_std, actions, weights)
         numeric = numeric_grad(loss, pol.params(), h=FD_STEP)
-        assert max_rel_err(analytic, numeric) < GRAD_TOL
+        assert max_rel_err(pol.blocks(analytic), numeric) < GRAD_TOL
 
     def test_saturated_clamp_passes_no_gradient(self):
         rng = np.random.default_rng(10)
@@ -173,7 +151,8 @@ class TestPolicyNet:
         actions = rng.standard_normal((5, 2))
         weights = rng.standard_normal(5)
         mean, log_std, cache = pol.forward(obs)
-        analytic = logprob_grads_from_forward(pol, cache, mean, log_std, actions, weights)
+        analytic = pol.blocks(
+            logprob_grads_from_forward(pol, cache, mean, log_std, actions, weights))
 
         def loss():
             mean, log_std, _ = pol.forward(obs)
@@ -243,72 +222,104 @@ class TestValueNet:
         v, cache = vn.forward(obs)
         analytic = vn.backward(cache, c)
         numeric = numeric_grad(loss, vn.params(), h=FD_STEP)
-        assert max_rel_err(analytic, numeric) < GRAD_TOL
+        assert max_rel_err(vn.blocks(analytic), numeric) < GRAD_TOL
+
+
+class TestFlatLayout:
+    def test_blocks_are_views_into_flat(self):
+        rng = np.random.default_rng(24)
+        pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 4))
+        assert pol.names == ["w0", "b0", "w1", "b1",
+                             "mean_w", "mean_b", "log_std_w", "log_std_b"]
+        # layout: blocks end to end, in names order, the trunk first
+        np.testing.assert_array_equal(
+            np.concatenate([b.ravel() for b in pol.params()]), pol.flat)
+        for block in pol.params() + pol.trunk.weights + pol.trunk.biases:
+            assert np.shares_memory(block, pol.flat)
+        pol.b_log_std[:] = 7.0
+        np.testing.assert_array_equal(pol.flat[-3:], 7.0)
+        vn = ValueNet.init(rng, 5, hidden=(8,))
+        vn.net.weights[-1][0, 0] = 2.5
+        assert vn.flat[5 * 8 + 8] == 2.5
+
+    def test_first_nonfinite_names_the_block(self):
+        rng = np.random.default_rng(25)
+        vn = ValueNet.init(rng, 4, hidden=(6, 6))
+        assert vn.first_nonfinite(vn.flat) is None
+        grad = np.zeros_like(vn.flat)
+        vn.blocks(grad)[4][1, 0] = np.nan
+        vn.blocks(grad)[5][0] = np.inf
+        assert vn.first_nonfinite(grad) == "w2"
+
+    def test_wrong_flat_vector_rejected(self):
+        with pytest.raises(ValueError, match="length 25"):
+            ValueNet([4, 4, 1], np.zeros(24))
 
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        params = [np.array([1.0, 2.0]), np.array([[3.0]])]
+        params = np.array([1.0, 2.0, 3.0])
         opt = AdamState(params, lr=0.1)
-        before = [p.copy() for p in params]
-        opt.step(params, [np.zeros(2), np.zeros((1, 1))])
-        for b, p in zip(before, params):
-            np.testing.assert_array_equal(b, p)
+        before = params.copy()
+        opt.step(params, np.zeros(3))
+        np.testing.assert_array_equal(before, params)
 
     def test_first_step_magnitude(self):
         # bias correction makes the first step almost exactly lr
-        params = [np.zeros(1)]
+        params = np.zeros(1)
         opt = AdamState(params, lr=0.05)
-        opt.step(params, [np.array([1.0])])
-        assert params[0][0] == pytest.approx(-0.05, rel=1e-6)
+        opt.step(params, np.array([1.0]))
+        assert params[0] == pytest.approx(-0.05, rel=1e-6)
 
     def test_constant_gradient_step_size_approaches_lr(self):
-        params = [np.zeros(1)]
+        params = np.zeros(1)
         opt = AdamState(params, lr=0.01)
         prev = 0.0
         for _ in range(200):
-            opt.step(params, [np.array([2.5])])
-            step = prev - params[0][0]
-            prev = params[0][0]
+            opt.step(params, np.array([2.5]))
+            step = prev - params[0]
+            prev = params[0]
         assert step == pytest.approx(0.01, rel=1e-4)
 
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(19)
-            params = [rng.standard_normal((3, 2))]
+            params = rng.standard_normal(6)
             opt = AdamState(params, lr=0.02)
             for _ in range(10):
-                opt.step(params, [rng.standard_normal((3, 2))])
-            return params[0]
+                opt.step(params, rng.standard_normal(6))
+            return params
 
         np.testing.assert_array_equal(run(), run())
 
     def test_structure_mismatch_rejected(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         opt = AdamState(params, lr=0.1)
         with pytest.raises(ValueError):
-            opt.step(params, [np.zeros(2), np.zeros(2)])
+            opt.step(params, np.zeros(3))
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(20)
-        params = [rng.standard_normal(4), rng.standard_normal((2, 3))]
+        params = rng.standard_normal(10)
         opt = AdamState(params, lr=0.03)
         for _ in range(5):
-            opt.step(params, [rng.standard_normal(4), rng.standard_normal((2, 3))])
+            opt.step(params, rng.standard_normal(10))
         stored = opt.state_arrays("x")
-        fresh = AdamState([np.zeros(4), np.zeros((2, 3))], lr=0.03)
+        assert sorted(stored) == ["x_m", "x_t", "x_v"]
+        fresh = AdamState(np.zeros(10), lr=0.03)
         fresh.load_state_arrays("x", stored)
         assert fresh.t == opt.t
-        for a, b in zip(fresh.m, opt.m):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(fresh.m, opt.m)
+        np.testing.assert_array_equal(fresh.v, opt.v)
 
 
 class TestSerialization:
+    """A network is rebuilt from its dims and flat vector, the checkpoint format."""
+
     def test_policy_round_trip(self):
         rng = np.random.default_rng(21)
         pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 8))
-        arrays = policy_to_arrays(pol)
-        clone = policy_from_arrays(arrays)
+        clone = GaussianPolicyNet(pol.dims, pol.flat.copy())
         obs = rng.standard_normal((4, 5))
         m1, s1, _ = pol.forward(obs)
         m2, s2, _ = clone.forward(obs)
@@ -318,7 +329,7 @@ class TestSerialization:
     def test_value_round_trip(self):
         rng = np.random.default_rng(22)
         vn = ValueNet.init(rng, 6, hidden=(8, 8))
-        clone = value_from_arrays(value_to_arrays(vn))
+        clone = ValueNet(vn.dims, vn.flat.copy())
         obs = rng.standard_normal((4, 6))
         np.testing.assert_array_equal(vn.forward(obs)[0], clone.forward(obs)[0])
 
@@ -326,8 +337,8 @@ class TestSerialization:
         rng = np.random.default_rng(23)
         pol = GaussianPolicyNet.init(rng, 4, 2)
         path = tmp_path / "pol.npz"
-        np.savez(path, **policy_to_arrays(pol))
+        np.savez(path, dims=np.array(pol.dims), flat=pol.flat)
         with np.load(path) as data:
-            clone = policy_from_arrays(dict(data))
+            clone = GaussianPolicyNet(data["dims"].tolist(), data["flat"])
         obs = rng.standard_normal(4)
         np.testing.assert_array_equal(pol.forward(obs)[0], clone.forward(obs)[0])

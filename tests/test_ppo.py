@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gae_loops, max_rel_err, numeric_grad
+from underlay_ppo import blas
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, observation_dim
 from underlay_ppo.nets import gaussian_log_prob, logprob_grads_from_forward
 from underlay_ppo.ppo import (
@@ -276,7 +278,7 @@ class TestPolicyObjective:
 
         _, grads, _ = policy_objective(pol, batch, h)
         numeric = numeric_grad(objective, pol.params(), h=1e-5)
-        assert max_rel_err(grads, numeric) < 1e-4
+        assert max_rel_err(pol.blocks(grads), numeric) < 1e-4
 
     def test_objective_bounded_by_linear_term(self):
         rng = np.random.default_rng(7)
@@ -324,7 +326,7 @@ class TestValueObjective:
 
         _, grads = value_objective(agent.value, batch)
         numeric = numeric_grad(loss, agent.value.params(), h=1e-5)
-        assert max_rel_err(grads, numeric) < 1e-4
+        assert max_rel_err(agent.value.blocks(grads), numeric) < 1e-4
 
 
 class TestPpoUpdate:
@@ -372,7 +374,8 @@ class TestPpoUpdate:
         batch = random_batch(rng)
         # poison the linear output layer; a hidden layer's tanh would mask it
         agent.value.net.weights[-1][0, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match=r"agent 't'.*value loss.*value w1 \(parameters\)"):
             ppo_update(agent, batch, tiny_hyper())
 
 
@@ -543,31 +546,34 @@ print(blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('vers
 """
 
 
-def _history_digest(threads: int, k_p: int, k_s: int, mode: str) -> tuple[str, str]:
+def _thread_env(threads: int) -> dict:
+    """Environment of a fresh interpreter with ``threads`` BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _history_digest(threads: int, k_p: int, k_s: int, mode: str) -> tuple[str, str]:
     done = subprocess.run(
         [sys.executable, "-c", _THREADED_TRAIN, str(k_p), str(k_s), mode],
-        env=env, capture_output=True, text=True, timeout=300, check=True)
+        env=_thread_env(threads), capture_output=True, text=True, timeout=300, check=True)
     digest, blas = done.stdout.strip().split("\n")
     return digest, blas
 
 
 class TestBlasThreadCount:
-    """At batch 200 the training history does not depend on the BLAS thread count.
+    """Training results do not depend on the BLAS thread count.
 
-    This covers the rollout, the batched value pass and the PPO update. The
-    result belongs to the BLAS as much as to this program: it was established
-    with OpenBLAS 0.3.31 (the scipy-openblas64 build numpy 2.4 ships,
-    DYNAMIC_ARCH, Haswell kernels) on a 2-core x86-64 machine. Whether a
-    product is split across threads is that library's choice, and with it
-    the result does not hold at every batch size: at batch 400 and 500 the
-    histories differ, because past some size between 200 and 399 rows
-    OpenBLAS splits the weight-gradient products across threads and their
-    sums round differently. Another BLAS, build or core count can move that
-    point below 200.
+    This covers the rollout, the batched value pass and the PPO update. At
+    batch 200 that held before ``train`` pinned numpy's bundled OpenBLAS to
+    one thread: with OpenBLAS 0.3.31 (the scipy-openblas64 build numpy 2.4
+    ships, DYNAMIC_ARCH, Haswell kernels) on a 2-core x86-64 machine, no
+    product of that size is split across threads. From some size between
+    200 and 399 rows OpenBLAS splits the weight-gradient products across
+    threads and their sums round differently; the pin is what makes batch
+    500 agree. Under another BLAS nothing is pinned, and the split point is
+    that library's choice.
     """
 
     @pytest.mark.parametrize("k_p, k_s, mode", [
@@ -582,3 +588,43 @@ class TestBlasThreadCount:
             f"histories differ between 1 and 2 BLAS threads under {blas!r}; if "
             "that is not OpenBLAS 0.3.31 on 2 cores, a different BLAS split a "
             "product across threads, which need not be a defect of the program")
+
+    def test_paper_batch_harness_csvs_same_with_one_and_two_threads(self, tmp_path):
+        """Batch 500 through the CLI: equal ``aggregate.csv`` under 1 and 2 threads.
+
+        ``train`` pins the bundled OpenBLAS to one thread. Unpinned, this
+        run's files differed from iteration 23 on (OpenBLAS 0.3.31, 2 cores).
+        """
+        digests = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "underlay_ppo", "run", "--profile", "paper",
+                 "--seeds", "5", "--set", "iters=30", "--out", str(out), "--quiet"],
+                env=_thread_env(threads), capture_output=True, text=True, timeout=300,
+                check=True)
+            digests.append(hashlib.sha256((out / "aggregate.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_train_restores_the_callers_thread_count(self):
+        controls = blas._thread_controls()
+        if controls is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        get, set_ = controls
+        before = get()
+        seen = []
+
+        def stop_after_first(row):
+            seen.append(get())
+            raise RuntimeError("stop")
+
+        try:
+            set_(2)
+            train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST, np.random.default_rng(34))
+            assert get() == 2
+            with pytest.raises(RuntimeError, match="stop"):
+                train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
+                      np.random.default_rng(34), on_iteration=stop_after_first)
+            assert seen == [1] and get() == 2
+        finally:
+            set_(before)
