@@ -17,16 +17,17 @@ import numpy as np
 @lru_cache(maxsize=1)
 def _thread_controls():
     """(get, set) thread-count functions of the bundled OpenBLAS, or None."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    libs = list(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
-    if blas.get("name") != "scipy-openblas" or len(libs) != 1:
-        return None
     try:
+        # numpy < 1.25 has no mode="dicts"; other builds may lack the keys
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        libs = list(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+        if blas.get("name") != "scipy-openblas" or len(libs) != 1:
+            return None
         # the loader returns the copy numpy already mapped from this file
         lib = ctypes.CDLL(str(libs[0]))
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
+    except (TypeError, KeyError, AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None

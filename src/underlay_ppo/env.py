@@ -239,10 +239,9 @@ class SpectrumSharingEnv:
         # a nan or infinite raw action makes its clip penalty non-finite
         if not math.isfinite(delta_p + delta_s):
             raise ValueError("raw actions must be finite")
-        applied_p, applied_s = applied[:k_p], applied[k_p:]
 
         world.step_index += 1
-        links = evaluate_links(world.gains, PowerAllocation(applied_p, applied_s), radio)
+        links = evaluate_links(world.gains, PowerAllocation(applied, k_p), radio)
         nqos_p = float(links.nqos_p)
         r_p = reward_primary(links.rate_p, radio.rate_threshold, delta_p)
         r_s = reward_secondary(links.ee_s, nqos_p, delta_s)
@@ -251,7 +250,7 @@ class SpectrumSharingEnv:
         active = applied > self._active_floor
         row = np.array((
             r_p, r_s, links.rate_p.sum(), links.rate_s.sum(), links.ee_s.sum(),
-            applied_p.sum(), applied_s.sum(), nqos_p, delta_p, delta_s,
+            applied[:k_p].sum(), applied[k_p:].sum(), nqos_p, delta_p, delta_s,
             np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
         ))
         return StepOutcome(

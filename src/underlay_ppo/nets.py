@@ -197,19 +197,14 @@ class GaussianPolicyNet(_FlatParams):
         return grad
 
 
-class ValueNet(_FlatParams):
-    """Scalar state-value net: tanh hidden layers, single linear output.
-
-    ``dims`` is [obs_dim, *hidden, 1]; ``net`` is the dense stack, a view of
-    ``flat`` (used as given; zeros without one).
-    """
+class ValueNet(DenseNet):
+    """Scalar state-value net: a dense stack with tanh hidden layers and a
+    single linear output. ``dims`` is [obs_dim, *hidden, 1]."""
 
     def __init__(self, dims, flat=None):
         if len(dims) < 2 or dims[-1] != 1:
             raise ValueError("value net needs a linear single-unit output")
-        self.dims = [int(d) for d in dims]
-        self._own(flat, *_dense_layout(self.dims))
-        self.net = DenseNet(self.dims, self.flat)
+        super().__init__(dims, flat)
 
     @classmethod
     def init(cls, rng, obs_dim: int, hidden=(64, 64)):
@@ -218,16 +213,16 @@ class ValueNet(_FlatParams):
         return value
 
     def forward(self, obs):
-        out, cache = self.net.forward(obs)
+        out, cache = super().forward(obs)
         return out[..., 0], cache
 
     def backward(self, cache, dvalues):
         """Gradient of sum(dvalues * values) as one vector in the flat layout."""
-        return self.net.backward(cache, dvalues[:, None])
+        return super().backward(cache, dvalues[:, None])
 
     def value(self, obs) -> float:
         """Scalar value of one observation."""
-        out, _ = self.net.forward(obs)
+        out, _ = super().forward(obs)
         return float(out[0])
 
 

@@ -29,7 +29,7 @@ loop oracle in tests/oracles.py pin it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,20 +72,26 @@ class RadioConfig:
 
 @dataclass(frozen=True, eq=False)
 class PowerAllocation:
-    """Applied (already clamped) transmit powers for both systems, in watts;
-    ``joint`` stacks them, primary first, and is checked once on construction."""
+    """Applied (already clamped) transmit powers in watts. ``joint`` stacks
+    both systems, the ``k_p`` primary links first, and is checked once on
+    construction; ``p_primary`` and ``p_secondary`` are views of it."""
 
-    p_primary: np.ndarray
-    p_secondary: np.ndarray
-    joint: np.ndarray = field(init=False, repr=False)
+    joint: np.ndarray
+    k_p: int
 
     def __post_init__(self):
-        if self.p_primary.ndim != 1 or self.p_secondary.ndim != 1:
-            raise ValueError("p_primary and p_secondary must be 1-D")
-        joint = np.concatenate((self.p_primary, self.p_secondary))
-        if joint.size and not (0.0 <= joint.min() and joint.max() < np.inf):  # nan fails both
-            raise ValueError("power entries must be finite and non-negative")
-        object.__setattr__(self, "joint", joint)
+        if self.joint.ndim != 1 or not 0 <= self.k_p <= self.joint.size:
+            raise ValueError("joint must be 1-D, with k_p at most its length")
+        if self.joint.size and not (0.0 <= self.joint.min() and self.joint.max() < np.inf):
+            raise ValueError("power entries must be finite and non-negative")  # nan fails both
+
+    @property
+    def p_primary(self) -> np.ndarray:
+        return self.joint[: self.k_p]
+
+    @property
+    def p_secondary(self) -> np.ndarray:
+        return self.joint[self.k_p :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +120,7 @@ def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> tuple[np.ndarray, 
 
 
 def _joint_powers(h: GainMatrices, p: PowerAllocation) -> np.ndarray:
-    if p.p_primary.shape[0] != h.k_p or p.p_secondary.shape[0] != h.k_s:
+    if p.k_p != h.k_p or p.joint.size != h.k_p + h.k_s:
         raise ValueError("power vector lengths must match gain matrix dimensions")
     return p.joint
 

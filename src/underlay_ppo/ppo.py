@@ -269,6 +269,9 @@ def load_checkpoint(path, agents):
         for tag, net, opt in _parts(agent):
             key = f"{agent.name}_{tag}"
             if f"{key}_flat" not in arrays:
+                if f"{key}_dims" in arrays:  # per-layer keys, before the flat layout
+                    raise ValueError(f"checkpoint stores {key} in the per-layer format "
+                                     "of earlier versions, which cannot be resumed")
                 raise ValueError(f"checkpoint lacks agent {agent.name!r}")
             if (dims := arrays[f"{key}_dims"].tolist()) != net.dims:
                 raise ValueError(f"checkpoint {key} has dims {dims}, expected {net.dims}")

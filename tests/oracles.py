@@ -188,6 +188,13 @@ def gains_reference(topo, params, rng, draws):
     return gains.reshape((draws,) + dists.shape)
 
 
+def power_allocation(p_primary, p_secondary):
+    """``PowerAllocation`` of two per-system power vectors."""
+    from underlay_ppo.phy import PowerAllocation
+
+    return PowerAllocation(np.concatenate((p_primary, p_secondary)), len(p_primary))
+
+
 def clamp_and_penalize(raw_action, p_max):
     """One system's raw powers clipped into [0, p_max], and the clipped mass."""
     raw = np.asarray(raw_action, dtype=float)
@@ -203,11 +210,11 @@ def step_reference(gains, raw_p, raw_s, radio, active_fraction):
     row in ``METRIC_FIELDS`` order, the link metrics).
     """
     from underlay_ppo.env import reward_primary, reward_secondary
-    from underlay_ppo.phy import PowerAllocation, evaluate_links
+    from underlay_ppo.phy import evaluate_links
 
     applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
     applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
-    links = evaluate_links(gains, PowerAllocation(applied_p, applied_s), radio)
+    links = evaluate_links(gains, power_allocation(applied_p, applied_s), radio)
     nqos_p = float(links.nqos_p)
     row = [
         reward_primary(links.rate_p, radio.rate_threshold, delta_p),

@@ -18,7 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import gae_loops, max_rel_err, numeric_grad, random_gains, sindr_loops
+from oracles import (
+    gae_loops,
+    max_rel_err,
+    numeric_grad,
+    power_allocation,
+    random_gains,
+    sindr_loops,
+)
 from underlay_ppo import harness
 from underlay_ppo.env import (
     OBS_CENTRALIZED_DIST,
@@ -38,7 +45,6 @@ from underlay_ppo.nets import (
     logprob_grads_from_forward,
 )
 from underlay_ppo.phy import (
-    PowerAllocation,
     RadioConfig,
     evaluate_links,
     nqos,
@@ -247,7 +253,7 @@ def test_criterion_3_sindr_oracle():
         h = random_gains(rng, k_p, k_s)
         pp = rng.uniform(0.0, 1.0, k_p)
         ps = rng.uniform(0.0, 1.0, k_s)
-        links = evaluate_links(h, PowerAllocation(pp, ps), cfg)
+        links = evaluate_links(h, power_allocation(pp, ps), cfg)
         ref_p, ref_s = sindr_loops(h, pp, ps, cfg)
         worst = max(
             worst,
@@ -272,7 +278,7 @@ def test_criterion_4_closed_form_spot_values():
         noise_power=1.0,
     )
     sindr_p = evaluate_links(
-        h, PowerAllocation(np.array([1.0]), np.array([0.0])), cfg
+        h, power_allocation(np.array([1.0]), np.array([0.0])), cfg
     ).sindr_p
     sindr_ok = abs(sindr_p[0] - 1.0 / 1.02) <= 1e-12
 

@@ -22,12 +22,13 @@ from underlay_ppo.env import (
     reward_secondary,
 )
 from underlay_ppo.geometry import GainMatrices, perturb_topology
-from underlay_ppo.phy import PowerAllocation, RadioConfig, evaluate_links
+from underlay_ppo.phy import RadioConfig, evaluate_links
 
 from oracles import (
     clamp_and_penalize,
     distance_features_reference,
     gains_reference,
+    power_allocation,
     step_reference,
 )
 
@@ -341,7 +342,7 @@ class TestPerEpisodeGeometry:
                 np.testing.assert_array_equal(world.gains.stacked(), ref)
                 assert not world.gains.stacked().flags.writeable
                 h = GainMatrices(ref, k_p)
-                power = PowerAllocation(
+                power = power_allocation(
                     clamp_and_penalize(raw_p, radio.p_max_p)[0],
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
                 )

@@ -439,7 +439,7 @@ class TestRunExperiment:
 
         def poisoned(*args, **kwargs):
             agents = real_build_agents(*args, **kwargs)
-            agents[1].value.net.weights[-1][0, 0] = np.inf
+            agents[1].value.weights[-1][0, 0] = np.inf
             return agents
 
         monkeypatch.setattr(ppo, "build_agents", poisoned)
@@ -454,6 +454,21 @@ class TestRunExperiment:
     def test_unknown_blas_is_reported_and_not_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(blas, "_thread_controls", lambda: None)
         assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "BLAS thread count is not pinned" in lines[0]
+
+    # numpy < 1.25 has no mode= (TypeError); a build may lack the keys (KeyError)
+    @pytest.mark.parametrize("show_config", [lambda: None, lambda mode="stdout": {}],
+                             ids=["no-mode-argument", "no-build-dependencies"])
+    def test_unreadable_numpy_config_counts_as_unknown_blas(
+            self, tmp_path, monkeypatch, capsys, show_config):
+        monkeypatch.setattr(np, "show_config", show_config)
+        blas._thread_controls.cache_clear()
+        try:
+            assert not blas.openblas_found()
+            assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
+        finally:
+            blas._thread_controls.cache_clear()
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "BLAS thread count is not pinned" in lines[0]
 

@@ -239,7 +239,7 @@ class TestFlatLayout:
         pol.b_log_std[:] = 7.0
         np.testing.assert_array_equal(pol.flat[-3:], 7.0)
         vn = ValueNet.init(rng, 5, hidden=(8,))
-        vn.net.weights[-1][0, 0] = 2.5
+        vn.weights[-1][0, 0] = 2.5
         assert vn.flat[5 * 8 + 8] == 2.5
 
     def test_first_nonfinite_names_the_block(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distortion_loops, random_gains, sindr_loops
+from oracles import distortion_loops, power_allocation, random_gains, sindr_loops
 from underlay_ppo.geometry import GainMatrices
 from underlay_ppo.phy import (
     DEFAULT_NOISE_POWER_W,
@@ -49,7 +49,7 @@ class TestDistortion:
     def test_single_link_spot_value(self):
         # kappa 0.1 both sides, unit gain and power: 0.01 + 0.01 = 0.02
         h = unit_gains()
-        p = PowerAllocation(np.array([1.0]), np.array([0.0]))
+        p = power_allocation(np.array([1.0]), np.array([0.0]))
         d_p, d_s = distortion_powers(h, p, CFG_UNIT_NOISE)
         assert d_p[0] == pytest.approx(0.02, abs=1e-15)
         assert d_s[0] == pytest.approx(0.01, abs=1e-15)
@@ -61,7 +61,7 @@ class TestDistortion:
             noise_power=1.0,
         )
         h = unit_gains()
-        p = PowerAllocation(np.array([1.0]), np.array([1.0]))
+        p = power_allocation(np.array([1.0]), np.array([1.0]))
         d_p, d_s = distortion_powers(h, p, cfg)
         # primary receiver: own-system 0.09 * 1 plus secondary's 0.04 * 1
         assert d_p[0] == pytest.approx(0.09 + 0.04, abs=1e-15)
@@ -74,7 +74,7 @@ class TestDistortion:
             noise_power=1.0,
         )
         h = GainMatrices([[0.5, 1.0], [1.0, 1.0]], 1)
-        p = PowerAllocation(np.array([2.0]), np.array([0.0]))
+        p = power_allocation(np.array([2.0]), np.array([0.0]))
         d_p, _ = distortion_powers(h, p, cfg)
         assert d_p[0] == pytest.approx(0.01 * 0.5 * 2.0, abs=1e-15)
 
@@ -82,21 +82,21 @@ class TestDistortion:
         h = unit_gains(2, 2)
         with pytest.raises(ValueError):
             distortion_powers(
-                h, PowerAllocation(np.ones(3), np.ones(2)), CFG_UNIT_NOISE
+                h, power_allocation(np.ones(3), np.ones(2)), CFG_UNIT_NOISE
             )
 
 
 class TestSindr:
     def test_single_link_spot_value(self):
         h = unit_gains()
-        p = PowerAllocation(np.array([1.0]), np.array([0.0]))
+        p = power_allocation(np.array([1.0]), np.array([0.0]))
         sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
         assert sindr_p[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
 
     def test_two_symmetric_links(self):
         # both primary links identical: distortion 0.03, interference 1
         h = unit_gains(2, 1)
-        p = PowerAllocation(np.array([1.0, 1.0]), np.array([0.0]))
+        p = power_allocation(np.array([1.0, 1.0]), np.array([0.0]))
         sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
         np.testing.assert_allclose(sindr_p, 1.0 / 2.03, rtol=1e-12)
 
@@ -110,7 +110,7 @@ class TestSindr:
             k_p = int(rng.integers(1, 9))
             k_s = int(rng.integers(1, 9))
             h = random_gains(rng, k_p, k_s)
-            p = PowerAllocation(rng.random(k_p), rng.random(k_s))
+            p = power_allocation(rng.random(k_p), rng.random(k_s))
             got = evaluate_links(h, p, cfg)
             ref_p, ref_s = sindr_loops(h, p.p_primary, p.p_secondary, cfg)
             np.testing.assert_allclose(got.sindr_p, ref_p, rtol=1e-12)
@@ -118,7 +118,7 @@ class TestSindr:
 
     def test_zero_power_means_zero_sindr(self):
         h = unit_gains(3, 2)
-        p = PowerAllocation(np.zeros(3), np.zeros(2))
+        p = power_allocation(np.zeros(3), np.zeros(2))
         links = evaluate_links(h, p, CFG_UNIT_NOISE)
         np.testing.assert_array_equal(links.sindr_p, 0.0)
         np.testing.assert_array_equal(links.sindr_s, 0.0)
@@ -132,8 +132,8 @@ class TestSindr:
         rng = np.random.default_rng(21)
         h = random_gains(rng, 3, 4)
         pp, ps = rng.random(3) + 0.1, rng.random(4) + 0.1
-        base = evaluate_links(h, PowerAllocation(pp, ps), cfg)
-        scaled = evaluate_links(h, PowerAllocation(17.0 * pp, 17.0 * ps), cfg)
+        base = evaluate_links(h, power_allocation(pp, ps), cfg)
+        scaled = evaluate_links(h, power_allocation(17.0 * pp, 17.0 * ps), cfg)
         np.testing.assert_allclose(base.sindr_p, scaled.sindr_p, rtol=1e-9)
         np.testing.assert_allclose(base.sindr_s, scaled.sindr_s, rtol=1e-9)
 
@@ -143,17 +143,17 @@ class TestSindr:
         h = random_gains(rng, 2, 2)
         pp = np.array([0.5, 0.3])
         ps = np.array([0.4, 0.2])
-        base = evaluate_links(h, PowerAllocation(pp, ps), cfg)
+        base = evaluate_links(h, power_allocation(pp, ps), cfg)
         bumped = pp.copy()
         bumped[1] += 0.4
-        got = evaluate_links(h, PowerAllocation(bumped, ps), cfg)
+        got = evaluate_links(h, power_allocation(bumped, ps), cfg)
         assert got.sindr_p[0] <= base.sindr_p[0]
         assert np.all(got.sindr_s <= base.sindr_s)
 
     def test_more_impairment_never_helps(self):
         rng = np.random.default_rng(23)
         h = random_gains(rng, 3, 3)
-        p = PowerAllocation(rng.random(3), rng.random(3))
+        p = power_allocation(rng.random(3), rng.random(3))
         lo = evaluate_links(h, p, RadioConfig(noise_power=1e-10))
         hi_cfg = RadioConfig(
             kappa_t_p=0.2, kappa_r_p=0.2, kappa_t_s=0.2, kappa_r_s=0.2,
@@ -170,10 +170,10 @@ class TestSindr:
         h = unit_gains(2, 1)
         ps = np.array([0.3])
         s_lo = evaluate_links(
-            h, PowerAllocation(np.array([lo, 0.5]), ps), CFG_UNIT_NOISE
+            h, power_allocation(np.array([lo, 0.5]), ps), CFG_UNIT_NOISE
         ).sindr_p
         s_hi = evaluate_links(
-            h, PowerAllocation(np.array([hi, 0.5]), ps), CFG_UNIT_NOISE
+            h, power_allocation(np.array([hi, 0.5]), ps), CFG_UNIT_NOISE
         ).sindr_p
         assert s_hi[0] >= s_lo[0]
 
@@ -220,7 +220,7 @@ class TestEvaluateLinks:
         rng = np.random.default_rng(25)
         cfg = RadioConfig(noise_power=1e-9)
         h = random_gains(rng, 3, 4)
-        p = PowerAllocation(rng.random(3), rng.random(4))
+        p = power_allocation(rng.random(3), rng.random(4))
         links = evaluate_links(h, p, cfg)
         assert isinstance(links, LinkMetrics)
         np.testing.assert_allclose(
@@ -239,7 +239,7 @@ class TestEvaluateLinks:
         cfg = RadioConfig()
         for _ in range(30):
             h = random_gains(rng, 4, 4, scale=1e-4)
-            p = PowerAllocation(rng.random(4), rng.random(4))
+            p = power_allocation(rng.random(4), rng.random(4))
             links = evaluate_links(h, p, cfg)
             for field in (links.sindr_p, links.sindr_s, links.rate_p,
                           links.rate_s, links.ee_s):
@@ -266,7 +266,7 @@ class TestCouplingForm:
             power = rng.uniform(0.0, 1.0, k_p + k_s)
             power[rng.random(k_p + k_s) < 0.25] = 0.0
             pp, ps = power[:k_p], power[k_p:]
-            p = PowerAllocation(pp, ps)
+            p = power_allocation(pp, ps)
 
             links = evaluate_links(h, p, cfg)
             got = (links.sindr_p, links.sindr_s, *distortion_powers(h, p, cfg))
@@ -289,8 +289,20 @@ class TestCouplingForm:
 class TestPowerAllocation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            PowerAllocation(np.array([-0.1]), np.array([0.5]))
+            PowerAllocation(np.array([-0.1, 0.5]), 1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PowerAllocation(np.array([np.inf]), np.array([0.5]))
+            PowerAllocation(np.array([np.inf, 0.5]), 1)
+
+    def test_per_system_powers_are_views_of_joint(self):
+        p = PowerAllocation(np.array([0.1, 0.2, 0.3]), 2)
+        np.testing.assert_array_equal(p.p_primary, [0.1, 0.2])
+        np.testing.assert_array_equal(p.p_secondary, [0.3])
+        assert np.shares_memory(p.p_primary, p.joint)
+        assert np.shares_memory(p.p_secondary, p.joint)
+
+    @pytest.mark.parametrize("k_p", [-1, 4])
+    def test_rejects_k_p_outside_joint(self, k_p):
+        with pytest.raises(ValueError, match="k_p at most its length"):
+            PowerAllocation(np.array([0.1, 0.2, 0.3]), k_p)

@@ -373,7 +373,7 @@ class TestPpoUpdate:
         agent = make_agent(rng, "t", 4, 2, tiny_hyper(), hidden=(6,))
         batch = random_batch(rng)
         # poison the linear output layer; a hidden layer's tanh would mask it
-        agent.value.net.weights[-1][0, 0] = np.inf
+        agent.value.weights[-1][0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match=r"agent 't'.*value loss.*value w1 \(parameters\)"):
             ppo_update(agent, batch, tiny_hyper())
@@ -473,8 +473,24 @@ class TestCheckpointing:
         save_checkpoint(path, agents, rng, iteration=1)
         lone = build_agents(MODE_CENTRALIZED_DIST, SMALL_ENV, hyper,
                             np.random.default_rng(29))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checkpoint lacks agent 'c'"):
             load_checkpoint(path, lone)
+
+    def test_per_layer_checkpoint_is_named_as_such(self, tmp_path):
+        rng = np.random.default_rng(28)
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(), rng)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, agents, rng, iteration=1)
+        # dims plus one key per block, as written before the flat layout
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if not k.endswith("_flat")}
+        for agent in agents:
+            for tag, net in (("pol", agent.policy), ("val", agent.value)):
+                arrays.update({f"{agent.name}_{tag}_{name}": block
+                               for name, block in zip(net.names, net.params())})
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="p_pol in the per-layer format"):
+            load_checkpoint(path, agents)
 
     def test_resume_matches_straight_run(self, tmp_path):
         path = tmp_path / "ck.npz"
