@@ -2,7 +2,7 @@
 
 From a few hundred rows up OpenBLAS splits a matrix product across its
 threads and the partial sums round differently, so ``ppo.train`` runs on one
-thread. Any other BLAS is left alone; ``openblas_found`` is then false.
+thread. Any other or unnamed BLAS is left alone; ``openblas_found`` is then false.
 """
 from __future__ import annotations
 
