@@ -2,14 +2,16 @@
 
 From a few hundred rows up OpenBLAS splits a matrix product across its
 threads and the partial sums round differently, so ``ppo.train`` runs on one
-thread. Any other or unnamed BLAS is left alone; ``openblas_found`` is then false.
+thread. The thread controls are looked up through numpy's own linalg
+extension; the symbol search covers the libraries it links, so they belong
+to the OpenBLAS numpy really calls. Any other BLAS is left alone;
+``openblas_found`` is then false.
 """
 from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -18,16 +20,10 @@ import numpy as np
 def _thread_controls():
     """(get, set) thread-count functions of the bundled OpenBLAS, or None."""
     try:
-        # numpy < 1.25 has no mode="dicts"; other builds may lack the keys
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        libs = list(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
-        if blas.get("name") != "scipy-openblas" or len(libs) != 1:
-            return None
-        # the loader returns the copy numpy already mapped from this file
-        lib = ctypes.CDLL(str(libs[0]))
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
-    except (TypeError, KeyError, AttributeError, OSError):
+    except (OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None

@@ -195,10 +195,7 @@ def perturb_topology(
     ``ChannelParams`` checks that ``max_displacement`` is non-negative."""
     # one draw over all nodes, stacked as p_tx, p_rx, s_tx, s_rx
     nodes = np.concatenate((topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx), dtype=float)
-    n = nodes.shape[0]
-    dist = rng.random(n) * max_displacement
-    ang = rng.uniform(0.0, _TWO_PI, n)
-    nodes += np.column_stack((dist * np.cos(ang), dist * np.sin(ang)))
+    nodes += _ring_offsets(rng, nodes.shape[0], (0.0, max_displacement))
     k_p, k_s = topo.k_p, topo.k_s
     p_tx, p_rx, s_tx, s_rx = np.split(
         clamp_to_disc(nodes, topo.radius), (k_p, 2 * k_p, 2 * k_p + k_s))

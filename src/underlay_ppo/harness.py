@@ -146,6 +146,8 @@ def _parse_value(key: str, raw):
             raise ConfigError("'seeds' must list at least one integer")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("'seeds' must not contain duplicates")
+        if min(seeds) < 0:
+            raise ConfigError("'seeds' must be non-negative")
         return seeds
     kind = type(_FIELD_DEFAULTS[_EXPANSIONS.get(key, (key,))[0]])
     try:

@@ -12,9 +12,9 @@ Flat layout: each network owns one float64 vector ``flat``; its weights
 listed by ``names`` (``w0``, ``b0``, ..., then a policy's ``mean_w``,
 ``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one fresh
 gradient vector in the same layout, and ``AdamState`` keeps its moments as
-two such vectors. A checkpoint stores per network ``dims`` (input, hidden,
-output sizes), which fix the layout, and ``flat``; per optimizer ``m``,
-``v`` and ``t``. ``GaussianPolicyNet(dims, flat)`` rebuilds a policy.
+two such vectors. A network's ``dims`` (input, hidden, output sizes) fix the
+layout, so ``GaussianPolicyNet(dims, flat)`` rebuilds a policy; the
+checkpoint format is defined in ``ppo.save_checkpoint``.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import numpy as np
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+HIDDEN = (64, 64)  # hidden layer widths of the policy and value nets that train builds
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -91,10 +92,10 @@ class DenseNet(_FlatParams):
         self.weights, self.biases = blocks[0::2], blocks[1::2]
 
     @classmethod
-    def init(cls, rng, dims, tanh_output: bool = False, scale: float = 1.0):
-        """Scaled-uniform fan-in init: U[-scale/sqrt(fan_in), +scale/sqrt(fan_in)]."""
-        net = cls(dims, tanh_output=tanh_output)
-        _uniform_init(rng, net.params(), scale)
+    def init(cls, rng, dims):
+        """Fan-in init: every block U[-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+        net = cls(dims)
+        _uniform_init(rng, net.params(), 1.0)
         return net
 
     def forward(self, x):
@@ -154,7 +155,7 @@ class GaussianPolicyNet(_FlatParams):
         self.w_mean, self.b_mean, self.w_log_std, self.b_log_std = self.params()[-4:]
 
     @classmethod
-    def init(cls, rng, obs_dim: int, action_dim: int, hidden=(64, 64),
+    def init(cls, rng, obs_dim: int, action_dim: int, hidden=HIDDEN,
              head_scale: float = 0.01):
         """Fan-in init; heads shrunk by ``head_scale`` so the initial policy
         has near-zero mean and unit std."""
@@ -206,12 +207,6 @@ class ValueNet(DenseNet):
             raise ValueError("value net needs a linear single-unit output")
         super().__init__(dims, flat)
 
-    @classmethod
-    def init(cls, rng, obs_dim: int, hidden=(64, 64)):
-        value = cls([obs_dim, *hidden, 1])
-        _uniform_init(rng, value.params(), 1.0)
-        return value
-
     def forward(self, obs):
         out, cache = super().forward(obs)
         return out[..., 0], cache
@@ -259,14 +254,12 @@ def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
 class AdamState:
     """Adam with bias correction over one flat parameter vector, in place."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float):
         if lr <= 0.0:
             raise ValueError("lr must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -285,12 +278,3 @@ class AdamState:
         v += (1.0 - self.beta2) * np.square(grads)
         params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
         return params
-
-    def state_arrays(self, prefix: str) -> dict:
-        return {f"{prefix}_t": np.array(self.t), f"{prefix}_m": self.m,
-                f"{prefix}_v": self.v}
-
-    def load_state_arrays(self, prefix: str, arrays: dict) -> None:
-        self.t = int(arrays[f"{prefix}_t"])
-        self.m[...] = arrays[f"{prefix}_m"]
-        self.v[...] = arrays[f"{prefix}_v"]

@@ -16,8 +16,8 @@ k) and p the joint K-vector of powers. Then, at every receiver at once,
 
 where W_dist[j, k] = kt[j, k]**2 + [j == k] * kr[k]**2 (transmit and
 receive distortion) and the off-diagonal ones of W add the interference of
-every other transmitter. ``coupling_weights`` builds W and W_dist from the
-four kappas; it is the one home of the transmit-kappa choice below.
+every other transmitter. ``coupling_weights`` builds W from the four kappas;
+it is the one home of the transmit-kappa choice below.
 
 Modelling choice (secondary-kappa cross terms): kt[j, k] is kappa_t_p only
 when transmitter j and receiver k are both primary, and kappa_t_s otherwise.
@@ -103,43 +103,18 @@ class LinkMetrics:
     rate_p: np.ndarray
     rate_s: np.ndarray
     ee_s: np.ndarray
-    nack_p: np.ndarray
     nqos_p: int
 
 
 @lru_cache(maxsize=16)
-def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (K, K) weights (W, W_dist) of the coupling form; see module doc."""
+def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> np.ndarray:
+    """Read-only (K, K) weight matrix W of the coupling form; see module doc."""
     primary = np.arange(k_p + k_s) < k_p
     kt = np.where(np.outer(primary, primary), cfg.kappa_t_p, cfg.kappa_t_s)
     kr = np.where(primary, cfg.kappa_r_p, cfg.kappa_r_s)
-    w_dist = kt**2 + np.diag(kr**2)
-    w = w_dist + (1.0 - np.eye(k_p + k_s))
-    w.flags.writeable = w_dist.flags.writeable = False
-    return w, w_dist
-
-
-def _joint_powers(h: GainMatrices, p: PowerAllocation) -> np.ndarray:
-    if p.k_p != h.k_p or p.joint.size != h.k_p + h.k_s:
-        raise ValueError("power vector lengths must match gain matrix dimensions")
-    return p.joint
-
-
-def distortion_powers(
-    h: GainMatrices, p: PowerAllocation, cfg: RadioConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate distortion power at each primary and secondary receiver.
-
-    Receiver distortion scales with the direct link's received power
-    (kappa_r**2 * h_kk * P_k). Transmit distortion from every transmitter,
-    the desired one included, arrives through the corresponding channel, so
-    the sums run over all j including j = k. The module doc gives the
-    secondary-kappa cross-term modelling choice.
-    """
-    power = _joint_powers(h, p)
-    _, w_dist = coupling_weights(cfg, h.k_p, h.k_s)
-    d = power @ (h.stacked() * w_dist)
-    return d[: h.k_p], d[h.k_p :]
+    w = kt**2 + np.diag(kr**2) + (1.0 - np.eye(k_p + k_s))
+    w.flags.writeable = False
+    return w
 
 
 def energy_efficiency(
@@ -150,37 +125,35 @@ def energy_efficiency(
     return np.divide(rate_s, denom, out=np.zeros(rate_s.shape), where=rate_s > 0.0)
 
 
-def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, int]:
-    """Per-link NACK flags and their count for the primary system.
+def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:
+    """Number of primary links that NACK: the only signal between the systems.
 
     A link NACKs iff its rate is strictly below the threshold; hitting the
     threshold exactly counts as satisfied.
     """
-    below = rate_p < cfg.rate_threshold
-    return below.astype(np.int64), np.count_nonzero(below)
+    return np.count_nonzero(rate_p < cfg.rate_threshold)
 
 
 def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
-    """Full physics chain for one channel draw: SINDR, rates, EE, QoS flags.
+    """Full physics chain for one channel draw: SINDR, rates, EE, NACK count.
 
     Each link k sees its own direct power over noise + distortion + same-system
     interference (j != k) + everything the other system transmits.
     """
     k_p = h.k_p
-    power = _joint_powers(h, p)
-    w, _ = coupling_weights(cfg, k_p, h.k_s)
-    gains = h.stacked()
+    if p.k_p != k_p or p.joint.size != k_p + h.k_s:
+        raise ValueError("power vector lengths must match gain matrix dimensions")
+    power, gains = p.joint, h.stacked()
+    w = coupling_weights(cfg, k_p, h.k_s)
     sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
     rate_p, rate_s = rate[:k_p], rate[k_p:]
-    nack_p, count = nqos(rate_p, cfg)
     return LinkMetrics(
         sindr_p=sindr[:k_p],
         sindr_s=sindr[k_p:],
         rate_p=rate_p,
         rate_s=rate_s,
         ee_s=energy_efficiency(rate_s, p.p_secondary, cfg),
-        nack_p=nack_p,
-        nqos_p=count,
+        nqos_p=nqos(rate_p, cfg),
     )

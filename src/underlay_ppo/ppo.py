@@ -31,6 +31,7 @@ from .env import (
 )
 from .geometry import require_finite
 from .nets import (
+    HIDDEN,
     AdamState,
     GaussianPolicyNet,
     ValueNet,
@@ -181,9 +182,9 @@ class Agent:
 
 
 def make_agent(rng, name: str, obs_dim: int, action_dim: int,
-               hyper: PpoHyper, hidden=(64, 64)) -> Agent:
+               hyper: PpoHyper, hidden=HIDDEN) -> Agent:
     policy = GaussianPolicyNet.init(rng, obs_dim, action_dim, hidden=hidden)
-    value = ValueNet.init(rng, obs_dim, hidden=hidden)
+    value = ValueNet.init(rng, [obs_dim, *hidden, 1])
     return Agent(
         name=name,
         policy=policy,
@@ -232,8 +233,9 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
 def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> None:
     """Snapshot networks, optimizer moments, rng state and iteration index.
 
-    Keys per agent and net (``pol``/``val``): ``<agent>_<net>_{dims,flat}``
-    and ``<agent>_adam_<net>_{m,v,t}``. Writes exactly ``path`` by renaming a
+    The one home of the checkpoint format. Keys per agent and net
+    (``pol``/``val``): ``<agent>_<net>_{dims,flat}`` and
+    ``<agent>_adam_<net>_{t,m,v}``. Writes exactly ``path`` by renaming a
     synced temporary file onto it, so a crash mid-save leaves the previous
     checkpoint intact.
     """
@@ -242,7 +244,8 @@ def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> N
         for tag, net, opt in _parts(agent):
             arrays[f"{agent.name}_{tag}_dims"] = np.array(net.dims, dtype=np.int64)
             arrays[f"{agent.name}_{tag}_flat"] = net.flat
-            arrays.update(opt.state_arrays(f"{agent.name}_adam_{tag}"))
+            adam = f"{agent.name}_adam_{tag}"
+            arrays.update({f"{adam}_t": np.array(opt.t), f"{adam}_m": opt.m, f"{adam}_v": opt.v})
     state_json = json.dumps(rng.bit_generator.state)
     arrays["rng_state"] = np.frombuffer(state_json.encode("utf-8"), dtype=np.uint8)
     path = Path(path)
@@ -276,7 +279,9 @@ def load_checkpoint(path, agents):
             if (dims := arrays[f"{key}_dims"].tolist()) != net.dims:
                 raise ValueError(f"checkpoint {key} has dims {dims}, expected {net.dims}")
             net.flat[...] = arrays[f"{key}_flat"]
-            opt.load_state_arrays(f"{agent.name}_adam_{tag}", arrays)
+            adam = f"{agent.name}_adam_{tag}"
+            opt.t = int(arrays[f"{adam}_t"])
+            opt.m[...], opt.v[...] = arrays[f"{adam}_m"], arrays[f"{adam}_v"]
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(
         arrays["rng_state"].tobytes().decode("utf-8")

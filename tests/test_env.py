@@ -294,7 +294,7 @@ class TestStepMatchesReferenceChain:
             np.testing.assert_array_equal(out.obs_secondary, np.concatenate(
                 (distance_features_reference(world.topology, "secondary"), links.ee_s,
                  [links.nqos_p])))
-            for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s", "nack_p"):
+            for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
                 np.testing.assert_array_equal(getattr(out.links, name), getattr(links, name))
         # the draws reached both branches of each reward
         penalties = np.array(penalties)
@@ -347,7 +347,7 @@ class TestPerEpisodeGeometry:
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
                 )
                 expect = evaluate_links(h, power, radio)
-                for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s", "nack_p"):
+                for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
                     np.testing.assert_array_equal(
                         getattr(out.links, name), getattr(expect, name), err_msg=name)
                 assert out.links.nqos_p == expect.nqos_p

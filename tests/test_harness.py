@@ -111,6 +111,10 @@ update_epochs=10
 """
 
 
+def _unloadable(path):
+    raise OSError(f"cannot load {path}")
+
+
 def tiny_cfg(out=None, extra=()):
     overrides = list(TINY) + [("seeds", "0,1")] + list(extra)
     if out is not None:
@@ -457,16 +461,30 @@ class TestRunExperiment:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "BLAS thread count is not pinned" in lines[0]
 
-    # numpy < 1.25 has no mode= (TypeError); a build may lack the keys (KeyError)
-    @pytest.mark.parametrize("show_config", [lambda: None, lambda mode="stdout": {}],
-                             ids=["no-mode-argument", "no-build-dependencies"])
-    def test_unreadable_numpy_config_counts_as_unknown_blas(
-            self, tmp_path, monkeypatch, capsys, show_config):
-        monkeypatch.setattr(np, "show_config", show_config)
+    # the linalg extension cannot be loaded, or it links no scipy-openblas
+    @pytest.mark.parametrize("cdll", [_unloadable, lambda path: object()],
+                             ids=["library-not-loadable", "symbol-missing"])
+    def test_failed_blas_lookup_counts_as_unknown_blas(
+            self, tmp_path, monkeypatch, capsys, cdll):
+        real = blas._thread_controls()  # the real lookup, cached before the failure
+        monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
         blas._thread_controls.cache_clear()
+        seen = []
         try:
             assert not blas.openblas_found()
             assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
+            if real is not None:  # train leaves the real thread count alone
+                get, set_ = real
+                before = get()
+                set_(2)
+                outside = get()
+                try:
+                    ppo.train(EnvConfig(), PpoHyper(iters=1, batch=5, episode_len=5),
+                              ppo.MODE_COEXIST, np.random.default_rng(0),
+                              on_iteration=lambda row: seen.append(get()))
+                finally:
+                    set_(before)
+                assert seen == [outside]
         finally:
             blas._thread_controls.cache_clear()
         lines = capsys.readouterr().err.splitlines()
@@ -539,6 +557,12 @@ class TestCli:
         assert status == 0
         printed = capsys.readouterr().out
         assert "reward_p" in printed
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.main(["run", "--seeds=-1,2", "--out", str(out), "--quiet"]) == 2
+        assert "'seeds' must be non-negative" in capsys.readouterr().err
+        assert not (out / "failure_diagnostics.txt").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         status = cli.main(["run", "--set", "bogus=1", "--out", str(tmp_path / "x")])

@@ -465,6 +465,30 @@ class TestCheckpointing:
             rng.standard_normal(4), restored_rng.standard_normal(4)
         )
 
+    def test_round_trip_restores_optimizer_state(self, tmp_path):
+        rng = np.random.default_rng(35)
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(), rng)
+        for agent in agents:
+            for net, opt in ((agent.policy, agent.opt_policy), (agent.value, agent.opt_value)):
+                for _ in range(3):
+                    opt.step(net.flat, rng.standard_normal(net.flat.size))
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, agents, rng, iteration=3)
+        with np.load(path) as data:
+            adam_keys = sorted(k for k in data.files if "_adam_" in k)
+        assert adam_keys == [f"{a}_adam_{net}_{part}" for a in "ps"
+                             for net in ("pol", "val") for part in "mtv"]
+
+        fresh = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(),
+                             np.random.default_rng(36))
+        load_checkpoint(path, fresh)
+        for agent, clone in zip(agents, fresh):
+            for opt, got in ((agent.opt_policy, clone.opt_policy),
+                             (agent.opt_value, clone.opt_value)):
+                assert got.t == opt.t == 3
+                np.testing.assert_array_equal(got.m, opt.m)
+                np.testing.assert_array_equal(got.v, opt.v)
+
     def test_missing_agent_rejected(self, tmp_path):
         rng = np.random.default_rng(28)
         hyper = tiny_hyper()
