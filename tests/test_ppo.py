@@ -11,12 +11,18 @@ from hypothesis import strategies as st
 
 from oracles import gae_loops, max_rel_err, numeric_grad
 from underlay_ppo import blas
-from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, observation_dim
+from underlay_ppo.env import (
+    EnvConfig,
+    SpectrumSharingEnv,
+    build_centralized_obs,
+    observation_dim,
+)
 from underlay_ppo.nets import gaussian_log_prob, logprob_grads_from_forward
 from underlay_ppo.ppo import (
     MODE_CENTRALIZED_DIST,
     MODE_CENTRALIZED_FULL_CSI,
     MODE_COEXIST,
+    MODES,
     METRIC_FIELDS,
     PpoHyper,
     TrainingDiverged,
@@ -442,6 +448,47 @@ class TestCollect:
         for agent, batch in zip(agents, batches):
             per_row = [agent.value.value(ob) for ob in batch.obs]
             np.testing.assert_allclose(batch.values, per_row, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_batch_matches_a_replay_of_its_actions(self, mode):
+        """A one-episode rollout against env.reset and env.step replaying its
+        actions on a twin rng: observations, rewards (the two systems' sum for
+        the centralized agent), dones, bootstraps and metric means, bit for bit."""
+        rng = np.random.default_rng(25)
+        hyper = tiny_hyper(batch=5, episode_len=5)
+        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        agents = build_agents(mode, SMALL_ENV, hyper, rng)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        batches, means = _collect(env, agents, mode, hyper, rng)
+
+        k_p = SMALL_ENV.k_p
+        world, obs_p, obs_s = env.reset(twin)
+        seen, rewards, dones = [], [], []
+        sums = np.zeros(len(METRIC_FIELDS))
+        for raw in np.concatenate([batch.actions for batch in batches], axis=1):
+            if mode == MODE_COEXIST:
+                seen.append([obs_p, obs_s])
+            else:
+                seen.append([build_centralized_obs(world, mode)])
+            out = env.step(world, raw[:k_p], raw[k_p:])
+            obs_p, obs_s = out.obs_primary, out.obs_secondary
+            row = out.row
+            rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
+            dones.append(float(world.step_index == hyper.episode_len))
+            sums += row
+        if mode == MODE_COEXIST:
+            final = [obs_p, obs_s]
+        else:
+            final = [build_centralized_obs(world, mode)]
+
+        assert dones == [0.0, 0.0, 0.0, 0.0, 1.0]
+        for i, (agent, batch) in enumerate(zip(agents, batches)):
+            np.testing.assert_array_equal(batch.obs, [obs[i] for obs in seen])
+            np.testing.assert_array_equal(batch.rewards, [r[i] for r in rewards])
+            np.testing.assert_array_equal(batch.dones, dones)
+            assert batch.bootstrap_value == agent.value.value(final[i])
+        assert list(means.values()) == (sums / hyper.batch).tolist()
 
 
 class TestCheckpointing:
