@@ -13,7 +13,6 @@ from .env import (
     OBS_SECONDARY,
     EnvConfig,
     SpectrumSharingEnv,
-    StepOutcome,
     observation_dim,
 )
 from .geometry import ChannelParams, GainMatrices, Topology, sample_topology
@@ -60,7 +59,6 @@ __all__ = [
     "PpoHyper",
     "RadioConfig",
     "SpectrumSharingEnv",
-    "StepOutcome",
     "Topology",
     "TrajectoryBatch",
     "ValueNet",

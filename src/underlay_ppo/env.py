@@ -22,12 +22,17 @@ nothing: advancing ``WorldState.step_index`` moves ``WorldState.gains`` on to
 the step's matrix, and the physics runs on it. Within a rollout, the only
 draws made between two resets are the agents' action noise.
 
-Row contract: ``step`` returns its 12 scalar metrics (rewards, summed rates,
-EE and powers, NACK count, clip penalties, active-link counts) as one
-float64 vector ``StepOutcome.row`` in ``METRIC_FIELDS`` order; a rollout's
-CSV row is the mean of its step rows. ``step`` clips the joint raw vector
-(primary first) once against the stacked caps, and each system's penalty
-sums its slice of ``|raw - applied|``.
+Row contract: ``step`` takes the joint raw power vector, primary links
+first, and returns its 12 scalar metrics (rewards, summed rates, EE and
+powers, NACK count, clip penalties, active-link counts) as one float64 vector
+in ``METRIC_FIELDS`` order; the two rewards are its first two entries, and a
+rollout's CSV row is the mean of its step rows. ``step`` clips the raw vector
+once against the stacked caps, and each system's penalty sums its slice of
+``|raw - applied|``.
+
+The environment builds no observation. ``step`` keeps its ``LinkMetrics`` in
+``WorldState.links`` (zeros after a reset), and the caller builds each
+agent's observation from ``world`` with the builders below.
 """
 from __future__ import annotations
 
@@ -40,7 +45,6 @@ from .geometry import (
     ChannelParams,
     GainMatrices,
     LinkGeometry,
-    Topology,
     link_geometry,
     perturb_topology,
     require_finite,
@@ -57,7 +61,7 @@ OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
 # applied powers above this fraction of the cap count as "active" users
 ACTIVE_POWER_FRACTION = 1e-3
 
-# per-step scalar metrics, in the order of StepOutcome.row and the CSV columns
+# per-step scalar metrics, in the order of the step row and the CSV columns
 METRIC_FIELDS = (
     "reward_p", "reward_s", "sum_rate_p", "sum_rate_s", "sum_ee_s", "sum_power_p",
     "sum_power_s", "nqos_p", "delta_p", "delta_s", "active_p", "active_s",
@@ -105,36 +109,18 @@ class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
     ``geometry`` and ``episode_gains`` (the T + 1 channel draws of the
-    episode) are fixed at reset; ``gains`` is the one for ``step_index``.
+    episode) are fixed at reset; ``gains`` is the one for ``step_index``, and
+    ``links`` holds the physics of the last step.
     """
 
     geometry: LinkGeometry
     episode_gains: tuple[GainMatrices, ...]
-    last_rate_p: np.ndarray
-    last_ee_s: np.ndarray
-    last_nqos_p: float
+    links: LinkMetrics
     step_index: int
-
-    @property
-    def topology(self) -> Topology:
-        return self.geometry.topology
 
     @property
     def gains(self) -> GainMatrices:
         return self.episode_gains[self.step_index]
-
-
-@dataclass(frozen=True, eq=False)
-class StepOutcome:
-    """One step's observations, rewards, metric row (see module doc) and physics."""
-
-    obs_primary: np.ndarray
-    obs_secondary: np.ndarray
-    reward_p: float
-    reward_s: float
-    done: int
-    row: np.ndarray
-    links: LinkMetrics
 
 
 def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) -> float:
@@ -154,17 +140,12 @@ def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
 
 
 def build_primary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate((world.geometry.features["primary"], world.last_rate_p))
+    return np.concatenate((world.geometry.features["primary"], world.links.rate_p))
 
 
 def build_secondary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate(
-        (
-            world.geometry.features["secondary"],
-            world.last_ee_s,
-            [world.last_nqos_p],
-        )
-    )
+    links = world.links
+    return np.concatenate((world.geometry.features["secondary"], links.ee_s, [links.nqos_p]))
 
 
 def _scaled_log_gains(gains: GainMatrices) -> np.ndarray:
@@ -181,7 +162,8 @@ def build_centralized_obs(world: WorldState, variant: str) -> np.ndarray:
         head = world.geometry.features["all"]
     else:
         raise ValueError(f"unknown centralized variant {variant!r}")
-    return np.concatenate((head, world.last_rate_p, world.last_ee_s, [world.last_nqos_p]))
+    links = world.links
+    return np.concatenate((head, links.rate_p, links.ee_s, [links.nqos_p]))
 
 
 class SpectrumSharingEnv:
@@ -208,31 +190,29 @@ class SpectrumSharingEnv:
         self._p_max = np.repeat((radio.p_max_p, radio.p_max_s), (cfg.k_p, cfg.k_s))
         self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
 
-    def reset(
-        self, rng: np.random.Generator
-    ) -> tuple[WorldState, np.ndarray, np.ndarray]:
-        """Start an episode; metric slots in the first observation are zero."""
+    def reset(self, rng: np.random.Generator) -> WorldState:
+        """Start an episode; its link metrics, and so the first observations'
+        metric slots, are zero."""
         cfg = self.cfg
         topo = perturb_topology(self.base_topology, rng, cfg.channel.max_displacement)
         geometry = link_geometry(topo, cfg.channel)
-        world = WorldState(
+        return WorldState(
             geometry=geometry,
             episode_gains=sample_gain_matrices(geometry, rng, self.episode_len + 1),
-            last_rate_p=np.zeros(cfg.k_p),
-            last_ee_s=np.zeros(cfg.k_s),
-            last_nqos_p=0.0,
+            # sindr_p, sindr_s, rate_p, rate_s and ee_s zero, no NACK
+            links=LinkMetrics(*map(np.zeros, (cfg.k_p, cfg.k_s, cfg.k_p, cfg.k_s, cfg.k_s)), 0),
             step_index=0,
         )
-        return world, build_primary_obs(world), build_secondary_obs(world)
 
-    def step(self, world: WorldState, raw_action_p, raw_action_s) -> StepOutcome:
-        """Advance the world by one slot under both agents' raw power vectors."""
+    def step(self, world: WorldState, raw) -> np.ndarray:
+        """Advance the world by one slot under the joint raw power vector;
+        returns the step's metric row (see module doc)."""
         if world.step_index >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
         radio, k_p = self.cfg.radio, self.cfg.k_p
-        if np.shape(raw_action_p) != (k_p,) or np.shape(raw_action_s) != (self.cfg.k_s,):
-            raise ValueError("action vectors must have shapes (k_p,) and (k_s,)")
-        raw = np.concatenate((raw_action_p, raw_action_s), dtype=float)
+        if np.shape(raw) != self._p_max.shape:
+            raise ValueError("the raw action vector must have shape (k_p + k_s,)")
+        raw = np.asarray(raw, dtype=float)
         applied = raw.clip(0.0, self._p_max)
         excess = np.abs(raw - applied)
         delta_p, delta_s = float(excess[:k_p].sum()), float(excess[k_p:].sum())
@@ -241,24 +221,13 @@ class SpectrumSharingEnv:
             raise ValueError("raw actions must be finite")
 
         world.step_index += 1
-        links = evaluate_links(world.gains, PowerAllocation(applied, k_p), radio)
+        links = world.links = evaluate_links(world.gains, PowerAllocation(applied, k_p), radio)
         nqos_p = float(links.nqos_p)
-        r_p = reward_primary(links.rate_p, radio.rate_threshold, delta_p)
-        r_s = reward_secondary(links.ee_s, nqos_p, delta_s)
-        world.last_rate_p, world.last_ee_s, world.last_nqos_p = links.rate_p, links.ee_s, nqos_p
-
         active = applied > self._active_floor
-        row = np.array((
-            r_p, r_s, links.rate_p.sum(), links.rate_s.sum(), links.ee_s.sum(),
+        return np.array((
+            reward_primary(links.rate_p, radio.rate_threshold, delta_p),
+            reward_secondary(links.ee_s, nqos_p, delta_s),
+            links.rate_p.sum(), links.rate_s.sum(), links.ee_s.sum(),
             applied[:k_p].sum(), applied[k_p:].sum(), nqos_p, delta_p, delta_s,
             np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
         ))
-        return StepOutcome(
-            obs_primary=build_primary_obs(world),
-            obs_secondary=build_secondary_obs(world),
-            reward_p=r_p,
-            reward_s=r_s,
-            done=int(world.step_index == self.episode_len),
-            row=row,
-            links=links,
-        )

@@ -25,6 +25,7 @@ import numpy as np
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 HIDDEN = (64, 64)  # hidden layer widths of the policy and value nets that train builds
+HEAD_SCALE = 0.01  # init shrink of the policy heads: near-zero mean, unit std
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -155,14 +156,13 @@ class GaussianPolicyNet(_FlatParams):
         self.w_mean, self.b_mean, self.w_log_std, self.b_log_std = self.params()[-4:]
 
     @classmethod
-    def init(cls, rng, obs_dim: int, action_dim: int, hidden=HIDDEN,
-             head_scale: float = 0.01):
-        """Fan-in init; heads shrunk by ``head_scale`` so the initial policy
+    def init(cls, rng, obs_dim: int, action_dim: int, hidden=HIDDEN):
+        """Fan-in init; heads shrunk by ``HEAD_SCALE`` so the initial policy
         has near-zero mean and unit std."""
         policy = cls([obs_dim, *hidden, action_dim])
         blocks = policy.params()
         _uniform_init(rng, blocks[:-4], 1.0)
-        _uniform_init(rng, blocks[-4:], head_scale)
+        _uniform_init(rng, blocks[-4:], HEAD_SCALE)
         return policy
 
     @property

@@ -62,10 +62,10 @@ class RadioConfig:
             k = getattr(self, name)
             if not 0.0 <= k <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5]")
-        for name in ("noise_power", "p_max_p", "p_max_s", "p_circuit"):
+        for name in ("noise_power", "p_max_p", "p_max_s", "tau", "p_circuit"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("rate_threshold", "tau", "rho_decode"):
+        for name in ("rate_threshold", "rho_decode"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -74,7 +74,7 @@ class RadioConfig:
 class PowerAllocation:
     """Applied (already clamped) transmit powers in watts. ``joint`` stacks
     both systems, the ``k_p`` primary links first, and is checked once on
-    construction; ``p_primary`` and ``p_secondary`` are views of it."""
+    construction; ``p_secondary`` is a view of it."""
 
     joint: np.ndarray
     k_p: int
@@ -84,10 +84,6 @@ class PowerAllocation:
             raise ValueError("joint must be 1-D, with k_p at most its length")
         if self.joint.size and not (0.0 <= self.joint.min() and self.joint.max() < np.inf):
             raise ValueError("power entries must be finite and non-negative")  # nan fails both
-
-    @property
-    def p_primary(self) -> np.ndarray:
-        return self.joint[: self.k_p]
 
     @property
     def p_secondary(self) -> np.ndarray:
@@ -120,9 +116,9 @@ def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> np.ndarray:
 def energy_efficiency(
     rate_s: np.ndarray, p_s: np.ndarray, cfg: RadioConfig
 ) -> np.ndarray:
-    """Bits per joule proxy: rate / (tau * (p + p_circuit) + rho_decode * rate)."""
-    denom = cfg.tau * (p_s + cfg.p_circuit) + cfg.rho_decode * rate_s
-    return np.divide(rate_s, denom, out=np.zeros(rate_s.shape), where=rate_s > 0.0)
+    """Bits per joule proxy: rate / (tau * (p + p_circuit) + rho_decode * rate),
+    0 at zero rate (the denominator is at least tau * p_circuit > 0)."""
+    return rate_s / (cfg.tau * (p_s + cfg.p_circuit) + cfg.rho_decode * rate_s)
 
 
 def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:

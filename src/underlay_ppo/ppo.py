@@ -27,6 +27,8 @@ from .env import (
     EnvConfig,
     SpectrumSharingEnv,
     build_centralized_obs,
+    build_primary_obs,
+    build_secondary_obs,
     observation_dim,
 )
 from .geometry import require_finite
@@ -43,7 +45,14 @@ from .nets import (
 MODE_COEXIST = "coexist_dist"
 MODE_CENTRALIZED_DIST = OBS_CENTRALIZED_DIST
 MODE_CENTRALIZED_FULL_CSI = OBS_CENTRALIZED_FULL_CSI
-MODES = (MODE_COEXIST, MODE_CENTRALIZED_DIST, MODE_CENTRALIZED_FULL_CSI)
+# each mode's agents as (name, observation kind), in the order their actions
+# join into the joint power vector (primary links first)
+MODE_AGENTS = {
+    MODE_COEXIST: (("p", OBS_PRIMARY), ("s", OBS_SECONDARY)),
+    MODE_CENTRALIZED_DIST: (("c", OBS_CENTRALIZED_DIST),),
+    MODE_CENTRALIZED_FULL_CSI: (("c", OBS_CENTRALIZED_FULL_CSI),),
+}
+MODES = tuple(MODE_AGENTS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -290,74 +299,64 @@ def load_checkpoint(path, agents):
 
 
 def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Agent]:
+    if mode not in MODE_AGENTS:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     k_p, k_s = env_cfg.k_p, env_cfg.k_s
-    if mode == MODE_COEXIST:
-        return [
-            make_agent(rng, "p", observation_dim(OBS_PRIMARY, k_p, k_s), k_p, hyper),
-            make_agent(rng, "s", observation_dim(OBS_SECONDARY, k_p, k_s), k_s, hyper),
-        ]
-    if mode in (MODE_CENTRALIZED_DIST, MODE_CENTRALIZED_FULL_CSI):
-        return [make_agent(rng, "c", observation_dim(mode, k_p, k_s), k_p + k_s, hyper)]
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    action_dims = {OBS_PRIMARY: k_p, OBS_SECONDARY: k_s}  # a centralized agent powers all links
+    return [make_agent(rng, name, observation_dim(kind, k_p, k_s),
+                       action_dims.get(kind, k_p + k_s), hyper)
+            for name, kind in MODE_AGENTS[mode]]
 
 
-def _empty_batch(n: int, obs_dim: int, action_dim: int) -> TrajectoryBatch:
-    return TrajectoryBatch(
-        obs=np.empty((n, obs_dim)),
-        actions=np.empty((n, action_dim)),
-        log_probs_old=np.empty(n),
-        rewards=np.empty(n),
-        dones=np.empty(n),
-        values=np.empty(n),
-        bootstrap_value=0.0,
-    )
+def _observe(world, kind: str) -> np.ndarray:
+    """What an agent of observation ``kind`` sees of ``world``."""
+    if kind == OBS_PRIMARY:
+        return build_primary_obs(world)
+    if kind == OBS_SECONDARY:
+        return build_secondary_obs(world)
+    return build_centralized_obs(world, kind)
+
+
+def _rewards(rows: np.ndarray, kind: str) -> np.ndarray:
+    """Per-step rewards of an agent of ``kind`` from the step rows: its own
+    system's reward, or the sum of both for a centralized agent."""
+    if kind == OBS_PRIMARY:
+        return rows[:, 0]
+    if kind == OBS_SECONDARY:
+        return rows[:, 1]
+    return rows[:, 0] + rows[:, 1]
 
 
 def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
-    """Roll out one batch of transitions; returns (per-agent batches, metric means)."""
+    """Roll out one batch of transitions; returns (per-agent batches, metric means).
+
+    Every mode runs the same loop: each agent observes the world and acts, and
+    the env steps the joint power vector their actions form.
+    """
     n, t_len = hyper.batch, hyper.episode_len
-    episodes = n // t_len
-    coexist = mode == MODE_COEXIST
-    batches = [
-        _empty_batch(n, agent.policy.obs_dim, agent.policy.action_dim)
-        for agent in agents
-    ]
-    sums = np.zeros(len(METRIC_FIELDS))  # in METRIC_FIELDS order
-    k_p = env.cfg.k_p
-    idx = 0
-    for _ in range(episodes):
-        world, obs_p, obs_s = env.reset(rng)
-        if coexist:
-            obs = [obs_p, obs_s]
-        else:
-            obs = [build_centralized_obs(world, mode)]
-        for _ in range(t_len):
-            actions = []
-            for agent, batch, ob in zip(agents, batches, obs):
-                act, logp = sample_action(agent.policy, ob, rng)
-                batch.obs[idx] = ob
-                batch.actions[idx] = act
-                batch.log_probs_old[idx] = logp
-                actions.append(act)
-            if coexist:
-                out = env.step(world, actions[0], actions[1])
-                rewards = (out.reward_p, out.reward_s)
-                obs = [out.obs_primary, out.obs_secondary]
-            else:
-                out = env.step(world, actions[0][:k_p], actions[0][k_p:])
-                rewards = (out.reward_p + out.reward_s,)
-                obs = [build_centralized_obs(world, mode)]
-            for batch, reward in zip(batches, rewards):
-                batch.rewards[idx] = reward
-                batch.dones[idx] = float(out.done)
-            sums += out.row
-            idx += 1
+    kinds = [kind for _, kind in MODE_AGENTS[mode]]
+    obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
+    actions = [np.empty((n, agent.policy.action_dim)) for agent in agents]
+    log_probs = np.empty((len(agents), n))
+    rows = np.empty((n, len(METRIC_FIELDS)))  # step rows, in METRIC_FIELDS order
+    sums = np.zeros(len(METRIC_FIELDS))
+    for idx in range(n):
+        if idx % t_len == 0:
+            world = env.reset(rng)
+        for i, (agent, kind) in enumerate(zip(agents, kinds)):
+            obs[i][idx] = ob = _observe(world, kind)
+            actions[i][idx], log_probs[i, idx] = sample_action(agent.policy, ob, rng)
+        rows[idx] = row = env.step(world, np.concatenate([act[idx] for act in actions]))
+        sums += row
+    dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     # the nets do not change during a rollout, so one batched pass per agent
-    for agent, batch, ob in zip(agents, batches, obs):
-        batch.values[:] = agent.value.forward(batch.obs)[0]
-        batch.bootstrap_value = agent.value.value(ob)
-    means = dict(zip(METRIC_FIELDS, (sums / n).tolist()))
-    return batches, means
+    batches = [
+        TrajectoryBatch(obs=ob, actions=act, log_probs_old=logp, rewards=_rewards(rows, kind),
+                        dones=dones, values=agent.value.forward(ob)[0],
+                        bootstrap_value=agent.value.value(_observe(world, kind)))
+        for agent, kind, ob, act, logp in zip(agents, kinds, obs, actions, log_probs)
+    ]
+    return batches, dict(zip(METRIC_FIELDS, (sums / n).tolist()))
 
 
 @one_blas_thread()

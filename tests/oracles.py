@@ -188,6 +188,21 @@ def gains_reference(topo, params, rng, draws):
     return gains.reshape((draws,) + dists.shape)
 
 
+def unshrunk_policy(rng, obs_dim, action_dim, hidden):
+    """``GaussianPolicyNet.init`` without its head shrink: the same fan-in
+    draws in the same order, U[-1/sqrt(fan_in), +1/sqrt(fan_in)] for each
+    weight block then its bias, input to output, heads included."""
+    from underlay_ppo.nets import GaussianPolicyNet
+
+    policy = GaussianPolicyNet([obs_dim, *hidden, action_dim])
+    blocks = policy.params()
+    for w, b in zip(blocks[0::2], blocks[1::2]):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, w.shape)
+        b[...] = rng.uniform(-bound, bound, b.shape)
+    return policy
+
+
 def power_allocation(p_primary, p_secondary):
     """``PowerAllocation`` of two per-system power vectors."""
     from underlay_ppo.phy import PowerAllocation

@@ -25,6 +25,7 @@ from oracles import (
     power_allocation,
     random_gains,
     sindr_loops,
+    unshrunk_policy,
 )
 from underlay_ppo import harness
 from underlay_ppo.env import (
@@ -35,12 +36,13 @@ from underlay_ppo.env import (
     EnvConfig,
     SpectrumSharingEnv,
     build_centralized_obs,
+    build_primary_obs,
+    build_secondary_obs,
     observation_dim,
     reward_primary,
 )
 from underlay_ppo.geometry import ChannelParams, GainMatrices, los_probability
 from underlay_ppo.nets import (
-    GaussianPolicyNet,
     gaussian_log_prob,
     logprob_grads_from_forward,
 )
@@ -166,7 +168,7 @@ def test_criterion_1_exact_gradients():
     )
     value_err = max_rel_err(agent.value.blocks(val_grads), val_numeric)
 
-    pol2 = GaussianPolicyNet.init(rng, 6, 4, hidden=(8,), head_scale=1.0)
+    pol2 = unshrunk_policy(rng, 6, 4, hidden=(8,))
     obs = rng.standard_normal((9, 6))
     actions = rng.standard_normal((9, 4))
     weights = rng.standard_normal(9)
@@ -369,7 +371,8 @@ def test_criterion_9_observation_dims():
     # the live environment must agree with the formula
     rng = np.random.default_rng(3)
     env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng, episode_len=4)
-    world, obs_p, obs_s = env.reset(rng)
+    world = env.reset(rng)
+    obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
     live_ok = (
         obs_p.shape == (20,)
         and obs_s.shape == (73,)

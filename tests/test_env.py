@@ -33,9 +33,9 @@ from oracles import (
 )
 
 
-def metric(out, name):
+def metric(row, name):
     """One entry of a step's metric row, by its METRIC_FIELDS name."""
-    return out.row[METRIC_FIELDS.index(name)]
+    return row[METRIC_FIELDS.index(name)]
 
 
 def make_env(seed=0, episode_len=10, **kwargs):
@@ -132,7 +132,8 @@ class TestReset:
     def test_initial_state(self):
         env, cfg = make_env(seed=1, episode_len=10)
         rng = np.random.default_rng(2)
-        world, obs_p, obs_s = env.reset(rng)
+        world = env.reset(rng)
+        obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
         assert world.step_index == 0
         assert obs_p.shape == (observation_dim(OBS_PRIMARY, cfg.k_p, cfg.k_s),)
         assert obs_s.shape == (observation_dim(OBS_SECONDARY, cfg.k_p, cfg.k_s),)
@@ -145,117 +146,116 @@ class TestReset:
         base = env.base_topology
         rng = np.random.default_rng(4)
         for _ in range(10):
-            world, _, _ = env.reset(rng)
-            drift = np.linalg.norm(world.topology.p_tx - base.p_tx, axis=1)
+            world = env.reset(rng)
+            drift = np.linalg.norm(world.geometry.topology.p_tx - base.p_tx, axis=1)
             assert np.all(drift <= cfg.channel.max_displacement + 1e-9)
 
     def test_resets_differ_but_share_base(self):
         env, _ = make_env(seed=5)
         rng = np.random.default_rng(6)
-        w1, _, _ = env.reset(rng)
-        w2, _, _ = env.reset(rng)
-        assert not np.array_equal(w1.topology.p_tx, w2.topology.p_tx)
+        w1 = env.reset(rng)
+        w2 = env.reset(rng)
+        assert not np.array_equal(w1.geometry.topology.p_tx, w2.geometry.topology.p_tx)
 
 
 class TestStep:
     def test_metrics_and_done_flag(self):
         env, cfg = make_env(seed=7, episode_len=3)
         rng = np.random.default_rng(8)
-        world, _, _ = env.reset(rng)
-        a_p = np.full(cfg.k_p, 0.5)
-        a_s = np.full(cfg.k_s, 0.5)
+        world = env.reset(rng)
+        raw = np.full(cfg.k_p + cfg.k_s, 0.5)
         for t in range(3):
-            out = env.step(world, a_p, a_s)
-            assert out.done == (1 if t == 2 else 0)
-            assert metric(out, "sum_power_p") == pytest.approx(0.5 * cfg.k_p)
-            assert 0 <= metric(out, "nqos_p") <= cfg.k_p
-            assert metric(out, "delta_p") == 0.0 and metric(out, "delta_s") == 0.0
+            row = env.step(world, raw)
+            assert (world.step_index == env.episode_len) == (t == 2)
+            assert metric(row, "sum_power_p") == pytest.approx(0.5 * cfg.k_p)
+            assert 0 <= metric(row, "nqos_p") <= cfg.k_p
+            assert metric(row, "delta_p") == 0.0 and metric(row, "delta_s") == 0.0
         with pytest.raises(RuntimeError):
-            env.step(world, a_p, a_s)
+            env.step(world, raw)
 
     def test_zero_powers_propagate(self):
         env, cfg = make_env(seed=9, episode_len=4)
         rng = np.random.default_rng(10)
-        world, _, _ = env.reset(rng)
-        out = env.step(world, np.zeros(cfg.k_p), np.zeros(cfg.k_s))
-        assert metric(out, "sum_rate_p") == 0.0
-        assert metric(out, "sum_ee_s") == 0.0
-        assert metric(out, "nqos_p") == cfg.k_p
-        assert out.reward_p == pytest.approx(-cfg.k_p * 0.5)
-        assert metric(out, "active_p") == 0 and metric(out, "active_s") == 0
+        world = env.reset(rng)
+        row = env.step(world, np.zeros(cfg.k_p + cfg.k_s))
+        assert metric(row, "sum_rate_p") == 0.0
+        assert metric(row, "sum_ee_s") == 0.0
+        assert metric(row, "nqos_p") == cfg.k_p
+        assert metric(row, "reward_p") == pytest.approx(-cfg.k_p * 0.5)
+        assert metric(row, "active_p") == 0 and metric(row, "active_s") == 0
 
     def test_active_count_threshold(self):
         env, cfg = make_env(seed=11, episode_len=4)
         rng = np.random.default_rng(12)
-        world, _, _ = env.reset(rng)
-        a_p = np.array([0.0, 0.5])
-        a_s = np.array([2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
-        out = env.step(world, a_p, a_s)
-        assert metric(out, "active_p") == 1
-        assert metric(out, "active_s") == 1
+        world = env.reset(rng)
+        raw = np.array([0.0, 0.5, 2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
+        row = env.step(world, raw)
+        assert metric(row, "active_p") == 1
+        assert metric(row, "active_s") == 1
 
     def test_gains_resampled_each_step(self):
         env, cfg = make_env(seed=13, episode_len=5)
         rng = np.random.default_rng(14)
-        world, _, _ = env.reset(rng)
+        world = env.reset(rng)
         g0 = world.gains.stacked().copy()
-        env.step(world, np.full(cfg.k_p, 0.4), np.full(cfg.k_s, 0.4))
+        env.step(world, np.full(cfg.k_p + cfg.k_s, 0.4))
         g1 = world.gains.stacked().copy()
         assert not np.array_equal(g0, g1)
 
     def test_action_shape_validated(self):
         env, cfg = make_env(seed=15, episode_len=2)
         rng = np.random.default_rng(16)
-        world, _, _ = env.reset(rng)
-        with pytest.raises(ValueError):
-            env.step(world, np.zeros(cfg.k_p + 1), np.zeros(cfg.k_s))
+        world = env.reset(rng)
+        # one entry too many, one system's links only, a batch of one
+        for shape in ((cfg.k_p + cfg.k_s + 1,), (cfg.k_p,), (1, cfg.k_p + cfg.k_s)):
+            with pytest.raises(ValueError, match="shape"):
+                env.step(world, np.zeros(shape))
+        assert world.step_index == 0
 
     def test_nan_action_rejected(self):
         env, cfg = make_env(seed=15, episode_len=2)
         rng = np.random.default_rng(16)
-        world, _, _ = env.reset(rng)
+        world = env.reset(rng)
         # the clip penalty catches nan and both infinities, in either system
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
-                env.step(world, np.array([bad, 0.5]), np.zeros(cfg.k_s))
+                env.step(world, np.array([bad, 0.5, 0.0, 0.0]))
             with pytest.raises(ValueError, match="finite"):
-                env.step(world, np.zeros(cfg.k_p), np.array([0.5, bad]))
+                env.step(world, np.array([0.0, 0.0, 0.5, bad]))
         assert world.step_index == 0
 
     def test_observations_carry_this_steps_metrics(self):
         env, cfg = make_env(seed=17, episode_len=3)
         rng = np.random.default_rng(18)
-        world, _, _ = env.reset(rng)
-        out = env.step(world, np.full(cfg.k_p, 0.7), np.full(cfg.k_s, 0.7))
-        np.testing.assert_array_equal(out.obs_primary[cfg.k_p**2 :], out.links.rate_p)
-        np.testing.assert_array_equal(
-            out.obs_secondary[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], out.links.ee_s
-        )
-        assert out.obs_secondary[-1] == out.links.nqos_p
+        world = env.reset(rng)
+        row = env.step(world, np.full(cfg.k_p + cfg.k_s, 0.7))
+        links = world.links
+        obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
+        np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], links.rate_p)
+        np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], links.ee_s)
+        assert obs_s[-1] == links.nqos_p == metric(row, "nqos_p")
 
     def test_determinism(self):
         rows = []
         for _ in range(2):
             env, cfg = make_env(seed=19, episode_len=4)
             rng = np.random.default_rng(20)
-            world, _, _ = env.reset(rng)
-            out = env.step(world, np.full(cfg.k_p, 0.3), np.full(cfg.k_s, 0.6))
-            rows.append((out.reward_p, out.reward_s, metric(out, "sum_rate_p")))
+            world = env.reset(rng)
+            row = env.step(world, np.repeat([0.3, 0.6], (cfg.k_p, cfg.k_s)))
+            rows.append(row.tolist())
         assert rows[0] == rows[1]
 
     def test_same_powers_same_stream_same_physics(self):
         # identical world snapshots yield identical metrics, regardless of
         # which controller shape produced the actions
         env, cfg = make_env(seed=21, episode_len=3)
-        world_a, _, _ = env.reset(np.random.default_rng(22))
+        world_a = env.reset(np.random.default_rng(22))
         world_b = copy.deepcopy(world_a)
-        a_p = np.full(cfg.k_p, 0.45)
-        a_s = np.full(cfg.k_s, 0.55)
-        out_a = env.step(world_a, a_p, a_s)
-        out_b = env.step(world_b, a_p, a_s)
-        assert out_a.reward_p == out_b.reward_p
-        assert out_a.reward_s == out_b.reward_s
-        np.testing.assert_array_equal(out_a.row, out_b.row)
+        raw = np.repeat([0.45, 0.55], (cfg.k_p, cfg.k_s))
+        row_a = env.step(world_a, raw)
+        row_b = env.step(world_b, raw)
+        assert (row_a[0], row_a[1]) == (row_b[0], row_b[1])
+        np.testing.assert_array_equal(row_a, row_b)
 
 
 class TestStepMatchesReferenceChain:
@@ -271,7 +271,7 @@ class TestStepMatchesReferenceChain:
         env, cfg = make_env(seed=40, episode_len=steps, k_p=k_p, k_s=k_s,
                             radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
         radio = cfg.radio
-        world, _, _ = env.reset(np.random.default_rng(41))
+        world = env.reset(np.random.default_rng(41))
         draws = np.random.default_rng(42)
         penalties = []
         for t in range(steps):
@@ -282,24 +282,25 @@ class TestStepMatchesReferenceChain:
             raw_s[(t + 1) % k_s] = 0.0
             if t == 0:  # every entry inside the box
                 raw_p, raw_s = np.full(k_p, 0.5), np.full(k_s, 0.25)
-            out = env.step(world, raw_p, raw_s)
+            got = env.step(world, np.concatenate((raw_p, raw_s)))
             row, links = step_reference(gains, raw_p, raw_s, radio,
                                         ACTIVE_POWER_FRACTION)
-            assert out.row.dtype == np.float64 and out.row.shape == (len(METRIC_FIELDS),)
-            np.testing.assert_array_equal(out.row, row)
-            penalties.append((metric(out, "delta_p"), metric(out, "delta_s")))
-            assert (out.reward_p, out.reward_s) == (row[0], row[1])
-            np.testing.assert_array_equal(out.obs_primary, np.concatenate(
-                (distance_features_reference(world.topology, "primary"), links.rate_p)))
-            np.testing.assert_array_equal(out.obs_secondary, np.concatenate(
-                (distance_features_reference(world.topology, "secondary"), links.ee_s,
+            assert got.dtype == np.float64 and got.shape == (len(METRIC_FIELDS),)
+            np.testing.assert_array_equal(got, row)
+            penalties.append((metric(got, "delta_p"), metric(got, "delta_s")))
+            assert (metric(got, "reward_p"), metric(got, "reward_s")) == (row[0], row[1])
+            topo = world.geometry.topology
+            np.testing.assert_array_equal(build_primary_obs(world), np.concatenate(
+                (distance_features_reference(topo, "primary"), links.rate_p)))
+            np.testing.assert_array_equal(build_secondary_obs(world), np.concatenate(
+                (distance_features_reference(topo, "secondary"), links.ee_s,
                  [links.nqos_p])))
             for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
-                np.testing.assert_array_equal(getattr(out.links, name), getattr(links, name))
+                np.testing.assert_array_equal(getattr(world.links, name), getattr(links, name))
         # the draws reached both branches of each reward
         penalties = np.array(penalties)
         assert np.all(penalties[0] == 0.0) and np.all(penalties[1:].max(axis=0) > 0.0)
-        assert out.done == 1
+        assert world.step_index == env.episode_len
 
 
 class TestPerEpisodeGeometry:
@@ -317,13 +318,14 @@ class TestPerEpisodeGeometry:
             # the twin redoes the reset's draws: the jitter, then the whole
             # episode's gain block, slice 0 for the reset observation
             twin.bit_generator.state = rng.bit_generator.state
-            world, obs_p, obs_s = env.reset(rng)
+            world = env.reset(rng)
+            obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
             topo = perturb_topology(env.base_topology, twin, cfg.channel.max_displacement)
             block = gains_reference(topo, cfg.channel, twin, steps + 1)
             after_reset = rng.bit_generator.state
             assert after_reset == twin.bit_generator.state
-            np.testing.assert_array_equal(world.topology.p_tx, topo.p_tx)
-            np.testing.assert_array_equal(world.topology.s_rx, topo.s_rx)
+            np.testing.assert_array_equal(world.geometry.topology.p_tx, topo.p_tx)
+            np.testing.assert_array_equal(world.geometry.topology.s_rx, topo.s_rx)
             np.testing.assert_array_equal(world.gains.stacked(), block[0])
             with pytest.raises(ValueError, match="read-only"):
                 world.gains.stacked()[0, 0] = 1.0
@@ -337,7 +339,7 @@ class TestPerEpisodeGeometry:
             for t in range(steps):
                 raw_p = actions.uniform(-0.2, 1.2, k_p)
                 raw_s = actions.uniform(-0.2, 1.2, k_s)
-                out = env.step(world, raw_p, raw_s)
+                env.step(world, np.concatenate((raw_p, raw_s)))
                 ref = block[t + 1]
                 np.testing.assert_array_equal(world.gains.stacked(), ref)
                 assert not world.gains.stacked().flags.writeable
@@ -349,36 +351,38 @@ class TestPerEpisodeGeometry:
                 expect = evaluate_links(h, power, radio)
                 for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
                     np.testing.assert_array_equal(
-                        getattr(out.links, name), getattr(expect, name), err_msg=name)
-                assert out.links.nqos_p == expect.nqos_p
+                        getattr(world.links, name), getattr(expect, name), err_msg=name)
+                assert world.links.nqos_p == expect.nqos_p
             # steps draw nothing: the stream is where the reset left it
             assert rng.bit_generator.state == after_reset
             with pytest.raises(RuntimeError):
-                env.step(world, raw_p, raw_s)
+                env.step(world, np.concatenate((raw_p, raw_s)))
 
 
 class TestObservationContent:
     def test_primary_sees_only_primary_distances(self):
         env, cfg = make_env(seed=24)
-        world, obs_p, _ = env.reset(np.random.default_rng(25))
-        head = distance_features_reference(world.topology, "primary")
+        world = env.reset(np.random.default_rng(25))
+        obs_p = build_primary_obs(world)
+        head = distance_features_reference(world.geometry.topology, "primary")
         np.testing.assert_array_equal(obs_p[: cfg.k_p**2], head)
         assert obs_p.shape[0] == cfg.k_p**2 + cfg.k_p
 
     def test_secondary_sees_only_secondary_distances(self):
         env, cfg = make_env(seed=26)
-        world, _, obs_s = env.reset(np.random.default_rng(27))
-        head = distance_features_reference(world.topology, "secondary")
+        world = env.reset(np.random.default_rng(27))
+        obs_s = build_secondary_obs(world)
+        head = distance_features_reference(world.geometry.topology, "secondary")
         np.testing.assert_array_equal(obs_s[: cfg.k_s**2], head)
 
     def test_centralized_variants(self):
         env, cfg = make_env(seed=28)
-        world, _, _ = env.reset(np.random.default_rng(29))
+        world = env.reset(np.random.default_rng(29))
         dim = observation_dim(OBS_CENTRALIZED_DIST, cfg.k_p, cfg.k_s)
         obs_d = build_centralized_obs(world, OBS_CENTRALIZED_DIST)
         obs_c = build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)
         assert obs_d.shape == obs_c.shape == (dim,)
-        head = distance_features_reference(world.topology, "all")
+        head = distance_features_reference(world.geometry.topology, "all")
         np.testing.assert_array_equal(obs_d[: head.size], head)
         # CSI features are log-compressed into [-1, 1]
         assert np.all(obs_c[: head.size] >= -1.0)
@@ -389,12 +393,12 @@ class TestObservationContent:
     def test_all_observations_finite(self):
         env, cfg = make_env(seed=30, episode_len=6)
         rng = np.random.default_rng(31)
-        world, obs_p, obs_s = env.reset(rng)
-        assert np.all(np.isfinite(obs_p)) and np.all(np.isfinite(obs_s))
-        for _ in range(6):
-            out = env.step(world, rng.random(cfg.k_p), rng.random(cfg.k_s))
-            assert np.all(np.isfinite(out.obs_primary))
-            assert np.all(np.isfinite(out.obs_secondary))
+        world = env.reset(rng)
+        for t in range(7):
+            if t:
+                env.step(world, rng.random(cfg.k_p + cfg.k_s))
+            assert np.all(np.isfinite(build_primary_obs(world)))
+            assert np.all(np.isfinite(build_secondary_obs(world)))
             assert np.all(np.isfinite(build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)))
 
 

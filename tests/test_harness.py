@@ -569,6 +569,17 @@ class TestCli:
         assert status == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_zero_tau_is_config_error(self, tmp_path, capsys):
+        # tau = rho_decode = 0 would leave the EE denominator zero and the
+        # first step's secondary rewards infinite
+        out = tmp_path / "x"
+        status = cli.main(["run", "--seeds", "1", "--out", str(out), "--quiet",
+                           "--set", "tau=0", "--set", "rho_decode=0", "--set", "iters=1",
+                           "--set", "batch=5", "--set", "episode_len=5"])
+        assert status == 2
+        assert "'tau': must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_is_config_error(self, capsys):
         status = cli.main(["run", "--quiet", "--set", "iters=1",
                            "--set", "batch=5", "--set", "episode_len=5"])

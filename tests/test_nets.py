@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import max_rel_err, numeric_grad
+from oracles import max_rel_err, numeric_grad, unshrunk_policy
 from underlay_ppo.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -129,7 +129,7 @@ class TestPolicyNet:
 
     def test_log_prob_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
-        pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8,), head_scale=1.0)
+        pol = unshrunk_policy(rng, 5, 3, hidden=(8,))
         obs = rng.standard_normal((7, 5))
         actions = rng.standard_normal((7, 3))
         weights = rng.standard_normal(7)

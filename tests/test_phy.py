@@ -273,9 +273,7 @@ class TestPowerAllocation:
 
     def test_per_system_powers_are_views_of_joint(self):
         p = PowerAllocation(np.array([0.1, 0.2, 0.3]), 2)
-        np.testing.assert_array_equal(p.p_primary, [0.1, 0.2])
         np.testing.assert_array_equal(p.p_secondary, [0.3])
-        assert np.shares_memory(p.p_primary, p.joint)
         assert np.shares_memory(p.p_secondary, p.joint)
 
     @pytest.mark.parametrize("k_p", [-1, 4])

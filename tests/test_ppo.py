@@ -15,6 +15,8 @@ from underlay_ppo.env import (
     EnvConfig,
     SpectrumSharingEnv,
     build_centralized_obs,
+    build_primary_obs,
+    build_secondary_obs,
     observation_dim,
 )
 from underlay_ppo.nets import gaussian_log_prob, logprob_grads_from_forward
@@ -462,25 +464,21 @@ class TestCollect:
         twin.bit_generator.state = rng.bit_generator.state
         batches, means = _collect(env, agents, mode, hyper, rng)
 
-        k_p = SMALL_ENV.k_p
-        world, obs_p, obs_s = env.reset(twin)
+        def observe(world):  # each agent's observation, in agent order
+            if mode == MODE_COEXIST:
+                return [build_primary_obs(world), build_secondary_obs(world)]
+            return [build_centralized_obs(world, mode)]
+
+        world = env.reset(twin)
         seen, rewards, dones = [], [], []
         sums = np.zeros(len(METRIC_FIELDS))
         for raw in np.concatenate([batch.actions for batch in batches], axis=1):
-            if mode == MODE_COEXIST:
-                seen.append([obs_p, obs_s])
-            else:
-                seen.append([build_centralized_obs(world, mode)])
-            out = env.step(world, raw[:k_p], raw[k_p:])
-            obs_p, obs_s = out.obs_primary, out.obs_secondary
-            row = out.row
+            seen.append(observe(world))
+            row = env.step(world, raw)
             rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
             dones.append(float(world.step_index == hyper.episode_len))
             sums += row
-        if mode == MODE_COEXIST:
-            final = [obs_p, obs_s]
-        else:
-            final = [build_centralized_obs(world, mode)]
+        final = observe(world)
 
         assert dones == [0.0, 0.0, 0.0, 0.0, 1.0]
         for i, (agent, batch) in enumerate(zip(agents, batches)):
