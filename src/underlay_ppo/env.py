@@ -61,6 +61,10 @@ OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
 # applied powers above this fraction of the cap count as "active" users
 ACTIVE_POWER_FRACTION = 1e-3
 
+# the sum of a 1-D array exactly as ndarray.sum computes it, minus the
+# method's Python-level argument handling (a step takes a dozen sums)
+_sum = np.add.reduce
+
 # per-step scalar metrics, in the order of the step row and the CSV columns
 METRIC_FIELDS = (
     "reward_p", "reward_s", "sum_rate_p", "sum_rate_s", "sum_ee_s", "sum_power_p",
@@ -125,7 +129,7 @@ class WorldState:
 
 def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) -> float:
     """Sum of rate margins; scaled down and fined while actions leave the box."""
-    margin = float((rate_p - rate_threshold).sum())
+    margin = float(_sum(rate_p - rate_threshold))
     if delta_p > 0.0:
         return 0.1 * margin - 5.0 * delta_p
     return margin
@@ -133,7 +137,7 @@ def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) ->
 
 def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
     """Total secondary EE minus the primary-NACK fine, boundary-penalized."""
-    total = float(ee_s.sum())
+    total = float(_sum(ee_s))
     if delta_s > 0.0:
         return 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s
     return total - 10.0 * nqos_p
@@ -215,7 +219,7 @@ class SpectrumSharingEnv:
         raw = np.asarray(raw, dtype=float)
         applied = raw.clip(0.0, self._p_max)
         excess = np.abs(raw - applied)
-        delta_p, delta_s = float(excess[:k_p].sum()), float(excess[k_p:].sum())
+        delta_p, delta_s = float(_sum(excess[:k_p])), float(_sum(excess[k_p:]))
         # a nan or infinite raw action makes its clip penalty non-finite
         if not math.isfinite(delta_p + delta_s):
             raise ValueError("raw actions must be finite")
@@ -227,7 +231,7 @@ class SpectrumSharingEnv:
         return np.array((
             reward_primary(links.rate_p, radio.rate_threshold, delta_p),
             reward_secondary(links.ee_s, nqos_p, delta_s),
-            links.rate_p.sum(), links.rate_s.sum(), links.ee_s.sum(),
-            applied[:k_p].sum(), applied[k_p:].sum(), nqos_p, delta_p, delta_s,
+            _sum(links.rate_p), _sum(links.rate_s), _sum(links.ee_s),
+            _sum(applied[:k_p]), _sum(applied[k_p:]), nqos_p, delta_p, delta_s,
             np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
         ))

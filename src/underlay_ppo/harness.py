@@ -361,6 +361,8 @@ def summarize_dir(csv_dir, window: float = 0.1) -> dict:
 
     Returns {"seeds": {seed: {metric: mean}}, "mean": {metric: mean},
     "rows_used": n}; the cross-seed mean averages the per-seed window means.
+    Every seed file must hold the same number of iterations, so that all
+    windows cover the same ones.
     """
     if not 0.0 < window <= 1.0:
         raise ConfigError("window must lie in (0, 1]")
@@ -370,10 +372,16 @@ def summarize_dir(csv_dir, window: float = 0.1) -> dict:
         raise ConfigError(f"no seed_*.csv files found in {csv_dir}")
     per_seed: dict[int, dict[str, float]] = {}
     rows_used = None
+    first = None  # (path, row count) of the first file
     for path in files:
         rows = read_metrics_csv(path)
         if not rows:
             raise ConfigError(f"{path} is empty")
+        if first is None:
+            first = (path, len(rows))
+        elif len(rows) != first[1]:
+            raise ConfigError(f"seed files differ in length: {first[0]} has {first[1]} rows, "
+                              f"{path} has {len(rows)}")
         k = max(1, int(round(len(rows) * window)))
         tail = rows[-k:]
         seed = int(rows[0]["seed"])

@@ -15,6 +15,13 @@ gradient vector in the same layout, and ``AdamState`` keeps its moments as
 two such vectors. A network's ``dims`` (input, hidden, output sizes) fix the
 layout, so ``GaussianPolicyNet(dims, flat)`` rebuilds a policy; the
 checkpoint format is defined in ``ppo.save_checkpoint``.
+
+Temporaries: a forward pass adds each bias and applies ``tanh`` in place on
+the fresh matmul product, which then is both the layer's output and its
+cache entry; backward passes only read the cache. Every in-place or ``out=``
+form evaluates the same operations on the same operands in the same order as
+the plain expression, so results are bit-identical to it (the allocating
+forms in ``tests/oracles.py`` check this).
 """
 from __future__ import annotations
 
@@ -105,8 +112,10 @@ class DenseNet(_FlatParams):
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = x @ w + b
-            x = z if (i == last and not self.tanh_output) else np.tanh(z)
+            x = x @ w
+            x += b
+            if i < last or self.tanh_output:
+                np.tanh(x, out=x)
             acts.append(x)
         return x, acts
 
@@ -124,8 +133,10 @@ class DenseNet(_FlatParams):
             a_in, a_out = cache[i], cache[i + 1]
             if i == last and not self.tanh_output:
                 dz = dx
-            else:
-                dz = dx * (1.0 - a_out * a_out)
+            else:  # dx * (1 - a_out**2), formed in one fresh buffer
+                dz = np.multiply(a_out, a_out)
+                np.subtract(1.0, dz, out=dz)
+                np.multiply(dx, dz, out=dz)
             np.matmul(a_in.T, dz, out=blocks[2 * i])
             dz.sum(axis=0, out=blocks[2 * i + 1])
             if i:
@@ -176,8 +187,10 @@ class GaussianPolicyNet(_FlatParams):
     def forward(self, obs):
         """Returns (mean, log_std, cache); accepts a single obs or a batch."""
         h, trunk_cache = self.trunk.forward(obs)
-        mean = h @ self.w_mean + self.b_mean
-        raw_log_std = h @ self.w_log_std + self.b_log_std
+        mean = h @ self.w_mean
+        mean += self.b_mean
+        raw_log_std = h @ self.w_log_std
+        raw_log_std += self.b_log_std
         log_std = raw_log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std, (trunk_cache, h, raw_log_std)
 
@@ -193,7 +206,8 @@ class GaussianPolicyNet(_FlatParams):
         dmean.sum(axis=0, out=db_mean)
         np.matmul(h.T, dlog_std, out=dw_log_std)
         dlog_std.sum(axis=0, out=db_log_std)
-        dh = dmean @ self.w_mean.T + dlog_std @ self.w_log_std.T
+        dh = dmean @ self.w_mean.T
+        dh += dlog_std @ self.w_log_std.T
         self.trunk.backward(trunk_cache, dh, grad[: self.trunk.flat.size])
         return grad
 
@@ -236,9 +250,12 @@ def sample_action(policy: GaussianPolicyNet, obs, rng: np.random.Generator):
     """Draw an action for one observation; returns (action, its log density)."""
     mean, log_std, _ = policy.forward(obs)
     z = rng.standard_normal(mean.shape[-1])
-    action = mean + np.exp(log_std) * z
-    logp = float(-0.5 * (z * z).sum() - log_std.sum() - 0.5 * z.shape[0] * _LOG_2PI)
-    return action, logp
+    logp = float(-0.5 * np.add.reduce(z * z) - np.add.reduce(log_std)
+                 - 0.5 * z.shape[0] * _LOG_2PI)
+    std_z = np.exp(log_std, out=log_std)
+    std_z *= z
+    mean += std_z  # the action, mean + std * z
+    return mean, logp
 
 
 def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
@@ -263,18 +280,30 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._scratch = np.empty((2,) + self.m.shape)  # step's two work vectors
 
     def step(self, params, grads):
-        """One descent step; pass negated gradients to ascend an objective."""
+        """One descent step; pass negated gradients to ascend an objective.
+
+        Evaluates ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2)
+        g**2`` and ``params -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, each
+        operation in that order, through two preallocated work vectors.
+        """
         if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ValueError("parameter/gradient structure does not match state")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         m, v = self.m, self.v
+        step, denom = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(1.0 - self.beta1, grads, out=step)
         v *= self.beta2
-        v += (1.0 - self.beta2) * np.square(grads)
-        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        v += np.multiply(1.0 - self.beta2, np.square(grads, out=step), out=step)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bc1, out=step)
+        np.multiply(self.lr, step, out=step)
+        params -= np.divide(step, denom, out=step)
         return params

@@ -82,7 +82,9 @@ class PowerAllocation:
     def __post_init__(self):
         if self.joint.ndim != 1 or not 0 <= self.k_p <= self.joint.size:
             raise ValueError("joint must be 1-D, with k_p at most its length")
-        if self.joint.size and not (0.0 <= self.joint.min() and self.joint.max() < np.inf):
+        joint = self.joint
+        if joint.size and not (0.0 <= np.minimum.reduce(joint)
+                               and np.maximum.reduce(joint) < np.inf):
             raise ValueError("power entries must be finite and non-negative")  # nan fails both
 
     @property

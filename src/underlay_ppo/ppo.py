@@ -121,20 +121,23 @@ def compute_gae(batch: TrajectoryBatch, hyper: PpoHyper):
     if n == 0:
         raise ValueError("empty batch")
     gamma, lam = hyper.gamma, hyper.lam
-    returns = np.empty(n)
-    advantages = np.empty(n)
+    # the recursion runs on Python floats, which round exactly as float64 does
+    rewards, dones = batch.rewards.tolist(), batch.dones.tolist()
+    values = batch.values.tolist()
+    returns = [0.0] * n
+    advantages = [0.0] * n
     next_ret = batch.bootstrap_value
     next_adv = 0.0
     next_value = batch.bootstrap_value
     for t in range(n - 1, -1, -1):
-        nonterm = 1.0 - batch.dones[t]
-        returns[t] = batch.rewards[t] + gamma * nonterm * next_ret
-        delta = batch.rewards[t] + gamma * nonterm * next_value - batch.values[t]
+        nonterm = 1.0 - dones[t]
+        returns[t] = rewards[t] + gamma * nonterm * next_ret
+        delta = rewards[t] + gamma * nonterm * next_value - values[t]
         advantages[t] = delta + gamma * lam * nonterm * next_adv
         next_ret = returns[t]
         next_adv = advantages[t]
-        next_value = batch.values[t]
-    return returns, advantages
+        next_value = values[t]
+    return np.array(returns), np.array(advantages)
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -162,7 +165,7 @@ def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
     objective = float(np.minimum(linear, envelope).mean())
     # d(min)/d(theta): only the ratio branch depends on theta
     unclipped = linear <= envelope
-    weights = np.where(unclipped, ratio * adv, 0.0) / len(batch)
+    weights = np.where(unclipped, linear, 0.0) / len(batch)
     grads = logprob_grads_from_forward(policy, cache, mean, log_std,
                                        batch.actions, weights)
     stats = {

@@ -4,6 +4,8 @@ Everything here is written in the dumbest possible style (explicit python
 loops, forward-in-time sums) precisely so it shares no structure with the
 vectorized / backward-recursive production code it validates.
 """
+import math
+
 import numpy as np
 
 
@@ -246,3 +248,117 @@ def step_reference(gains, raw_p, raw_s, radio, active_fraction):
         int((applied_s > active_fraction * radio.p_max_s).sum()),
     ]
     return np.array(row), links
+
+
+# Allocating reference forms of the update. Each expression is written as a
+# fresh-array numpy expression, operand for operand as the training path
+# evaluates it with in-place and ``out=`` operations, so the two must agree
+# bit for bit; they share only the parameter layout of ``underlay_ppo.nets``.
+
+def dense_forward_reference(net, x):
+    """``DenseNet.forward``: ``x @ w + b`` then ``np.tanh``, layer by layer."""
+    x = np.asarray(x, dtype=float)
+    acts = [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = x @ w + b
+        x = z if (i == last and not net.tanh_output) else np.tanh(z)
+        acts.append(x)
+    return x, acts
+
+
+def dense_backward_reference(net, cache, dout, grad):
+    """``DenseNet.backward`` into the flat vector ``grad``, with the
+    activation derivative formed as ``dx * (1.0 - a * a)``."""
+    blocks = net.blocks(grad)
+    last = len(net.weights) - 1
+    dx = dout
+    for i in range(last, -1, -1):
+        a_in, a_out = cache[i], cache[i + 1]
+        if i == last and not net.tanh_output:
+            dz = dx
+        else:
+            dz = dx * (1.0 - a_out * a_out)
+        np.matmul(a_in.T, dz, out=blocks[2 * i])
+        dz.sum(axis=0, out=blocks[2 * i + 1])
+        if i:
+            dx = dz @ net.weights[i].T
+    return grad
+
+
+def policy_objective_reference(policy, batch, clip):
+    """``ppo.policy_objective``: (objective, gradient, stats) with every
+    intermediate a fresh array."""
+    from underlay_ppo.nets import LOG_STD_MAX, LOG_STD_MIN
+
+    h, trunk_cache = dense_forward_reference(policy.trunk, batch.obs)
+    mean = h @ policy.w_mean + policy.b_mean
+    raw_log_std = h @ policy.w_log_std + policy.b_log_std
+    log_std = raw_log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+    z = (batch.actions - mean) * np.exp(-log_std)
+    logp = (-0.5 * np.sum(z * z, axis=-1) - np.sum(log_std, axis=-1)
+            - 0.5 * mean.shape[-1] * math.log(2.0 * math.pi))
+    ratio = np.exp(logp - batch.log_probs_old)
+    adv = batch.advantages
+    linear = ratio * adv
+    envelope = (1.0 + np.sign(adv) * clip) * adv
+    objective = float(np.minimum(linear, envelope).mean())
+    unclipped = linear <= envelope
+    weights = np.where(unclipped, ratio * adv, 0.0) / len(batch)
+    inv_std = np.exp(-log_std)
+    z = (batch.actions - mean) * inv_std
+    w = weights[:, None]
+    dmean = w * z * inv_std
+    dlog_std = np.where((raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX),
+                        w * (z * z - 1.0), 0.0)
+    grad = np.empty(policy.flat.size)
+    dw_mean, db_mean, dw_log_std, db_log_std = policy.blocks(grad)[-4:]
+    np.matmul(h.T, dmean, out=dw_mean)
+    dmean.sum(axis=0, out=db_mean)
+    np.matmul(h.T, dlog_std, out=dw_log_std)
+    dlog_std.sum(axis=0, out=db_log_std)
+    dh = dmean @ policy.w_mean.T + dlog_std @ policy.w_log_std.T
+    dense_backward_reference(policy.trunk, trunk_cache, dh, grad[: policy.trunk.flat.size])
+    stats = {"mean_ratio": float(ratio.mean()), "clip_fraction": float(np.mean(~unclipped))}
+    return objective, grad, stats
+
+
+def value_objective_reference(value, batch):
+    """``ppo.value_objective``: (loss, gradient) with fresh intermediates."""
+    out, cache = dense_forward_reference(value, batch.obs)
+    err = out[..., 0] - batch.returns
+    loss = float(np.mean(err * err))
+    grad = dense_backward_reference(value, cache, (2.0 * err / len(batch))[:, None],
+                                    np.empty(value.flat.size))
+    return loss, grad
+
+
+def adam_step_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step on ``params``, ``m`` and ``v`` in place,
+    each product a fresh array; returns the new step count."""
+    t += 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * np.square(grads)
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return t
+
+
+def ppo_update_reference(agent, batch, hyper):
+    """``ppo.ppo_update`` built from the reference forms above; updates the
+    agent's parameters and Adam state in place and returns the last epoch's
+    stats."""
+    stats = {}
+    for _ in range(hyper.update_epochs):
+        objective, pgrad, pstats = policy_objective_reference(agent.policy, batch, hyper.clip)
+        opt = agent.opt_policy
+        opt.t = adam_step_reference(agent.policy.flat, np.negative(pgrad), opt.m, opt.v,
+                                    opt.t, opt.lr)
+        vloss, vgrad = value_objective_reference(agent.value, batch)
+        opt = agent.opt_value
+        opt.t = adam_step_reference(agent.value.flat, vgrad, opt.m, opt.v, opt.t, opt.lr)
+        stats = dict(pstats, policy_objective=objective, value_loss=vloss)
+    return stats

@@ -535,6 +535,15 @@ class TestSummarize:
         with pytest.raises(ConfigError, match="no seed"):
             summarize_dir(tmp_path, window=0.5)
 
+    def test_unequal_seed_lengths_rejected(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(tiny_cfg(out))  # seeds 0 and 1, 3 iterations each
+        short = out / "seed_1.csv"
+        lines = short.read_text(encoding="utf-8").splitlines(keepends=True)
+        short.write_text("".join(lines[:2]), encoding="utf-8")  # header and 1 row
+        with pytest.raises(ConfigError, match=r"seed_0\.csv has 3 rows, .*seed_1\.csv has 1"):
+            summarize_dir(out, window=0.1)
+
     def test_format_summary_layout(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(tiny_cfg(out))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import max_rel_err, numeric_grad, unshrunk_policy
+from oracles import adam_step_reference, max_rel_err, numeric_grad, unshrunk_policy
 from underlay_ppo.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -225,6 +225,45 @@ class TestValueNet:
         assert max_rel_err(vn.blocks(analytic), numeric) < GRAD_TOL
 
 
+def _arrays(tree):
+    """Every array in a nest of tuples and lists, depth first."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    return [a for item in tree for a in _arrays(item)]
+
+
+class TestBackwardLeavesCache:
+    """Backward only reads the forward cache: the forward pass's outputs and
+    cached activations, and the incoming gradients, keep their bytes, and a
+    second backward on the same cache returns the same gradient."""
+
+    @pytest.mark.parametrize("kind", ["dense_tanh", "dense_linear", "value", "policy"])
+    def test_two_backward_calls_on_one_cache(self, kind):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((6, 5))
+        if kind == "policy":
+            net = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 8))
+            mean, log_std, cache = net.forward(x)
+            outputs = (mean, log_std)
+            douts = (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+        elif kind == "value":
+            net = ValueNet.init(rng, [5, 8, 8, 1])
+            out, cache = net.forward(x)
+            outputs, douts = (out,), (rng.standard_normal(6),)
+        else:
+            dims = [5, 8, 8] if kind == "dense_tanh" else [5, 8, 3]
+            net = DenseNet(dims, DenseNet.init(rng, dims).flat,
+                           tanh_output=kind == "dense_tanh")
+            out, cache = net.forward(x)
+            outputs, douts = (out,), (rng.standard_normal((6, dims[-1])),)
+        before = [a.copy() for a in _arrays((outputs, cache, douts))]
+        first = net.backward(cache, *douts)
+        second = net.backward(cache, *douts)
+        assert first.tobytes() == second.tobytes()
+        after = _arrays((outputs, cache, douts))
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+
+
 class TestFlatLayout:
     def test_blocks_are_views_into_flat(self):
         rng = np.random.default_rng(24)
@@ -291,6 +330,23 @@ class TestAdam:
             return params
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_matches_allocating_reference(self):
+        """50 steps on a desk-policy-sized vector, bit for bit against the
+        fresh-array form of the same expression; the gradient is only read."""
+        rng = np.random.default_rng(20)
+        params = rng.standard_normal(4868)
+        ref, m, v, t = params.copy(), np.zeros(4868), np.zeros(4868), 0
+        opt = AdamState(params, lr=3e-4)
+        for _ in range(50):
+            grads = rng.standard_normal(4868) * 10.0 ** rng.uniform(-6.0, 1.0)
+            kept = grads.copy()
+            opt.step(params, grads)
+            t = adam_step_reference(ref, grads, m, v, t, lr=3e-4)
+            assert grads.tobytes() == kept.tobytes()
+        assert opt.t == t == 50
+        assert params.tobytes() == ref.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
 
     def test_structure_mismatch_rejected(self):
         params = np.zeros(2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gae_loops, max_rel_err, numeric_grad
+from oracles import gae_loops, max_rel_err, numeric_grad, ppo_update_reference
 from underlay_ppo import blas
 from underlay_ppo.env import (
     EnvConfig,
@@ -19,7 +19,13 @@ from underlay_ppo.env import (
     build_secondary_obs,
     observation_dim,
 )
-from underlay_ppo.nets import gaussian_log_prob, logprob_grads_from_forward
+from underlay_ppo.nets import (
+    AdamState,
+    GaussianPolicyNet,
+    ValueNet,
+    gaussian_log_prob,
+    logprob_grads_from_forward,
+)
 from underlay_ppo.ppo import (
     MODE_CENTRALIZED_DIST,
     MODE_CENTRALIZED_FULL_CSI,
@@ -27,6 +33,7 @@ from underlay_ppo.ppo import (
     MODES,
     METRIC_FIELDS,
     PpoHyper,
+    Agent,
     TrainingDiverged,
     TrajectoryBatch,
     _collect,
@@ -385,6 +392,34 @@ class TestPpoUpdate:
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match=r"agent 't'.*value loss.*value w1 \(parameters\)"):
             ppo_update(agent, batch, tiny_hyper())
+
+
+    @pytest.mark.parametrize("mode", [MODE_COEXIST, MODE_CENTRALIZED_FULL_CSI])
+    def test_matches_allocating_reference(self, mode):
+        """Three epochs on a desk-sized rollout leave every agent's parameters,
+        Adam moments and step count, and the stats, bit-identical to the
+        fresh-array reference forms of the same expressions."""
+        rng = np.random.default_rng(26)
+        hyper = PpoHyper(iters=1, batch=200, episode_len=200, update_epochs=3)
+        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        agents = build_agents(mode, SMALL_ENV, hyper, rng)
+        batches, _ = _collect(env, agents, mode, hyper, rng)
+        for agent, batch in zip(agents, batches):
+            batch.returns, raw_adv = compute_gae(batch, hyper)
+            batch.advantages = normalize_advantages(raw_adv)
+            policy = GaussianPolicyNet(agent.policy.dims, agent.policy.flat.copy())
+            value = ValueNet(agent.value.dims, agent.value.flat.copy())
+            ref = Agent(agent.name, policy, value, AdamState(policy.flat, hyper.lr_policy),
+                        AdamState(value.flat, hyper.lr_value))
+            stats = ppo_update(agent, batch, hyper)
+            assert stats == ppo_update_reference(ref, batch, hyper)
+            for got, want in ((agent.opt_policy, ref.opt_policy),
+                              (agent.opt_value, ref.opt_value)):
+                assert got.t == want.t == hyper.update_epochs
+                assert got.m.tobytes() == want.m.tobytes()
+                assert got.v.tobytes() == want.v.tobytes()
+            assert agent.policy.flat.tobytes() == policy.flat.tobytes()
+            assert agent.value.flat.tobytes() == value.flat.tobytes()
 
 
 class TestBuildAgents:
