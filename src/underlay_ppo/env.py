@@ -62,7 +62,7 @@ OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
 ACTIVE_POWER_FRACTION = 1e-3
 
 # the sum of a 1-D array exactly as ndarray.sum computes it, minus the
-# method's Python-level argument handling (a step takes a dozen sums)
+# method's Python-level argument handling (a step takes nine sums)
 _sum = np.add.reduce
 
 # per-step scalar metrics, in the order of the step row and the CSV columns
