@@ -15,7 +15,7 @@ from .env import (
     SpectrumSharingEnv,
     observation_dim,
 )
-from .geometry import ChannelParams, GainMatrices, Topology, sample_topology
+from .geometry import ChannelParams, Topology, sample_topology
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from .harness import (
     summarize_dir,
 )
 from .nets import DenseNet, GaussianPolicyNet, ValueNet
-from .phy import LinkMetrics, PowerAllocation, RadioConfig, evaluate_links
+from .phy import LinkMetrics, RadioConfig, evaluate_links
 from .ppo import (
     MODE_CENTRALIZED_DIST,
     MODE_CENTRALIZED_FULL_CSI,
@@ -44,7 +44,6 @@ __all__ = [
     "DenseNet",
     "EnvConfig",
     "ExperimentConfig",
-    "GainMatrices",
     "GaussianPolicyNet",
     "LinkMetrics",
     "MODES",
@@ -55,7 +54,6 @@ __all__ = [
     "OBS_CENTRALIZED_FULL_CSI",
     "OBS_PRIMARY",
     "OBS_SECONDARY",
-    "PowerAllocation",
     "PpoHyper",
     "RadioConfig",
     "SpectrumSharingEnv",

@@ -16,11 +16,11 @@ Positions are fixed within an episode, so everything derived from them (the
 distance matrix, the LOS probabilities, the floored distances and the
 distance features of the observations) is computed once at ``reset`` into
 ``WorldState.geometry``. No power action changes the channel either, so
-``reset`` also draws the whole episode's gains at once: T + 1 matrices, the
-first for the reset observation and matrix t + 1 for step t. ``step`` draws
-nothing: advancing ``WorldState.step_index`` moves ``WorldState.gains`` on to
-the step's matrix, and the physics runs on it. Within a rollout, the only
-draws made between two resets are the agents' action noise.
+``reset`` also draws the whole episode's gains at once: a read-only
+(T + 1, K, K) block, slice 0 for the reset observation and t + 1 for step
+t. ``step`` draws nothing: advancing ``WorldState.step_index`` moves
+``WorldState.gains`` on to the step's slice, and the physics runs on it.
+Within a rollout, the only draws between two resets are the action noise.
 
 Row contract: ``step`` takes the joint raw power vector, primary links
 first, and returns its 12 scalar metrics (rewards, summed rates, EE and
@@ -43,7 +43,6 @@ import numpy as np
 
 from .geometry import (
     ChannelParams,
-    GainMatrices,
     LinkGeometry,
     link_geometry,
     perturb_topology,
@@ -51,7 +50,7 @@ from .geometry import (
     sample_gain_matrices,
     sample_topology,
 )
-from .phy import LinkMetrics, PowerAllocation, RadioConfig, evaluate_links
+from .phy import LinkMetrics, RadioConfig, evaluate_links
 
 OBS_PRIMARY = "primary"
 OBS_SECONDARY = "secondary"
@@ -112,18 +111,18 @@ class EnvConfig:
 class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
-    ``geometry`` and ``episode_gains`` (the T + 1 channel draws of the
-    episode) are fixed at reset; ``gains`` is the one for ``step_index``, and
-    ``links`` holds the physics of the last step.
+    ``geometry`` and ``episode_gains`` (the read-only (T + 1, K, K) block of
+    the episode's channel draws) are fixed at reset; ``gains`` is the slice
+    for ``step_index``, and ``links`` holds the physics of the last step.
     """
 
     geometry: LinkGeometry
-    episode_gains: tuple[GainMatrices, ...]
+    episode_gains: np.ndarray
     links: LinkMetrics
     step_index: int
 
     @property
-    def gains(self) -> GainMatrices:
+    def gains(self) -> np.ndarray:
         return self.episode_gains[self.step_index]
 
 
@@ -152,9 +151,9 @@ def build_secondary_obs(world: WorldState) -> np.ndarray:
     return np.concatenate((world.geometry.features["secondary"], links.ee_s, [links.nqos_p]))
 
 
-def _scaled_log_gains(gains: GainMatrices) -> np.ndarray:
+def _scaled_log_gains(gains: np.ndarray) -> np.ndarray:
     """log10 gains clipped to [-20, 0] and rescaled into [-1, 1], flattened."""
-    x = np.clip(np.log10(gains.stacked()), -20.0, 0.0)
+    x = np.clip(np.log10(gains), -20.0, 0.0)
     return (x / 10.0 + 1.0).ravel()
 
 
@@ -225,7 +224,7 @@ class SpectrumSharingEnv:
             raise ValueError("raw actions must be finite")
 
         world.step_index += 1
-        links = world.links = evaluate_links(world.gains, PowerAllocation(applied, k_p), radio)
+        links = world.links = evaluate_links(world.gains, applied, k_p, radio)
         nqos_p = float(links.nqos_p)
         active = applied > self._active_floor
         return np.array((

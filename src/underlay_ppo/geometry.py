@@ -8,10 +8,11 @@ fading: Nakagami-m (Gamma) under LOS, exponential under NLOS. All randomness
 flows through an explicit ``numpy.random.Generator`` so runs are repeatable.
 
 Validation runs at the API boundary: the config dataclasses and the
-constructors of ``Topology`` and ``GainMatrices`` check everything they are
-given. ``sample_gain_matrices`` draws a whole block of channel realisations
-at once and checks the block once, with one vectorised "positive and finite"
-test; each realisation is then a read-only view of it.
+constructor of ``Topology`` check everything they are given.
+``sample_gain_matrices`` draws a whole block of channel realisations at once
+and checks the block once, with one vectorised "positive and finite" test;
+it returns the block read-only, and draw t is its (K, K) slice t: entry
+[j, k] is the gain from transmitter j to receiver k, primary nodes first.
 """
 from __future__ import annotations
 
@@ -100,45 +101,6 @@ class Topology:
     @property
     def k_s(self) -> int:
         return self.s_tx.shape[0]
-
-
-class GainMatrices:
-    """Linear power gains for one channel draw; entry [j, k] is tx j -> rx k.
-
-    The gains live in one (k_p + k_s) x (k_p + k_s) array: rows are
-    transmitters and columns receivers, the first k_p of each primary. The
-    constructor checks a copy of ``h`` and makes it read-only, so the
-    validated gains cannot be changed in place.
-    """
-
-    def __init__(self, h: np.ndarray, k_p: int):
-        h = np.array(h, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("gain matrix must be square")
-        if not 1 <= k_p < h.shape[0]:
-            raise ValueError("k_p must satisfy 1 <= k_p < k_p + k_s")
-        if not 0.0 < h.min() or not h.max() < np.inf:  # nan fails both
-            raise ValueError("gain entries must be positive and finite")
-        h.flags.writeable = False
-        self._h = h
-        self.k_p = k_p
-
-    @classmethod
-    def _view(cls, h: np.ndarray, k_p: int) -> "GainMatrices":
-        """Wrap, without a copy, a (k, k) slice of a gain block that
-        ``sample_gain_matrices`` checked and made read-only."""
-        gains = cls.__new__(cls)
-        gains._h = h
-        gains.k_p = k_p
-        return gains
-
-    @property
-    def k_s(self) -> int:
-        return self._h.shape[0] - self.k_p
-
-    def stacked(self) -> np.ndarray:
-        """All gains as one (k_p + k_s) x (k_p + k_s) matrix (the array itself, not a copy)."""
-        return self._h
 
 
 def sample_disc_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -283,23 +245,22 @@ def link_geometry(topo: Topology, params: ChannelParams) -> LinkGeometry:
 
 def sample_gain_matrices(
     links: LinkGeometry, rng: np.random.Generator, draws: int
-) -> tuple[GainMatrices, ...]:
+) -> np.ndarray:
     """``draws`` independent gain draws for every tx/rx pair across both systems.
 
     All draws come from one (draws, K, K) block: each of the four rng calls
     (``random``, ``standard_normal``, ``gamma``, ``exponential``) covers the
-    whole block, and the block is checked once and made read-only. Draw t is
-    a ``GainMatrices`` view of slice t. Coincident pairs fall back to the 1 m
-    distance floor instead of erroring.
+    whole block, and the block is checked once and returned read-only; draw
+    t is slice t. Coincident pairs fall back to the 1 m distance floor
+    instead of erroring.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    k_p = links.topology.k_p
-    k = k_p + links.topology.k_s
+    k = links.topology.k_p + links.topology.k_s
     block = _draw_gains(
         links.p_los, links.d_eff, links.params, rng, (draws, k * k)
     ).reshape(draws, k, k)
     if not 0.0 < block.min() or not block.max() < np.inf:  # nan fails both
         raise ValueError("gain entries must be positive and finite")
     block.flags.writeable = False
-    return tuple(GainMatrices._view(h, k_p) for h in block)
+    return block

@@ -291,11 +291,18 @@ def write_aggregate_csv(path, histories) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
+    """Every row of a metrics CSV as {column: float}; a cell that is not a
+    number raises ConfigError naming the file and the column."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        return [
-            {key: float(value) for key, value in row.items()} for row in reader
-        ]
+        rows = list(csv.DictReader(f))
+    for row in rows:
+        for key, value in row.items():
+            try:
+                row[key] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}: column '{key}' holds {value!r}, not a number") from None
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
@@ -317,7 +324,10 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
             f"{out} already holds results ({existing[0].name}, ...); "
             "pass --force to overwrite"
         )
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from None
     for stale in existing:
         stale.unlink()
     # a report left by an earlier failed run does not count as results
@@ -377,6 +387,9 @@ def summarize_dir(csv_dir, window: float = 0.1) -> dict:
         rows = read_metrics_csv(path)
         if not rows:
             raise ConfigError(f"{path} is empty")
+        missing = [c for c in SEED_COLUMNS if c not in rows[0]]
+        if missing:
+            raise ConfigError(f"{path} has no '{missing[0]}' column")
         if first is None:
             first = (path, len(rows))
         elif len(rows) != first[1]:

@@ -17,7 +17,9 @@ k) and p the joint K-vector of powers. Then, at every receiver at once,
 where W_dist[j, k] = kt[j, k]**2 + [j == k] * kr[k]**2 (transmit and
 receive distortion) and the off-diagonal ones of W add the interference of
 every other transmitter. ``coupling_weights`` builds W from the four kappas;
-it is the one home of the transmit-kappa choice below.
+it is the one home of the transmit-kappa choice below. ``evaluate_links``
+takes H and p as plain arrays and checks only p's shape: H was checked where
+it was drawn, and ``env.step`` clips p into [0, p_max] after a finite check.
 
 Modelling choice (secondary-kappa cross terms): kt[j, k] is kappa_t_p only
 when transmitter j and receiver k are both primary, and kappa_t_s otherwise.
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GainMatrices, require_finite
+from .geometry import require_finite
 
 # -173 dBm/Hz thermal noise density over a 10 MHz band = -103 dBm.
 DEFAULT_NOISE_POWER_W = 10.0 ** (-13.3)
@@ -68,28 +70,6 @@ class RadioConfig:
         for name in ("rate_threshold", "rho_decode"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class PowerAllocation:
-    """Applied (already clamped) transmit powers in watts. ``joint`` stacks
-    both systems, the ``k_p`` primary links first, and is checked once on
-    construction; ``p_secondary`` is a view of it."""
-
-    joint: np.ndarray
-    k_p: int
-
-    def __post_init__(self):
-        if self.joint.ndim != 1 or not 0 <= self.k_p <= self.joint.size:
-            raise ValueError("joint must be 1-D, with k_p at most its length")
-        joint = self.joint
-        if joint.size and not (0.0 <= np.minimum.reduce(joint)
-                               and np.maximum.reduce(joint) < np.inf):
-            raise ValueError("power entries must be finite and non-negative")  # nan fails both
-
-    @property
-    def p_secondary(self) -> np.ndarray:
-        return self.joint[self.k_p :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +112,20 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:
     return np.count_nonzero(rate_p < cfg.rate_threshold)
 
 
-def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> LinkMetrics:
+def evaluate_links(
+    gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig
+) -> LinkMetrics:
     """Full physics chain for one channel draw: SINDR, rates, EE, NACK count.
 
-    Each link k sees its own direct power over noise + distortion + same-system
-    interference (j != k) + everything the other system transmits.
+    ``gains`` is the (K, K) matrix H and ``power`` the joint applied powers,
+    the ``k_p`` primary links first (see module doc). Each link k sees its
+    own direct power over noise + distortion + same-system interference
+    (j != k) + everything the other system transmits.
     """
-    k_p = h.k_p
-    if p.k_p != k_p or p.joint.size != k_p + h.k_s:
-        raise ValueError("power vector lengths must match gain matrix dimensions")
-    power, gains = p.joint, h.stacked()
-    w = coupling_weights(cfg, k_p, h.k_s)
+    k = gains.shape[0]
+    if power.shape != (k,):
+        raise ValueError("the power vector must have shape (K,) of the gain matrix")
+    w = coupling_weights(cfg, k_p, k - k_p)
     sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
@@ -152,6 +135,6 @@ def evaluate_links(h: GainMatrices, p: PowerAllocation, cfg: RadioConfig) -> Lin
         sindr_s=sindr[k_p:],
         rate_p=rate_p,
         rate_s=rate_s,
-        ee_s=energy_efficiency(rate_s, p.p_secondary, cfg),
+        ee_s=energy_efficiency(rate_s, power[k_p:], cfg),
         nqos_p=nqos(rate_p, cfg),
     )

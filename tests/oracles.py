@@ -9,16 +9,30 @@ import math
 import numpy as np
 
 
-def _blocks(h, k_p):
+def gain_matrix(h, k_p):
+    """A read-only float copy of a hand-built (K, K) gain matrix, checked as
+    the simulator's own draws are: square, 1 <= k_p < K, entries positive
+    and finite."""
+    h = np.array(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("gain matrix must be square")
+    if not 1 <= k_p < h.shape[0]:
+        raise ValueError("k_p must satisfy 1 <= k_p < k_p + k_s")
+    if not np.all((h > 0.0) & np.isfinite(h)):
+        raise ValueError("gain entries must be positive and finite")
+    h.flags.writeable = False
+    return h
+
+
+def _blocks(g, k_p):
     """The four (primary/secondary tx) x (primary/secondary rx) gain blocks."""
-    g = h.stacked()
     return g[:k_p, :k_p], g[:k_p, k_p:], g[k_p:, :k_p], g[k_p:, k_p:]
 
 
 def distortion_loops(h, pp, ps, cfg):
     """Per-receiver distortion powers via explicit loops over transmitters.
 
-    ``h`` is a GainMatrices instance; returns (d_p, d_s) lists. Transmit
+    ``h`` is the (K, K) gain matrix; returns (d_p, d_s) lists. Transmit
     distortion at a secondary receiver carries kappa_t_s for both systems.
     """
     k_p, k_s = len(pp), len(ps)
@@ -45,7 +59,7 @@ def distortion_loops(h, pp, ps, cfg):
 def sindr_loops(h, pp, ps, cfg):
     """Per-link SINDRs via explicit double loops over transmitters.
 
-    ``h`` is a GainMatrices instance; returns (sindr_p, sindr_s) arrays.
+    ``h`` is the (K, K) gain matrix; returns (sindr_p, sindr_s) arrays.
     """
     k_p, k_s = len(pp), len(ps)
     h_pp, h_ps, h_sp, h_ss = _blocks(h, k_p)
@@ -129,8 +143,7 @@ def max_rel_err(analytic, numeric, floor=1e-4):
 
 
 def random_gains(rng, k_p, k_s, scale=1.0):
-    """Strictly positive random gain matrices with a wide dynamic range."""
-    from underlay_ppo.geometry import GainMatrices
+    """A strictly positive random (K, K) gain matrix with a wide dynamic range."""
 
     def block(n, m):
         return scale * np.exp(rng.normal(-2.0, 2.0, size=(n, m)))
@@ -138,7 +151,7 @@ def random_gains(rng, k_p, k_s, scale=1.0):
     # four draws in block order (pp, ps, sp, ss), then stacked
     h_pp, h_ps = block(k_p, k_p), block(k_p, k_s)
     h_sp, h_ss = block(k_s, k_p), block(k_s, k_s)
-    return GainMatrices(np.block([[h_pp, h_ps], [h_sp, h_ss]]), k_p)
+    return gain_matrix(np.block([[h_pp, h_ps], [h_sp, h_ss]]), k_p)
 
 
 def distances_reference(topo):
@@ -205,13 +218,6 @@ def unshrunk_policy(rng, obs_dim, action_dim, hidden):
     return policy
 
 
-def power_allocation(p_primary, p_secondary):
-    """``PowerAllocation`` of two per-system power vectors."""
-    from underlay_ppo.phy import PowerAllocation
-
-    return PowerAllocation(np.concatenate((p_primary, p_secondary)), len(p_primary))
-
-
 def clamp_and_penalize(raw_action, p_max):
     """One system's raw powers clipped into [0, p_max], and the clipped mass."""
     raw = np.asarray(raw_action, dtype=float)
@@ -222,8 +228,8 @@ def clamp_and_penalize(raw_action, p_max):
 def step_reference(gains, raw_p, raw_s, radio, active_fraction):
     """One environment step's physics and bookkeeping, system by system.
 
-    Clamps each system on its own, then runs ``PowerAllocation``,
-    ``evaluate_links`` and the two reward functions. Returns (the metric
+    Clamps each system on its own, then runs ``evaluate_links`` on the
+    stacked powers and the two reward functions. Returns (the metric
     row in ``METRIC_FIELDS`` order, the link metrics).
     """
     from underlay_ppo.env import reward_primary, reward_secondary
@@ -231,7 +237,7 @@ def step_reference(gains, raw_p, raw_s, radio, active_fraction):
 
     applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
     applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
-    links = evaluate_links(gains, power_allocation(applied_p, applied_s), radio)
+    links = evaluate_links(gains, np.concatenate((applied_p, applied_s)), len(applied_p), radio)
     nqos_p = float(links.nqos_p)
     row = [
         reward_primary(links.rate_p, radio.rate_threshold, delta_p),

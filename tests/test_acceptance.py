@@ -20,9 +20,9 @@ import pytest
 
 from oracles import (
     gae_loops,
+    gain_matrix,
     max_rel_err,
     numeric_grad,
-    power_allocation,
     random_gains,
     sindr_loops,
     unshrunk_policy,
@@ -41,7 +41,7 @@ from underlay_ppo.env import (
     observation_dim,
     reward_primary,
 )
-from underlay_ppo.geometry import ChannelParams, GainMatrices, los_probability
+from underlay_ppo.geometry import ChannelParams, los_probability
 from underlay_ppo.nets import (
     gaussian_log_prob,
     logprob_grads_from_forward,
@@ -255,7 +255,7 @@ def test_criterion_3_sindr_oracle():
         h = random_gains(rng, k_p, k_s)
         pp = rng.uniform(0.0, 1.0, k_p)
         ps = rng.uniform(0.0, 1.0, k_s)
-        links = evaluate_links(h, power_allocation(pp, ps), cfg)
+        links = evaluate_links(h, np.concatenate((pp, ps)), k_p, cfg)
         ref_p, ref_s = sindr_loops(h, pp, ps, cfg)
         worst = max(
             worst,
@@ -274,14 +274,12 @@ def test_criterion_4_closed_form_spot_values():
     p_los = float(los_probability(36.0, ChannelParams()))
     los_ok = abs(p_los - 0.683940) <= 1e-6
 
-    h = GainMatrices(np.ones((2, 2)), 1)
+    h = gain_matrix(np.ones((2, 2)), 1)
     cfg = RadioConfig(
         kappa_t_p=0.1, kappa_r_p=0.1, kappa_t_s=0.1, kappa_r_s=0.1,
         noise_power=1.0,
     )
-    sindr_p = evaluate_links(
-        h, power_allocation(np.array([1.0]), np.array([0.0])), cfg
-    ).sindr_p
+    sindr_p = evaluate_links(h, np.array([1.0, 0.0]), 1, cfg).sindr_p
     sindr_ok = abs(sindr_p[0] - 1.0 / 1.02) <= 1e-12
 
     r = reward_primary(np.array([1.0, 1.0]), 0.5, 0.5)

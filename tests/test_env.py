@@ -21,14 +21,14 @@ from underlay_ppo.env import (
     reward_primary,
     reward_secondary,
 )
-from underlay_ppo.geometry import GainMatrices, perturb_topology
+from underlay_ppo.geometry import perturb_topology
 from underlay_ppo.phy import RadioConfig, evaluate_links
 
 from oracles import (
     clamp_and_penalize,
     distance_features_reference,
+    gain_matrix,
     gains_reference,
-    power_allocation,
     step_reference,
 )
 
@@ -41,6 +41,15 @@ def metric(row, name):
 def make_env(seed=0, episode_len=10, **kwargs):
     cfg = EnvConfig(**kwargs)
     return SpectrumSharingEnv(cfg, np.random.default_rng(seed), episode_len), cfg
+
+
+def assert_gains_are_step_slice(world):
+    """``world.gains`` is the read-only block slice for ``world.step_index``."""
+    block, gains = world.episode_gains, world.gains
+    assert isinstance(block, np.ndarray) and not block.flags.writeable
+    assert gains.shape == block.shape[1:] and not gains.flags.writeable
+    assert np.shares_memory(gains, block[world.step_index])
+    np.testing.assert_array_equal(gains, block[world.step_index])
 
 
 class TestObservationDims:
@@ -197,9 +206,9 @@ class TestStep:
         env, cfg = make_env(seed=13, episode_len=5)
         rng = np.random.default_rng(14)
         world = env.reset(rng)
-        g0 = world.gains.stacked().copy()
+        g0 = world.gains.copy()
         env.step(world, np.full(cfg.k_p + cfg.k_s, 0.4))
-        g1 = world.gains.stacked().copy()
+        g1 = world.gains.copy()
         assert not np.array_equal(g0, g1)
 
     def test_action_shape_validated(self):
@@ -326,9 +335,10 @@ class TestPerEpisodeGeometry:
             assert after_reset == twin.bit_generator.state
             np.testing.assert_array_equal(world.geometry.topology.p_tx, topo.p_tx)
             np.testing.assert_array_equal(world.geometry.topology.s_rx, topo.s_rx)
-            np.testing.assert_array_equal(world.gains.stacked(), block[0])
+            assert_gains_are_step_slice(world)
+            np.testing.assert_array_equal(world.gains, block[0])
             with pytest.raises(ValueError, match="read-only"):
-                world.gains.stacked()[0, 0] = 1.0
+                world.gains[0, 0] = 1.0
             np.testing.assert_array_equal(
                 obs_p[: k_p * k_p], distance_features_reference(topo, "primary"))
             np.testing.assert_array_equal(
@@ -341,14 +351,13 @@ class TestPerEpisodeGeometry:
                 raw_s = actions.uniform(-0.2, 1.2, k_s)
                 env.step(world, np.concatenate((raw_p, raw_s)))
                 ref = block[t + 1]
-                np.testing.assert_array_equal(world.gains.stacked(), ref)
-                assert not world.gains.stacked().flags.writeable
-                h = GainMatrices(ref, k_p)
-                power = power_allocation(
+                assert_gains_are_step_slice(world)
+                np.testing.assert_array_equal(world.gains, ref)
+                power = np.concatenate((
                     clamp_and_penalize(raw_p, radio.p_max_p)[0],
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
-                )
-                expect = evaluate_links(h, power, radio)
+                ))
+                expect = evaluate_links(gain_matrix(ref, k_p), power, k_p, radio)
                 for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
                     np.testing.assert_array_equal(
                         getattr(world.links, name), getattr(expect, name), err_msg=name)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from underlay_ppo import geometry
 from underlay_ppo.geometry import (
     ChannelParams,
-    GainMatrices,
     Topology,
     clamp_to_disc,
     link_geometry,
@@ -206,20 +205,22 @@ class TestGainSampling:
         rng = np.random.default_rng(8)
         topo = sample_topology(rng, 4, 8, 100.0, RING)
         [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
-        assert (h.k_p, h.k_s) == (4, 8)
-        assert h.stacked().shape == (12, 12)
-        assert np.all(h.stacked() > 0.0)
-        assert np.all(np.isfinite(h.stacked()))
+        assert h.shape == (12, 12)
+        assert np.all(h > 0.0)
+        assert np.all(np.isfinite(h))
 
     def test_draws_are_read_only_views_of_one_block(self):
         rng = np.random.default_rng(17)
         topo = sample_topology(rng, 2, 3, 100.0, RING)
-        h1, h2 = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 2)
-        assert h1.stacked().base is h2.stacked().base is not None
+        block = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 2)
+        assert type(block) is np.ndarray and block.dtype == np.float64
+        assert block.shape == (2, 5, 5) and not block.flags.writeable
+        h1, h2 = block
+        assert np.shares_memory(h1, block) and np.shares_memory(h2, block)
         with pytest.raises(ValueError, match="read-only"):
-            h1.stacked()[0, 0] = 1.0
+            h1[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            h2.stacked()[4, 4] = 1.0
+            h2[4, 4] = 1.0
 
     def test_seed_determinism(self):
         topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
@@ -227,8 +228,8 @@ class TestGainSampling:
         [h1] = sample_gain_matrices(links, np.random.default_rng(11), 1)
         [h2] = sample_gain_matrices(links, np.random.default_rng(11), 1)
         [h3] = sample_gain_matrices(links, np.random.default_rng(12), 1)
-        np.testing.assert_array_equal(h1.stacked(), h2.stacked())
-        assert not np.array_equal(h1.stacked(), h3.stacked())
+        np.testing.assert_array_equal(h1, h2)
+        assert not np.array_equal(h1, h3)
 
     @pytest.mark.parametrize("short", [0.0, 0.25])
     def test_distance_floor(self, short):
@@ -239,7 +240,7 @@ class TestGainSampling:
         np.testing.assert_array_equal(links_short.d_eff, 1.0)
         [g_short] = sample_gain_matrices(links_short, np.random.default_rng(13), 1)
         [g_floor] = sample_gain_matrices(links_floor, np.random.default_rng(13), 1)
-        np.testing.assert_array_equal(g_short.stacked(), g_floor.stacked())
+        np.testing.assert_array_equal(g_short, g_floor)
 
     def test_fading_means_near_unity(self):
         # LOS fading is Gamma(m, 1/m), NLOS is Exp(1); both unit mean.
@@ -250,31 +251,18 @@ class TestGainSampling:
         rng = np.random.default_rng(14)
         topo = same_length_topology(50.0)
         los_params = ChannelParams(d0=1e9, shadow_std_los_db=0.0)
-        gains = np.stack([h.stacked() for h in sample_gain_matrices(
-            link_geometry(topo, los_params), rng, draws)])
+        gains = sample_gain_matrices(link_geometry(topo, los_params), rng, draws)
         expect = 50.0**-2.4
         assert abs(gains.mean() / expect - 1.0) < 0.02
 
         # d >> d0 and d >> d1 drives the LOS probability to ~ d0 / d
         nlos_params = ChannelParams(d0=1e-9, d1=1e-9, shadow_std_nlos_db=0.0)
-        gains = np.stack([h.stacked() for h in sample_gain_matrices(
-            link_geometry(topo, nlos_params), rng, draws)])
+        gains = sample_gain_matrices(link_geometry(topo, nlos_params), rng, draws)
         expect = 50.0**-3.78
         assert abs(gains.mean() / expect - 1.0) < 0.02
 
 
 class TestGainMatricesValidation:
-    @staticmethod
-    def stacked(bad):
-        h = np.ones((3, 3))
-        h[1, 0] = bad
-        return h
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_constructor_rejects(self, bad):
-        with pytest.raises(ValueError, match="^gain entries must be positive and finite"):
-            GainMatrices(self.stacked(bad), 2)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_drawn_gains_check_rejects(self, bad, monkeypatch):
         # one bad entry in the last draw of the block fails the whole block
@@ -288,21 +276,6 @@ class TestGainMatricesValidation:
                               PARAMS)
         with pytest.raises(ValueError, match="positive and finite"):
             sample_gain_matrices(links, np.random.default_rng(4), 3)
-
-    @pytest.mark.parametrize("shape, k_p", [((3, 2), 1), ((3,), 1), ((3, 3), 0), ((3, 3), 3)],
-                             ids=["not-square", "1-d", "no-primary", "no-secondary"])
-    def test_constructor_rejects_shape_and_split(self, shape, k_p):
-        with pytest.raises(ValueError):
-            GainMatrices(np.ones(shape), k_p)
-
-    def test_constructor_stores_read_only_copy(self):
-        given = self.stacked(2.0)
-        h = GainMatrices(given, 2)
-        np.testing.assert_array_equal(h.stacked(), [[1, 1, 1], [2, 1, 1], [1, 1, 1]])
-        assert (h.k_p, h.k_s) == (2, 1)
-        assert given.flags.writeable and not np.shares_memory(given, h.stacked())
-        with pytest.raises(ValueError, match="read-only"):
-            h.stacked()[0, 0] = 1.0
 
 
 class TestDistanceFeatures:

@@ -544,6 +544,22 @@ class TestSummarize:
         with pytest.raises(ConfigError, match=r"seed_0\.csv has 3 rows, .*seed_1\.csv has 1"):
             summarize_dir(out, window=0.1)
 
+    def test_missing_metric_column_names_file_and_column(self, tmp_path):
+        (tmp_path / "seed_1.csv").write_text("iter,seed\n1,1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"seed_1\.csv has no 'reward_p' column"):
+            summarize_dir(tmp_path, window=0.5)
+
+    def test_non_numeric_cell_names_file_and_column(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(tiny_cfg(out))
+        path = out / "seed_1.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = first.split(",")
+        cells[SEED_COLUMNS.index("reward_p")] = "abc"
+        path.write_text("".join([header, ",".join(cells), *rest]), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"seed_1\.csv: column 'reward_p' holds 'abc'"):
+            summarize_dir(out, window=0.5)
+
     def test_format_summary_layout(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(tiny_cfg(out))
@@ -597,6 +613,15 @@ class TestCli:
     def test_malformed_set_flag(self, tmp_path, capsys):
         status = cli.main(["run", "--out", str(tmp_path / "x"), "--set", "oops"])
         assert status == 2
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "results.txt"
+        out.write_text("not a directory\n", encoding="utf-8")
+        status = cli.main(["run", "--seeds", "0", "--out", str(out), "--quiet",
+                           "--set", "iters=1", "--set", "batch=5", "--set", "episode_len=5"])
+        assert status == 2
+        assert f"cannot use {out} as the output directory" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_overwrite_cycle(self, tmp_path, capsys):
         out = tmp_path / "run"

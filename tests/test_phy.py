@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import power_allocation, random_gains, sindr_loops
-from underlay_ppo.geometry import GainMatrices
+from oracles import gain_matrix, random_gains, sindr_loops
 from underlay_ppo.phy import (
     DEFAULT_NOISE_POWER_W,
     LinkMetrics,
-    PowerAllocation,
     RadioConfig,
     energy_efficiency,
     evaluate_links,
@@ -17,8 +15,8 @@ from underlay_ppo.phy import (
 
 
 def unit_gains(k_p=1, k_s=1):
-    """All-ones gain matrices, handy for closed-form spot checks."""
-    return GainMatrices(np.ones((k_p + k_s, k_p + k_s)), k_p)
+    """An all-ones gain matrix, handy for closed-form spot checks."""
+    return gain_matrix(np.ones((k_p + k_s, k_p + k_s)), k_p)
 
 
 CFG_UNIT_NOISE = RadioConfig(noise_power=1.0)
@@ -53,9 +51,7 @@ class TestDistortion:
             kappa_t_p=0.3, kappa_r_p=0.0, kappa_t_s=0.2, kappa_r_s=0.0,
             noise_power=1.0,
         )
-        h = unit_gains()
-        p = power_allocation(np.array([1.0]), np.array([1.0]))
-        links = evaluate_links(h, p, cfg)
+        links = evaluate_links(unit_gains(), np.array([1.0, 1.0]), 1, cfg)
         # primary receiver: noise 1, own-system 0.09, secondary's 0.04, interference 1
         assert links.sindr_p[0] == pytest.approx(1.0 / 2.13, rel=1e-12)
         # secondary receiver: both distortion sums carry the secondary transmit kappa
@@ -66,38 +62,30 @@ class TestDistortion:
             kappa_t_p=0.0, kappa_r_p=0.1, kappa_t_s=0.0, kappa_r_s=0.0,
             noise_power=1.0,
         )
-        h = GainMatrices([[0.5, 1.0], [1.0, 1.0]], 1)
-        p = power_allocation(np.array([2.0]), np.array([0.0]))
+        h = gain_matrix([[0.5, 1.0], [1.0, 1.0]], 1)
         # direct power 0.5 * 2 = 1 over noise 1 plus receiver distortion 0.01 * 1
-        sindr_p = evaluate_links(h, p, cfg).sindr_p
+        sindr_p = evaluate_links(h, np.array([2.0, 0.0]), 1, cfg).sindr_p
         assert sindr_p[0] == pytest.approx(1.0 / 1.01, rel=1e-12)
 
-    def test_dimension_mismatch(self):
-        h = unit_gains(2, 2)
-        with pytest.raises(ValueError):
-            evaluate_links(
-                h, power_allocation(np.ones(3), np.ones(2)), CFG_UNIT_NOISE
-            )
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)], ids=["short", "long", "2-d"])
+    def test_dimension_mismatch(self, shape):
+        with pytest.raises(ValueError, match="power vector must have shape"):
+            evaluate_links(unit_gains(2, 2), np.ones(shape), 2, CFG_UNIT_NOISE)
 
 
 class TestSindr:
     def test_single_link_spot_value(self):
-        h = unit_gains()
-        p = power_allocation(np.array([1.0]), np.array([0.0]))
-        sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
+        sindr_p = evaluate_links(unit_gains(), np.array([1.0, 0.0]), 1, CFG_UNIT_NOISE).sindr_p
         assert sindr_p[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
 
     def test_two_symmetric_links(self):
         # both primary links identical: distortion 0.03, interference 1
-        h = unit_gains(2, 1)
-        p = power_allocation(np.array([1.0, 1.0]), np.array([0.0]))
-        sindr_p = evaluate_links(h, p, CFG_UNIT_NOISE).sindr_p
+        p = np.array([1.0, 1.0, 0.0])
+        sindr_p = evaluate_links(unit_gains(2, 1), p, 2, CFG_UNIT_NOISE).sindr_p
         np.testing.assert_allclose(sindr_p, 1.0 / 2.03, rtol=1e-12)
 
     def test_zero_power_means_zero_sindr(self):
-        h = unit_gains(3, 2)
-        p = power_allocation(np.zeros(3), np.zeros(2))
-        links = evaluate_links(h, p, CFG_UNIT_NOISE)
+        links = evaluate_links(unit_gains(3, 2), np.zeros(5), 3, CFG_UNIT_NOISE)
         np.testing.assert_array_equal(links.sindr_p, 0.0)
         np.testing.assert_array_equal(links.sindr_s, 0.0)
 
@@ -109,9 +97,9 @@ class TestSindr:
         )
         rng = np.random.default_rng(21)
         h = random_gains(rng, 3, 4)
-        pp, ps = rng.random(3) + 0.1, rng.random(4) + 0.1
-        base = evaluate_links(h, power_allocation(pp, ps), cfg)
-        scaled = evaluate_links(h, power_allocation(17.0 * pp, 17.0 * ps), cfg)
+        p = np.concatenate((rng.random(3) + 0.1, rng.random(4) + 0.1))
+        base = evaluate_links(h, p, 3, cfg)
+        scaled = evaluate_links(h, 17.0 * p, 3, cfg)
         np.testing.assert_allclose(base.sindr_p, scaled.sindr_p, rtol=1e-9)
         np.testing.assert_allclose(base.sindr_s, scaled.sindr_s, rtol=1e-9)
 
@@ -119,25 +107,24 @@ class TestSindr:
         rng = np.random.default_rng(22)
         cfg = RadioConfig(noise_power=1e-10)
         h = random_gains(rng, 2, 2)
-        pp = np.array([0.5, 0.3])
-        ps = np.array([0.4, 0.2])
-        base = evaluate_links(h, power_allocation(pp, ps), cfg)
-        bumped = pp.copy()
+        p = np.array([0.5, 0.3, 0.4, 0.2])
+        base = evaluate_links(h, p, 2, cfg)
+        bumped = p.copy()
         bumped[1] += 0.4
-        got = evaluate_links(h, power_allocation(bumped, ps), cfg)
+        got = evaluate_links(h, bumped, 2, cfg)
         assert got.sindr_p[0] <= base.sindr_p[0]
         assert np.all(got.sindr_s <= base.sindr_s)
 
     def test_more_impairment_never_helps(self):
         rng = np.random.default_rng(23)
         h = random_gains(rng, 3, 3)
-        p = power_allocation(rng.random(3), rng.random(3))
-        lo = evaluate_links(h, p, RadioConfig(noise_power=1e-10))
+        p = np.concatenate((rng.random(3), rng.random(3)))
+        lo = evaluate_links(h, p, 3, RadioConfig(noise_power=1e-10))
         hi_cfg = RadioConfig(
             kappa_t_p=0.2, kappa_r_p=0.2, kappa_t_s=0.2, kappa_r_s=0.2,
             noise_power=1e-10,
         )
-        hi = evaluate_links(h, p, hi_cfg)
+        hi = evaluate_links(h, p, 3, hi_cfg)
         assert np.all(hi.sindr_p <= lo.sindr_p)
         assert np.all(hi.sindr_s <= lo.sindr_s)
 
@@ -146,13 +133,8 @@ class TestSindr:
     def test_own_power_monotone(self, p_small, p_big):
         lo, hi = sorted((p_small, p_big))
         h = unit_gains(2, 1)
-        ps = np.array([0.3])
-        s_lo = evaluate_links(
-            h, power_allocation(np.array([lo, 0.5]), ps), CFG_UNIT_NOISE
-        ).sindr_p
-        s_hi = evaluate_links(
-            h, power_allocation(np.array([hi, 0.5]), ps), CFG_UNIT_NOISE
-        ).sindr_p
+        s_lo = evaluate_links(h, np.array([lo, 0.5, 0.3]), 2, CFG_UNIT_NOISE).sindr_p
+        s_hi = evaluate_links(h, np.array([hi, 0.5, 0.3]), 2, CFG_UNIT_NOISE).sindr_p
         assert s_hi[0] >= s_lo[0]
 
 
@@ -196,8 +178,8 @@ class TestEvaluateLinks:
         rng = np.random.default_rng(25)
         cfg = RadioConfig(noise_power=1e-9)
         h = random_gains(rng, 3, 4)
-        p = power_allocation(rng.random(3), rng.random(4))
-        links = evaluate_links(h, p, cfg)
+        p = np.concatenate((rng.random(3), rng.random(4)))
+        links = evaluate_links(h, p, 3, cfg)
         assert isinstance(links, LinkMetrics)
         np.testing.assert_allclose(
             links.rate_p, np.log2(1.0 + links.sindr_p), rtol=1e-15
@@ -206,7 +188,7 @@ class TestEvaluateLinks:
             links.rate_s, np.log2(1.0 + links.sindr_s), rtol=1e-15
         )
         np.testing.assert_allclose(
-            links.ee_s, energy_efficiency(links.rate_s, p.p_secondary, cfg)
+            links.ee_s, energy_efficiency(links.rate_s, p[3:], cfg)
         )
         assert links.nqos_p == int(np.sum(links.rate_p < cfg.rate_threshold))
 
@@ -215,8 +197,8 @@ class TestEvaluateLinks:
         cfg = RadioConfig()
         for _ in range(30):
             h = random_gains(rng, 4, 4, scale=1e-4)
-            p = power_allocation(rng.random(4), rng.random(4))
-            links = evaluate_links(h, p, cfg)
+            p = np.concatenate((rng.random(4), rng.random(4)))
+            links = evaluate_links(h, p, 4, cfg)
             for field in (links.sindr_p, links.sindr_s, links.rate_p,
                           links.rate_s, links.ee_s):
                 assert np.all(np.isfinite(field))
@@ -238,13 +220,12 @@ class TestCouplingForm:
                 noise_power=float(10.0 ** rng.uniform(-16.0, -8.0)),
             )
             g = 10.0 ** rng.uniform(-14.0, 0.0, (k_p + k_s, k_p + k_s))
-            h = GainMatrices(g, k_p)
+            h = gain_matrix(g, k_p)
             power = rng.uniform(0.0, 1.0, k_p + k_s)
             power[rng.random(k_p + k_s) < 0.25] = 0.0
             pp, ps = power[:k_p], power[k_p:]
-            p = power_allocation(pp, ps)
 
-            links = evaluate_links(h, p, cfg)
+            links = evaluate_links(h, power, k_p, cfg)
             got = (links.sindr_p, links.sindr_s)
             ref = sindr_loops(h, pp, ps, cfg)
             for g_arr, r_arr in zip(got, ref):
@@ -261,22 +242,3 @@ class TestCouplingForm:
                 np.testing.assert_array_equal(arr[ps == 0.0], 0.0)
         assert worst <= 1e-12
 
-
-class TestPowerAllocation:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([-0.1, 0.5]), 1)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([np.inf, 0.5]), 1)
-
-    def test_per_system_powers_are_views_of_joint(self):
-        p = PowerAllocation(np.array([0.1, 0.2, 0.3]), 2)
-        np.testing.assert_array_equal(p.p_secondary, [0.3])
-        assert np.shares_memory(p.p_secondary, p.joint)
-
-    @pytest.mark.parametrize("k_p", [-1, 4])
-    def test_rejects_k_p_outside_joint(self, k_p):
-        with pytest.raises(ValueError, match="k_p at most its length"):
-            PowerAllocation(np.array([0.1, 0.2, 0.3]), k_p)
