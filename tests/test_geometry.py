@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gain_matrix
 from underlay_ppo import geometry
 from underlay_ppo.geometry import (
     ChannelParams,
@@ -263,6 +264,34 @@ class TestGainSampling:
 
 
 class TestGainMatricesValidation:
+    # Hand-built gain matrices in the tests go through oracles.gain_matrix,
+    # which makes the checks the simulator's draws get: these pin that it does.
+    @staticmethod
+    def stacked(bad):
+        h = np.ones((3, 3))
+        h[1, 0] = bad
+        return h
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(ValueError, match="^gain entries must be positive and finite"):
+            gain_matrix(self.stacked(bad), 2)
+
+    @pytest.mark.parametrize("shape, k_p", [((3, 2), 1), ((3,), 1), ((3, 3), 0), ((3, 3), 3)],
+                             ids=["not-square", "1-d", "no-primary", "no-secondary"])
+    def test_constructor_rejects_shape_and_split(self, shape, k_p):
+        with pytest.raises(ValueError):
+            gain_matrix(np.ones(shape), k_p)
+
+    def test_constructor_stores_read_only_copy(self):
+        given = self.stacked(2.0)
+        h = gain_matrix(given, 2)
+        np.testing.assert_array_equal(h, [[1, 1, 1], [2, 1, 1], [1, 1, 1]])
+        assert h.dtype == np.float64
+        assert given.flags.writeable and not np.shares_memory(given, h)
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_drawn_gains_check_rejects(self, bad, monkeypatch):
         # one bad entry in the last draw of the block fails the whole block
