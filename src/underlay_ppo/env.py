@@ -18,9 +18,9 @@ distance features of the observations) is computed once at ``reset`` into
 ``WorldState.geometry``. No power action changes the channel either, so
 ``reset`` also draws the whole episode's gains at once: a read-only
 (T + 1, K, K) block, slice 0 for the reset observation and t + 1 for step
-t. ``step`` draws nothing: advancing ``WorldState.step_index`` moves
-``WorldState.gains`` on to the step's slice, and the physics runs on it.
-Within a rollout, the only draws between two resets are the action noise.
+t. ``step`` draws nothing; it moves ``WorldState.gains`` on to the step's
+slice. A rollout draws only at episode starts: first the gains here in
+``reset``, then the episode's action-noise block in ``ppo._collect``.
 
 Row contract: ``step`` takes the joint raw power vector, primary links
 first, and returns its 12 scalar metrics (rewards, summed rates, EE and

@@ -355,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
                 )
     except Exception:
         (out / "failure_diagnostics.txt").write_text(
-            f"seed {seed} failed\n{traceback.format_exc()}")
+            f"seed {seed} failed\n{traceback.format_exc()}", encoding="utf-8")
         if verbose:
             print(
                 f"training failed; see {out / 'failure_diagnostics.txt'}",
@@ -383,6 +383,7 @@ def summarize_dir(csv_dir, window: float = 0.1) -> dict:
     per_seed: dict[int, dict[str, float]] = {}
     rows_used = None
     first = None  # (path, row count) of the first file
+    files_of: dict[int, Path] = {}  # the file of each seed
     for path in files:
         rows = read_metrics_csv(path)
         if not rows:
@@ -398,6 +399,8 @@ def summarize_dir(csv_dir, window: float = 0.1) -> dict:
         k = max(1, int(round(len(rows) * window)))
         tail = rows[-k:]
         seed = int(rows[0]["seed"])
+        if (other := files_of.setdefault(seed, path)) != path:
+            raise ConfigError(f"{other} and {path} both hold seed {seed}")
         per_seed[seed] = {
             m: sum(r[m] for r in tail) / len(tail) for m in METRIC_FIELDS
         }

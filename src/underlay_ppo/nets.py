@@ -235,26 +235,24 @@ class ValueNet(DenseNet):
         return float(out[0])
 
 
+def _log_density(z, log_std):
+    """Diagonal-Gaussian log density of standardized actions ``z``, summed over the last axis."""
+    return (-0.5 * np.add.reduce(z * z, axis=-1) - np.add.reduce(log_std, axis=-1)
+            - 0.5 * z.shape[-1] * _LOG_2PI)
+
+
 def gaussian_log_prob(mean, log_std, actions):
     """Log density of a diagonal Gaussian, summed over action coordinates."""
-    z = (actions - mean) * np.exp(-log_std)
-    dim = mean.shape[-1]
-    return (
-        -0.5 * np.sum(z * z, axis=-1)
-        - np.sum(log_std, axis=-1)
-        - 0.5 * dim * _LOG_2PI
-    )
+    return _log_density((actions - mean) * np.exp(-log_std), log_std)
 
 
-def sample_action(policy: GaussianPolicyNet, obs, rng: np.random.Generator):
-    """Draw an action for one observation; returns (action, its log density)."""
+def sample_action(policy: GaussianPolicyNet, obs, z):
+    """The action ``mean + std * z`` for one observation and its standard-normal
+    noise row ``z``; returns (action, its log density). Draws nothing: a rollout draws
+    only at episode starts, the gains in ``env.reset``, then ``ppo._collect``'s noise block."""
     mean, log_std, _ = policy.forward(obs)
-    z = rng.standard_normal(mean.shape[-1])
-    logp = float(-0.5 * np.add.reduce(z * z) - np.add.reduce(log_std)
-                 - 0.5 * z.shape[0] * _LOG_2PI)
-    std_z = np.exp(log_std, out=log_std)
-    std_z *= z
-    mean += std_z  # the action, mean + std * z
+    logp = float(_log_density(z, log_std))
+    mean += np.multiply(np.exp(log_std, out=log_std), z, out=log_std)  # mean + std * z
     return mean, logp
 
 

@@ -331,35 +331,36 @@ def _rewards(rows: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
-    """Roll out one batch of transitions; returns (per-agent batches, metric means).
+    """Roll out one batch of whole episodes; returns (per-agent batches, metric means).
 
-    Every mode runs the same loop: each agent observes the world and acts, and
-    the env steps the joint power vector their actions form.
+    Every mode runs one loop, which draws only at episode starts: the gains in
+    ``env.reset``, then one standard-normal ``(episode_len, K)`` action-noise block.
+    Each agent acts into its column slice of one joint ``(batch, K)`` block, row by row.
     """
     n, t_len = hyper.batch, hyper.episode_len
     kinds = [kind for _, kind in MODE_AGENTS[mode]]
+    ends = np.cumsum([agent.policy.action_dim for agent in agents]).tolist()
+    cols = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
     obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
-    actions = [np.empty((n, agent.policy.action_dim)) for agent in agents]
+    joint = np.empty((n, ends[-1]))  # the joint actions, primary links first
     log_probs = np.empty((len(agents), n))
     rows = np.empty((n, len(METRIC_FIELDS)))  # step rows, in METRIC_FIELDS order
-    sums = np.zeros(len(METRIC_FIELDS))
-    for idx in range(n):
-        if idx % t_len == 0:
-            world = env.reset(rng)
-        for i, (agent, kind) in enumerate(zip(agents, kinds)):
-            obs[i][idx] = ob = _observe(world, kind)
-            actions[i][idx], log_probs[i, idx] = sample_action(agent.policy, ob, rng)
-        rows[idx] = row = env.step(world, np.concatenate([act[idx] for act in actions]))
-        sums += row
+    for start in range(0, n, t_len):
+        world = env.reset(rng)
+        for idx, z in enumerate(rng.standard_normal((t_len, ends[-1])), start):
+            for i, (agent, kind, col) in enumerate(zip(agents, kinds, cols)):
+                obs[i][idx] = ob = _observe(world, kind)
+                joint[idx, col], log_probs[i, idx] = sample_action(agent.policy, ob, z[col])
+            rows[idx] = env.step(world, joint[idx])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     # the nets do not change during a rollout, so one batched pass per agent
     batches = [
-        TrajectoryBatch(obs=ob, actions=act, log_probs_old=logp, rewards=_rewards(rows, kind),
-                        dones=dones, values=agent.value.forward(ob)[0],
+        TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,
+                        rewards=_rewards(rows, kind), values=agent.value.forward(ob)[0],
                         bootstrap_value=agent.value.value(_observe(world, kind)))
-        for agent, kind, ob, act, logp in zip(agents, kinds, obs, actions, log_probs)
+        for agent, kind, col, ob, logp in zip(agents, kinds, cols, obs, log_probs)
     ]
-    return batches, dict(zip(METRIC_FIELDS, (sums / n).tolist()))
+    return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 
 
 @one_blas_thread()

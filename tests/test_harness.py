@@ -1,4 +1,9 @@
+import codecs
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +113,23 @@ shadow_std_los_db=5
 shadow_std_nlos_db=8.6
 tau=1
 update_epochs=10
+"""
+
+
+# a child run whose training fails with a message outside ASCII; prints the
+# locale's preferred encoding, then run_experiment's exit status
+_FAILING_RUN = """
+import locale, sys
+from underlay_ppo import harness
+
+def diverge(*args, **kwargs):
+    raise RuntimeError("diverged at caf\\u00e9")
+
+harness.train = diverge
+print(locale.getpreferredencoding(False), flush=True)
+cfg = harness.build_config(None, [("iters", "3"), ("batch", "10"), ("episode_len", "5"),
+                                  ("seeds", "0"), ("out", sys.argv[1])])
+print(harness.run_experiment(cfg))
 """
 
 
@@ -504,6 +526,25 @@ class TestRunExperiment:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["aggregate.csv", "config_used.txt", "seed_0.csv", "seed_1.csv"]
 
+    def test_failure_report_is_utf8_under_c_locale(self, tmp_path):
+        """Under the C locale, without UTF-8 mode or locale coercion, a failure
+        message outside ASCII still reaches failure_diagnostics.txt, which is
+        UTF-8 like every other file the run writes, and the run returns 1."""
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / "run"
+        done = subprocess.run([sys.executable, "-c", _FAILING_RUN, str(out)], env=env,
+                              capture_output=True, text=True, errors="replace", timeout=120)
+        encoding, *status = done.stdout.split()
+        if codecs.lookup(encoding).name == "utf-8":
+            pytest.skip(f"the child's preferred encoding is still {encoding}")
+        assert done.returncode == 0, done.stderr
+        assert status == ["1"]
+        report = (out / "failure_diagnostics.txt").read_text(encoding="utf-8")
+        assert report.startswith("seed 0 failed\n")
+        assert "RuntimeError: diverged at caf\u00e9" in report
+
 
 class TestSummarize:
     def test_window_math(self, tmp_path):
@@ -558,6 +599,15 @@ class TestSummarize:
         cells[SEED_COLUMNS.index("reward_p")] = "abc"
         path.write_text("".join([header, ",".join(cells), *rest]), encoding="utf-8")
         with pytest.raises(ConfigError, match=r"seed_1\.csv: column 'reward_p' holds 'abc'"):
+            summarize_dir(out, window=0.5)
+
+    def test_duplicate_seed_value_names_both_files(self, tmp_path):
+        """Two files holding the same seed would collapse into one seed of the
+        cross-seed mean; the summary refuses them and names both."""
+        out = tmp_path / "run"
+        assert run_experiment(tiny_cfg(out, [("seeds", "4")])) == 0
+        (out / "seed_1.csv").write_bytes((out / "seed_4.csv").read_bytes())
+        with pytest.raises(ConfigError, match=r"seed_1\.csv and .*seed_4\.csv both hold seed 4"):
             summarize_dir(out, window=0.5)
 
     def test_format_summary_layout(self, tmp_path):

@@ -488,40 +488,56 @@ class TestCollect:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_batch_matches_a_replay_of_its_actions(self, mode):
-        """A one-episode rollout against env.reset and env.step replaying its
-        actions on a twin rng: observations, rewards (the two systems' sum for
-        the centralized agent), dones, bootstraps and metric means, bit for bit."""
-        rng = np.random.default_rng(25)
-        hyper = tiny_hyper(batch=5, episode_len=5)
-        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
-        agents = build_agents(mode, SMALL_ENV, hyper, rng)
-        twin = np.random.default_rng()
-        twin.bit_generator.state = rng.bit_generator.state
-        batches, means = _collect(env, agents, mode, hyper, rng)
-
+        """One- and two-episode rollouts against a replay on a twin rng that
+        draws what the rollout contract says: at each episode start the gains
+        (env.reset), then one (episode_len, K) noise block, and nothing else.
+        Each agent's actions are mean + exp(log_std) * z for its column slice
+        of the block; observations, rewards (the two systems' sum for the
+        centralized agent), dones, bootstraps, metric means and the final rng
+        state match, bit for bit."""
         def observe(world):  # each agent's observation, in agent order
             if mode == MODE_COEXIST:
                 return [build_primary_obs(world), build_secondary_obs(world)]
             return [build_centralized_obs(world, mode)]
 
-        world = env.reset(twin)
-        seen, rewards, dones = [], [], []
-        sums = np.zeros(len(METRIC_FIELDS))
-        for raw in np.concatenate([batch.actions for batch in batches], axis=1):
-            seen.append(observe(world))
-            row = env.step(world, raw)
-            rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
-            dones.append(float(world.step_index == hyper.episode_len))
-            sums += row
-        final = observe(world)
+        for episodes in (1, 2):
+            rng = np.random.default_rng(25)
+            hyper = tiny_hyper(batch=5 * episodes, episode_len=5)
+            env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+            agents = build_agents(mode, SMALL_ENV, hyper, rng)
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            batches, means = _collect(env, agents, mode, hyper, rng)
+            joint = np.concatenate([batch.actions for batch in batches], axis=1)
+            ends = np.cumsum([agent.policy.action_dim for agent in agents])
+            cols = [slice(end - agent.policy.action_dim, end)
+                    for agent, end in zip(agents, ends)]
+            seen, rewards, dones = [], [], []
+            sums = np.zeros(len(METRIC_FIELDS))
+            for idx, raw in enumerate(joint):
+                if idx % hyper.episode_len == 0:
+                    world = env.reset(twin)
+                    noise = twin.standard_normal((hyper.episode_len, joint.shape[1]))
+                seen.append(observe(world))
+                z = noise[idx % hyper.episode_len]
+                for agent, batch, col in zip(agents, batches, cols):
+                    mean, log_std, _ = agent.policy.forward(batch.obs[idx])
+                    np.testing.assert_array_equal(batch.actions[idx],
+                                                  mean + np.exp(log_std) * z[col])
+                row = env.step(world, raw)
+                rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
+                dones.append(float(world.step_index == hyper.episode_len))
+                sums += row
+            final = observe(world)
 
-        assert dones == [0.0, 0.0, 0.0, 0.0, 1.0]
-        for i, (agent, batch) in enumerate(zip(agents, batches)):
-            np.testing.assert_array_equal(batch.obs, [obs[i] for obs in seen])
-            np.testing.assert_array_equal(batch.rewards, [r[i] for r in rewards])
-            np.testing.assert_array_equal(batch.dones, dones)
-            assert batch.bootstrap_value == agent.value.value(final[i])
-        assert list(means.values()) == (sums / hyper.batch).tolist()
+            assert dones == [0.0, 0.0, 0.0, 0.0, 1.0] * episodes
+            for i, (agent, batch) in enumerate(zip(agents, batches)):
+                np.testing.assert_array_equal(batch.obs, [obs[i] for obs in seen])
+                np.testing.assert_array_equal(batch.rewards, [r[i] for r in rewards])
+                np.testing.assert_array_equal(batch.dones, dones)
+                assert batch.bootstrap_value == agent.value.value(final[i])
+            assert list(means.values()) == (sums / hyper.batch).tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCheckpointing:
