@@ -3,11 +3,14 @@
 
 Writes results under results/desk/<experiment>/ and prints final-window
 summaries. Finishes in minutes; use run_full_sweep.py for the long schedule.
+Exits as ``underlay-ppo run`` does: 2 on a configuration error (existing
+results without --force, for one), 1 on a training failure.
 """
 import argparse
 import sys
 
 from underlay_ppo.harness import (
+    ConfigError,
     build_config,
     format_summary,
     run_experiment,
@@ -21,7 +24,14 @@ def main() -> int:
     ap.add_argument("--out-root", default="results/desk")
     ap.add_argument("--force", action="store_true")
     args = ap.parse_args()
+    try:
+        return _sweep(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _sweep(args) -> int:
     for experiment in ("ex1", "ex2"):
         out = f"{args.out_root}/{experiment}"
         overrides = [

@@ -15,7 +15,7 @@ from .env import (
     SpectrumSharingEnv,
     observation_dim,
 )
-from .geometry import ChannelParams, Topology, sample_topology
+from .geometry import ChannelParams
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from .harness import (
     summarize_dir,
 )
 from .nets import DenseNet, GaussianPolicyNet, ValueNet
-from .phy import LinkMetrics, RadioConfig, evaluate_links
+from .phy import RadioConfig, evaluate_links
 from .ppo import (
     MODE_CENTRALIZED_DIST,
     MODE_CENTRALIZED_FULL_CSI,
@@ -45,7 +45,6 @@ __all__ = [
     "EnvConfig",
     "ExperimentConfig",
     "GaussianPolicyNet",
-    "LinkMetrics",
     "MODES",
     "MODE_CENTRALIZED_DIST",
     "MODE_CENTRALIZED_FULL_CSI",
@@ -57,7 +56,6 @@ __all__ = [
     "PpoHyper",
     "RadioConfig",
     "SpectrumSharingEnv",
-    "Topology",
     "TrajectoryBatch",
     "ValueNet",
     "build_config",
@@ -65,7 +63,6 @@ __all__ = [
     "evaluate_links",
     "observation_dim",
     "run_experiment",
-    "sample_topology",
     "summarize_dir",
     "train",
 ]

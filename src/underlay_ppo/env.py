@@ -14,9 +14,9 @@ they last measured.
 
 Positions are fixed within an episode, so everything derived from them (the
 distance matrix, the LOS probabilities, the floored distances and the
-distance features of the observations) is computed once at ``reset`` into
-``WorldState.geometry``. No power action changes the channel either, so
-``reset`` also draws the whole episode's gains at once: a read-only
+distance features of the observations) is computed once at ``reset``; the
+world keeps only the features. No power action changes the channel either,
+so ``reset`` also draws the whole episode's gains at once: a read-only
 (T + 1, K, K) block, slice 0 for the reset observation and t + 1 for step
 t. ``step`` draws nothing; it moves ``WorldState.gains`` on to the step's
 slice. A rollout draws only at episode starts: first the gains here in
@@ -30,9 +30,10 @@ rollout's CSV row is the mean of its step rows. ``step`` clips the raw vector
 once against the stacked caps, and each system's penalty sums its slice of
 ``|raw - applied|``.
 
-The environment builds no observation. ``step`` keeps its ``LinkMetrics`` in
-``WorldState.links`` (zeros after a reset), and the caller builds each
-agent's observation from ``world`` with the builders below.
+The environment builds no observation. ``step`` keeps what the agents
+measure in ``WorldState``: the primary rates, the secondary energy
+efficiencies and the NACK count (zeros after a reset). The caller builds
+each agent's observation from ``world`` with the builders below.
 """
 from __future__ import annotations
 
@@ -43,14 +44,13 @@ import numpy as np
 
 from .geometry import (
     ChannelParams,
-    LinkGeometry,
     link_geometry,
     perturb_topology,
     require_finite,
     sample_gain_matrices,
     sample_topology,
 )
-from .phy import LinkMetrics, RadioConfig, evaluate_links
+from .phy import RadioConfig, evaluate_links
 
 OBS_PRIMARY = "primary"
 OBS_SECONDARY = "secondary"
@@ -111,15 +111,19 @@ class EnvConfig:
 class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
-    ``geometry`` and ``episode_gains`` (the read-only (T + 1, K, K) block of
-    the episode's channel draws) are fixed at reset; ``gains`` is the slice
-    for ``step_index``, and ``links`` holds the physics of the last step.
+    ``features`` (the distance features, see ``geometry.link_geometry``) and
+    ``episode_gains`` (the read-only (T + 1, K, K) block of the episode's
+    channel draws) are fixed at reset; ``gains`` is the slice for
+    ``step_index``. ``rate_p``, ``ee_s`` and ``nqos_p`` are what the last step
+    measured, all zero after a reset.
     """
 
-    geometry: LinkGeometry
+    features: dict
     episode_gains: np.ndarray
-    links: LinkMetrics
     step_index: int
+    rate_p: np.ndarray
+    ee_s: np.ndarray
+    nqos_p: float
 
     @property
     def gains(self) -> np.ndarray:
@@ -143,12 +147,11 @@ def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
 
 
 def build_primary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate((world.geometry.features["primary"], world.links.rate_p))
+    return np.concatenate((world.features["primary"], world.rate_p))
 
 
 def build_secondary_obs(world: WorldState) -> np.ndarray:
-    links = world.links
-    return np.concatenate((world.geometry.features["secondary"], links.ee_s, [links.nqos_p]))
+    return np.concatenate((world.features["secondary"], world.ee_s, [world.nqos_p]))
 
 
 def _scaled_log_gains(gains: np.ndarray) -> np.ndarray:
@@ -162,11 +165,10 @@ def build_centralized_obs(world: WorldState, variant: str) -> np.ndarray:
     if variant == OBS_CENTRALIZED_FULL_CSI:
         head = _scaled_log_gains(world.gains)
     elif variant == OBS_CENTRALIZED_DIST:
-        head = world.geometry.features["all"]
+        head = world.features["all"]
     else:
         raise ValueError(f"unknown centralized variant {variant!r}")
-    links = world.links
-    return np.concatenate((head, links.rate_p, links.ee_s, [links.nqos_p]))
+    return np.concatenate((head, world.rate_p, world.ee_s, [world.nqos_p]))
 
 
 class SpectrumSharingEnv:
@@ -181,7 +183,7 @@ class SpectrumSharingEnv:
     def __init__(self, cfg: EnvConfig, rng: np.random.Generator, episode_len: int):
         self.cfg = cfg
         self.episode_len = episode_len
-        self.base_topology = sample_topology(
+        self.base_nodes = sample_topology(
             rng,
             cfg.k_p,
             cfg.k_s,
@@ -194,17 +196,17 @@ class SpectrumSharingEnv:
         self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
 
     def reset(self, rng: np.random.Generator) -> WorldState:
-        """Start an episode; its link metrics, and so the first observations'
+        """Start an episode; its measurements, and so the first observations'
         metric slots, are zero."""
-        cfg = self.cfg
-        topo = perturb_topology(self.base_topology, rng, cfg.channel.max_displacement)
-        geometry = link_geometry(topo, cfg.channel)
+        cfg, k_p = self.cfg, self.cfg.k_p
+        nodes = perturb_topology(
+            self.base_nodes, k_p, rng, cfg.channel.max_displacement, cfg.radius)
+        p_los, d_eff, features = link_geometry(nodes, k_p, cfg.radius, cfg.channel)
         return WorldState(
-            geometry=geometry,
-            episode_gains=sample_gain_matrices(geometry, rng, self.episode_len + 1),
-            # sindr_p, sindr_s, rate_p, rate_s and ee_s zero, no NACK
-            links=LinkMetrics(*map(np.zeros, (cfg.k_p, cfg.k_s, cfg.k_p, cfg.k_s, cfg.k_s)), 0),
-            step_index=0,
+            features=features,
+            episode_gains=sample_gain_matrices(
+                p_los, d_eff, cfg.channel, rng, self.episode_len + 1),
+            step_index=0, rate_p=np.zeros(k_p), ee_s=np.zeros(cfg.k_s), nqos_p=0.0,
         )
 
     def step(self, world: WorldState, raw) -> np.ndarray:
@@ -224,13 +226,14 @@ class SpectrumSharingEnv:
             raise ValueError("raw actions must be finite")
 
         world.step_index += 1
-        links = world.links = evaluate_links(world.gains, applied, k_p, radio)
-        nqos_p = float(links.nqos_p)
+        _, rate, ee_s, nqos_p = evaluate_links(world.gains, applied, k_p, radio)
+        rate_p, nqos_p = rate[:k_p], float(nqos_p)
+        world.rate_p, world.ee_s, world.nqos_p = rate_p, ee_s, nqos_p
         active = applied > self._active_floor
         return np.array((
-            reward_primary(links.rate_p, radio.rate_threshold, delta_p),
-            reward_secondary(links.ee_s, nqos_p, delta_s),
-            _sum(links.rate_p), _sum(links.rate_s), _sum(links.ee_s),
+            reward_primary(rate_p, radio.rate_threshold, delta_p),
+            reward_secondary(ee_s, nqos_p, delta_s),
+            _sum(rate_p), _sum(rate[k_p:]), _sum(ee_s),
             _sum(applied[:k_p]), _sum(applied[k_p:]), nqos_p, delta_p, delta_s,
             np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
         ))

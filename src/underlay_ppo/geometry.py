@@ -7,12 +7,17 @@ path loss with a per-draw LOS/NLOS mode decision, lognormal shadowing
 fading: Nakagami-m (Gamma) under LOS, exponential under NLOS. All randomness
 flows through an explicit ``numpy.random.Generator`` so runs are repeatable.
 
-Validation runs at the API boundary: the config dataclasses and the
-constructor of ``Topology`` check everything they are given.
-``sample_gain_matrices`` draws a whole block of channel realisations at once
-and checks the block once, with one vectorised "positive and finite" test;
-it returns the block read-only, and draw t is its (K, K) slice t: entry
-[j, k] is the gain from transmitter j to receiver k, primary nodes first.
+Node positions are one (2, K, 2) float array, K = k_p + k_s: ``nodes[0]``
+holds the transmitters and ``nodes[1]`` the receivers, each with the k_p
+primary links first, which is the row and column order of the gain matrix.
+``EnvConfig`` checks the sizes, the radius and the pair ring once, and every
+position is drawn inside the disc or clamped back onto it, so the node
+arrays are not checked again. ``link_geometry`` derives the per-link arrays
+once per topology; ``sample_gain_matrices`` draws a whole block of channel
+realisations from them at once and checks the block once, with one
+vectorised "positive and finite" test. It returns the block read-only, and
+draw t is its (K, K) slice t: entry [j, k] is the gain from transmitter j to
+receiver k.
 """
 from __future__ import annotations
 
@@ -66,43 +71,6 @@ class ChannelParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """Transmitter/receiver positions of both systems inside one disc.
-
-    ``p_*`` arrays have shape (k_p, 2), ``s_*`` arrays (k_s, 2). Row j of a
-    tx array and row j of the matching rx array form link j.
-    """
-
-    p_tx: np.ndarray
-    p_rx: np.ndarray
-    s_tx: np.ndarray
-    s_rx: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        for name in ("p_tx", "p_rx", "s_tx", "s_rx"):
-            pts = getattr(self, name)
-            if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-                raise ValueError(f"{name} must be an (n, 2) array with n >= 1")
-        if self.p_tx.shape != self.p_rx.shape or self.s_tx.shape != self.s_rx.shape:
-            raise ValueError("transmitter and receiver counts must match per system")
-        nodes = np.concatenate((self.p_tx, self.p_rx, self.s_tx, self.s_rx))
-        # allow a hair of slack for points clamped onto the boundary; nan fails
-        if not np.linalg.norm(nodes, axis=1).max() <= self.radius * (1.0 + 1e-9):
-            raise ValueError("node positions must lie inside the disc")
-
-    @property
-    def k_p(self) -> int:
-        return self.p_tx.shape[0]
-
-    @property
-    def k_s(self) -> int:
-        return self.s_tx.shape[0]
-
-
 def sample_disc_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """Draw n points i.i.d. uniform over the disc of the given radius."""
     r = radius * np.sqrt(rng.random(n))
@@ -131,37 +99,34 @@ def sample_topology(
     k_s: int,
     radius: float,
     pair_ring: tuple[float, float],
-) -> Topology:
-    """Drop both systems into the disc.
+) -> np.ndarray:
+    """Drop both systems into the disc; returns the (2, K, 2) node array.
 
     Transmitters are i.i.d. uniform over the disc. Each receiver sits at a
     uniform angle and a uniform distance in ``pair_ring`` from its own
     transmitter, then gets clamped back into the disc, so that direct links
-    are statistically much stronger than cross links. ``EnvConfig`` checks
-    the population sizes and ``Topology`` the radius.
+    are statistically much stronger than cross links.
     """
-    if not 0.0 < pair_ring[0] <= pair_ring[1]:
-        raise ValueError("pair_ring must satisfy 0 < min <= max")
     p_tx = sample_disc_points(rng, k_p, radius)
     p_rx = clamp_to_disc(p_tx + _ring_offsets(rng, k_p, pair_ring), radius)
     s_tx = sample_disc_points(rng, k_s, radius)
     s_rx = clamp_to_disc(s_tx + _ring_offsets(rng, k_s, pair_ring), radius)
-    return Topology(p_tx=p_tx, p_rx=p_rx, s_tx=s_tx, s_rx=s_rx, radius=radius)
+    return np.stack((np.concatenate((p_tx, s_tx)), np.concatenate((p_rx, s_rx))))
 
 
 def perturb_topology(
-    topo: Topology, rng: np.random.Generator, max_displacement: float
-) -> Topology:
+    nodes: np.ndarray, k_p: int, rng: np.random.Generator,
+    max_displacement: float, radius: float,
+) -> np.ndarray:
     """Move every node by u * max_displacement (u uniform in [0, 1]) in a
     uniform random direction, clamping escapees back onto the disc boundary.
     ``ChannelParams`` checks that ``max_displacement`` is non-negative."""
-    # one draw over all nodes, stacked as p_tx, p_rx, s_tx, s_rx
-    nodes = np.concatenate((topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx), dtype=float)
-    nodes += _ring_offsets(rng, nodes.shape[0], (0.0, max_displacement))
-    k_p, k_s = topo.k_p, topo.k_s
-    p_tx, p_rx, s_tx, s_rx = np.split(
-        clamp_to_disc(nodes, topo.radius), (k_p, 2 * k_p, 2 * k_p + k_s))
-    return Topology(p_tx=p_tx, p_rx=p_rx, s_tx=s_tx, s_rx=s_rx, radius=topo.radius)
+    # one draw over all 2K nodes in system order (p_tx, p_rx, s_tx, s_rx);
+    # the random stream depends on that order
+    step = _ring_offsets(rng, 2 * nodes.shape[1], (0.0, max_displacement))
+    step = np.concatenate(
+        (step[: 2 * k_p].reshape(2, k_p, 2), step[2 * k_p :].reshape(2, -1, 2)), axis=1)
+    return clamp_to_disc(nodes + step, radius)
 
 
 def los_probability(d, params: ChannelParams) -> np.ndarray:
@@ -184,8 +149,8 @@ def _draw_gains(
     p_los: np.ndarray, d_eff: np.ndarray, params: ChannelParams,
     rng: np.random.Generator, size: tuple[int, ...],
 ) -> np.ndarray:
-    """Gain draws of the given size for a flat array of links, given their LOS
-    probabilities and floored distances, which broadcast along the last axis.
+    """Gain draws of the given size for an array of links, given their LOS
+    probabilities and floored distances, which broadcast along its last axes.
 
     Four rng calls, each of the full size, in a fixed order; the streams
     depend on it. The arithmetic runs in place, so at most three float arrays
@@ -205,50 +170,33 @@ def _draw_gains(
     return gains
 
 
-@dataclass(frozen=True, eq=False)
-class LinkGeometry:
+def link_geometry(nodes: np.ndarray, k_p: int, radius: float, params: ChannelParams):
     """Everything about the links that depends on node positions only.
 
-    Positions stay fixed within an episode, so ``link_geometry`` builds this
-    once per topology and ``sample_gain_matrices`` draws only the random
-    parts of the channel on top of it. Flat arrays are the row-major
-    flattening of the (K, K) tx -> rx matrix, primary nodes first.
+    Returns ``(p_los, d_eff, features)``: the (K, K) LOS probabilities and
+    floored distances max(d, 1 m) of the tx -> rx links, and the distance
+    features of the observations, "primary"/"secondary"/"all" -> the flat
+    row-major distances over the radius, in [0, 2].
     """
-
-    topology: Topology
-    params: ChannelParams
-    p_los: np.ndarray  # (K * K,) LOS probability of each link
-    d_eff: np.ndarray  # (K * K,) max(d, 1 m)
-    features: dict  # "primary"/"secondary"/"all" -> flat distances / radius, in [0, 2]
-
-
-def link_geometry(topo: Topology, params: ChannelParams) -> LinkGeometry:
-    """Distances, LOS probabilities and distance features of one topology."""
-    tx = np.vstack((topo.p_tx, topo.s_tx))
-    rx = np.vstack((topo.p_rx, topo.s_rx))
+    tx, rx = nodes
     dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    flat = dists.ravel()
-    scaled = dists / topo.radius
-    k_p = topo.k_p
-    return LinkGeometry(
-        topology=topo,
-        params=params,
-        p_los=los_probability(flat, params),
-        d_eff=np.maximum(flat, DISTANCE_FLOOR_M),
-        features={
-            "primary": scaled[:k_p, :k_p].ravel(),
-            "secondary": scaled[k_p:, k_p:].ravel(),
-            "all": scaled.ravel(),
-        },
-    )
+    scaled = dists / radius
+    features = {
+        "primary": scaled[:k_p, :k_p].ravel(),
+        "secondary": scaled[k_p:, k_p:].ravel(),
+        "all": scaled.ravel(),
+    }
+    return los_probability(dists, params), np.maximum(dists, DISTANCE_FLOOR_M), features
 
 
 def sample_gain_matrices(
-    links: LinkGeometry, rng: np.random.Generator, draws: int
+    p_los: np.ndarray, d_eff: np.ndarray, params: ChannelParams,
+    rng: np.random.Generator, draws: int,
 ) -> np.ndarray:
     """``draws`` independent gain draws for every tx/rx pair across both systems.
 
-    All draws come from one (draws, K, K) block: each of the four rng calls
+    ``p_los`` and ``d_eff`` are the (K, K) arrays of ``link_geometry``. All
+    draws come from one (draws, K, K) block: each of the four rng calls
     (``random``, ``standard_normal``, ``gamma``, ``exponential``) covers the
     whole block, and the block is checked once and returned read-only; draw
     t is slice t. Coincident pairs fall back to the 1 m distance floor
@@ -256,10 +204,7 @@ def sample_gain_matrices(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    k = links.topology.k_p + links.topology.k_s
-    block = _draw_gains(
-        links.p_los, links.d_eff, links.params, rng, (draws, k * k)
-    ).reshape(draws, k, k)
+    block = _draw_gains(p_los, d_eff, params, rng, (draws,) + d_eff.shape)
     if not 0.0 < block.min() or not block.max() < np.inf:  # nan fails both
         raise ValueError("gain entries must be positive and finite")
     block.flags.writeable = False

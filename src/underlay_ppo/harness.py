@@ -4,7 +4,8 @@ Config files hold one ``key=value`` per line with ``#`` comments. Values are
 applied in order: built-in defaults, then the selected profile and experiment
 preset, then the file's lines, then command-line overrides. Unknown keys and
 malformed values are rejected on every line; range checks run once on the
-resolved values and name the location that supplied the offending value.
+resolved values and name the location that supplied the offending value, or,
+for a rule across fields, each field and the location that supplied it.
 
 Besides the run-level keys, every key is a field of ``ChannelParams``,
 ``RadioConfig``, ``EnvConfig`` or ``PpoHyper`` and takes its default and type.
@@ -13,7 +14,9 @@ Each run writes one ``seed_<seed>.csv`` per seed plus ``aggregate.csv`` with
 per-iteration cross-seed means. Columns are fixed: iter, seed (per-seed files
 only), then the metric fields in the order defined by ``env.METRIC_FIELDS``.
 Numbers are written locale-independently with 9 significant digits; rerunning
-an identical config reproduces the files byte for byte.
+an identical config reproduces the files byte for byte. ``config_used.txt``
+holds every resolved setting, floats in their shortest round-trip form, so
+passing it back as ``--config`` reruns the same run.
 """
 from __future__ import annotations
 
@@ -226,10 +229,13 @@ def build_config(config_file=None, overrides=()) -> ExperimentConfig:
         env_cfg = _build(EnvConfig, settings, channel=channel, radio=radio)
         hyper = _build(PpoHyper, settings)
     except ValueError as exc:
-        # every range check raises ValueError("<field> <rule>")
+        # every range check raises ValueError("<field> <rule>"); a cross-field
+        # rule names its other fields in <rule>, and each gets its supplier too
         name, _, rule = str(exc).partition(" ")
         key, where = sources[name]
-        raise ConfigError(f"{where}: value out of range for '{key}': {rule}") from None
+        others = "".join(f"; '{sources[n][0]}' from {sources[n][1]}"
+                         for n in rule.split() if n in _FIELD_DEFAULTS)
+        raise ConfigError(f"{where}: value out of range for '{key}': {rule}{others}") from None
 
     rendered = tuple(
         sorted((k, _render_setting(v)) for k, v in settings.items())
@@ -252,9 +258,7 @@ def _render_setting(value) -> str:
         return ",".join(str(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+    return str(value)  # for a float, the shortest form that parses back to it
 
 
 def _fmt(value) -> str:

@@ -20,6 +20,8 @@ every other transmitter. ``coupling_weights`` builds W from the four kappas;
 it is the one home of the transmit-kappa choice below. ``evaluate_links``
 takes H and p as plain arrays and checks only p's shape: H was checked where
 it was drawn, and ``env.step`` clips p into [0, p_max] after a finite check.
+It returns plain arrays too, the SINDRs and rates of all K links in the
+stacked order, and builds no result object per step.
 
 Modelling choice (secondary-kappa cross terms): kt[j, k] is kappa_t_p only
 when transmitter j and receiver k are both primary, and kappa_t_s otherwise.
@@ -72,18 +74,6 @@ class RadioConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class LinkMetrics:
-    """Per-link physics results for one channel draw and power allocation."""
-
-    sindr_p: np.ndarray
-    sindr_s: np.ndarray
-    rate_p: np.ndarray
-    rate_s: np.ndarray
-    ee_s: np.ndarray
-    nqos_p: int
-
-
 @lru_cache(maxsize=16)
 def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> np.ndarray:
     """Read-only (K, K) weight matrix W of the coupling form; see module doc."""
@@ -112,15 +102,15 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:
     return np.count_nonzero(rate_p < cfg.rate_threshold)
 
 
-def evaluate_links(
-    gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig
-) -> LinkMetrics:
+def evaluate_links(gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig):
     """Full physics chain for one channel draw: SINDR, rates, EE, NACK count.
 
     ``gains`` is the (K, K) matrix H and ``power`` the joint applied powers,
     the ``k_p`` primary links first (see module doc). Each link k sees its
     own direct power over noise + distortion + same-system interference
-    (j != k) + everything the other system transmits.
+    (j != k) + everything the other system transmits. Returns
+    ``(sindr, rate, ee_s, nqos_p)``: the (K,) SINDRs and rates, primary links
+    first, the (k_s,) secondary energy efficiencies and the NACK count.
     """
     k = gains.shape[0]
     if power.shape != (k,):
@@ -129,12 +119,4 @@ def evaluate_links(
     sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
-    rate_p, rate_s = rate[:k_p], rate[k_p:]
-    return LinkMetrics(
-        sindr_p=sindr[:k_p],
-        sindr_s=sindr[k_p:],
-        rate_p=rate_p,
-        rate_s=rate_s,
-        ee_s=energy_efficiency(rate_s, power[k_p:], cfg),
-        nqos_p=nqos(rate_p, cfg),
-    )
+    return sindr, rate, energy_efficiency(rate[k_p:], power[k_p:], cfg), nqos(rate[:k_p], cfg)

@@ -154,29 +154,49 @@ def random_gains(rng, k_p, k_s, scale=1.0):
     return gain_matrix(np.block([[h_pp, h_ps], [h_sp, h_ss]]), k_p)
 
 
-def distances_reference(topo):
-    """(K, K) tx -> rx distances from the node positions, primary nodes first."""
-    tx = np.vstack((topo.p_tx, topo.s_tx))
-    rx = np.vstack((topo.p_rx, topo.s_rx))
+def node_array(p_tx, p_rx, s_tx, s_rx, radius):
+    """The (2, K, 2) node array of hand-built positions, transmitters then
+    receivers, primary nodes first, checked as the simulator's own layouts
+    are by construction: each group an (n, 2) array with n >= 1, equal
+    transmitter and receiver counts per system, a positive radius and every
+    node inside the disc (nan fails)."""
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    groups = [np.asarray(g) for g in (p_tx, p_rx, s_tx, s_rx)]
+    for name, pts in zip(("p_tx", "p_rx", "s_tx", "s_rx"), groups):
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+            raise ValueError(f"{name} must be an (n, 2) array with n >= 1")
+    p_tx, p_rx, s_tx, s_rx = groups
+    if p_tx.shape != p_rx.shape or s_tx.shape != s_rx.shape:
+        raise ValueError("transmitter and receiver counts must match per system")
+    nodes = np.stack((np.concatenate((p_tx, s_tx)), np.concatenate((p_rx, s_rx))))
+    # allow a hair of slack for points clamped onto the boundary; nan fails
+    if not np.linalg.norm(nodes, axis=-1).max() <= radius * (1.0 + 1e-9):
+        raise ValueError("node positions must lie inside the disc")
+    return nodes
+
+
+def distances_reference(nodes):
+    """(K, K) tx -> rx distances of a (2, K, 2) node array, primary nodes first."""
+    tx, rx = nodes
     return np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
 
 
-def distance_features_reference(topo, which):
+def distance_features_reference(nodes, k_p, radius, which):
     """One population's tx -> rx distances over the radius, flattened row-major.
 
     ``which`` is "primary", "secondary" or "all" (both systems, primary first).
     """
-    k_p = topo.k_p
-    dists = distances_reference(topo)
+    dists = distances_reference(nodes)
     block = {
         "primary": dists[:k_p, :k_p],
         "secondary": dists[k_p:, k_p:],
         "all": dists,
     }[which]
-    return (block / topo.radius).ravel()
+    return (block / radius).ravel()
 
 
-def gains_reference(topo, params, rng, draws):
+def gains_reference(nodes, params, rng, draws):
     """(draws, K, K) block of gain draws recomputed from the node positions.
 
     This is the gain formula written out plainly: distances, LOS
@@ -186,7 +206,7 @@ def gains_reference(topo, params, rng, draws):
     """
     from underlay_ppo.geometry import los_probability
 
-    dists = distances_reference(topo)
+    dists = distances_reference(nodes)
     d = dists.ravel()
     size = (draws, d.shape[0])
     p_los = np.asarray(los_probability(d, params))
@@ -230,21 +250,23 @@ def step_reference(gains, raw_p, raw_s, radio, active_fraction):
 
     Clamps each system on its own, then runs ``evaluate_links`` on the
     stacked powers and the two reward functions. Returns (the metric
-    row in ``METRIC_FIELDS`` order, the link metrics).
+    row in ``METRIC_FIELDS`` order, the ``evaluate_links`` result).
     """
     from underlay_ppo.env import reward_primary, reward_secondary
     from underlay_ppo.phy import evaluate_links
 
+    k_p = len(raw_p)
     applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
     applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
-    links = evaluate_links(gains, np.concatenate((applied_p, applied_s)), len(applied_p), radio)
-    nqos_p = float(links.nqos_p)
+    links = evaluate_links(gains, np.concatenate((applied_p, applied_s)), k_p, radio)
+    _, rate, ee_s, nqos_p = links
+    rate_p, rate_s, nqos_p = rate[:k_p], rate[k_p:], float(nqos_p)
     row = [
-        reward_primary(links.rate_p, radio.rate_threshold, delta_p),
-        reward_secondary(links.ee_s, nqos_p, delta_s),
-        float(links.rate_p.sum()),
-        float(links.rate_s.sum()),
-        float(links.ee_s.sum()),
+        reward_primary(rate_p, radio.rate_threshold, delta_p),
+        reward_secondary(ee_s, nqos_p, delta_s),
+        float(rate_p.sum()),
+        float(rate_s.sum()),
+        float(ee_s.sum()),
         float(applied_p.sum()),
         float(applied_s.sum()),
         nqos_p,

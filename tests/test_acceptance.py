@@ -255,14 +255,14 @@ def test_criterion_3_sindr_oracle():
         h = random_gains(rng, k_p, k_s)
         pp = rng.uniform(0.0, 1.0, k_p)
         ps = rng.uniform(0.0, 1.0, k_s)
-        links = evaluate_links(h, np.concatenate((pp, ps)), k_p, cfg)
+        sindr, rate, _, _ = evaluate_links(h, np.concatenate((pp, ps)), k_p, cfg)
         ref_p, ref_s = sindr_loops(h, pp, ps, cfg)
         worst = max(
             worst,
-            float(np.max(np.abs(links.sindr_p / np.asarray(ref_p) - 1.0))),
-            float(np.max(np.abs(links.sindr_s / np.asarray(ref_s) - 1.0))),
+            float(np.max(np.abs(sindr[:k_p] / np.asarray(ref_p) - 1.0))),
+            float(np.max(np.abs(sindr[k_p:] / np.asarray(ref_s) - 1.0))),
         )
-        rate_p = links.rate_p
+        rate_p = rate[:k_p]
         count = nqos(rate_p, cfg)
         recount = int(sum(1 for r in rate_p if r < cfg.rate_threshold))
         assert count == recount
@@ -279,7 +279,7 @@ def test_criterion_4_closed_form_spot_values():
         kappa_t_p=0.1, kappa_r_p=0.1, kappa_t_s=0.1, kappa_r_s=0.1,
         noise_power=1.0,
     )
-    sindr_p = evaluate_links(h, np.array([1.0, 0.0]), 1, cfg).sindr_p
+    sindr_p = evaluate_links(h, np.array([1.0, 0.0]), 1, cfg)[0][:1]
     sindr_ok = abs(sindr_p[0] - 1.0 / 1.02) <= 1e-12
 
     r = reward_primary(np.array([1.0, 1.0]), 0.5, 0.5)

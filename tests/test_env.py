@@ -52,6 +52,15 @@ def assert_gains_are_step_slice(world):
     np.testing.assert_array_equal(gains, block[world.step_index])
 
 
+def world_features_reference(env, seed, which):
+    """The distance features of the first reset from ``default_rng(seed)``,
+    recomputed from the positions that reset's jitter gives."""
+    cfg = env.cfg
+    nodes = perturb_topology(env.base_nodes, cfg.k_p, np.random.default_rng(seed),
+                             cfg.channel.max_displacement, cfg.radius)
+    return distance_features_reference(nodes, cfg.k_p, cfg.radius, which)
+
+
 class TestObservationDims:
     def test_formulas(self):
         assert observation_dim(OBS_PRIMARY, 4, 8) == 20
@@ -151,12 +160,18 @@ class TestReset:
         np.testing.assert_array_equal(obs_s[cfg.k_s**2 :], 0.0)
 
     def test_jitter_stays_near_base(self):
+        # the twin replays each reset's jitter; its features are the world's
         env, cfg = make_env(seed=3)
-        base = env.base_topology
-        rng = np.random.default_rng(4)
+        base = env.base_nodes
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(10):
             world = env.reset(rng)
-            drift = np.linalg.norm(world.geometry.topology.p_tx - base.p_tx, axis=1)
+            nodes = perturb_topology(base, cfg.k_p, twin, cfg.channel.max_displacement,
+                                     cfg.radius)
+            twin.bit_generator.state = rng.bit_generator.state
+            np.testing.assert_array_equal(world.features["all"], distance_features_reference(
+                nodes, cfg.k_p, cfg.radius, "all"))
+            drift = np.linalg.norm(nodes - base, axis=-1)
             assert np.all(drift <= cfg.channel.max_displacement + 1e-9)
 
     def test_resets_differ_but_share_base(self):
@@ -164,7 +179,7 @@ class TestReset:
         rng = np.random.default_rng(6)
         w1 = env.reset(rng)
         w2 = env.reset(rng)
-        assert not np.array_equal(w1.geometry.topology.p_tx, w2.geometry.topology.p_tx)
+        assert not np.array_equal(w1.features["all"], w2.features["all"])
 
 
 class TestStep:
@@ -238,11 +253,10 @@ class TestStep:
         rng = np.random.default_rng(18)
         world = env.reset(rng)
         row = env.step(world, np.full(cfg.k_p + cfg.k_s, 0.7))
-        links = world.links
         obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
-        np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], links.rate_p)
-        np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], links.ee_s)
-        assert obs_s[-1] == links.nqos_p == metric(row, "nqos_p")
+        np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], world.rate_p)
+        np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], world.ee_s)
+        assert obs_s[-1] == world.nqos_p == metric(row, "nqos_p")
 
     def test_determinism(self):
         rows = []
@@ -298,14 +312,14 @@ class TestStepMatchesReferenceChain:
             np.testing.assert_array_equal(got, row)
             penalties.append((metric(got, "delta_p"), metric(got, "delta_s")))
             assert (metric(got, "reward_p"), metric(got, "reward_s")) == (row[0], row[1])
-            topo = world.geometry.topology
+            _, rate, ee_s, nqos_p = links
             np.testing.assert_array_equal(build_primary_obs(world), np.concatenate(
-                (distance_features_reference(topo, "primary"), links.rate_p)))
+                (world_features_reference(env, 41, "primary"), rate[:k_p])))
             np.testing.assert_array_equal(build_secondary_obs(world), np.concatenate(
-                (distance_features_reference(topo, "secondary"), links.ee_s,
-                 [links.nqos_p])))
-            for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
-                np.testing.assert_array_equal(getattr(world.links, name), getattr(links, name))
+                (world_features_reference(env, 41, "secondary"), ee_s, [nqos_p])))
+            np.testing.assert_array_equal(world.rate_p, rate[:k_p])
+            np.testing.assert_array_equal(world.ee_s, ee_s)
+            assert world.nqos_p == nqos_p
         # the draws reached both branches of each reward
         penalties = np.array(penalties)
         assert np.all(penalties[0] == 0.0) and np.all(penalties[1:].max(axis=0) > 0.0)
@@ -329,23 +343,22 @@ class TestPerEpisodeGeometry:
             twin.bit_generator.state = rng.bit_generator.state
             world = env.reset(rng)
             obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
-            topo = perturb_topology(env.base_topology, twin, cfg.channel.max_displacement)
-            block = gains_reference(topo, cfg.channel, twin, steps + 1)
+            nodes = perturb_topology(env.base_nodes, k_p, twin, cfg.channel.max_displacement,
+                                     cfg.radius)
+            block = gains_reference(nodes, cfg.channel, twin, steps + 1)
             after_reset = rng.bit_generator.state
             assert after_reset == twin.bit_generator.state
-            np.testing.assert_array_equal(world.geometry.topology.p_tx, topo.p_tx)
-            np.testing.assert_array_equal(world.geometry.topology.s_rx, topo.s_rx)
             assert_gains_are_step_slice(world)
             np.testing.assert_array_equal(world.gains, block[0])
             with pytest.raises(ValueError, match="read-only"):
                 world.gains[0, 0] = 1.0
-            np.testing.assert_array_equal(
-                obs_p[: k_p * k_p], distance_features_reference(topo, "primary"))
-            np.testing.assert_array_equal(
-                obs_s[: k_s * k_s], distance_features_reference(topo, "secondary"))
+            np.testing.assert_array_equal(obs_p[: k_p * k_p], distance_features_reference(
+                nodes, k_p, cfg.radius, "primary"))
+            np.testing.assert_array_equal(obs_s[: k_s * k_s], distance_features_reference(
+                nodes, k_p, cfg.radius, "secondary"))
             np.testing.assert_array_equal(
                 build_centralized_obs(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
-                distance_features_reference(topo, "all"))
+                distance_features_reference(nodes, k_p, cfg.radius, "all"))
             for t in range(steps):
                 raw_p = actions.uniform(-0.2, 1.2, k_p)
                 raw_s = actions.uniform(-0.2, 1.2, k_s)
@@ -357,11 +370,10 @@ class TestPerEpisodeGeometry:
                     clamp_and_penalize(raw_p, radio.p_max_p)[0],
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
                 ))
-                expect = evaluate_links(gain_matrix(ref, k_p), power, k_p, radio)
-                for name in ("sindr_p", "sindr_s", "rate_p", "rate_s", "ee_s"):
-                    np.testing.assert_array_equal(
-                        getattr(world.links, name), getattr(expect, name), err_msg=name)
-                assert world.links.nqos_p == expect.nqos_p
+                _, rate, ee_s, nqos_p = evaluate_links(gain_matrix(ref, k_p), power, k_p, radio)
+                np.testing.assert_array_equal(world.rate_p, rate[:k_p])
+                np.testing.assert_array_equal(world.ee_s, ee_s)
+                assert world.nqos_p == nqos_p
             # steps draw nothing: the stream is where the reset left it
             assert rng.bit_generator.state == after_reset
             with pytest.raises(RuntimeError):
@@ -373,7 +385,7 @@ class TestObservationContent:
         env, cfg = make_env(seed=24)
         world = env.reset(np.random.default_rng(25))
         obs_p = build_primary_obs(world)
-        head = distance_features_reference(world.geometry.topology, "primary")
+        head = world_features_reference(env, 25, "primary")
         np.testing.assert_array_equal(obs_p[: cfg.k_p**2], head)
         assert obs_p.shape[0] == cfg.k_p**2 + cfg.k_p
 
@@ -381,7 +393,7 @@ class TestObservationContent:
         env, cfg = make_env(seed=26)
         world = env.reset(np.random.default_rng(27))
         obs_s = build_secondary_obs(world)
-        head = distance_features_reference(world.geometry.topology, "secondary")
+        head = world_features_reference(env, 27, "secondary")
         np.testing.assert_array_equal(obs_s[: cfg.k_s**2], head)
 
     def test_centralized_variants(self):
@@ -391,7 +403,7 @@ class TestObservationContent:
         obs_d = build_centralized_obs(world, OBS_CENTRALIZED_DIST)
         obs_c = build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)
         assert obs_d.shape == obs_c.shape == (dim,)
-        head = distance_features_reference(world.geometry.topology, "all")
+        head = world_features_reference(env, 29, "all")
         np.testing.assert_array_equal(obs_d[: head.size], head)
         # CSI features are log-compressed into [-1, 1]
         assert np.all(obs_c[: head.size] >= -1.0)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gain_matrix
+from oracles import gain_matrix, node_array
 from underlay_ppo import geometry
 from underlay_ppo.geometry import (
     ChannelParams,
-    Topology,
     clamp_to_disc,
     link_geometry,
     los_probability,
@@ -22,24 +21,40 @@ RING = (10.0, 30.0)
 
 
 def small_topology():
-    """Hand-placed two-pair world for feature-layout checks."""
-    return Topology(
-        p_tx=np.array([[0.0, 0.0], [10.0, 0.0]]),
-        p_rx=np.array([[0.0, 5.0], [10.0, 5.0]]),
-        s_tx=np.array([[-20.0, 0.0]]),
-        s_rx=np.array([[-20.0, 10.0]]),
+    """Hand-placed world of two primary pairs and one secondary pair, radius
+    50, for feature-layout checks."""
+    return node_array(
+        p_tx=[[0.0, 0.0], [10.0, 0.0]],
+        p_rx=[[0.0, 5.0], [10.0, 5.0]],
+        s_tx=[[-20.0, 0.0]],
+        s_rx=[[-20.0, 10.0]],
         radius=50.0,
     )
 
 
-def same_length_topology(d):
-    """Both pairs share their tx and their rx, so all four links have length d."""
-    tx, rx = np.array([[0.0, 0.0]]), np.array([[d, 0.0]])
-    return Topology(p_tx=tx, p_rx=rx, s_tx=tx, s_rx=rx, radius=100.0)
+def same_length_links(d, params=PARAMS):
+    """``link_geometry`` of one primary and one secondary pair that share their
+    tx and their rx in a disc of radius 100, so all four links have length d."""
+    tx, rx = [[0.0, 0.0]], [[d, 0.0]]
+    return link_geometry(node_array(tx, rx, tx, rx, radius=100.0), 1, 100.0, params)
 
 
-def features(topo, which):
-    return link_geometry(topo, PARAMS).features[which]
+def features(nodes, k_p, radius, which):
+    return link_geometry(nodes, k_p, radius, PARAMS)[2][which]
+
+
+def gains(nodes, k_p, rng, draws, params=PARAMS):
+    """``sample_gain_matrices`` on the link geometry of a node array."""
+    p_los, d_eff, _ = link_geometry(nodes, k_p, 100.0, params)
+    return sample_gain_matrices(p_los, d_eff, params, rng, draws)
+
+
+def offsets_reference(rng, n, max_displacement):
+    """n offsets of length u * max_displacement in uniform directions, drawn
+    as ``perturb_topology`` does: all lengths, then all angles."""
+    dist = rng.uniform(0.0, max_displacement, n)
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.stack((dist * np.cos(ang), dist * np.sin(ang)), axis=1)
 
 
 class TestChannelParams:
@@ -130,90 +145,109 @@ class TestLosProbability:
 class TestTopology:
     def test_sampled_inside_disc(self):
         rng = np.random.default_rng(3)
-        topo = sample_topology(rng, 4, 8, 100.0, RING)
-        for pts in (topo.p_tx, topo.p_rx, topo.s_tx, topo.s_rx):
-            assert np.all(np.linalg.norm(pts, axis=1) <= 100.0 * (1.0 + 1e-9))
-        assert topo.k_p == 4 and topo.k_s == 8
+        nodes = sample_topology(rng, 4, 8, 100.0, RING)
+        assert nodes.shape == (2, 12, 2) and nodes.dtype == np.float64
+        assert np.all(np.linalg.norm(nodes, axis=-1) <= 100.0 * (1.0 + 1e-9))
 
     def test_pair_distances_bounded_by_ring(self):
         # clamping can only shorten a pair link, never stretch it
         rng = np.random.default_rng(4)
         for _ in range(20):
-            topo = sample_topology(rng, 3, 3, 60.0, pair_ring=RING)
-            d = np.linalg.norm(topo.p_tx - topo.p_rx, axis=1)
+            nodes = sample_topology(rng, 3, 3, 60.0, pair_ring=RING)
+            d = np.linalg.norm(nodes[0] - nodes[1], axis=1)
             assert np.all(d <= 30.0 + 1e-9)
 
     def test_outside_disc_rejected(self):
         with pytest.raises(ValueError):
-            Topology(
-                p_tx=np.array([[200.0, 0.0]]),
-                p_rx=np.array([[0.0, 0.0]]),
-                s_tx=np.array([[0.0, 0.0]]),
-                s_rx=np.array([[0.0, 0.0]]),
+            node_array(
+                p_tx=[[200.0, 0.0]],
+                p_rx=[[0.0, 0.0]],
+                s_tx=[[0.0, 0.0]],
+                s_rx=[[0.0, 0.0]],
                 radius=100.0,
             )
 
     def test_nan_position_rejected(self):
         with pytest.raises(ValueError, match="inside the disc"):
-            Topology(
-                p_tx=np.array([[0.0, 0.0]]),
-                p_rx=np.array([[0.0, 0.0]]),
-                s_tx=np.array([[0.0, 0.0]]),
-                s_rx=np.array([[np.nan, 0.0]]),
+            node_array(
+                p_tx=[[0.0, 0.0]],
+                p_rx=[[0.0, 0.0]],
+                s_tx=[[0.0, 0.0]],
+                s_rx=[[np.nan, 0.0]],
                 radius=100.0,
             )
 
+    @pytest.mark.parametrize("groups, radius, match", [
+        (([[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]), 0.0, "radius"),
+        (([[0.0, 0.0]], [[0.0, 0.0]], np.zeros((0, 2)), np.zeros((0, 2))), 1.0, "n >= 1"),
+        (([0.0, 0.0], [[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]), 1.0, r"\(n, 2\)"),
+        (([[0.0, 0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]), 1.0, r"\(n, 2\)"),
+        (([[0.0, 0.0]] * 2, [[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]), 1.0, "counts"),
+    ], ids=["radius", "empty", "1-d", "three-columns", "counts"])
+    def test_hand_built_layout_checks(self, groups, radius, match):
+        with pytest.raises(ValueError, match=match):
+            node_array(*groups, radius=radius)
+
     def test_perturb_displacement_bounded(self):
         rng = np.random.default_rng(5)
-        topo = sample_topology(rng, 4, 4, 80.0, RING)
-        moved = perturb_topology(topo, rng, 5.0)
-        for before, after in (
-            (topo.p_tx, moved.p_tx),
-            (topo.p_rx, moved.p_rx),
-            (topo.s_tx, moved.s_tx),
-            (topo.s_rx, moved.s_rx),
-        ):
-            step = np.linalg.norm(after - before, axis=1)
-            assert np.all(step <= 5.0 + 1e-9)
-            assert np.all(np.linalg.norm(after, axis=1) <= 80.0 * (1.0 + 1e-9))
+        nodes = sample_topology(rng, 4, 4, 80.0, RING)
+        moved = perturb_topology(nodes, 4, rng, 5.0, 80.0)
+        step = np.linalg.norm(moved - nodes, axis=-1)
+        assert np.all(step <= 5.0 + 1e-9)
+        assert np.all(np.linalg.norm(moved, axis=-1) <= 80.0 * (1.0 + 1e-9))
 
     def test_perturb_zero_is_identity(self):
         rng = np.random.default_rng(6)
-        topo = sample_topology(rng, 2, 2, 50.0, RING)
-        moved = perturb_topology(topo, np.random.default_rng(7), 0.0)
-        np.testing.assert_array_equal(moved.p_tx, topo.p_tx)
-        np.testing.assert_array_equal(moved.s_rx, topo.s_rx)
+        nodes = sample_topology(rng, 2, 2, 50.0, RING)
+        moved = perturb_topology(nodes, 2, np.random.default_rng(7), 0.0, 50.0)
+        np.testing.assert_array_equal(moved, nodes)
 
     def test_perturb_integer_positions(self):
         one = np.array([[1, 2]])
-        topo = Topology(p_tx=one, p_rx=one * 3, s_tx=-one, s_rx=one * 0, radius=50.0)
-        moved = perturb_topology(topo, np.random.default_rng(8), 2.0)
-        assert moved.p_tx.dtype == np.float64
-        step = np.linalg.norm(moved.p_rx - topo.p_rx, axis=1)
-        assert 0.0 < step.max() <= 2.0 + 1e-9
+        nodes = node_array(p_tx=one, p_rx=one * 3, s_tx=-one, s_rx=one * 0, radius=50.0)
+        assert nodes.dtype.kind == "i"
+        moved = perturb_topology(nodes, 1, np.random.default_rng(8), 2.0, 50.0)
+        assert moved.dtype == np.float64
+        step = np.linalg.norm(moved[1, 0] - nodes[1, 0])
+        assert 0.0 < step <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("k_p, k_s", [(2, 3), (3, 1)])
+    def test_perturb_moves_each_group_by_its_rows_of_one_draw(self, k_p, k_s):
+        # a twin generator replays the one offset draw over all 2K nodes, in
+        # the order p_tx, p_rx, s_tx, s_rx; the disc is wide enough that
+        # nothing is clamped
+        nodes = sample_topology(np.random.default_rng(9), k_p, k_s, 50.0, RING)
+        rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+        moved = perturb_topology(nodes, k_p, rng, 5.0, 1000.0)
+        offsets = offsets_reference(twin, 2 * (k_p + k_s), 5.0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        rows = np.cumsum([0, k_p, k_p, k_s, k_s])
+        groups = [nodes[0, :k_p], nodes[1, :k_p], nodes[0, k_p:], nodes[1, k_p:]]
+        after = [moved[0, :k_p], moved[1, :k_p], moved[0, k_p:], moved[1, k_p:]]
+        for i, (before, got) in enumerate(zip(groups, after)):
+            np.testing.assert_array_equal(got, before + offsets[rows[i]:rows[i + 1]])
 
     def test_seed_determinism(self):
         a = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
         b = sample_topology(np.random.default_rng(42), 3, 5, 100.0, RING)
         c = sample_topology(np.random.default_rng(43), 3, 5, 100.0, RING)
-        np.testing.assert_array_equal(a.p_tx, b.p_tx)
-        np.testing.assert_array_equal(a.s_rx, b.s_rx)
-        assert not np.array_equal(a.p_tx, c.p_tx)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a[0, :3], c[0, :3])
 
 
 class TestGainSampling:
     def test_matrices_positive_and_shaped(self):
         rng = np.random.default_rng(8)
-        topo = sample_topology(rng, 4, 8, 100.0, RING)
-        [h] = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 1)
+        nodes = sample_topology(rng, 4, 8, 100.0, RING)
+        [h] = gains(nodes, 4, rng, 1)
         assert h.shape == (12, 12)
         assert np.all(h > 0.0)
         assert np.all(np.isfinite(h))
 
     def test_draws_are_read_only_views_of_one_block(self):
         rng = np.random.default_rng(17)
-        topo = sample_topology(rng, 2, 3, 100.0, RING)
-        block = sample_gain_matrices(link_geometry(topo, PARAMS), rng, 2)
+        nodes = sample_topology(rng, 2, 3, 100.0, RING)
+        block = gains(nodes, 2, rng, 2)
         assert type(block) is np.ndarray and block.dtype == np.float64
         assert block.shape == (2, 5, 5) and not block.flags.writeable
         h1, h2 = block
@@ -224,11 +258,10 @@ class TestGainSampling:
             h2[4, 4] = 1.0
 
     def test_seed_determinism(self):
-        topo = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
-        links = link_geometry(topo, PARAMS)
-        [h1] = sample_gain_matrices(links, np.random.default_rng(11), 1)
-        [h2] = sample_gain_matrices(links, np.random.default_rng(11), 1)
-        [h3] = sample_gain_matrices(links, np.random.default_rng(12), 1)
+        nodes = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
+        [h1] = gains(nodes, 3, np.random.default_rng(11), 1)
+        [h2] = gains(nodes, 3, np.random.default_rng(11), 1)
+        [h3] = gains(nodes, 3, np.random.default_rng(12), 1)
         np.testing.assert_array_equal(h1, h2)
         assert not np.array_equal(h1, h3)
 
@@ -236,11 +269,13 @@ class TestGainSampling:
     def test_distance_floor(self, short):
         # below one meter (coincident nodes included) the draw is identical
         # to the one-meter draw
-        links_short = link_geometry(same_length_topology(short), PARAMS)
-        links_floor = link_geometry(same_length_topology(1.0), PARAMS)
-        np.testing.assert_array_equal(links_short.d_eff, 1.0)
-        [g_short] = sample_gain_matrices(links_short, np.random.default_rng(13), 1)
-        [g_floor] = sample_gain_matrices(links_floor, np.random.default_rng(13), 1)
+        p_los_short, d_eff_short, _ = same_length_links(short)
+        p_los_floor, d_eff_floor, _ = same_length_links(1.0)
+        np.testing.assert_array_equal(d_eff_short, 1.0)
+        [g_short] = sample_gain_matrices(
+            p_los_short, d_eff_short, PARAMS, np.random.default_rng(13), 1)
+        [g_floor] = sample_gain_matrices(
+            p_los_floor, d_eff_floor, PARAMS, np.random.default_rng(13), 1)
         np.testing.assert_array_equal(g_short, g_floor)
 
     def test_fading_means_near_unity(self):
@@ -250,17 +285,18 @@ class TestGainSampling:
         # 200_000 gains: 50_000 draws of the four 50 m links
         draws = 50_000
         rng = np.random.default_rng(14)
-        topo = same_length_topology(50.0)
         los_params = ChannelParams(d0=1e9, shadow_std_los_db=0.0)
-        gains = sample_gain_matrices(link_geometry(topo, los_params), rng, draws)
+        p_los, d_eff, _ = same_length_links(50.0, los_params)
+        block = sample_gain_matrices(p_los, d_eff, los_params, rng, draws)
         expect = 50.0**-2.4
-        assert abs(gains.mean() / expect - 1.0) < 0.02
+        assert abs(block.mean() / expect - 1.0) < 0.02
 
         # d >> d0 and d >> d1 drives the LOS probability to ~ d0 / d
         nlos_params = ChannelParams(d0=1e-9, d1=1e-9, shadow_std_nlos_db=0.0)
-        gains = sample_gain_matrices(link_geometry(topo, nlos_params), rng, draws)
+        p_los, d_eff, _ = same_length_links(50.0, nlos_params)
+        block = sample_gain_matrices(p_los, d_eff, nlos_params, rng, draws)
         expect = 50.0**-3.78
-        assert abs(gains.mean() / expect - 1.0) < 0.02
+        assert abs(block.mean() / expect - 1.0) < 0.02
 
 
 class TestGainMatricesValidation:
@@ -297,20 +333,18 @@ class TestGainMatricesValidation:
         # one bad entry in the last draw of the block fails the whole block
         def draw(p_los, d_eff, params, rng, size):
             block = np.ones(size)
-            block[-1, 5] = bad
+            block[-1, 1, 2] = bad
             return block
 
         monkeypatch.setattr(geometry, "_draw_gains", draw)
-        links = link_geometry(sample_topology(np.random.default_rng(3), 2, 1, 100.0, RING),
-                              PARAMS)
+        nodes = sample_topology(np.random.default_rng(3), 2, 1, 100.0, RING)
         with pytest.raises(ValueError, match="positive and finite"):
-            sample_gain_matrices(links, np.random.default_rng(4), 3)
+            gains(nodes, 2, np.random.default_rng(4), 3)
 
 
 class TestDistanceFeatures:
     def test_primary_row_major_layout(self):
-        topo = small_topology()
-        feats = features(topo, "primary")
+        feats = features(small_topology(), 2, 50.0, "primary")
         # rows are transmitters, columns receivers, flattened row-major
         expect = (
             np.array(
@@ -327,24 +361,24 @@ class TestDistanceFeatures:
 
     def test_population_sizes(self):
         rng = np.random.default_rng(15)
-        topo = sample_topology(rng, 4, 8, 100.0, RING)
-        assert features(topo, "primary").shape == (16,)
-        assert features(topo, "secondary").shape == (64,)
-        assert features(topo, "all").shape == (144,)
+        nodes = sample_topology(rng, 4, 8, 100.0, RING)
+        assert features(nodes, 4, 100.0, "primary").shape == (16,)
+        assert features(nodes, 4, 100.0, "secondary").shape == (64,)
+        assert features(nodes, 4, 100.0, "all").shape == (144,)
 
     def test_all_population_prefix(self):
         # the "all" matrix leads with primary->primary distances
-        topo = small_topology()
-        all_feats = features(topo, "all")
-        prim = features(topo, "primary")
-        k = topo.k_p + topo.k_s
+        nodes = small_topology()
+        all_feats = features(nodes, 2, 50.0, "all")
+        prim = features(nodes, 2, 50.0, "primary")
+        k = 3
         np.testing.assert_array_equal(all_feats[:2], prim[:2])
         assert all_feats.shape == (k * k,)
 
     def test_scaled_range(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            topo = sample_topology(rng, 3, 3, 100.0, RING)
-            feats = features(topo, "all")
+            nodes = sample_topology(rng, 3, 3, 100.0, RING)
+            feats = features(nodes, 3, 100.0, "all")
             assert np.all(feats >= 0.0)
             assert np.all(feats <= 2.0)

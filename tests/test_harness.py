@@ -36,8 +36,8 @@ alpha_los=2.4
 alpha_nlos=3.78
 batch=200
 clip=0.1
-d0=18
-d1=36
+d0=18.0
+d1=36.0
 episode_len=200
 experiment=custom
 force=false
@@ -52,24 +52,24 @@ kappa_t_s=0.1
 lam=0.94
 lr_policy=0.001
 lr_value=0.003
-max_displacement=5
+max_displacement=5.0
 mode=coexist_dist
-nakagami_m=10
-noise_power=5.01187234e-14
+nakagami_m=10.0
+noise_power=5.0118723362727144e-14
 out={out}
 p_circuit=0.1
-p_max_p=1
-p_max_s=1
-pair_ring_max=30
-pair_ring_min=10
+p_max_p=1.0
+p_max_s=1.0
+pair_ring_max=30.0
+pair_ring_min=10.0
 profile=desk
-radius=100
+radius=100.0
 rate_threshold=0.5
 rho_decode=0.1
 seeds=1,4,7
-shadow_std_los_db=5
+shadow_std_los_db=5.0
 shadow_std_nlos_db=8.6
-tau=1
+tau=1.0
 update_epochs=10
 """
 
@@ -78,8 +78,8 @@ alpha_los=2.4
 alpha_nlos=3.78
 batch=500
 clip=0.1
-d0=18
-d1=36
+d0=18.0
+d1=36.0
 episode_len=500
 experiment=ex1
 force=false
@@ -94,24 +94,24 @@ kappa_t_s=0.1
 lam=0.94
 lr_policy=0.0003
 lr_value=0.001
-max_displacement=5
+max_displacement=5.0
 mode=coexist_dist
-nakagami_m=10
-noise_power=5.01187234e-14
+nakagami_m=10.0
+noise_power=5.0118723362727144e-14
 out={out}
 p_circuit=0.1
-p_max_p=1
-p_max_s=1
-pair_ring_max=30
-pair_ring_min=10
+p_max_p=1.0
+p_max_s=1.0
+pair_ring_max=30.0
+pair_ring_min=10.0
 profile=paper
-radius=100
+radius=100.0
 rate_threshold=0.5
 rho_decode=0.1
 seeds=1,4,7
-shadow_std_los_db=5
+shadow_std_los_db=5.0
 shadow_std_nlos_db=8.6
-tau=1
+tau=1.0
 update_epochs=10
 """
 
@@ -327,6 +327,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^built-in default: .*'alpha_los'"):
             build_config(None, [("alpha_nlos", "2")])
 
+    @pytest.mark.parametrize("override, culprits", [
+        (("episode_len", "300"), ("'batch'", "profile preset 'desk'", "'episode_len'")),
+        (("alpha_nlos", "2"), ("'alpha_los'", "built-in default", "'alpha_nlos'")),
+        (("pair_ring_max", "5"), ("'pair_ring_min'", "built-in default", "'pair_ring_max'")),
+    ], ids=["episode_len", "alpha_nlos", "pair_ring_max"])
+    def test_cross_field_error_names_every_field_and_supplier(self, override, culprits):
+        # the field set on the command line is named with its location, not
+        # only the first field of the rule
+        with pytest.raises(ConfigError) as err:
+            build_config(None, [override])
+        message = str(err.value)
+        assert f"'{override[0]}' from command line" in message
+        assert all(culprit in message for culprit in culprits)
+
     def test_cross_field_check_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             build_config(None, [("pair_ring_min", "40"), ("pair_ring_max", "20")])
@@ -415,6 +429,21 @@ class TestRunExperiment:
         assert run_experiment(build_config(None, overrides + [("out", str(out))])) == 0
         used = (out / "config_used.txt").read_bytes()
         assert used == expected.format(out=out).encode("utf-8")
+
+    @pytest.mark.parametrize("overrides", [[], [("profile", "paper"), ("experiment", "ex1"),
+                                                ("lr_policy", "1.2345678912345e-4")]],
+                             ids=["default", "paper-ex1"])
+    def test_config_used_reproduces_the_run(self, tmp_path, monkeypatch, overrides):
+        # config_used.txt read back as the config file resolves to the same
+        # settings and config values; the default noise_power (10**-13.3) has
+        # no 9-digit form that parses back to it
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: [])
+        out = tmp_path / "run"
+        cfg = build_config(None, overrides + [("out", str(out))])
+        assert run_experiment(cfg) == 0
+        again = build_config(out / "config_used.txt")
+        assert again.settings == cfg.settings
+        assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         out = tmp_path / "run"

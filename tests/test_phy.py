@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import gain_matrix, random_gains, sindr_loops
 from underlay_ppo.phy import (
     DEFAULT_NOISE_POWER_W,
-    LinkMetrics,
     RadioConfig,
     energy_efficiency,
     evaluate_links,
@@ -51,11 +50,11 @@ class TestDistortion:
             kappa_t_p=0.3, kappa_r_p=0.0, kappa_t_s=0.2, kappa_r_s=0.0,
             noise_power=1.0,
         )
-        links = evaluate_links(unit_gains(), np.array([1.0, 1.0]), 1, cfg)
+        sindr = evaluate_links(unit_gains(), np.array([1.0, 1.0]), 1, cfg)[0]
         # primary receiver: noise 1, own-system 0.09, secondary's 0.04, interference 1
-        assert links.sindr_p[0] == pytest.approx(1.0 / 2.13, rel=1e-12)
+        assert sindr[0] == pytest.approx(1.0 / 2.13, rel=1e-12)
         # secondary receiver: both distortion sums carry the secondary transmit kappa
-        assert links.sindr_s[0] == pytest.approx(1.0 / 2.08, rel=1e-12)
+        assert sindr[1] == pytest.approx(1.0 / 2.08, rel=1e-12)
 
     def test_receiver_term_scales_with_direct_gain(self):
         cfg = RadioConfig(
@@ -64,8 +63,8 @@ class TestDistortion:
         )
         h = gain_matrix([[0.5, 1.0], [1.0, 1.0]], 1)
         # direct power 0.5 * 2 = 1 over noise 1 plus receiver distortion 0.01 * 1
-        sindr_p = evaluate_links(h, np.array([2.0, 0.0]), 1, cfg).sindr_p
-        assert sindr_p[0] == pytest.approx(1.0 / 1.01, rel=1e-12)
+        sindr = evaluate_links(h, np.array([2.0, 0.0]), 1, cfg)[0]
+        assert sindr[0] == pytest.approx(1.0 / 1.01, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)], ids=["short", "long", "2-d"])
     def test_dimension_mismatch(self, shape):
@@ -75,19 +74,18 @@ class TestDistortion:
 
 class TestSindr:
     def test_single_link_spot_value(self):
-        sindr_p = evaluate_links(unit_gains(), np.array([1.0, 0.0]), 1, CFG_UNIT_NOISE).sindr_p
-        assert sindr_p[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
+        sindr = evaluate_links(unit_gains(), np.array([1.0, 0.0]), 1, CFG_UNIT_NOISE)[0]
+        assert sindr[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
 
     def test_two_symmetric_links(self):
         # both primary links identical: distortion 0.03, interference 1
         p = np.array([1.0, 1.0, 0.0])
-        sindr_p = evaluate_links(unit_gains(2, 1), p, 2, CFG_UNIT_NOISE).sindr_p
-        np.testing.assert_allclose(sindr_p, 1.0 / 2.03, rtol=1e-12)
+        sindr = evaluate_links(unit_gains(2, 1), p, 2, CFG_UNIT_NOISE)[0]
+        np.testing.assert_allclose(sindr[:2], 1.0 / 2.03, rtol=1e-12)
 
     def test_zero_power_means_zero_sindr(self):
-        links = evaluate_links(unit_gains(3, 2), np.zeros(5), 3, CFG_UNIT_NOISE)
-        np.testing.assert_array_equal(links.sindr_p, 0.0)
-        np.testing.assert_array_equal(links.sindr_s, 0.0)
+        sindr = evaluate_links(unit_gains(3, 2), np.zeros(5), 3, CFG_UNIT_NOISE)[0]
+        np.testing.assert_array_equal(sindr, np.zeros(5))
 
     def test_scale_invariance_without_impairments(self):
         # kappa = 0 and negligible noise: scaling every power cancels out
@@ -98,43 +96,41 @@ class TestSindr:
         rng = np.random.default_rng(21)
         h = random_gains(rng, 3, 4)
         p = np.concatenate((rng.random(3) + 0.1, rng.random(4) + 0.1))
-        base = evaluate_links(h, p, 3, cfg)
-        scaled = evaluate_links(h, 17.0 * p, 3, cfg)
-        np.testing.assert_allclose(base.sindr_p, scaled.sindr_p, rtol=1e-9)
-        np.testing.assert_allclose(base.sindr_s, scaled.sindr_s, rtol=1e-9)
+        base = evaluate_links(h, p, 3, cfg)[0]
+        scaled = evaluate_links(h, 17.0 * p, 3, cfg)[0]
+        np.testing.assert_allclose(base, scaled, rtol=1e-9)
 
     def test_interferer_power_never_helps(self):
         rng = np.random.default_rng(22)
         cfg = RadioConfig(noise_power=1e-10)
         h = random_gains(rng, 2, 2)
         p = np.array([0.5, 0.3, 0.4, 0.2])
-        base = evaluate_links(h, p, 2, cfg)
+        base = evaluate_links(h, p, 2, cfg)[0]
         bumped = p.copy()
         bumped[1] += 0.4
-        got = evaluate_links(h, bumped, 2, cfg)
-        assert got.sindr_p[0] <= base.sindr_p[0]
-        assert np.all(got.sindr_s <= base.sindr_s)
+        got = evaluate_links(h, bumped, 2, cfg)[0]
+        assert got[0] <= base[0]
+        assert np.all(got[2:] <= base[2:])
 
     def test_more_impairment_never_helps(self):
         rng = np.random.default_rng(23)
         h = random_gains(rng, 3, 3)
         p = np.concatenate((rng.random(3), rng.random(3)))
-        lo = evaluate_links(h, p, 3, RadioConfig(noise_power=1e-10))
+        lo = evaluate_links(h, p, 3, RadioConfig(noise_power=1e-10))[0]
         hi_cfg = RadioConfig(
             kappa_t_p=0.2, kappa_r_p=0.2, kappa_t_s=0.2, kappa_r_s=0.2,
             noise_power=1e-10,
         )
-        hi = evaluate_links(h, p, 3, hi_cfg)
-        assert np.all(hi.sindr_p <= lo.sindr_p)
-        assert np.all(hi.sindr_s <= lo.sindr_s)
+        hi = evaluate_links(h, p, 3, hi_cfg)[0]
+        assert np.all(hi <= lo)
 
     @given(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0))
     @settings(max_examples=40)
     def test_own_power_monotone(self, p_small, p_big):
         lo, hi = sorted((p_small, p_big))
         h = unit_gains(2, 1)
-        s_lo = evaluate_links(h, np.array([lo, 0.5, 0.3]), 2, CFG_UNIT_NOISE).sindr_p
-        s_hi = evaluate_links(h, np.array([hi, 0.5, 0.3]), 2, CFG_UNIT_NOISE).sindr_p
+        s_lo = evaluate_links(h, np.array([lo, 0.5, 0.3]), 2, CFG_UNIT_NOISE)[0]
+        s_hi = evaluate_links(h, np.array([hi, 0.5, 0.3]), 2, CFG_UNIT_NOISE)[0]
         assert s_hi[0] >= s_lo[0]
 
 
@@ -179,18 +175,11 @@ class TestEvaluateLinks:
         cfg = RadioConfig(noise_power=1e-9)
         h = random_gains(rng, 3, 4)
         p = np.concatenate((rng.random(3), rng.random(4)))
-        links = evaluate_links(h, p, 3, cfg)
-        assert isinstance(links, LinkMetrics)
-        np.testing.assert_allclose(
-            links.rate_p, np.log2(1.0 + links.sindr_p), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            links.rate_s, np.log2(1.0 + links.sindr_s), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            links.ee_s, energy_efficiency(links.rate_s, p[3:], cfg)
-        )
-        assert links.nqos_p == int(np.sum(links.rate_p < cfg.rate_threshold))
+        sindr, rate, ee_s, nqos_p = evaluate_links(h, p, 3, cfg)
+        assert sindr.shape == rate.shape == (7,) and ee_s.shape == (4,)
+        np.testing.assert_allclose(rate, np.log2(1.0 + sindr), rtol=1e-15)
+        np.testing.assert_allclose(ee_s, energy_efficiency(rate[3:], p[3:], cfg))
+        assert nqos_p == int(np.sum(rate[:3] < cfg.rate_threshold))
 
     def test_all_outputs_finite(self):
         rng = np.random.default_rng(26)
@@ -198,9 +187,7 @@ class TestEvaluateLinks:
         for _ in range(30):
             h = random_gains(rng, 4, 4, scale=1e-4)
             p = np.concatenate((rng.random(4), rng.random(4)))
-            links = evaluate_links(h, p, 4, cfg)
-            for field in (links.sindr_p, links.sindr_s, links.rate_p,
-                          links.rate_s, links.ee_s):
+            for field in evaluate_links(h, p, 4, cfg)[:3]:
                 assert np.all(np.isfinite(field))
 
 
@@ -225,8 +212,8 @@ class TestCouplingForm:
             power[rng.random(k_p + k_s) < 0.25] = 0.0
             pp, ps = power[:k_p], power[k_p:]
 
-            links = evaluate_links(h, power, k_p, cfg)
-            got = (links.sindr_p, links.sindr_s)
+            sindr, rate, ee_s, _ = evaluate_links(h, power, k_p, cfg)
+            got = (sindr[:k_p], sindr[k_p:])
             ref = sindr_loops(h, pp, ps, cfg)
             for g_arr, r_arr in zip(got, ref):
                 r_arr = np.asarray(r_arr)
@@ -236,9 +223,8 @@ class TestCouplingForm:
                     worst = max(worst, float(np.max(
                         np.abs(g_arr[~zero] / r_arr[~zero] - 1.0))))
             # a silent link has exactly zero SINDR, rate and EE
-            for arr in (links.sindr_p, links.rate_p):
-                np.testing.assert_array_equal(arr[pp == 0.0], 0.0)
-            for arr in (links.sindr_s, links.rate_s, links.ee_s):
-                np.testing.assert_array_equal(arr[ps == 0.0], 0.0)
+            for arr in (sindr, rate):
+                np.testing.assert_array_equal(arr[power == 0.0], 0.0)
+            np.testing.assert_array_equal(ee_s[ps == 0.0], 0.0)
         assert worst <= 1e-12
 
