@@ -7,17 +7,15 @@ Runs ``underlay-ppo run`` in process (``underlay_ppo.cli.main``) for the
 experiments custom, ex1 and ex2 under each of the three modes, with seeds 1
 and 4, 4 iterations, batch 40 and 20-step episodes, in a temporary
 directory. Prints one ``sha256  <experiment>/<mode>/<file>`` line per
-``seed_*.csv``, ``aggregate.csv`` and ``config_used.txt``; the runs write to
-the relative ``--out <experiment>/<mode>``, so ``config_used.txt`` does not
-depend on where the temporary directory is. A change that must not alter
-results leaves this output byte-identical: run the script on both checkouts
-and diff the two outputs. It imports the package from the ``src/`` next to
-this script, so each checkout measures its own code.
+``seed_*.csv``, ``aggregate.csv`` and ``config_used.txt``; a run records no
+output directory, so no digest depends on where the temporary directory is.
+A change that must not alter results leaves this output byte-identical: run
+the script on both checkouts and diff the two outputs. It imports the package
+from the ``src/`` next to this script, so each checkout measures its own code.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -32,35 +30,30 @@ EXPERIMENTS = ("custom", "ex1", "ex2")
 SETTINGS = ("iters=4", "batch=40", "episode_len=20")
 
 
-def digest_lines() -> list[str]:
-    """Run the matrix in the current directory; one digest line per file."""
+def digest_lines(root: Path) -> list[str]:
+    """Run the matrix under ``root``; one digest line per file."""
     lines = []
     for experiment in EXPERIMENTS:
         for mode in MODES:
-            out = Path(experiment, mode)
+            out = root / experiment / mode
             argv = ["run", "--experiment", experiment, "--mode", mode,
-                    "--seeds", "1,4", "--out", out.as_posix(), "--quiet"]
+                    "--seeds", "1,4", "--out", str(out), "--quiet"]
             for setting in SETTINGS:
                 argv += ["--set", setting]
             status = cli_main(argv)
             if status != 0:
-                raise SystemExit(f"{out.as_posix()}: exit status {status}")
+                raise SystemExit(f"{out}: exit status {status}")
             files = sorted(out.glob("seed_*.csv")) + [
                 out / "aggregate.csv", out / "config_used.txt"]
             for path in files:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {path.as_posix()}")
+                lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
     return lines
 
 
 def main() -> int:
-    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            lines = digest_lines()
-        finally:
-            os.chdir(cwd)
+        lines = digest_lines(Path(tmp))
     print(*lines, sep="\n")
     return 0
 

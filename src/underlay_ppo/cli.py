@@ -67,8 +67,6 @@ def _collect_overrides(args) -> list[tuple[str, str]]:
         value = getattr(args, key)
         if value is not None:
             overrides.append((key, value))
-    if args.force:
-        overrides.append(("force", "true"))
     for assignment in args.assignments:
         key, sep, value = assignment.partition("=")
         if not sep or not key.strip():
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = build_config(args.config, _collect_overrides(args))
-            return run_experiment(cfg, verbose=not args.quiet)
+            return run_experiment(cfg, force=args.force, verbose=not args.quiet)
         summary = summarize_dir(args.dir, args.window)
         print(format_summary(summary))
         return 0

@@ -15,8 +15,11 @@ per-iteration cross-seed means. Columns are fixed: iter, seed (per-seed files
 only), then the metric fields in the order defined by ``env.METRIC_FIELDS``.
 Numbers are written locale-independently with 9 significant digits; rerunning
 an identical config reproduces the files byte for byte. ``config_used.txt``
-holds every resolved setting, floats in their shortest round-trip form, so
-passing it back as ``--config`` reruns the same run.
+holds every resolved setting but the output directory, which is where the file
+itself lives, floats in their shortest round-trip form, so passing it back as
+``--config <out>/config_used.txt --out <new dir>`` reruns the same run.
+Overwriting existing results is a choice of the invocation (``--force``), not
+a setting.
 """
 from __future__ import annotations
 
@@ -58,7 +61,6 @@ _RUN_DEFAULTS = {
     # power allocation can satisfy every primary link).
     "seeds": (1, 4, 7),
     "out": "",
-    "force": False,
 }
 # nested sections (EnvConfig.channel, .radio) have no plain default and are no keys
 _FIELD_DEFAULTS = {
@@ -111,14 +113,11 @@ KNOWN_KEYS = frozenset(set(_RUN_DEFAULTS) | set(_FIELD_DEFAULTS) | set(_EXPANSIO
 class ExperimentConfig:
     """Fully resolved run description."""
 
-    experiment: str
     mode: str
-    profile: str
     seeds: tuple[int, ...]
     out_dir: str | None
     env: EnvConfig
     hyper: PpoHyper
-    force: bool = False
     settings: tuple[tuple[str, str], ...] = ()
 
 
@@ -133,13 +132,6 @@ def _parse_value(key: str, raw):
         return raw
     if key == "out":
         return raw
-    if key == "force":
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"malformed value for 'force': {raw!r}")
     if key == "seeds":
         try:
             seeds = tuple(int(part) for part in raw.split(",") if part.strip() != "")
@@ -166,8 +158,8 @@ def _parse_value(key: str, raw):
 def read_config_file(path) -> list[tuple[str, str, str]]:
     """Read flat key=value lines; returns (key, raw value, location) triples."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     items = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -238,17 +230,14 @@ def build_config(config_file=None, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"{where}: value out of range for '{key}': {rule}{others}") from None
 
     rendered = tuple(
-        sorted((k, _render_setting(v)) for k, v in settings.items())
+        sorted((k, _render_setting(v)) for k, v in settings.items() if k != "out")
     )
     return ExperimentConfig(
-        experiment=settings["experiment"],
         mode=settings["mode"],
-        profile=settings["profile"],
         seeds=settings["seeds"],
         out_dir=settings["out"] or None,
         env=env_cfg,
         hyper=hyper,
-        force=bool(settings["force"]),
         settings=rendered,
     )
 
@@ -256,8 +245,6 @@ def build_config(config_file=None, overrides=()) -> ExperimentConfig:
 def _render_setting(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)  # for a float, the shortest form that parses back to it
 
 
@@ -295,10 +282,14 @@ def write_aggregate_csv(path, histories) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
-    """Every row of a metrics CSV as {column: float}; a cell that is not a
-    number raises ConfigError naming the file and the column."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
+    """Every row of a metrics CSV as {column: float}; a file that cannot be
+    read as UTF-8, or a cell that is not a number, raises ConfigError naming
+    the file (and the column)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     for row in rows:
         for key, value in row.items():
             try:
@@ -309,7 +300,7 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
+def run_experiment(cfg: ExperimentConfig, force: bool = False, verbose: bool = False) -> int:
     """Train every seed and write CSVs; returns a process-style exit status.
 
     Refuses to overwrite an existing result directory unless forced. A
@@ -323,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> int:
     existing = sorted(out.glob("seed_*.csv"))
     if (out / "aggregate.csv").exists():
         existing.append(out / "aggregate.csv")
-    if existing and not cfg.force:
+    if existing and not force:
         raise ConfigError(
             f"{out} already holds results ({existing[0].name}, ...); "
             "pass --force to overwrite"

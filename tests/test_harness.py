@@ -30,7 +30,7 @@ from underlay_ppo.ppo import METRIC_FIELDS, PpoHyper
 TINY = [("iters", "3"), ("batch", "10"), ("episode_len", "5")]
 
 
-# exact config_used.txt bytes; {out} stands for the run's output directory
+# exact config_used.txt bytes; the output directory is not among them
 USED_DEFAULT = """\
 alpha_los=2.4
 alpha_nlos=3.78
@@ -40,7 +40,6 @@ d0=18.0
 d1=36.0
 episode_len=200
 experiment=custom
-force=false
 gamma=0.1
 iters=300
 k_p=2
@@ -56,7 +55,6 @@ max_displacement=5.0
 mode=coexist_dist
 nakagami_m=10.0
 noise_power=5.0118723362727144e-14
-out={out}
 p_circuit=0.1
 p_max_p=1.0
 p_max_s=1.0
@@ -82,7 +80,6 @@ d0=18.0
 d1=36.0
 episode_len=500
 experiment=ex1
-force=false
 gamma=0.1
 iters=4000
 k_p=4
@@ -98,7 +95,6 @@ max_displacement=5.0
 mode=coexist_dist
 nakagami_m=10.0
 noise_power=5.0118723362727144e-14
-out={out}
 p_circuit=0.1
 p_max_p=1.0
 p_max_s=1.0
@@ -153,9 +149,9 @@ class TestConfigDefaults:
         assert cfg.env.radio.rate_threshold == 0.5
         assert cfg.env.radio.kappa_t_p == 0.1
         assert cfg.env.radio.kappa_r_s == 0.1
-        assert cfg.experiment == "custom"
+        assert dict(cfg.settings)["experiment"] == "custom"
         assert cfg.mode == "coexist_dist"
-        assert cfg.profile == "desk"
+        assert dict(cfg.settings)["profile"] == "desk"
         assert cfg.seeds == (1, 4, 7)
         assert cfg.out_dir is None
 
@@ -216,6 +212,11 @@ class TestConfigFileParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             build_config(tmp_path / "nope.txt", [])
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("k_p=3\n", encoding="utf-8-sig")
+        assert build_config(path, []).env.k_p == 3
+
 
 class TestConfigPrecedence:
     def test_cli_beats_file(self, tmp_path):
@@ -228,7 +229,7 @@ class TestConfigPrecedence:
         path = tmp_path / "cfg.txt"
         path.write_text("profile=paper\niters=7\nbatch=10\nepisode_len=5\n")
         cfg = build_config(path, [])
-        assert cfg.profile == "paper"
+        assert dict(cfg.settings)["profile"] == "paper"
         assert cfg.hyper.iters == 7
 
     def test_profile_key_applies_regardless_of_position(self, tmp_path):
@@ -265,7 +266,6 @@ class TestConfigValidation:
             ("kappa", "0.7"),
             ("mode", "telepathy"),
             ("noise_power", "-1"),
-            ("force", "maybe"),
         ]
         for key, value in cases:
             with pytest.raises(ConfigError):
@@ -298,7 +298,7 @@ class TestConfigValidation:
 
     # -1 breaks the range rule of every numeric key, so each check must name its key
     @pytest.mark.parametrize("key", sorted(
-        harness.KNOWN_KEYS - {"experiment", "mode", "profile", "seeds", "out", "force"}
+        harness.KNOWN_KEYS - {"experiment", "mode", "profile", "seeds", "out"}
     ))
     def test_every_range_check_names_its_key(self, key):
         expected = f"^command line: value out of range for '{key}': "
@@ -428,20 +428,21 @@ class TestRunExperiment:
         out = tmp_path / "run"
         assert run_experiment(build_config(None, overrides + [("out", str(out))])) == 0
         used = (out / "config_used.txt").read_bytes()
-        assert used == expected.format(out=out).encode("utf-8")
+        assert used == expected.encode("utf-8")
 
     @pytest.mark.parametrize("overrides", [[], [("profile", "paper"), ("experiment", "ex1"),
                                                 ("lr_policy", "1.2345678912345e-4")]],
                              ids=["default", "paper-ex1"])
     def test_config_used_reproduces_the_run(self, tmp_path, monkeypatch, overrides):
-        # config_used.txt read back as the config file resolves to the same
-        # settings and config values; the default noise_power (10**-13.3) has
-        # no 9-digit form that parses back to it
+        # config_used.txt read back as the config file, with the output
+        # directory given again, resolves to the same settings and config
+        # values; the default noise_power (10**-13.3) has no 9-digit form that
+        # parses back to it
         monkeypatch.setattr(harness, "train", lambda *args, **kwargs: [])
         out = tmp_path / "run"
         cfg = build_config(None, overrides + [("out", str(out))])
         assert run_experiment(cfg) == 0
-        again = build_config(out / "config_used.txt")
+        again = build_config(out / "config_used.txt", [("out", str(out))])
         assert again.settings == cfg.settings
         assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
@@ -455,8 +456,7 @@ class TestRunExperiment:
         out = tmp_path / "run"
         out.mkdir()
         (out / "seed_99.csv").write_text("stale\n")
-        cfg = tiny_cfg(out, extra=[("force", "true")])
-        assert run_experiment(cfg) == 0
+        assert run_experiment(tiny_cfg(out), force=True) == 0
         assert not (out / "seed_99.csv").exists()
         assert (out / "seed_0.csv").exists()
 
@@ -688,6 +688,40 @@ class TestCli:
         status = cli.main(["run", "--quiet", "--set", "iters=1",
                            "--set", "batch=5", "--set", "episode_len=5"])
         assert status == 2
+
+    @pytest.mark.parametrize("value", ["true", "maybe"])
+    def test_force_is_no_config_key(self, tmp_path, capsys, value):
+        # overwriting is a choice of the invocation (--force), not a setting
+        out = tmp_path / "x"
+        assert cli.main(["run", "--out", str(out), "--set", f"force={value}"]) == 2
+        assert "command line: unknown key 'force'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_record_rerun_without_out_keeps_the_results(self, tmp_path, capsys):
+        # config_used.txt names no output directory, so rerunning it without
+        # --out cannot overwrite the results it came from, even after --force
+        out = tmp_path / "run"
+        assert cli.main(["run", "--seeds", "0", "--out", str(out), "--quiet", "--force",
+                         "--set", "iters=2", "--set", "batch=5", "--set", "episode_len=5"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["run", "--config", str(out / "config_used.txt"), "--quiet"]) == 2
+        assert "no output directory configured" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes("k_p = 2  # caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: cannot read config file {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes("iter,seed,caf\u00e9\n1,1,0\n".encode("latin-1")),
+        lambda path: path.mkdir(),
+    ], ids=["latin-1", "directory"])
+    def test_unreadable_seed_file_is_config_error(self, tmp_path, capsys, make):
+        make(tmp_path / "seed_1.csv")
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 2
+        assert f"error: cannot read {tmp_path / 'seed_1.csv'}: " in capsys.readouterr().err
 
     def test_malformed_set_flag(self, tmp_path, capsys):
         status = cli.main(["run", "--out", str(tmp_path / "x"), "--set", "oops"])

@@ -1,10 +1,9 @@
-"""The sweep scripts load against the current package and handle their cells.
+"""The scripts load against the current package and handle their cells.
 
 Importing each script as a module checks that every package name it imports
-still exists. The sweep scripts' ``main`` runs with ``run_experiment``
-stubbed or stopped before training, so nothing trains. ``csv_digests`` is
-also run through its ``digest_lines``, the byte-identity check refactors
-rest on.
+still exists. The sweep's ``main`` runs with ``train`` or ``run_experiment``
+stubbed, so nothing trains. ``csv_digests`` is also run through its
+``digest_lines``, the byte-identity check refactors rest on.
 """
 import importlib.util
 import re
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from underlay_ppo import harness
+from underlay_ppo.env import METRIC_FIELDS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,18 +28,15 @@ def _load(name):
 def test_scripts_import(monkeypatch):
     # csv_digests puts its checkout's src/ on sys.path; keep that local
     monkeypatch.setattr(sys, "path", list(sys.path))
-    for name in ("run_desk", "run_full_sweep", "csv_digests"):
+    for name in ("sweep", "csv_digests"):
         assert callable(_load(name).main), name
 
 
 def test_csv_digests_are_stable(monkeypatch, tmp_path):
+    # two different absolute roots: no file may record where it was written
     monkeypatch.setattr(sys, "path", list(sys.path))
     module = _load("csv_digests")
-    runs = []
-    for name in ("first", "second"):
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        runs.append(module.digest_lines())
+    runs = [module.digest_lines(tmp_path / name) for name in ("first", "second")]
     assert runs[0] == runs[1]
     assert len(runs[0]) == 36
     digests, paths = zip(*(line.split("  ") for line in runs[0]))
@@ -54,36 +51,88 @@ def _run_main(monkeypatch, module, *args):
     return module.main()
 
 
-def test_full_sweep_reruns_a_partial_cell_and_skips_a_finished_one(
-        monkeypatch, tmp_path, capsys):
-    module = _load("run_full_sweep")
+def _one_row(*args, **kwargs):
+    return [{"iter": 1, **{m: 0.0 for m in METRIC_FIELDS}}]
+
+
+def _finish(monkeypatch, module, root, *args):
+    """Sweep the desk profile into ``root`` with a one-row stub for training."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "train", _one_row)
+        assert _run_main(patch, module, "--profile", "desk", "--out-root", str(root),
+                         *args) == 0
+
+
+def _recording(module, root, ran):
+    """run_experiment that records each cell it trains and whether forced."""
+    def run(cfg, force=False, verbose=False):
+        ran.append((Path(cfg.out_dir).relative_to(root).as_posix(), force))
+        return harness.run_experiment(cfg, force, verbose)
+    return run
+
+
+def test_sweep_trains_every_mode_and_skips_finished_cells(monkeypatch, tmp_path, capsys):
+    module = _load("sweep")
+    _finish(monkeypatch, module, tmp_path, "--experiments", "ex1")
+    printed = capsys.readouterr().out
+    assert all(f"== ex1 / {mode} ==" in printed for mode in module.MODES)
     ran = []
-    monkeypatch.setattr(module, "run_experiment",
-                        lambda cfg, verbose=False: ran.append((cfg.mode, cfg.force)) or 0)
-    partial, finished = (tmp_path / "ex1" / mode for mode in module.MODES[:2])
-    partial.mkdir(parents=True)
-    (partial / "seed_1.csv").write_text("interrupted\n")
-    finished.mkdir(parents=True)
-    (finished / "aggregate.csv").write_text("done\n")
-    assert _run_main(monkeypatch, module, "--out-root", str(tmp_path), "--experiments",
-                     "ex1") == 0
+    monkeypatch.setattr(module, "run_experiment", _recording(module, tmp_path, ran))
+    monkeypatch.setattr(harness, "train", _one_row)
+    # the default experiments: ex1 finished, so only ex2 trains
+    assert _run_main(monkeypatch, module, "--profile", "desk", "--out-root", str(tmp_path)) == 0
+    assert ran == [(f"ex2/{mode}", False) for mode in module.MODES]
+    err = capsys.readouterr().err
+    assert all(f"skipping {tmp_path / 'ex1' / mode}" in err for mode in module.MODES)
+
+
+def test_sweep_reruns_a_partial_cell_and_skips_a_finished_one(monkeypatch, tmp_path, capsys):
+    module = _load("sweep")
+    _finish(monkeypatch, module, tmp_path, "--experiments", "ex1")
+    partial, finished, fresh = (tmp_path / "ex1" / mode for mode in module.MODES)
+    (partial / "aggregate.csv").unlink()
+    for path in fresh.iterdir():
+        path.unlink()
+    ran = []
+    monkeypatch.setattr(module, "run_experiment", _recording(module, tmp_path, ran))
+    monkeypatch.setattr(harness, "train", _one_row)
+    assert _run_main(monkeypatch, module, "--profile", "desk", "--out-root", str(tmp_path),
+                     "--experiments", "ex1") == 0
     # the partial cell runs with force, the finished one not at all, a fresh one unforced
-    assert ran == [(module.MODES[0], True), (module.MODES[2], False)]
+    assert ran == [(f"ex1/{module.MODES[0]}", True), (f"ex1/{module.MODES[2]}", False)]
     assert f"skipping {finished}" in capsys.readouterr().err
 
 
-def test_full_sweep_config_error_exits_2(monkeypatch, tmp_path, capsys):
-    module = _load("run_full_sweep")
+@pytest.mark.parametrize("args, record_line, message, detail", [
+    (["--seeds", "2"], None, "is finished with ", "seeds=1,4,7, not seeds=2"),
+    (["--profile", "paper"], None, "is finished with ", "batch=200, not batch=500"),
+    # a record from a version that still wrote force=
+    ([], "force=false\n", "is finished, but its record does not parse (",
+     "unknown key 'force'"),
+], ids=["seeds", "profile", "earlier-version-record"])
+def test_sweep_refuses_a_finished_cell_with_another_record(
+        monkeypatch, tmp_path, capsys, args, record_line, message, detail):
+    module = _load("sweep")
+    root = tmp_path / "desk"
+    _finish(monkeypatch, module, root, "--experiments", "ex1")
+    cell = root / "ex1" / module.MODES[0]
+    if record_line is not None:
+        with open(cell / "config_used.txt", "a", encoding="utf-8") as f:
+            f.write(record_line)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    capsys.readouterr()
     monkeypatch.setattr(module, "run_experiment", pytest.fail)
-    assert _run_main(monkeypatch, module, "--out-root", str(tmp_path), "--seeds", "1,x") == 2
-    assert capsys.readouterr().err.startswith("error: command line: malformed value")
-
-
-def test_run_desk_over_existing_results_exits_2(monkeypatch, tmp_path, capsys):
-    module = _load("run_desk")
-    monkeypatch.setattr(harness, "train", pytest.fail)
-    (tmp_path / "ex1").mkdir()
-    (tmp_path / "ex1" / "seed_1.csv").write_text("earlier\n")
-    assert _run_main(monkeypatch, module, "--out-root", str(tmp_path)) == 2
+    assert _run_main(monkeypatch, module, "--profile", "desk", "--out-root", str(root),
+                     "--experiments", "ex1", *args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "pass --force to overwrite" in err
+    assert err.startswith(f"error: {cell} {message}") and detail in err
+    assert err.rstrip().endswith("pass --force to retrain it")
+    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+def test_sweep_config_error_exits_2(monkeypatch, tmp_path, capsys):
+    module = _load("sweep")
+    monkeypatch.setattr(module, "run_experiment", pytest.fail)
+    assert _run_main(monkeypatch, module, "--profile", "desk", "--out-root", str(tmp_path),
+                     "--seeds", "1,x") == 2
+    assert capsys.readouterr().err.startswith("error: command line: malformed value")
