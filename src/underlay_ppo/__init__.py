@@ -6,15 +6,7 @@ number of licensed links whose rate fell below threshold. Both populations
 learn transmit powers with a from-scratch continuous PPO (numpy only).
 """
 
-from .env import (
-    OBS_CENTRALIZED_DIST,
-    OBS_CENTRALIZED_FULL_CSI,
-    OBS_PRIMARY,
-    OBS_SECONDARY,
-    EnvConfig,
-    SpectrumSharingEnv,
-    observation_dim,
-)
+from .env import EnvConfig, SpectrumSharingEnv
 from .geometry import ChannelParams
 from .harness import (
     ConfigError,
@@ -30,9 +22,14 @@ from .ppo import (
     MODE_CENTRALIZED_FULL_CSI,
     MODE_COEXIST,
     MODES,
+    OBS_CENTRALIZED_DIST,
+    OBS_CENTRALIZED_FULL_CSI,
+    OBS_PRIMARY,
+    OBS_SECONDARY,
     PpoHyper,
     TrajectoryBatch,
     compute_gae,
+    observation_dim,
     train,
 )
 

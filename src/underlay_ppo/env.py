@@ -13,14 +13,14 @@ Observation vectors hold the previous step's metrics, so agents act on what
 they last measured.
 
 Positions are fixed within an episode, so everything derived from them (the
-distance matrix, the LOS probabilities, the floored distances and the
-distance features of the observations) is computed once at ``reset``; the
-world keeps only the features. No power action changes the channel either,
-so ``reset`` also draws the whole episode's gains at once: a read-only
-(T + 1, K, K) block, slice 0 for the reset observation and t + 1 for step
-t. ``step`` draws nothing; it moves ``WorldState.gains`` on to the step's
-slice. A rollout draws only at episode starts: first the gains here in
-``reset``, then the episode's action-noise block in ``ppo._collect``.
+distance matrix, the LOS probabilities and the floored distances) is
+computed once at ``reset``; the world keeps only the distances over the
+radius. No power action changes the channel either, so ``reset`` also draws
+the whole episode's gains at once: a read-only (T + 1, K, K) block, slice 0
+for the reset observation and t + 1 for step t. ``step`` draws nothing; it
+moves ``WorldState.gains`` on to the step's slice. A rollout draws only at
+episode starts: first the gains here in ``reset``, then the episode's
+action-noise block in ``ppo._collect``.
 
 Row contract: ``step`` takes the joint raw power vector, primary links
 first, and returns its 12 scalar metrics (rewards, summed rates, EE and
@@ -32,8 +32,8 @@ once against the stacked caps, and each system's penalty sums its slice of
 
 The environment builds no observation. ``step`` keeps what the agents
 measure in ``WorldState``: the primary rates, the secondary energy
-efficiencies and the NACK count (zeros after a reset). The caller builds
-each agent's observation from ``world`` with the builders below.
+efficiencies and the NACK count (zeros after a reset). ``ppo`` builds each
+agent's observation from ``world``.
 """
 from __future__ import annotations
 
@@ -52,11 +52,6 @@ from .geometry import (
 )
 from .phy import RadioConfig, evaluate_links
 
-OBS_PRIMARY = "primary"
-OBS_SECONDARY = "secondary"
-OBS_CENTRALIZED_DIST = "centralized_dist"
-OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
-
 # applied powers above this fraction of the cap count as "active" users
 ACTIVE_POWER_FRACTION = 1e-3
 
@@ -69,18 +64,6 @@ METRIC_FIELDS = (
     "reward_p", "reward_s", "sum_rate_p", "sum_rate_s", "sum_ee_s", "sum_power_p",
     "sum_power_s", "nqos_p", "delta_p", "delta_s", "active_p", "active_s",
 )
-
-
-def observation_dim(kind: str, k_p: int, k_s: int) -> int:
-    """Observation vector length per agent kind."""
-    if kind == OBS_PRIMARY:
-        return k_p * k_p + k_p
-    if kind == OBS_SECONDARY:
-        return k_s * k_s + k_s + 1
-    if kind in (OBS_CENTRALIZED_DIST, OBS_CENTRALIZED_FULL_CSI):
-        k = k_p + k_s
-        return k * k + k_p + k_s + 1
-    raise ValueError(f"unknown observation kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +94,14 @@ class EnvConfig:
 class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
-    ``features`` (the distance features, see ``geometry.link_geometry``) and
-    ``episode_gains`` (the read-only (T + 1, K, K) block of the episode's
-    channel draws) are fixed at reset; ``gains`` is the slice for
-    ``step_index``. ``rate_p``, ``ee_s`` and ``nqos_p`` are what the last step
-    measured, all zero after a reset.
+    ``distances`` (the (K, K) tx -> rx distances over the radius, see
+    ``geometry.link_geometry``) and ``episode_gains`` (the read-only
+    (T + 1, K, K) block of the episode's channel draws) are fixed at reset;
+    ``gains`` is the slice for ``step_index``. ``rate_p``, ``ee_s`` and
+    ``nqos_p`` are what the last step measured, all zero after a reset.
     """
 
-    features: dict
+    distances: np.ndarray
     episode_gains: np.ndarray
     step_index: int
     rate_p: np.ndarray
@@ -144,31 +127,6 @@ def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
     if delta_s > 0.0:
         return 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s
     return total - 10.0 * nqos_p
-
-
-def build_primary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate((world.features["primary"], world.rate_p))
-
-
-def build_secondary_obs(world: WorldState) -> np.ndarray:
-    return np.concatenate((world.features["secondary"], world.ee_s, [world.nqos_p]))
-
-
-def _scaled_log_gains(gains: np.ndarray) -> np.ndarray:
-    """log10 gains clipped to [-20, 0] and rescaled into [-1, 1], flattened."""
-    x = np.clip(np.log10(gains), -20.0, 0.0)
-    return (x / 10.0 + 1.0).ravel()
-
-
-def build_centralized_obs(world: WorldState, variant: str) -> np.ndarray:
-    """Single-controller observation: CSI (or distance) block plus metrics."""
-    if variant == OBS_CENTRALIZED_FULL_CSI:
-        head = _scaled_log_gains(world.gains)
-    elif variant == OBS_CENTRALIZED_DIST:
-        head = world.features["all"]
-    else:
-        raise ValueError(f"unknown centralized variant {variant!r}")
-    return np.concatenate((head, world.rate_p, world.ee_s, [world.nqos_p]))
 
 
 class SpectrumSharingEnv:
@@ -201,9 +159,9 @@ class SpectrumSharingEnv:
         cfg, k_p = self.cfg, self.cfg.k_p
         nodes = perturb_topology(
             self.base_nodes, k_p, rng, cfg.channel.max_displacement, cfg.radius)
-        p_los, d_eff, features = link_geometry(nodes, k_p, cfg.radius, cfg.channel)
+        p_los, d_eff, distances = link_geometry(nodes, cfg.radius, cfg.channel)
         return WorldState(
-            features=features,
+            distances=distances,
             episode_gains=sample_gain_matrices(
                 p_los, d_eff, cfg.channel, rng, self.episode_len + 1),
             step_index=0, rate_p=np.zeros(k_p), ee_s=np.zeros(cfg.k_s), nqos_p=0.0,

@@ -22,6 +22,7 @@ receiver k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,14 +34,21 @@ DISTANCE_FLOOR_M = 1.0
 _TWO_PI = 2.0 * np.pi
 
 def require_finite(config) -> None:
-    """Reject nan/inf in any float field of a config dataclass.
+    """Reject nan/inf in any float field of a config dataclass, and anything
+    but an integer (numpy integers included) in a field whose default is one.
 
-    Range checks such as ``x <= 0.0`` are false for nan, so every config
+    Range checks such as ``x <= 0.0`` are false for nan, and a count such as
+    2.0 passes them but fails later as an array size, so every config
     ``__post_init__`` calls this before its own checks.
     """
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if type(f.default) is int:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer") from None
+        elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
 
 
@@ -170,23 +178,16 @@ def _draw_gains(
     return gains
 
 
-def link_geometry(nodes: np.ndarray, k_p: int, radius: float, params: ChannelParams):
+def link_geometry(nodes: np.ndarray, radius: float, params: ChannelParams):
     """Everything about the links that depends on node positions only.
 
-    Returns ``(p_los, d_eff, features)``: the (K, K) LOS probabilities and
-    floored distances max(d, 1 m) of the tx -> rx links, and the distance
-    features of the observations, "primary"/"secondary"/"all" -> the flat
-    row-major distances over the radius, in [0, 2].
+    Returns ``(p_los, d_eff, scaled)``: the (K, K) LOS probabilities,
+    floored distances max(d, 1 m) and distances over the radius (in [0, 2])
+    of the tx -> rx links.
     """
     tx, rx = nodes
     dists = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    scaled = dists / radius
-    features = {
-        "primary": scaled[:k_p, :k_p].ravel(),
-        "secondary": scaled[k_p:, k_p:].ravel(),
-        "all": scaled.ravel(),
-    }
-    return los_probability(dists, params), np.maximum(dists, DISTANCE_FLOOR_M), features
+    return los_probability(dists, params), np.maximum(dists, DISTANCE_FLOOR_M), dists / radius
 
 
 def sample_gain_matrices(

@@ -18,19 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .env import (
-    METRIC_FIELDS,
-    OBS_CENTRALIZED_DIST,
-    OBS_CENTRALIZED_FULL_CSI,
-    OBS_PRIMARY,
-    OBS_SECONDARY,
-    EnvConfig,
-    SpectrumSharingEnv,
-    build_centralized_obs,
-    build_primary_obs,
-    build_secondary_obs,
-    observation_dim,
-)
+from .env import METRIC_FIELDS, EnvConfig, SpectrumSharingEnv
 from .geometry import require_finite
 from .nets import (
     HIDDEN,
@@ -41,6 +29,25 @@ from .nets import (
     logprob_grads_from_forward,
     sample_action,
 )
+
+OBS_PRIMARY = "primary"
+OBS_SECONDARY = "secondary"
+OBS_CENTRALIZED_DIST = "centralized_dist"
+OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
+# Each observation kind's systems (0 primary, 1 secondary). The agent powers
+# their links (a slice of the joint power vector, primary links first), earns
+# the sum of their rewards (step-row entries 0 and 1) and observes a head over
+# those links, then those systems' last measurements (zero after a reset): the
+# primary rates, then the secondary EEs and the NACK count. ``episode_heads``
+# builds the head once per episode: the tx -> rx distances over the radius, in
+# [0, 2], or (full CSI, one row per step) the gains clipped to [1e-20, 1] and
+# mapped to [-1, 1] by log10(g) / 10 + 1, each flattened row-major.
+KIND_SYSTEMS = {
+    OBS_PRIMARY: (0,),
+    OBS_SECONDARY: (1,),
+    OBS_CENTRALIZED_DIST: (0, 1),
+    OBS_CENTRALIZED_FULL_CSI: (0, 1),
+}
 
 MODE_COEXIST = "coexist_dist"
 MODE_CENTRALIZED_DIST = OBS_CENTRALIZED_DIST
@@ -301,33 +308,61 @@ def load_checkpoint(path, agents):
     return rng, int(arrays["iteration"])
 
 
+def _systems(kind: str) -> tuple[int, ...]:
+    if kind not in KIND_SYSTEMS:
+        raise ValueError(f"unknown observation kind {kind!r}")
+    return KIND_SYSTEMS[kind]
+
+
+def _links(kind: str, k_p: int, k_s: int) -> slice:
+    """The links of ``kind``'s systems, as a slice of the joint power vector."""
+    systems, bounds = _systems(kind), (0, k_p, k_p + k_s)
+    return slice(bounds[systems[0]], bounds[systems[-1] + 1])
+
+
+def observation_dim(kind: str, k_p: int, k_s: int) -> int:
+    """Observation vector length of an agent of ``kind``."""
+    links = _links(kind, k_p, k_s)
+    width = links.stop - links.start
+    return width * width + sum((k_p, k_s + 1)[system] for system in KIND_SYSTEMS[kind])
+
+
+def episode_heads(world, kind: str) -> np.ndarray:
+    """The observation head of ``kind`` (see ``KIND_SYSTEMS``) at every step
+    index 0..T of ``world``'s episode, one row each."""
+    links = _links(kind, world.rate_p.size, world.ee_s.size)
+    if kind == OBS_CENTRALIZED_FULL_CSI:
+        gains = world.episode_gains[:, links, links]
+        return (np.clip(np.log10(gains), -20.0, 0.0) / 10.0 + 1.0).reshape(len(gains), -1)
+    head = world.distances[links, links].ravel()
+    return np.broadcast_to(head, (len(world.episode_gains), head.size))
+
+
+def build_centralized_obs(world, head: np.ndarray) -> np.ndarray:
+    """A centralized agent's observation: ``head``, then both systems' measurements."""
+    return np.concatenate((head, world.rate_p, world.ee_s, [world.nqos_p]))
+
+
+def observe(world, kind: str, heads: np.ndarray) -> np.ndarray:
+    """What an agent of ``kind`` sees of ``world``: the row of ``heads`` (from
+    ``episode_heads``) for the world's step index, then its systems'
+    measurements."""
+    systems, head = _systems(kind), heads[world.step_index]
+    if len(systems) == 2:
+        return build_centralized_obs(world, head)
+    if systems[0] == 0:
+        return np.concatenate((head, world.rate_p))
+    return np.concatenate((head, world.ee_s, [world.nqos_p]))
+
+
 def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Agent]:
     if mode not in MODE_AGENTS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     k_p, k_s = env_cfg.k_p, env_cfg.k_s
-    action_dims = {OBS_PRIMARY: k_p, OBS_SECONDARY: k_s}  # a centralized agent powers all links
+    links = {kind: _links(kind, k_p, k_s) for _, kind in MODE_AGENTS[mode]}
     return [make_agent(rng, name, observation_dim(kind, k_p, k_s),
-                       action_dims.get(kind, k_p + k_s), hyper)
+                       links[kind].stop - links[kind].start, hyper)
             for name, kind in MODE_AGENTS[mode]]
-
-
-def _observe(world, kind: str) -> np.ndarray:
-    """What an agent of observation ``kind`` sees of ``world``."""
-    if kind == OBS_PRIMARY:
-        return build_primary_obs(world)
-    if kind == OBS_SECONDARY:
-        return build_secondary_obs(world)
-    return build_centralized_obs(world, kind)
-
-
-def _rewards(rows: np.ndarray, kind: str) -> np.ndarray:
-    """Per-step rewards of an agent of ``kind`` from the step rows: its own
-    system's reward, or the sum of both for a centralized agent."""
-    if kind == OBS_PRIMARY:
-        return rows[:, 0]
-    if kind == OBS_SECONDARY:
-        return rows[:, 1]
-    return rows[:, 0] + rows[:, 1]
 
 
 def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
@@ -338,27 +373,29 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
     Each agent acts into its column slice of one joint ``(batch, K)`` block, row by row.
     """
     n, t_len = hyper.batch, hyper.episode_len
+    k_p, k_s = env.cfg.k_p, env.cfg.k_s
     kinds = [kind for _, kind in MODE_AGENTS[mode]]
-    ends = np.cumsum([agent.policy.action_dim for agent in agents]).tolist()
-    cols = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    cols = [_links(kind, k_p, k_s) for kind in kinds]
     obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
-    joint = np.empty((n, ends[-1]))  # the joint actions, primary links first
+    joint = np.empty((n, k_p + k_s))  # the joint actions, primary links first
     log_probs = np.empty((len(agents), n))
     rows = np.empty((n, len(METRIC_FIELDS)))  # step rows, in METRIC_FIELDS order
     for start in range(0, n, t_len):
         world = env.reset(rng)
-        for idx, z in enumerate(rng.standard_normal((t_len, ends[-1])), start):
-            for i, (agent, kind, col) in enumerate(zip(agents, kinds, cols)):
-                obs[i][idx] = ob = _observe(world, kind)
+        heads = [episode_heads(world, kind) for kind in kinds]
+        for idx, z in enumerate(rng.standard_normal((t_len, k_p + k_s)), start):
+            for i, (agent, kind, col, head) in enumerate(zip(agents, kinds, cols, heads)):
+                obs[i][idx] = ob = observe(world, kind, head)
                 joint[idx, col], log_probs[i, idx] = sample_action(agent.policy, ob, z[col])
             rows[idx] = env.step(world, joint[idx])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     # the nets do not change during a rollout, so one batched pass per agent
     batches = [
         TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,
-                        rewards=_rewards(rows, kind), values=agent.value.forward(ob)[0],
-                        bootstrap_value=agent.value.value(_observe(world, kind)))
-        for agent, kind, col, ob, logp in zip(agents, kinds, cols, obs, log_probs)
+                        rewards=rows[:, _systems(kind)].sum(axis=1),
+                        values=agent.value.forward(ob)[0],
+                        bootstrap_value=agent.value.value(observe(world, kind, head)))
+        for agent, kind, col, head, ob, logp in zip(agents, kinds, cols, heads, obs, log_probs)
     ]
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 

@@ -196,6 +196,42 @@ def distance_features_reference(nodes, k_p, radius, which):
     return (block / radius).ravel()
 
 
+def reset_nodes_reference(env, rng):
+    """The node positions ``env.reset(rng)`` jitters into, replayed on a copy
+    of ``rng``; ``rng`` itself does not move."""
+    from underlay_ppo.geometry import perturb_topology
+
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    cfg = env.cfg
+    return perturb_topology(env.base_nodes, cfg.k_p, twin, cfg.channel.max_displacement,
+                            cfg.radius)
+
+
+def observation_reference(world, kind, nodes, k_p, radius):
+    """An agent's observation of ``world`` built afresh at this step.
+
+    The head is the kind's distance features of ``nodes`` ("primary",
+    "secondary" or, for "centralized_dist", "all"), or for
+    "centralized_full_csi" this step's gains as
+    ``(clip(log10(g), -20, 0) / 10 + 1).ravel()``. Then come the kind's
+    measurements: the primary rates; the secondary EEs and the NACK count;
+    or all three, in that order, for a centralized kind.
+    """
+    measured = {
+        "primary": (world.rate_p,),
+        "secondary": (world.ee_s, [world.nqos_p]),
+        "centralized_dist": (world.rate_p, world.ee_s, [world.nqos_p]),
+        "centralized_full_csi": (world.rate_p, world.ee_s, [world.nqos_p]),
+    }[kind]
+    if kind == "centralized_full_csi":
+        head = (np.clip(np.log10(world.gains), -20.0, 0.0) / 10.0 + 1.0).ravel()
+    else:
+        which = "all" if kind == "centralized_dist" else kind
+        head = distance_features_reference(nodes, k_p, radius, which)
+    return np.concatenate((head, *measured))
+
+
 def gains_reference(nodes, params, rng, draws):
     """(draws, K, K) block of gain draws recomputed from the node positions.
 

@@ -28,19 +28,7 @@ from oracles import (
     unshrunk_policy,
 )
 from underlay_ppo import harness
-from underlay_ppo.env import (
-    OBS_CENTRALIZED_DIST,
-    OBS_CENTRALIZED_FULL_CSI,
-    OBS_PRIMARY,
-    OBS_SECONDARY,
-    EnvConfig,
-    SpectrumSharingEnv,
-    build_centralized_obs,
-    build_primary_obs,
-    build_secondary_obs,
-    observation_dim,
-    reward_primary,
-)
+from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, reward_primary
 from underlay_ppo.geometry import ChannelParams, los_probability
 from underlay_ppo.nets import (
     gaussian_log_prob,
@@ -52,11 +40,18 @@ from underlay_ppo.phy import (
     nqos,
 )
 from underlay_ppo.ppo import (
+    OBS_CENTRALIZED_DIST,
+    OBS_CENTRALIZED_FULL_CSI,
+    OBS_PRIMARY,
+    OBS_SECONDARY,
     PpoHyper,
     TrajectoryBatch,
     compute_gae,
+    episode_heads,
     make_agent,
     normalize_advantages,
+    observation_dim,
+    observe,
     policy_objective,
     value_objective,
 )
@@ -370,12 +365,14 @@ def test_criterion_9_observation_dims():
     rng = np.random.default_rng(3)
     env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng, episode_len=4)
     world = env.reset(rng)
-    obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
+    def observed(kind):
+        return observe(world, kind, episode_heads(world, kind))
+
     live_ok = (
-        obs_p.shape == (20,)
-        and obs_s.shape == (73,)
-        and build_centralized_obs(world, OBS_CENTRALIZED_DIST).shape == (157,)
-        and build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI).shape == (157,)
+        observed(OBS_PRIMARY).shape == (20,)
+        and observed(OBS_SECONDARY).shape == (73,)
+        and observed(OBS_CENTRALIZED_DIST).shape == (157,)
+        and observed(OBS_CENTRALIZED_FULL_CSI).shape == (157,)
     )
     report(
         9,

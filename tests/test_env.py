@@ -8,21 +8,22 @@ from hypothesis import strategies as st
 from underlay_ppo.env import (
     ACTIVE_POWER_FRACTION,
     METRIC_FIELDS,
-    OBS_CENTRALIZED_DIST,
-    OBS_CENTRALIZED_FULL_CSI,
-    OBS_PRIMARY,
-    OBS_SECONDARY,
     EnvConfig,
     SpectrumSharingEnv,
-    build_centralized_obs,
-    build_primary_obs,
-    build_secondary_obs,
-    observation_dim,
     reward_primary,
     reward_secondary,
 )
 from underlay_ppo.geometry import perturb_topology
 from underlay_ppo.phy import RadioConfig, evaluate_links
+from underlay_ppo.ppo import (
+    OBS_CENTRALIZED_DIST,
+    OBS_CENTRALIZED_FULL_CSI,
+    OBS_PRIMARY,
+    OBS_SECONDARY,
+    episode_heads,
+    observation_dim,
+    observe,
+)
 
 from oracles import (
     clamp_and_penalize,
@@ -50,6 +51,11 @@ def assert_gains_are_step_slice(world):
     assert gains.shape == block.shape[1:] and not gains.flags.writeable
     assert np.shares_memory(gains, block[world.step_index])
     np.testing.assert_array_equal(gains, block[world.step_index])
+
+
+def observed(world, kind):
+    """An agent of ``kind``'s observation of ``world`` at its step index."""
+    return observe(world, kind, episode_heads(world, kind))
 
 
 def world_features_reference(env, seed, which):
@@ -151,7 +157,7 @@ class TestReset:
         env, cfg = make_env(seed=1, episode_len=10)
         rng = np.random.default_rng(2)
         world = env.reset(rng)
-        obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
+        obs_p, obs_s = observed(world, OBS_PRIMARY), observed(world, OBS_SECONDARY)
         assert world.step_index == 0
         assert obs_p.shape == (observation_dim(OBS_PRIMARY, cfg.k_p, cfg.k_s),)
         assert obs_s.shape == (observation_dim(OBS_SECONDARY, cfg.k_p, cfg.k_s),)
@@ -169,7 +175,7 @@ class TestReset:
             nodes = perturb_topology(base, cfg.k_p, twin, cfg.channel.max_displacement,
                                      cfg.radius)
             twin.bit_generator.state = rng.bit_generator.state
-            np.testing.assert_array_equal(world.features["all"], distance_features_reference(
+            np.testing.assert_array_equal(world.distances.ravel(), distance_features_reference(
                 nodes, cfg.k_p, cfg.radius, "all"))
             drift = np.linalg.norm(nodes - base, axis=-1)
             assert np.all(drift <= cfg.channel.max_displacement + 1e-9)
@@ -179,7 +185,7 @@ class TestReset:
         rng = np.random.default_rng(6)
         w1 = env.reset(rng)
         w2 = env.reset(rng)
-        assert not np.array_equal(w1.features["all"], w2.features["all"])
+        assert not np.array_equal(w1.distances, w2.distances)
 
 
 class TestStep:
@@ -253,7 +259,7 @@ class TestStep:
         rng = np.random.default_rng(18)
         world = env.reset(rng)
         row = env.step(world, np.full(cfg.k_p + cfg.k_s, 0.7))
-        obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
+        obs_p, obs_s = observed(world, OBS_PRIMARY), observed(world, OBS_SECONDARY)
         np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], world.rate_p)
         np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], world.ee_s)
         assert obs_s[-1] == world.nqos_p == metric(row, "nqos_p")
@@ -313,9 +319,9 @@ class TestStepMatchesReferenceChain:
             penalties.append((metric(got, "delta_p"), metric(got, "delta_s")))
             assert (metric(got, "reward_p"), metric(got, "reward_s")) == (row[0], row[1])
             _, rate, ee_s, nqos_p = links
-            np.testing.assert_array_equal(build_primary_obs(world), np.concatenate(
+            np.testing.assert_array_equal(observed(world, OBS_PRIMARY), np.concatenate(
                 (world_features_reference(env, 41, "primary"), rate[:k_p])))
-            np.testing.assert_array_equal(build_secondary_obs(world), np.concatenate(
+            np.testing.assert_array_equal(observed(world, OBS_SECONDARY), np.concatenate(
                 (world_features_reference(env, 41, "secondary"), ee_s, [nqos_p])))
             np.testing.assert_array_equal(world.rate_p, rate[:k_p])
             np.testing.assert_array_equal(world.ee_s, ee_s)
@@ -342,7 +348,7 @@ class TestPerEpisodeGeometry:
             # episode's gain block, slice 0 for the reset observation
             twin.bit_generator.state = rng.bit_generator.state
             world = env.reset(rng)
-            obs_p, obs_s = build_primary_obs(world), build_secondary_obs(world)
+            obs_p, obs_s = observed(world, OBS_PRIMARY), observed(world, OBS_SECONDARY)
             nodes = perturb_topology(env.base_nodes, k_p, twin, cfg.channel.max_displacement,
                                      cfg.radius)
             block = gains_reference(nodes, cfg.channel, twin, steps + 1)
@@ -357,7 +363,7 @@ class TestPerEpisodeGeometry:
             np.testing.assert_array_equal(obs_s[: k_s * k_s], distance_features_reference(
                 nodes, k_p, cfg.radius, "secondary"))
             np.testing.assert_array_equal(
-                build_centralized_obs(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
+                observed(world, OBS_CENTRALIZED_DIST)[: (k_p + k_s) ** 2],
                 distance_features_reference(nodes, k_p, cfg.radius, "all"))
             for t in range(steps):
                 raw_p = actions.uniform(-0.2, 1.2, k_p)
@@ -384,7 +390,7 @@ class TestObservationContent:
     def test_primary_sees_only_primary_distances(self):
         env, cfg = make_env(seed=24)
         world = env.reset(np.random.default_rng(25))
-        obs_p = build_primary_obs(world)
+        obs_p = observed(world, OBS_PRIMARY)
         head = world_features_reference(env, 25, "primary")
         np.testing.assert_array_equal(obs_p[: cfg.k_p**2], head)
         assert obs_p.shape[0] == cfg.k_p**2 + cfg.k_p
@@ -392,7 +398,7 @@ class TestObservationContent:
     def test_secondary_sees_only_secondary_distances(self):
         env, cfg = make_env(seed=26)
         world = env.reset(np.random.default_rng(27))
-        obs_s = build_secondary_obs(world)
+        obs_s = observed(world, OBS_SECONDARY)
         head = world_features_reference(env, 27, "secondary")
         np.testing.assert_array_equal(obs_s[: cfg.k_s**2], head)
 
@@ -400,8 +406,8 @@ class TestObservationContent:
         env, cfg = make_env(seed=28)
         world = env.reset(np.random.default_rng(29))
         dim = observation_dim(OBS_CENTRALIZED_DIST, cfg.k_p, cfg.k_s)
-        obs_d = build_centralized_obs(world, OBS_CENTRALIZED_DIST)
-        obs_c = build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)
+        obs_d = observed(world, OBS_CENTRALIZED_DIST)
+        obs_c = observed(world, OBS_CENTRALIZED_FULL_CSI)
         assert obs_d.shape == obs_c.shape == (dim,)
         head = world_features_reference(env, 29, "all")
         np.testing.assert_array_equal(obs_d[: head.size], head)
@@ -409,7 +415,7 @@ class TestObservationContent:
         assert np.all(obs_c[: head.size] >= -1.0)
         assert np.all(obs_c[: head.size] <= 1.0)
         with pytest.raises(ValueError):
-            build_centralized_obs(world, "bogus")
+            episode_heads(world, "bogus")
 
     def test_all_observations_finite(self):
         env, cfg = make_env(seed=30, episode_len=6)
@@ -418,9 +424,9 @@ class TestObservationContent:
         for t in range(7):
             if t:
                 env.step(world, rng.random(cfg.k_p + cfg.k_s))
-            assert np.all(np.isfinite(build_primary_obs(world)))
-            assert np.all(np.isfinite(build_secondary_obs(world)))
-            assert np.all(np.isfinite(build_centralized_obs(world, OBS_CENTRALIZED_FULL_CSI)))
+            assert np.all(np.isfinite(observed(world, OBS_PRIMARY)))
+            assert np.all(np.isfinite(observed(world, OBS_SECONDARY)))
+            assert np.all(np.isfinite(observed(world, OBS_CENTRALIZED_FULL_CSI)))
 
 
 class TestEnvConfig:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gain_matrix, node_array
+from oracles import distances_reference, gain_matrix, node_array
 from underlay_ppo import geometry
 from underlay_ppo.geometry import (
     ChannelParams,
@@ -36,16 +36,16 @@ def same_length_links(d, params=PARAMS):
     """``link_geometry`` of one primary and one secondary pair that share their
     tx and their rx in a disc of radius 100, so all four links have length d."""
     tx, rx = [[0.0, 0.0]], [[d, 0.0]]
-    return link_geometry(node_array(tx, rx, tx, rx, radius=100.0), 1, 100.0, params)
+    return link_geometry(node_array(tx, rx, tx, rx, radius=100.0), 100.0, params)
 
 
-def features(nodes, k_p, radius, which):
-    return link_geometry(nodes, k_p, radius, PARAMS)[2][which]
+def scaled_distances(nodes, radius):
+    return link_geometry(nodes, radius, PARAMS)[2]
 
 
-def gains(nodes, k_p, rng, draws, params=PARAMS):
+def gains(nodes, rng, draws, params=PARAMS):
     """``sample_gain_matrices`` on the link geometry of a node array."""
-    p_los, d_eff, _ = link_geometry(nodes, k_p, 100.0, params)
+    p_los, d_eff, _ = link_geometry(nodes, 100.0, params)
     return sample_gain_matrices(p_los, d_eff, params, rng, draws)
 
 
@@ -239,7 +239,7 @@ class TestGainSampling:
     def test_matrices_positive_and_shaped(self):
         rng = np.random.default_rng(8)
         nodes = sample_topology(rng, 4, 8, 100.0, RING)
-        [h] = gains(nodes, 4, rng, 1)
+        [h] = gains(nodes, rng, 1)
         assert h.shape == (12, 12)
         assert np.all(h > 0.0)
         assert np.all(np.isfinite(h))
@@ -247,7 +247,7 @@ class TestGainSampling:
     def test_draws_are_read_only_views_of_one_block(self):
         rng = np.random.default_rng(17)
         nodes = sample_topology(rng, 2, 3, 100.0, RING)
-        block = gains(nodes, 2, rng, 2)
+        block = gains(nodes, rng, 2)
         assert type(block) is np.ndarray and block.dtype == np.float64
         assert block.shape == (2, 5, 5) and not block.flags.writeable
         h1, h2 = block
@@ -259,9 +259,9 @@ class TestGainSampling:
 
     def test_seed_determinism(self):
         nodes = sample_topology(np.random.default_rng(10), 3, 3, 100.0, RING)
-        [h1] = gains(nodes, 3, np.random.default_rng(11), 1)
-        [h2] = gains(nodes, 3, np.random.default_rng(11), 1)
-        [h3] = gains(nodes, 3, np.random.default_rng(12), 1)
+        [h1] = gains(nodes, np.random.default_rng(11), 1)
+        [h2] = gains(nodes, np.random.default_rng(11), 1)
+        [h3] = gains(nodes, np.random.default_rng(12), 1)
         np.testing.assert_array_equal(h1, h2)
         assert not np.array_equal(h1, h3)
 
@@ -339,46 +339,48 @@ class TestGainMatricesValidation:
         monkeypatch.setattr(geometry, "_draw_gains", draw)
         nodes = sample_topology(np.random.default_rng(3), 2, 1, 100.0, RING)
         with pytest.raises(ValueError, match="positive and finite"):
-            gains(nodes, 2, np.random.default_rng(4), 3)
+            gains(nodes, np.random.default_rng(4), 3)
 
 
 class TestDistanceFeatures:
+    """``link_geometry``'s third item: the (K, K) tx -> rx distances over the radius."""
+
     def test_primary_row_major_layout(self):
-        feats = features(small_topology(), 2, 50.0, "primary")
-        # rows are transmitters, columns receivers, flattened row-major
+        scaled = scaled_distances(small_topology(), 50.0)
+        # rows are transmitters, columns receivers
         expect = (
             np.array(
                 [
-                    np.linalg.norm([0.0 - 0.0, 0.0 - 5.0]),
-                    np.linalg.norm([0.0 - 10.0, 0.0 - 5.0]),
-                    np.linalg.norm([10.0 - 0.0, 0.0 - 5.0]),
-                    np.linalg.norm([10.0 - 10.0, 0.0 - 5.0]),
+                    [np.linalg.norm([0.0 - 0.0, 0.0 - 5.0]),
+                     np.linalg.norm([0.0 - 10.0, 0.0 - 5.0])],
+                    [np.linalg.norm([10.0 - 0.0, 0.0 - 5.0]),
+                     np.linalg.norm([10.0 - 10.0, 0.0 - 5.0])],
                 ]
             )
             / 50.0
         )
-        np.testing.assert_allclose(feats, expect, rtol=1e-12)
+        np.testing.assert_allclose(scaled[:2, :2], expect, rtol=1e-12)
 
     def test_population_sizes(self):
         rng = np.random.default_rng(15)
         nodes = sample_topology(rng, 4, 8, 100.0, RING)
-        assert features(nodes, 4, 100.0, "primary").shape == (16,)
-        assert features(nodes, 4, 100.0, "secondary").shape == (64,)
-        assert features(nodes, 4, 100.0, "all").shape == (144,)
+        scaled = scaled_distances(nodes, 100.0)
+        assert scaled.shape == (12, 12)
+        np.testing.assert_array_equal(scaled, distances_reference(nodes) / 100.0)
 
     def test_all_population_prefix(self):
-        # the "all" matrix leads with primary->primary distances
+        # the primary links come first, then the secondary one
         nodes = small_topology()
-        all_feats = features(nodes, 2, 50.0, "all")
-        prim = features(nodes, 2, 50.0, "primary")
-        k = 3
-        np.testing.assert_array_equal(all_feats[:2], prim[:2])
-        assert all_feats.shape == (k * k,)
+        scaled = scaled_distances(nodes, 50.0)
+        assert scaled.shape == (3, 3)
+        np.testing.assert_array_equal(scaled, distances_reference(nodes) / 50.0)
+        assert scaled[2, 2] == pytest.approx(10.0 / 50.0, rel=1e-12)
 
     def test_scaled_range(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             nodes = sample_topology(rng, 3, 3, 100.0, RING)
-            feats = features(nodes, 3, 100.0, "all")
-            assert np.all(feats >= 0.0)
-            assert np.all(feats <= 2.0)
+            scaled = scaled_distances(nodes, 100.0)
+            np.testing.assert_array_equal(scaled, distances_reference(nodes) / 100.0)
+            assert np.all(scaled >= 0.0)
+            assert np.all(scaled <= 2.0)

@@ -317,6 +317,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             cls(**{name: bad})
 
+    # a float count passes the range checks but fails later as an array size
+    @pytest.mark.parametrize("bad", [2.0, 2.5])
+    @pytest.mark.parametrize("cls, name", [
+        (EnvConfig, "k_p"), (EnvConfig, "k_s"), (PpoHyper, "iters"), (PpoHyper, "batch"),
+        (PpoHyper, "episode_len"), (PpoHyper, "update_epochs"),
+    ])
+    def test_config_dataclasses_reject_non_integer_counts(self, cls, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            cls(**{name: bad})
+        default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+        assert getattr(cls(**{name: np.int64(default)}), name) == default
+
     def test_only_resolved_values_are_range_checked(self):
         cfg = build_config(None, [("gamma", "1.5"), ("gamma", "0.5")])
         assert cfg.hyper.gamma == 0.5

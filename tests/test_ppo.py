@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gae_loops, max_rel_err, numeric_grad, ppo_update_reference
-from underlay_ppo import blas
-from underlay_ppo.env import (
-    EnvConfig,
-    SpectrumSharingEnv,
-    build_centralized_obs,
-    build_primary_obs,
-    build_secondary_obs,
-    observation_dim,
+from oracles import (
+    gae_loops,
+    max_rel_err,
+    numeric_grad,
+    observation_reference,
+    ppo_update_reference,
+    reset_nodes_reference,
 )
+from underlay_ppo import blas
+from underlay_ppo.env import EnvConfig, SpectrumSharingEnv
 from underlay_ppo.nets import (
     AdamState,
     GaussianPolicyNet,
@@ -32,6 +32,10 @@ from underlay_ppo.ppo import (
     MODE_COEXIST,
     MODES,
     METRIC_FIELDS,
+    OBS_CENTRALIZED_DIST,
+    OBS_CENTRALIZED_FULL_CSI,
+    OBS_PRIMARY,
+    OBS_SECONDARY,
     PpoHyper,
     Agent,
     TrainingDiverged,
@@ -40,9 +44,12 @@ from underlay_ppo.ppo import (
     build_agents,
     clip_envelope,
     compute_gae,
+    episode_heads,
     load_checkpoint,
     make_agent,
     normalize_advantages,
+    observation_dim,
+    observe,
     policy_objective,
     ppo_update,
     save_checkpoint,
@@ -492,13 +499,14 @@ class TestCollect:
         draws what the rollout contract says: at each episode start the gains
         (env.reset), then one (episode_len, K) noise block, and nothing else.
         Each agent's actions are mean + exp(log_std) * z for its column slice
-        of the block; observations, rewards (the two systems' sum for the
-        centralized agent), dones, bootstraps, metric means and the final rng
-        state match, bit for bit."""
-        def observe(world):  # each agent's observation, in agent order
-            if mode == MODE_COEXIST:
-                return [build_primary_obs(world), build_secondary_obs(world)]
-            return [build_centralized_obs(world, mode)]
+        of the block; observations (rebuilt by the oracle from the replayed
+        positions), rewards (the two systems' sum for the centralized agent),
+        dones, bootstraps, metric means and the final rng state match, bit for
+        bit."""
+        def observed(world, nodes):  # each agent's observation, in agent order
+            kinds = [OBS_PRIMARY, OBS_SECONDARY] if mode == MODE_COEXIST else [mode]
+            return [observation_reference(world, kind, nodes, SMALL_ENV.k_p, SMALL_ENV.radius)
+                    for kind in kinds]
 
         for episodes in (1, 2):
             rng = np.random.default_rng(25)
@@ -516,9 +524,10 @@ class TestCollect:
             sums = np.zeros(len(METRIC_FIELDS))
             for idx, raw in enumerate(joint):
                 if idx % hyper.episode_len == 0:
+                    nodes = reset_nodes_reference(env, twin)
                     world = env.reset(twin)
                     noise = twin.standard_normal((hyper.episode_len, joint.shape[1]))
-                seen.append(observe(world))
+                seen.append(observed(world, nodes))
                 z = noise[idx % hyper.episode_len]
                 for agent, batch, col in zip(agents, batches, cols):
                     mean, log_std, _ = agent.policy.forward(batch.obs[idx])
@@ -528,7 +537,7 @@ class TestCollect:
                 rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
                 dones.append(float(world.step_index == hyper.episode_len))
                 sums += row
-            final = observe(world)
+            final = observed(world, nodes)
 
             assert dones == [0.0, 0.0, 0.0, 0.0, 1.0] * episodes
             for i, (agent, batch) in enumerate(zip(agents, batches)):
@@ -538,6 +547,44 @@ class TestCollect:
                 assert batch.bootstrap_value == agent.value.value(final[i])
             assert list(means.values()) == (sums / hyper.batch).tolist()
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestObserve:
+    """``observe`` on ``episode_heads`` against ``oracles.observation_reference``,
+    which builds each observation afresh at its step from the positions the
+    reset jittered into and that step's gains."""
+
+    KINDS = [OBS_PRIMARY, OBS_SECONDARY, OBS_CENTRALIZED_DIST, OBS_CENTRALIZED_FULL_CSI]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8), (3, 1)])
+    def test_matches_reference_at_every_step(self, kind, k_p, k_s):
+        steps = 6
+        cfg = EnvConfig(k_p=k_p, k_s=k_s)
+        env = SpectrumSharingEnv(cfg, np.random.default_rng(50), steps)
+        rng = np.random.default_rng(51)
+        nodes = reset_nodes_reference(env, rng)
+        world = env.reset(rng)
+        heads = episode_heads(world, kind)
+        actions = np.random.default_rng(52)
+        for t in range(steps + 1):  # the reset, then every step; row T is the bootstrap's
+            if t:
+                env.step(world, actions.uniform(0.0, 1.0, k_p + k_s))
+            got = observe(world, kind, heads)
+            want = observation_reference(world, kind, nodes, k_p, cfg.radius)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.shape == (observation_dim(kind, k_p, k_s),)
+        assert world.step_index == steps
+
+    def test_unknown_kind_names_itself(self):
+        env = SpectrumSharingEnv(SMALL_ENV, np.random.default_rng(53), 3)
+        world = env.reset(np.random.default_rng(54))
+        heads = episode_heads(world, OBS_PRIMARY)
+        for call in (lambda: observation_dim("tertiary", 2, 2),
+                     lambda: episode_heads(world, "tertiary"),
+                     lambda: observe(world, "tertiary", heads)):
+            with pytest.raises(ValueError, match="'tertiary'"):
+                call()
 
 
 class TestCheckpointing:

@@ -38,12 +38,15 @@ def test_csv_digests_are_stable(monkeypatch, tmp_path):
     module = _load("csv_digests")
     runs = [module.digest_lines(tmp_path / name) for name in ("first", "second")]
     assert runs[0] == runs[1]
-    assert len(runs[0]) == 36
+    assert len(runs[0]) == 42
     digests, paths = zip(*(line.split("  ") for line in runs[0]))
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
-    assert set(paths) == {f"{e}/{m}/{f}" for e in module.EXPERIMENTS for m in module.MODES
-                          for f in ("seed_1.csv", "seed_4.csv", "aggregate.csv",
-                                    "config_used.txt")}
+    assert set(paths[:36]) == {f"{e}/{m}/{f}" for e in module.EXPERIMENTS for m in module.MODES
+                               for f in ("seed_1.csv", "seed_4.csv", "aggregate.csv",
+                                         "config_used.txt")}
+    assert paths[36:] == tuple(f"paper/{cell}/{f}"
+                               for cell in ("custom/coexist_dist", "ex1/centralized_full_csi")
+                               for f in ("seed_5.csv", "aggregate.csv", "config_used.txt"))
 
 
 def _run_main(monkeypatch, module, *args):
