@@ -17,23 +17,24 @@ distance matrix, the LOS probabilities and the floored distances) is
 computed once at ``reset``; the world keeps only the distances over the
 radius. No power action changes the channel either, so ``reset`` also draws
 the whole episode's gains at once: a read-only (T + 1, K, K) block, slice 0
-for the reset observation and t + 1 for step t. ``step`` draws nothing; it
+for the reset observation and t + 1 for step t, and multiplies it by the
+coupling weights ``phy.coupling_weights`` once (elementwise, so slice t of the
+product is ``gains[t] * W``, bit for bit). ``step`` draws nothing; it
 moves ``WorldState.gains`` on to the step's slice. A rollout draws only at
 episode starts: first the gains here in ``reset``, then the episode's
 action-noise block in ``ppo._collect``.
 
 Row contract: ``step`` takes the joint raw power vector, primary links
-first, and returns its 12 scalar metrics (rewards, summed rates, EE and
-powers, NACK count, clip penalties, active-link counts) as one float64 vector
-in ``METRIC_FIELDS`` order; the two rewards are its first two entries, and a
-rollout's CSV row is the mean of its step rows. ``step`` clips the raw vector
-once against the stacked caps, and each system's penalty sums its slice of
-``|raw - applied|``.
-
-The environment builds no observation. ``step`` keeps what the agents
-measure in ``WorldState``: the primary rates, the secondary energy
-efficiencies and the NACK count (zeros after a reset). ``ppo`` builds each
-agent's observation from ``world``.
+first, clips it once against the stacked caps and charges each system the
+sum of its slice of ``|raw - applied|``. It does only what the next
+observation needs and writes into the episode's blocks: row t of
+``applied`` and ``penalties`` for step t, and row t + 1 of ``measured``
+(primary rates, secondary EEs, NACK count, then secondary rates; row 0 is
+the reset's zeros). ``metric_rows`` turns the blocks of the steps taken so
+far into a (t, 12) float64 block in ``METRIC_FIELDS`` order, each row the
+bits a single step's computation gives; the two rewards come first, and a
+rollout's CSV row is the mean of its step rows. The environment builds no
+observation; ``ppo`` builds each from its head and a measurement row.
 """
 from __future__ import annotations
 
@@ -50,13 +51,13 @@ from .geometry import (
     sample_gain_matrices,
     sample_topology,
 )
-from .phy import RadioConfig, evaluate_links
+from .phy import RadioConfig, coupling_weights, evaluate_links
 
 # applied powers above this fraction of the cap count as "active" users
 ACTIVE_POWER_FRACTION = 1e-3
 
-# the sum of a 1-D array exactly as ndarray.sum computes it, minus the
-# method's Python-level argument handling (a step takes nine sums)
+# the sum exactly as ndarray.sum computes it, minus the method's Python-level
+# argument handling (a step takes two sums)
 _sum = np.add.reduce
 
 # per-step scalar metrics, in the order of the step row and the CSV columns
@@ -94,39 +95,41 @@ class EnvConfig:
 class WorldState:
     """Mutable per-episode state; exclusively owned by one rollout.
 
-    ``distances`` (the (K, K) tx -> rx distances over the radius, see
-    ``geometry.link_geometry``) and ``episode_gains`` (the read-only
-    (T + 1, K, K) block of the episode's channel draws) are fixed at reset;
-    ``gains`` is the slice for ``step_index``. ``rate_p``, ``ee_s`` and
-    ``nqos_p`` are what the last step measured, all zero after a reset.
+    ``distances`` (the (K, K) tx -> rx distances over the radius), the
+    read-only (T + 1, K, K) gain block ``episode_gains`` and ``coupled`` (its
+    product with the coupling weights) are fixed at reset; ``gains`` is the
+    slice for ``step_index``, and ``measured[step_index]`` holds what the last
+    step measured (see module doc), zero after a reset.
     """
 
     distances: np.ndarray
     episode_gains: np.ndarray
+    coupled: np.ndarray
+    k_p: int
+    k_s: int
     step_index: int
-    rate_p: np.ndarray
-    ee_s: np.ndarray
-    nqos_p: float
+    measured: np.ndarray
+    applied: np.ndarray
+    penalties: np.ndarray
 
     @property
     def gains(self) -> np.ndarray:
         return self.episode_gains[self.step_index]
 
 
-def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p: float) -> float:
-    """Sum of rate margins; scaled down and fined while actions leave the box."""
-    margin = float(_sum(rate_p - rate_threshold))
-    if delta_p > 0.0:
-        return 0.1 * margin - 5.0 * delta_p
-    return margin
+def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p):
+    """Sum of rate margins; scaled down and fined while actions leave the box.
+    Takes one step's rates and penalty, or (t, k_p) and (t,) blocks of them."""
+    margin = _sum(rate_p - rate_threshold, axis=-1)
+    return np.where(delta_p > 0.0, 0.1 * margin - 5.0 * delta_p, margin)
 
 
-def reward_secondary(ee_s: np.ndarray, nqos_p: float, delta_s: float) -> float:
-    """Total secondary EE minus the primary-NACK fine, boundary-penalized."""
-    total = float(_sum(ee_s))
-    if delta_s > 0.0:
-        return 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s
-    return total - 10.0 * nqos_p
+def reward_secondary(ee_s: np.ndarray, nqos_p, delta_s):
+    """Total secondary EE minus the primary-NACK fine, boundary-penalized.
+    Takes one step's values, or (t, k_s), (t,) and (t,) blocks of them."""
+    total = _sum(ee_s, axis=-1)
+    return np.where(delta_s > 0.0, 0.1 * total - 2.0 * nqos_p - 5.0 * delta_s,
+                    total - 10.0 * nqos_p)
 
 
 class SpectrumSharingEnv:
@@ -156,42 +159,51 @@ class SpectrumSharingEnv:
     def reset(self, rng: np.random.Generator) -> WorldState:
         """Start an episode; its measurements, and so the first observations'
         metric slots, are zero."""
-        cfg, k_p = self.cfg, self.cfg.k_p
-        nodes = perturb_topology(
-            self.base_nodes, k_p, rng, cfg.channel.max_displacement, cfg.radius)
+        cfg, k_p, k_s, t_len = self.cfg, self.cfg.k_p, self.cfg.k_s, self.episode_len
+        nodes = perturb_topology(self.base_nodes, k_p, rng, cfg.channel.max_displacement,
+                                 cfg.radius)
         p_los, d_eff, distances = link_geometry(nodes, cfg.radius, cfg.channel)
+        gains = sample_gain_matrices(p_los, d_eff, cfg.channel, rng, t_len + 1)
         return WorldState(
-            distances=distances,
-            episode_gains=sample_gain_matrices(
-                p_los, d_eff, cfg.channel, rng, self.episode_len + 1),
-            step_index=0, rate_p=np.zeros(k_p), ee_s=np.zeros(cfg.k_s), nqos_p=0.0,
-        )
+            distances=distances, episode_gains=gains,
+            coupled=gains * coupling_weights(cfg.radio, k_p, k_s), k_p=k_p, k_s=k_s, step_index=0,
+            measured=np.zeros((t_len + 1, k_p + 2 * k_s + 1)),
+            applied=np.empty((t_len, k_p + k_s)), penalties=np.empty((t_len, 2)))
 
-    def step(self, world: WorldState, raw) -> np.ndarray:
-        """Advance the world by one slot under the joint raw power vector;
-        returns the step's metric row (see module doc)."""
-        if world.step_index >= self.episode_len:
+    def step(self, world: WorldState, raw) -> None:
+        """Advance the world by one slot under the joint raw power vector and
+        write the step into the episode's blocks (see module doc)."""
+        t, k_p = world.step_index, self.cfg.k_p
+        if t >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
-        radio, k_p = self.cfg.radio, self.cfg.k_p
         if np.shape(raw) != self._p_max.shape:
             raise ValueError("the raw action vector must have shape (k_p + k_s,)")
         raw = np.asarray(raw, dtype=float)
-        applied = raw.clip(0.0, self._p_max)
+        applied = raw.clip(0.0, self._p_max, out=world.applied[t])
         excess = np.abs(raw - applied)
-        delta_p, delta_s = float(_sum(excess[:k_p])), float(_sum(excess[k_p:]))
+        world.penalties[t] = delta_p, delta_s = _sum(excess[:k_p]), _sum(excess[k_p:])
         # a nan or infinite raw action makes its clip penalty non-finite
         if not math.isfinite(delta_p + delta_s):
             raise ValueError("raw actions must be finite")
 
-        world.step_index += 1
-        _, rate, ee_s, nqos_p = evaluate_links(world.gains, applied, k_p, radio)
-        rate_p, nqos_p = rate[:k_p], float(nqos_p)
-        world.rate_p, world.ee_s, world.nqos_p = rate_p, ee_s, nqos_p
+        world.step_index = t = t + 1
+        _, rate, ee_s, nqos_p = evaluate_links(
+            world.episode_gains[t], applied, k_p, self.cfg.radio, world.coupled[t])
+        np.concatenate((rate[:k_p], ee_s, (nqos_p,), rate[k_p:]), out=world.measured[t])
+
+    def metric_rows(self, world: WorldState) -> np.ndarray:
+        """The (t, 12) metric rows of the t steps ``world`` has taken in its
+        episode, in ``METRIC_FIELDS`` order (see module doc)."""
+        t, k_p, k = world.step_index, world.k_p, world.k_p + world.k_s
+        measured, applied = world.measured[1:t + 1], world.applied[:t]
+        rate_p, ee_s, nqos_p = measured[:, :k_p], measured[:, k_p:k], measured[:, k]
+        delta_p, delta_s = world.penalties[:t].T
         active = applied > self._active_floor
-        return np.array((
-            reward_primary(rate_p, radio.rate_threshold, delta_p),
+        return np.column_stack((
+            reward_primary(rate_p, self.cfg.radio.rate_threshold, delta_p),
             reward_secondary(ee_s, nqos_p, delta_s),
-            _sum(rate_p), _sum(rate[k_p:]), _sum(ee_s),
-            _sum(applied[:k_p]), _sum(applied[k_p:]), nqos_p, delta_p, delta_s,
-            np.count_nonzero(active[:k_p]), np.count_nonzero(active[k_p:]),
+            _sum(rate_p, axis=-1), _sum(measured[:, k + 1:], axis=-1), _sum(ee_s, axis=-1),
+            _sum(applied[:, :k_p], axis=-1), _sum(applied[:, k_p:], axis=-1),
+            nqos_p, delta_p, delta_s,
+            np.count_nonzero(active[:, :k_p], axis=-1), np.count_nonzero(active[:, k_p:], axis=-1),
         ))

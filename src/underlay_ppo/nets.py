@@ -236,30 +236,26 @@ class ValueNet(DenseNet):
 
 
 def _log_density(z, log_std):
-    """Diagonal-Gaussian log density of standardized actions ``z``, summed over the last axis."""
+    """Diagonal-Gaussian log density of standardized actions ``z``, summed over
+    the last axis: of one action, or row by row of a (T, d) block."""
     return (-0.5 * np.add.reduce(z * z, axis=-1) - np.add.reduce(log_std, axis=-1)
             - 0.5 * z.shape[-1] * _LOG_2PI)
 
 
-def gaussian_log_prob(mean, log_std, actions):
-    """Log density of a diagonal Gaussian, summed over action coordinates."""
-    return _log_density((actions - mean) * np.exp(-log_std), log_std)
-
-
 def sample_action(policy: GaussianPolicyNet, obs, z):
     """The action ``mean + std * z`` for one observation and its standard-normal
-    noise row ``z``; returns (action, its log density). Draws nothing: a rollout draws
-    only at episode starts, the gains in ``env.reset``, then ``ppo._collect``'s noise block."""
+    noise row ``z``; returns (action, log_std). Draws nothing and leaves the log
+    density to ``ppo._collect``, which takes it once per episode over the noise
+    and log-std blocks."""
     mean, log_std, _ = policy.forward(obs)
-    logp = float(_log_density(z, log_std))
-    mean += np.multiply(np.exp(log_std, out=log_std), z, out=log_std)  # mean + std * z
-    return mean, logp
+    std = np.exp(log_std)
+    mean += np.multiply(std, z, out=std)  # mean + std * z
+    return mean, log_std
 
 
-def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
-    """Gradient of sum_t weights[t] * log pi(a_t | s_t) given a forward pass."""
-    inv_std = np.exp(-log_std)
-    z = (actions - mean) * inv_std
+def logprob_grads(policy, cache, z, inv_std, weights):
+    """Gradient of sum_t weights[t] * log pi(a_t | s_t), given a forward pass's
+    standardized actions ``z = (a - mean) * inv_std`` and ``inv_std = exp(-log_std)``."""
     w = weights[:, None]
     dmean = w * z * inv_std
     dlog_std = w * (z * z - 1.0)

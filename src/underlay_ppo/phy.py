@@ -102,21 +102,24 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:
     return np.count_nonzero(rate_p < cfg.rate_threshold)
 
 
-def evaluate_links(gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig):
+def evaluate_links(gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig,
+                   coupled=None):
     """Full physics chain for one channel draw: SINDR, rates, EE, NACK count.
 
     ``gains`` is the (K, K) matrix H and ``power`` the joint applied powers,
-    the ``k_p`` primary links first (see module doc). Each link k sees its
-    own direct power over noise + distortion + same-system interference
-    (j != k) + everything the other system transmits. Returns
+    the ``k_p`` primary links first (see module doc); ``coupled``, if given,
+    is ``gains * W`` (the env takes it from a block built per episode). Each
+    link k sees its own direct power over noise + distortion + same-system
+    interference (j != k) + everything the other system transmits. Returns
     ``(sindr, rate, ee_s, nqos_p)``: the (K,) SINDRs and rates, primary links
     first, the (k_s,) secondary energy efficiencies and the NACK count.
     """
     k = gains.shape[0]
     if power.shape != (k,):
         raise ValueError("the power vector must have shape (K,) of the gain matrix")
-    w = coupling_weights(cfg, k_p, k - k_p)
-    sindr = gains.diagonal() * power / (cfg.noise_power + power @ (gains * w))
+    if coupled is None:
+        coupled = gains * coupling_weights(cfg, k_p, k - k_p)
+    sindr = gains.diagonal() * power / (cfg.noise_power + power @ coupled)
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)
     return sindr, rate, energy_efficiency(rate[k_p:], power[k_p:], cfg), nqos(rate[:k_p], cfg)

@@ -25,8 +25,8 @@ from .nets import (
     AdamState,
     GaussianPolicyNet,
     ValueNet,
-    gaussian_log_prob,
-    logprob_grads_from_forward,
+    _log_density,
+    logprob_grads,
     sample_action,
 )
 
@@ -35,13 +35,12 @@ OBS_SECONDARY = "secondary"
 OBS_CENTRALIZED_DIST = "centralized_dist"
 OBS_CENTRALIZED_FULL_CSI = "centralized_full_csi"
 # Each observation kind's systems (0 primary, 1 secondary). The agent powers
-# their links (a slice of the joint power vector, primary links first), earns
-# the sum of their rewards (step-row entries 0 and 1) and observes a head over
-# those links, then those systems' last measurements (zero after a reset): the
-# primary rates, then the secondary EEs and the NACK count. ``episode_heads``
-# builds the head once per episode: the tx -> rx distances over the radius, in
-# [0, 2], or (full CSI, one row per step) the gains clipped to [1e-20, 1] and
-# mapped to [-1, 1] by log10(g) / 10 + 1, each flattened row-major.
+# their links, earns the sum of their rewards (step-row entries 0 and 1) and
+# observes a head over those links, then those systems' last measurements
+# (``_layout``). ``episode_heads`` builds the head once per episode: the
+# tx -> rx distances over the radius, in [0, 2], or (full CSI, one row per
+# step) the gains clipped to [1e-20, 1] and mapped to [-1, 1] by
+# log10(g) / 10 + 1, each flattened row-major.
 KIND_SYSTEMS = {
     OBS_PRIMARY: (0,),
     OBS_SECONDARY: (1,),
@@ -161,20 +160,24 @@ def clip_envelope(advantage, eps: float) -> np.ndarray:
 
 
 def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
-                     hyper: PpoHyper):
-    """Clipped-surrogate objective, its exact gradient, and update stats."""
+                     hyper: PpoHyper, envelope=None):
+    """Clipped-surrogate objective, its exact gradient, and update stats.
+
+    ``envelope`` is ``clip_envelope(batch.advantages, hyper.clip)`` when the
+    caller has it (``ppo_update`` builds it once per update)."""
     mean, log_std, cache = policy.forward(batch.obs)
-    logp = gaussian_log_prob(mean, log_std, batch.actions)
-    ratio = np.exp(logp - batch.log_probs_old)
+    inv_std = np.exp(-log_std)
+    z = (batch.actions - mean) * inv_std
+    ratio = np.exp(_log_density(z, log_std) - batch.log_probs_old)
     adv = batch.advantages
     linear = ratio * adv
-    envelope = clip_envelope(adv, hyper.clip)
+    if envelope is None:
+        envelope = clip_envelope(adv, hyper.clip)
     objective = float(np.minimum(linear, envelope).mean())
     # d(min)/d(theta): only the ratio branch depends on theta
     unclipped = linear <= envelope
     weights = np.where(unclipped, linear, 0.0) / len(batch)
-    grads = logprob_grads_from_forward(policy, cache, mean, log_std,
-                                       batch.actions, weights)
+    grads = logprob_grads(policy, cache, z, inv_std, weights)
     stats = {
         "mean_ratio": float(ratio.mean()),
         "clip_fraction": float(np.mean(~unclipped)),
@@ -238,8 +241,9 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
     if batch.advantages is None or batch.returns is None:
         raise ValueError("batch needs returns and normalized advantages")
     stats: dict = {}
+    envelope = clip_envelope(batch.advantages, hyper.clip)  # fixed for the update
     for _ in range(hyper.update_epochs):
-        objective, pgrad, pstats = policy_objective(agent.policy, batch, hyper)
+        objective, pgrad, pstats = policy_objective(agent.policy, batch, hyper, envelope)
         _check_finite(agent, "policy objective", objective, pgrad)
         agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
         vloss, vgrad = value_objective(agent.value, batch)
@@ -314,23 +318,26 @@ def _systems(kind: str) -> tuple[int, ...]:
     return KIND_SYSTEMS[kind]
 
 
-def _links(kind: str, k_p: int, k_s: int) -> slice:
-    """The links of ``kind``'s systems, as a slice of the joint power vector."""
-    systems, bounds = _systems(kind), (0, k_p, k_p + k_s)
-    return slice(bounds[systems[0]], bounds[systems[-1] + 1])
+def _layout(kind: str, k_p: int, k_s: int) -> tuple[slice, slice]:
+    """(links, seen): ``kind``'s links as a slice of the joint power vector, and
+    its systems' measurements as a slice of a world's measurement row (which
+    starts with the primary rates, the secondary EEs and the NACK count)."""
+    systems = _systems(kind)
+    first, last = systems[0], systems[-1] + 1
+    links, seen = (0, k_p, k_p + k_s), (0, k_p, k_p + k_s + 1)
+    return slice(links[first], links[last]), slice(seen[first], seen[last])
 
 
 def observation_dim(kind: str, k_p: int, k_s: int) -> int:
     """Observation vector length of an agent of ``kind``."""
-    links = _links(kind, k_p, k_s)
-    width = links.stop - links.start
-    return width * width + sum((k_p, k_s + 1)[system] for system in KIND_SYSTEMS[kind])
+    links, seen = _layout(kind, k_p, k_s)
+    return (links.stop - links.start) ** 2 + seen.stop - seen.start
 
 
 def episode_heads(world, kind: str) -> np.ndarray:
     """The observation head of ``kind`` (see ``KIND_SYSTEMS``) at every step
     index 0..T of ``world``'s episode, one row each."""
-    links = _links(kind, world.rate_p.size, world.ee_s.size)
+    links = _layout(kind, world.k_p, world.k_s)[0]
     if kind == OBS_CENTRALIZED_FULL_CSI:
         gains = world.episode_gains[:, links, links]
         return (np.clip(np.log10(gains), -20.0, 0.0) / 10.0 + 1.0).reshape(len(gains), -1)
@@ -340,26 +347,23 @@ def episode_heads(world, kind: str) -> np.ndarray:
 
 def build_centralized_obs(world, head: np.ndarray) -> np.ndarray:
     """A centralized agent's observation: ``head``, then both systems' measurements."""
-    return np.concatenate((head, world.rate_p, world.ee_s, [world.nqos_p]))
+    seen = _layout(OBS_CENTRALIZED_DIST, world.k_p, world.k_s)[1]
+    return np.concatenate((head, world.measured[world.step_index, seen]))
 
 
 def observe(world, kind: str, heads: np.ndarray) -> np.ndarray:
     """What an agent of ``kind`` sees of ``world``: the row of ``heads`` (from
     ``episode_heads``) for the world's step index, then its systems'
     measurements."""
-    systems, head = _systems(kind), heads[world.step_index]
-    if len(systems) == 2:
-        return build_centralized_obs(world, head)
-    if systems[0] == 0:
-        return np.concatenate((head, world.rate_p))
-    return np.concatenate((head, world.ee_s, [world.nqos_p]))
+    t, seen = world.step_index, _layout(kind, world.k_p, world.k_s)[1]
+    return np.concatenate((heads[t], world.measured[t, seen]))
 
 
 def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Agent]:
     if mode not in MODE_AGENTS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     k_p, k_s = env_cfg.k_p, env_cfg.k_s
-    links = {kind: _links(kind, k_p, k_s) for _, kind in MODE_AGENTS[mode]}
+    links = {kind: _layout(kind, k_p, k_s)[0] for _, kind in MODE_AGENTS[mode]}
     return [make_agent(rng, name, observation_dim(kind, k_p, k_s),
                        links[kind].stop - links[kind].start, hyper)
             for name, kind in MODE_AGENTS[mode]]
@@ -370,24 +374,39 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
 
     Every mode runs one loop, which draws only at episode starts: the gains in
     ``env.reset``, then one standard-normal ``(episode_len, K)`` action-noise block.
-    Each agent acts into its column slice of one joint ``(batch, K)`` block, row by row.
+    Each agent's ``(batch, obs_dim)`` observation block takes its episode heads at
+    each reset and per step only the measurement tail (``_layout``); it acts into
+    its columns of one joint ``(batch, K)`` action block and its log-std block.
+    Each episode ends with one batched pass for its metric rows
+    (``env.metric_rows``) and one per agent for its noise rows' log densities.
     """
     n, t_len = hyper.batch, hyper.episode_len
     k_p, k_s = env.cfg.k_p, env.cfg.k_s
     kinds = [kind for _, kind in MODE_AGENTS[mode]]
-    cols = [_links(kind, k_p, k_s) for kind in kinds]
+    links, seen = zip(*(_layout(kind, k_p, k_s) for kind in kinds))
     obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
+    log_stds = [np.empty((n, agent.policy.action_dim)) for agent in agents]
     joint = np.empty((n, k_p + k_s))  # the joint actions, primary links first
     log_probs = np.empty((len(agents), n))
     rows = np.empty((n, len(METRIC_FIELDS)))  # step rows, in METRIC_FIELDS order
+    acting = [(agent.policy, ob, agent.policy.obs_dim - (cut.stop - cut.start), cut, col, ls)
+              for agent, ob, cut, col, ls in zip(agents, obs, seen, links, log_stds)]
     for start in range(0, n, t_len):
+        stop = start + t_len
         world = env.reset(rng)
         heads = [episode_heads(world, kind) for kind in kinds]
-        for idx, z in enumerate(rng.standard_normal((t_len, k_p + k_s)), start):
-            for i, (agent, kind, col, head) in enumerate(zip(agents, kinds, cols, heads)):
-                obs[i][idx] = ob = observe(world, kind, head)
-                joint[idx, col], log_probs[i, idx] = sample_action(agent.policy, ob, z[col])
-            rows[idx] = env.step(world, joint[idx])
+        for ob, head in zip(obs, heads):
+            ob[start:stop, :head.shape[1]] = head[:t_len]
+        noise = rng.standard_normal((t_len, k_p + k_s))
+        for idx, z, measured in zip(range(start, stop), noise, world.measured):
+            for policy, ob, width, cut, col, log_std in acting:
+                row = ob[idx]
+                row[width:] = measured[cut]
+                joint[idx, col], log_std[idx] = sample_action(policy, row, z[col])
+            env.step(world, joint[idx])
+        rows[start:stop] = env.metric_rows(world)
+        for logp, col, log_std in zip(log_probs, links, log_stds):
+            logp[start:stop] = _log_density(noise[:, col], log_std[start:stop])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     # the nets do not change during a rollout, so one batched pass per agent
     batches = [
@@ -395,7 +414,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
                         rewards=rows[:, _systems(kind)].sum(axis=1),
                         values=agent.value.forward(ob)[0],
                         bootstrap_value=agent.value.value(observe(world, kind, head)))
-        for agent, kind, col, head, ob, logp in zip(agents, kinds, cols, heads, obs, log_probs)
+        for agent, kind, col, head, ob, logp in zip(agents, kinds, links, heads, obs, log_probs)
     ]
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 

@@ -208,6 +208,14 @@ def reset_nodes_reference(env, rng):
                             cfg.radius)
 
 
+def measurements(world):
+    """(rate_p, ee_s, nqos_p): what ``world``'s last step measured, read from
+    its measurement row in the layout ``env``'s module doc gives."""
+    k_p, k = world.k_p, world.k_p + world.k_s
+    row = world.measured[world.step_index]
+    return row[:k_p], row[k_p:k], float(row[k])
+
+
 def observation_reference(world, kind, nodes, k_p, radius):
     """An agent's observation of ``world`` built afresh at this step.
 
@@ -218,11 +226,12 @@ def observation_reference(world, kind, nodes, k_p, radius):
     measurements: the primary rates; the secondary EEs and the NACK count;
     or all three, in that order, for a centralized kind.
     """
+    rate_p, ee_s, nqos_p = measurements(world)
     measured = {
-        "primary": (world.rate_p,),
-        "secondary": (world.ee_s, [world.nqos_p]),
-        "centralized_dist": (world.rate_p, world.ee_s, [world.nqos_p]),
-        "centralized_full_csi": (world.rate_p, world.ee_s, [world.nqos_p]),
+        "primary": (rate_p,),
+        "secondary": (ee_s, [nqos_p]),
+        "centralized_dist": (rate_p, ee_s, [nqos_p]),
+        "centralized_full_csi": (rate_p, ee_s, [nqos_p]),
     }[kind]
     if kind == "centralized_full_csi":
         head = (np.clip(np.log10(world.gains), -20.0, 0.0) / 10.0 + 1.0).ravel()
@@ -279,6 +288,23 @@ def clamp_and_penalize(raw_action, p_max):
     raw = np.asarray(raw_action, dtype=float)
     applied = raw.clip(0.0, p_max)
     return applied, float(np.abs(raw - applied).sum())
+
+
+def gaussian_log_prob(mean, log_std, actions):
+    """Log density of a diagonal Gaussian, summed over action coordinates:
+    ``nets._log_density`` of the standardized actions."""
+    from underlay_ppo.nets import _log_density
+
+    return _log_density((actions - mean) * np.exp(-log_std), log_std)
+
+
+def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
+    """Gradient of sum_t weights[t] * log pi(a_t | s_t) given a forward pass:
+    ``nets.logprob_grads`` of the standardized actions."""
+    from underlay_ppo.nets import logprob_grads
+
+    inv_std = np.exp(-log_std)
+    return logprob_grads(policy, cache, (actions - mean) * inv_std, inv_std, weights)
 
 
 def step_reference(gains, raw_p, raw_s, radio, active_fraction):

@@ -21,6 +21,8 @@ import pytest
 from oracles import (
     gae_loops,
     gain_matrix,
+    gaussian_log_prob,
+    logprob_grads_from_forward,
     max_rel_err,
     numeric_grad,
     random_gains,
@@ -30,10 +32,6 @@ from oracles import (
 from underlay_ppo import harness
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv, reward_primary
 from underlay_ppo.geometry import ChannelParams, los_probability
-from underlay_ppo.nets import (
-    gaussian_log_prob,
-    logprob_grads_from_forward,
-)
 from underlay_ppo.phy import (
     RadioConfig,
     evaluate_links,

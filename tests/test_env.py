@@ -14,7 +14,7 @@ from underlay_ppo.env import (
     reward_secondary,
 )
 from underlay_ppo.geometry import perturb_topology
-from underlay_ppo.phy import RadioConfig, evaluate_links
+from underlay_ppo.phy import RadioConfig, coupling_weights, evaluate_links
 from underlay_ppo.ppo import (
     OBS_CENTRALIZED_DIST,
     OBS_CENTRALIZED_FULL_CSI,
@@ -30,6 +30,7 @@ from oracles import (
     distance_features_reference,
     gain_matrix,
     gains_reference,
+    measurements,
     step_reference,
 )
 
@@ -37,6 +38,12 @@ from oracles import (
 def metric(row, name):
     """One entry of a step's metric row, by its METRIC_FIELDS name."""
     return row[METRIC_FIELDS.index(name)]
+
+
+def step_row(env, world, raw):
+    """Take one step; returns its metric row, the last of ``env.metric_rows``."""
+    env.step(world, raw)
+    return env.metric_rows(world)[-1]
 
 
 def make_env(seed=0, episode_len=10, **kwargs):
@@ -195,7 +202,7 @@ class TestStep:
         world = env.reset(rng)
         raw = np.full(cfg.k_p + cfg.k_s, 0.5)
         for t in range(3):
-            row = env.step(world, raw)
+            row = step_row(env, world, raw)
             assert (world.step_index == env.episode_len) == (t == 2)
             assert metric(row, "sum_power_p") == pytest.approx(0.5 * cfg.k_p)
             assert 0 <= metric(row, "nqos_p") <= cfg.k_p
@@ -207,7 +214,7 @@ class TestStep:
         env, cfg = make_env(seed=9, episode_len=4)
         rng = np.random.default_rng(10)
         world = env.reset(rng)
-        row = env.step(world, np.zeros(cfg.k_p + cfg.k_s))
+        row = step_row(env, world, np.zeros(cfg.k_p + cfg.k_s))
         assert metric(row, "sum_rate_p") == 0.0
         assert metric(row, "sum_ee_s") == 0.0
         assert metric(row, "nqos_p") == cfg.k_p
@@ -219,7 +226,7 @@ class TestStep:
         rng = np.random.default_rng(12)
         world = env.reset(rng)
         raw = np.array([0.0, 0.5, 2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
-        row = env.step(world, raw)
+        row = step_row(env, world, raw)
         assert metric(row, "active_p") == 1
         assert metric(row, "active_s") == 1
 
@@ -258,11 +265,12 @@ class TestStep:
         env, cfg = make_env(seed=17, episode_len=3)
         rng = np.random.default_rng(18)
         world = env.reset(rng)
-        row = env.step(world, np.full(cfg.k_p + cfg.k_s, 0.7))
+        row = step_row(env, world, np.full(cfg.k_p + cfg.k_s, 0.7))
         obs_p, obs_s = observed(world, OBS_PRIMARY), observed(world, OBS_SECONDARY)
-        np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], world.rate_p)
-        np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], world.ee_s)
-        assert obs_s[-1] == world.nqos_p == metric(row, "nqos_p")
+        rate_p, ee_s, nqos_p = measurements(world)
+        np.testing.assert_array_equal(obs_p[cfg.k_p**2 :], rate_p)
+        np.testing.assert_array_equal(obs_s[cfg.k_s**2 : cfg.k_s**2 + cfg.k_s], ee_s)
+        assert obs_s[-1] == nqos_p == metric(row, "nqos_p")
 
     def test_determinism(self):
         rows = []
@@ -270,7 +278,7 @@ class TestStep:
             env, cfg = make_env(seed=19, episode_len=4)
             rng = np.random.default_rng(20)
             world = env.reset(rng)
-            row = env.step(world, np.repeat([0.3, 0.6], (cfg.k_p, cfg.k_s)))
+            row = step_row(env, world, np.repeat([0.3, 0.6], (cfg.k_p, cfg.k_s)))
             rows.append(row.tolist())
         assert rows[0] == rows[1]
 
@@ -281,8 +289,8 @@ class TestStep:
         world_a = env.reset(np.random.default_rng(22))
         world_b = copy.deepcopy(world_a)
         raw = np.repeat([0.45, 0.55], (cfg.k_p, cfg.k_s))
-        row_a = env.step(world_a, raw)
-        row_b = env.step(world_b, raw)
+        row_a = step_row(env, world_a, raw)
+        row_b = step_row(env, world_b, raw)
         assert (row_a[0], row_a[1]) == (row_b[0], row_b[1])
         np.testing.assert_array_equal(row_a, row_b)
 
@@ -311,7 +319,7 @@ class TestStepMatchesReferenceChain:
             raw_s[(t + 1) % k_s] = 0.0
             if t == 0:  # every entry inside the box
                 raw_p, raw_s = np.full(k_p, 0.5), np.full(k_s, 0.25)
-            got = env.step(world, np.concatenate((raw_p, raw_s)))
+            got = step_row(env, world, np.concatenate((raw_p, raw_s)))
             row, links = step_reference(gains, raw_p, raw_s, radio,
                                         ACTIVE_POWER_FRACTION)
             assert got.dtype == np.float64 and got.shape == (len(METRIC_FIELDS),)
@@ -323,13 +331,64 @@ class TestStepMatchesReferenceChain:
                 (world_features_reference(env, 41, "primary"), rate[:k_p])))
             np.testing.assert_array_equal(observed(world, OBS_SECONDARY), np.concatenate(
                 (world_features_reference(env, 41, "secondary"), ee_s, [nqos_p])))
-            np.testing.assert_array_equal(world.rate_p, rate[:k_p])
-            np.testing.assert_array_equal(world.ee_s, ee_s)
-            assert world.nqos_p == nqos_p
+            seen = measurements(world)
+            np.testing.assert_array_equal(seen[0], rate[:k_p])
+            np.testing.assert_array_equal(seen[1], ee_s)
+            assert seen[2] == nqos_p
         # the draws reached both branches of each reward
         penalties = np.array(penalties)
         assert np.all(penalties[0] == 0.0) and np.all(penalties[1:].max(axis=0) > 0.0)
         assert world.step_index == env.episode_len
+
+
+class TestMetricRows:
+    """``metric_rows`` against ``oracles.step_reference``, row by row, and the
+    reward functions on blocks against their single-row calls."""
+
+    @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8), (8, 4), (3, 1)])
+    def test_every_row_matches_step_reference(self, k_p, k_s):
+        steps = 60
+        env, cfg = make_env(seed=60, episode_len=steps, k_p=k_p, k_s=k_s,
+                            radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
+        radio = cfg.radio
+        world = env.reset(np.random.default_rng(61))
+        draws = np.random.default_rng(62)
+        want = []
+        for t in range(steps):
+            # each system's raws stay inside its box on about half the steps
+            raw_p = draws.uniform(-1.0, 2.0, k_p) * radio.p_max_p
+            raw_s = draws.uniform(-1.0, 2.0, k_s) * radio.p_max_s
+            if draws.random() < 0.5:
+                raw_p = draws.uniform(0.0, 1.0, k_p) * radio.p_max_p
+            if draws.random() < 0.5:
+                raw_s = draws.uniform(0.0, 1.0, k_s) * radio.p_max_s
+            env.step(world, np.concatenate((raw_p, raw_s)))
+            want.append(step_reference(world.episode_gains[t + 1], raw_p, raw_s, radio,
+                                       ACTIVE_POWER_FRACTION)[0])
+        got = env.metric_rows(world)
+        assert got.dtype == np.float64 and got.shape == (steps, len(METRIC_FIELDS))
+        want = np.array(want)
+        assert got.tobytes() == want.tobytes()
+        # both branches of both rewards were taken
+        for delta in ("delta_p", "delta_s"):
+            column = got[:, METRIC_FIELDS.index(delta)]
+            assert np.any(column == 0.0) and np.any(column > 0.0)
+
+    def test_rewards_on_blocks_equal_single_row_calls(self):
+        rng = np.random.default_rng(63)
+        rates = np.vstack(([1.0, 1.0], rng.uniform(0.0, 3.0, (40, 2))))
+        ees = np.vstack(([1.5, 0.5], rng.uniform(0.0, 2.0, (40, 2))))
+        nqos = np.concatenate(([1.0], rng.integers(0, 3, 40).astype(float)))
+        deltas = np.where(rng.random((41, 2)) < 0.5, 0.0, rng.uniform(0.0, 2.0, (41, 2)))
+        deltas[0] = 0.5, 0.1  # row 0 is the -2.4 case of test_primary_upper_branch_exact
+        primary = reward_primary(rates, 0.5, deltas[:, 0])
+        secondary = reward_secondary(ees, nqos, deltas[:, 1])
+        assert primary.shape == secondary.shape == (41,)
+        assert primary[0] == reward_primary(np.array([1.0, 1.0]), 0.5, 0.5) == -2.4
+        for i in range(41):
+            assert primary[i] == reward_primary(rates[i], 0.5, float(deltas[i, 0]))
+            assert secondary[i] == reward_secondary(ees[i], float(nqos[i]),
+                                                    float(deltas[i, 1]))
 
 
 class TestPerEpisodeGeometry:
@@ -377,13 +436,25 @@ class TestPerEpisodeGeometry:
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
                 ))
                 _, rate, ee_s, nqos_p = evaluate_links(gain_matrix(ref, k_p), power, k_p, radio)
-                np.testing.assert_array_equal(world.rate_p, rate[:k_p])
-                np.testing.assert_array_equal(world.ee_s, ee_s)
-                assert world.nqos_p == nqos_p
+                seen = measurements(world)
+                np.testing.assert_array_equal(seen[0], rate[:k_p])
+                np.testing.assert_array_equal(seen[1], ee_s)
+                assert seen[2] == nqos_p
             # steps draw nothing: the stream is where the reset left it
             assert rng.bit_generator.state == after_reset
             with pytest.raises(RuntimeError):
                 env.step(world, np.concatenate((raw_p, raw_s)))
+
+
+    @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8), (8, 4)])
+    def test_coupled_block_is_gains_times_weights(self, k_p, k_s):
+        env, cfg = make_env(seed=35, episode_len=30, k_p=k_p, k_s=k_s,
+                            radio=RadioConfig(kappa_t_p=0.05, kappa_r_s=0.2))
+        world = env.reset(np.random.default_rng(36))
+        weights = coupling_weights(cfg.radio, k_p, k_s)
+        assert world.coupled.shape == world.episode_gains.shape
+        for t, gains in enumerate(world.episode_gains):
+            assert world.coupled[t].tobytes() == (gains * weights).tobytes()
 
 
 class TestObservationContent:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adam_step_reference, max_rel_err, numeric_grad, unshrunk_policy
+from oracles import (
+    adam_step_reference,
+    gaussian_log_prob,
+    logprob_grads_from_forward,
+    max_rel_err,
+    numeric_grad,
+    unshrunk_policy,
+)
 from underlay_ppo.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -11,8 +18,7 @@ from underlay_ppo.nets import (
     DenseNet,
     GaussianPolicyNet,
     ValueNet,
-    gaussian_log_prob,
-    logprob_grads_from_forward,
+    _log_density,
     sample_action,
 )
 
@@ -99,6 +105,23 @@ class TestGaussianLogProb:
         assert up == pytest.approx(down, rel=1e-14)
 
 
+class TestLogDensityBlocks:
+    @pytest.mark.parametrize("dim", range(1, 21))
+    def test_episode_block_equals_per_row_calls(self, dim):
+        """``_log_density`` over a (T, d) block, as a rollout takes it once per
+        episode (the noise as a column slice of the joint noise block), equals
+        its per-row calls bit for bit."""
+        rng = np.random.default_rng(100 + dim)
+        t_len, lead = 200, 3
+        noise = rng.standard_normal((t_len, lead + dim + 2))
+        z = noise[:, lead:lead + dim]
+        log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, (t_len, dim))
+        block = _log_density(z, log_std)
+        rows = [float(_log_density(z[t], log_std[t])) for t in range(t_len)]
+        assert block.shape == (t_len,)
+        assert block.tolist() == rows
+
+
 class TestPolicyNet:
     def test_forward_shapes_and_clamp(self):
         rng = np.random.default_rng(6)
@@ -168,8 +191,11 @@ class TestPolicyNet:
         rng = np.random.default_rng(11)
         pol = GaussianPolicyNet.init(rng, 4, 2)
         obs = rng.standard_normal(4)
-        action, lp = sample_action(pol, obs, np.random.default_rng(12).standard_normal(2))
+        z = np.random.default_rng(12).standard_normal(2)
+        action, sampled_log_std = sample_action(pol, obs, z)
         mean, log_std, _ = pol.forward(obs)
+        np.testing.assert_array_equal(sampled_log_std, log_std)
+        lp = _log_density(z, sampled_log_std)  # the rollout's density of the draw
         assert lp == pytest.approx(gaussian_log_prob(mean, log_std, action), rel=1e-12)
 
     def test_sampling_deterministic_under_seed(self):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     gae_loops,
+    gaussian_log_prob,
+    logprob_grads_from_forward,
     max_rel_err,
     numeric_grad,
     observation_reference,
@@ -23,8 +25,7 @@ from underlay_ppo.nets import (
     AdamState,
     GaussianPolicyNet,
     ValueNet,
-    gaussian_log_prob,
-    logprob_grads_from_forward,
+    _log_density,
 )
 from underlay_ppo.ppo import (
     MODE_CENTRALIZED_DIST,
@@ -533,7 +534,8 @@ class TestCollect:
                     mean, log_std, _ = agent.policy.forward(batch.obs[idx])
                     np.testing.assert_array_equal(batch.actions[idx],
                                                   mean + np.exp(log_std) * z[col])
-                row = env.step(world, raw)
+                env.step(world, raw)
+                row = env.metric_rows(world)[-1]
                 rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
                 dones.append(float(world.step_index == hyper.episode_len))
                 sums += row
@@ -547,6 +549,49 @@ class TestCollect:
                 assert batch.bootstrap_value == agent.value.value(final[i])
             assert list(means.values()) == (sums / hyper.batch).tolist()
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_log_probs_old_are_per_step_densities_of_the_noise(self, mode):
+        """Each row of ``log_probs_old`` is ``_log_density`` of that step's noise
+        columns under that step's log-std, the per-step value a row-by-row
+        rollout takes, bit for bit."""
+        rng = np.random.default_rng(26)
+        hyper = tiny_hyper(batch=10, episode_len=5)
+        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        agents = build_agents(mode, SMALL_ENV, hyper, rng)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        batches, _ = _collect(env, agents, mode, hyper, rng)
+        noise = []
+        for _ in range(hyper.batch // hyper.episode_len):
+            env.reset(twin)
+            noise.extend(twin.standard_normal((hyper.episode_len, SMALL_ENV.k_p + SMALL_ENV.k_s)))
+        start = 0
+        for agent, batch in zip(agents, batches):
+            col = slice(start, start + agent.policy.action_dim)
+            start = col.stop
+            want = [float(_log_density(z[col], agent.policy.forward(ob)[1]))
+                    for z, ob in zip(noise, batch.obs)]
+            assert batch.log_probs_old.tolist() == want
+
+    def test_nan_policy_bias_stops_the_first_step(self):
+        rng = np.random.default_rng(27)
+        hyper = tiny_hyper()
+        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
+        agents[1].policy.b_mean[0] = np.nan
+        seen = []
+        step = env.step
+
+        def recording_step(world, raw):
+            seen.append(world.step_index)
+            return step(world, raw)
+
+        env.step = recording_step
+        with pytest.raises(ValueError, match="raw actions must be finite"):
+            _collect(env, agents, MODE_COEXIST, hyper, rng)
+        assert seen == [0]
 
 
 class TestObserve:
