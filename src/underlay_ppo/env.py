@@ -105,8 +105,6 @@ class WorldState:
     distances: np.ndarray
     episode_gains: np.ndarray
     coupled: np.ndarray
-    k_p: int
-    k_s: int
     step_index: int
     measured: np.ndarray
     applied: np.ndarray
@@ -166,7 +164,7 @@ class SpectrumSharingEnv:
         gains = sample_gain_matrices(p_los, d_eff, cfg.channel, rng, t_len + 1)
         return WorldState(
             distances=distances, episode_gains=gains,
-            coupled=gains * coupling_weights(cfg.radio, k_p, k_s), k_p=k_p, k_s=k_s, step_index=0,
+            coupled=gains * coupling_weights(cfg.radio, k_p, k_s), step_index=0,
             measured=np.zeros((t_len + 1, k_p + 2 * k_s + 1)),
             applied=np.empty((t_len, k_p + k_s)), penalties=np.empty((t_len, 2)))
 
@@ -194,7 +192,7 @@ class SpectrumSharingEnv:
     def metric_rows(self, world: WorldState) -> np.ndarray:
         """The (t, 12) metric rows of the t steps ``world`` has taken in its
         episode, in ``METRIC_FIELDS`` order (see module doc)."""
-        t, k_p, k = world.step_index, world.k_p, world.k_p + world.k_s
+        t, k_p, k = world.step_index, self.cfg.k_p, self.cfg.k_p + self.cfg.k_s
         measured, applied = world.measured[1:t + 1], world.applied[:t]
         rate_p, ee_s, nqos_p = measured[:, :k_p], measured[:, k_p:k], measured[:, k]
         delta_p, delta_s = world.penalties[:t].T

@@ -17,9 +17,10 @@ k) and p the joint K-vector of powers. Then, at every receiver at once,
 where W_dist[j, k] = kt[j, k]**2 + [j == k] * kr[k]**2 (transmit and
 receive distortion) and the off-diagonal ones of W add the interference of
 every other transmitter. ``coupling_weights`` builds W from the four kappas;
-it is the one home of the transmit-kappa choice below. ``evaluate_links``
-takes H and p as plain arrays and checks only p's shape: H was checked where
-it was drawn, and ``env.step`` clips p into [0, p_max] after a finite check.
+it is the one home of W and of the transmit-kappa choice below.
+``evaluate_links`` takes H, H * W and p as plain arrays and checks only p's
+shape: H was checked where it was drawn, and ``env.step`` clips p into
+[0, p_max] after a finite check.
 It returns plain arrays too, the SINDRs and rates of all K links in the
 stacked order, and builds no result object per step.
 
@@ -103,22 +104,19 @@ def nqos(rate_p: np.ndarray, cfg: RadioConfig) -> int:
 
 
 def evaluate_links(gains: np.ndarray, power: np.ndarray, k_p: int, cfg: RadioConfig,
-                   coupled=None):
+                   coupled: np.ndarray):
     """Full physics chain for one channel draw: SINDR, rates, EE, NACK count.
 
-    ``gains`` is the (K, K) matrix H and ``power`` the joint applied powers,
-    the ``k_p`` primary links first (see module doc); ``coupled``, if given,
-    is ``gains * W`` (the env takes it from a block built per episode). Each
-    link k sees its own direct power over noise + distortion + same-system
-    interference (j != k) + everything the other system transmits. Returns
-    ``(sindr, rate, ee_s, nqos_p)``: the (K,) SINDRs and rates, primary links
-    first, the (k_s,) secondary energy efficiencies and the NACK count.
+    ``gains`` is the (K, K) matrix H, ``power`` the joint applied powers, the
+    ``k_p`` primary links first, and ``coupled`` is ``H * W`` with W from
+    ``coupling_weights`` (see module doc; the env builds it once per episode).
+    Each link k sees its own direct power over noise + distortion +
+    same-system interference (j != k) + everything the other system transmits.
+    Returns ``(sindr, rate, ee_s, nqos_p)``: the (K,) SINDRs and rates, primary
+    links first, the (k_s,) secondary energy efficiencies and the NACK count.
     """
-    k = gains.shape[0]
-    if power.shape != (k,):
+    if power.shape != (gains.shape[0],):
         raise ValueError("the power vector must have shape (K,) of the gain matrix")
-    if coupled is None:
-        coupled = gains * coupling_weights(cfg, k_p, k - k_p)
     sindr = gains.diagonal() * power / (cfg.noise_power + power @ coupled)
     # SINDRs of positive gains and non-negative powers need no sign check
     rate = np.log2(1.0 + sindr)

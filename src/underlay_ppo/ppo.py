@@ -160,19 +160,15 @@ def clip_envelope(advantage, eps: float) -> np.ndarray:
 
 
 def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
-                     hyper: PpoHyper, envelope=None):
-    """Clipped-surrogate objective, its exact gradient, and update stats.
-
-    ``envelope`` is ``clip_envelope(batch.advantages, hyper.clip)`` when the
-    caller has it (``ppo_update`` builds it once per update)."""
+                     envelope: np.ndarray):
+    """Clipped-surrogate objective, its exact gradient, and update stats, given
+    the batch's ``clip_envelope`` (``ppo_update`` builds it once per update)."""
     mean, log_std, cache = policy.forward(batch.obs)
     inv_std = np.exp(-log_std)
     z = (batch.actions - mean) * inv_std
     ratio = np.exp(_log_density(z, log_std) - batch.log_probs_old)
     adv = batch.advantages
     linear = ratio * adv
-    if envelope is None:
-        envelope = clip_envelope(adv, hyper.clip)
     objective = float(np.minimum(linear, envelope).mean())
     # d(min)/d(theta): only the ratio branch depends on theta
     unclipped = linear <= envelope
@@ -243,7 +239,7 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
     stats: dict = {}
     envelope = clip_envelope(batch.advantages, hyper.clip)  # fixed for the update
     for _ in range(hyper.update_epochs):
-        objective, pgrad, pstats = policy_objective(agent.policy, batch, hyper, envelope)
+        objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope)
         _check_finite(agent, "policy objective", objective, pgrad)
         agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
         vloss, vgrad = value_objective(agent.value, batch)
@@ -334,10 +330,16 @@ def observation_dim(kind: str, k_p: int, k_s: int) -> int:
     return (links.stop - links.start) ** 2 + seen.stop - seen.start
 
 
+def _world_layout(world, kind: str) -> tuple[slice, slice]:
+    """``_layout`` of ``kind`` in ``world``: K links, k_p + 2 k_s + 1 measurement slots."""
+    k, width = world.applied.shape[1], world.measured.shape[1]
+    return _layout(kind, 2 * k + 1 - width, width - k - 1)
+
+
 def episode_heads(world, kind: str) -> np.ndarray:
     """The observation head of ``kind`` (see ``KIND_SYSTEMS``) at every step
     index 0..T of ``world``'s episode, one row each."""
-    links = _layout(kind, world.k_p, world.k_s)[0]
+    links = _world_layout(world, kind)[0]
     if kind == OBS_CENTRALIZED_FULL_CSI:
         gains = world.episode_gains[:, links, links]
         return (np.clip(np.log10(gains), -20.0, 0.0) / 10.0 + 1.0).reshape(len(gains), -1)
@@ -346,16 +348,17 @@ def episode_heads(world, kind: str) -> np.ndarray:
 
 
 def build_centralized_obs(world, head: np.ndarray) -> np.ndarray:
-    """A centralized agent's observation: ``head``, then both systems' measurements."""
-    seen = _layout(OBS_CENTRALIZED_DIST, world.k_p, world.k_s)[1]
-    return np.concatenate((head, world.measured[world.step_index, seen]))
+    """A centralized agent's observation: ``head``, then the first K + 1 slots of
+    the measurement row. The rollout never calls it (``_collect`` writes only the
+    measurement tail per step); it keeps this name for perfbench's tracer."""
+    return np.concatenate((head, world.measured[world.step_index, :world.applied.shape[1] + 1]))
 
 
 def observe(world, kind: str, heads: np.ndarray) -> np.ndarray:
     """What an agent of ``kind`` sees of ``world``: the row of ``heads`` (from
     ``episode_heads``) for the world's step index, then its systems'
     measurements."""
-    t, seen = world.step_index, _layout(kind, world.k_p, world.k_s)[1]
+    t, seen = world.step_index, _world_layout(world, kind)[1]
     return np.concatenate((heads[t], world.measured[t, seen]))
 
 

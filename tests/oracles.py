@@ -24,6 +24,14 @@ def gain_matrix(h, k_p):
     return h
 
 
+def coupled(h, k_p, cfg):
+    """The coupled block H * W that ``phy.evaluate_links`` takes, for gain
+    matrix ``h`` of ``k_p`` primary links (``env.reset`` builds it per episode)."""
+    from underlay_ppo.phy import coupling_weights
+
+    return h * coupling_weights(cfg, k_p, h.shape[0] - k_p)
+
+
 def _blocks(g, k_p):
     """The four (primary/secondary tx) x (primary/secondary rx) gain blocks."""
     return g[:k_p, :k_p], g[:k_p, k_p:], g[k_p:, :k_p], g[k_p:, k_p:]
@@ -210,8 +218,10 @@ def reset_nodes_reference(env, rng):
 
 def measurements(world):
     """(rate_p, ee_s, nqos_p): what ``world``'s last step measured, read from
-    its measurement row in the layout ``env``'s module doc gives."""
-    k_p, k = world.k_p, world.k_p + world.k_s
+    its measurement row in the layout ``env``'s module doc gives (k_p primary
+    rates, k_s EEs, the NACK count, k_s secondary rates)."""
+    k = world.applied.shape[1]
+    k_p = 2 * k + 1 - world.measured.shape[1]
     row = world.measured[world.step_index]
     return row[:k_p], row[k_p:k], float(row[k])
 
@@ -320,7 +330,8 @@ def step_reference(gains, raw_p, raw_s, radio, active_fraction):
     k_p = len(raw_p)
     applied_p, delta_p = clamp_and_penalize(raw_p, radio.p_max_p)
     applied_s, delta_s = clamp_and_penalize(raw_s, radio.p_max_s)
-    links = evaluate_links(gains, np.concatenate((applied_p, applied_s)), k_p, radio)
+    power = np.concatenate((applied_p, applied_s))
+    links = evaluate_links(gains, power, k_p, radio, coupled(gains, k_p, radio))
     _, rate, ee_s, nqos_p = links
     rate_p, rate_s, nqos_p = rate[:k_p], rate[k_p:], float(nqos_p)
     row = [

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    coupled,
     gae_loops,
     gain_matrix,
     gaussian_log_prob,
@@ -44,6 +45,7 @@ from underlay_ppo.ppo import (
     OBS_SECONDARY,
     PpoHyper,
     TrajectoryBatch,
+    clip_envelope,
     compute_gae,
     episode_heads,
     make_agent,
@@ -145,9 +147,10 @@ def test_criterion_1_exact_gradients():
         p += 0.1 * rng.standard_normal(p.shape)
     batch = synthetic_batch(rng, 12, obs_dim=6, action_dim=4)
 
-    _, pol_grads, _ = policy_objective(agent.policy, batch, hyper)
+    envelope = clip_envelope(batch.advantages, hyper.clip)
+    _, pol_grads, _ = policy_objective(agent.policy, batch, envelope)
     pol_numeric = numeric_grad(
-        lambda: policy_objective(agent.policy, batch, hyper)[0],
+        lambda: policy_objective(agent.policy, batch, envelope)[0],
         agent.policy.params(),
         h=1e-5,
     )
@@ -248,7 +251,8 @@ def test_criterion_3_sindr_oracle():
         h = random_gains(rng, k_p, k_s)
         pp = rng.uniform(0.0, 1.0, k_p)
         ps = rng.uniform(0.0, 1.0, k_s)
-        sindr, rate, _, _ = evaluate_links(h, np.concatenate((pp, ps)), k_p, cfg)
+        power = np.concatenate((pp, ps))
+        sindr, rate, _, _ = evaluate_links(h, power, k_p, cfg, coupled(h, k_p, cfg))
         ref_p, ref_s = sindr_loops(h, pp, ps, cfg)
         worst = max(
             worst,
@@ -272,7 +276,7 @@ def test_criterion_4_closed_form_spot_values():
         kappa_t_p=0.1, kappa_r_p=0.1, kappa_t_s=0.1, kappa_r_s=0.1,
         noise_power=1.0,
     )
-    sindr_p = evaluate_links(h, np.array([1.0, 0.0]), 1, cfg)[0][:1]
+    sindr_p = evaluate_links(h, np.array([1.0, 0.0]), 1, cfg, coupled(h, 1, cfg))[0][:1]
     sindr_ok = abs(sindr_p[0] - 1.0 / 1.02) <= 1e-12
 
     r = reward_primary(np.array([1.0, 1.0]), 0.5, 0.5)

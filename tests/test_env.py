@@ -27,6 +27,7 @@ from underlay_ppo.ppo import (
 
 from oracles import (
     clamp_and_penalize,
+    coupled,
     distance_features_reference,
     gain_matrix,
     gains_reference,
@@ -435,7 +436,8 @@ class TestPerEpisodeGeometry:
                     clamp_and_penalize(raw_p, radio.p_max_p)[0],
                     clamp_and_penalize(raw_s, radio.p_max_s)[0],
                 ))
-                _, rate, ee_s, nqos_p = evaluate_links(gain_matrix(ref, k_p), power, k_p, radio)
+                h = gain_matrix(ref, k_p)
+                _, rate, ee_s, nqos_p = evaluate_links(h, power, k_p, radio, coupled(h, k_p, radio))
                 seen = measurements(world)
                 np.testing.assert_array_equal(seen[0], rate[:k_p])
                 np.testing.assert_array_equal(seen[1], ee_s)

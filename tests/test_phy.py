@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gain_matrix, random_gains, sindr_loops
+from oracles import coupled, gain_matrix, random_gains, sindr_loops
 from underlay_ppo.phy import (
     DEFAULT_NOISE_POWER_W,
     RadioConfig,
@@ -50,7 +50,8 @@ class TestDistortion:
             kappa_t_p=0.3, kappa_r_p=0.0, kappa_t_s=0.2, kappa_r_s=0.0,
             noise_power=1.0,
         )
-        sindr = evaluate_links(unit_gains(), np.array([1.0, 1.0]), 1, cfg)[0]
+        h = unit_gains()
+        sindr = evaluate_links(h, np.array([1.0, 1.0]), 1, cfg, coupled(h, 1, cfg))[0]
         # primary receiver: noise 1, own-system 0.09, secondary's 0.04, interference 1
         assert sindr[0] == pytest.approx(1.0 / 2.13, rel=1e-12)
         # secondary receiver: both distortion sums carry the secondary transmit kappa
@@ -63,28 +64,33 @@ class TestDistortion:
         )
         h = gain_matrix([[0.5, 1.0], [1.0, 1.0]], 1)
         # direct power 0.5 * 2 = 1 over noise 1 plus receiver distortion 0.01 * 1
-        sindr = evaluate_links(h, np.array([2.0, 0.0]), 1, cfg)[0]
+        sindr = evaluate_links(h, np.array([2.0, 0.0]), 1, cfg, coupled(h, 1, cfg))[0]
         assert sindr[0] == pytest.approx(1.0 / 1.01, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)], ids=["short", "long", "2-d"])
     def test_dimension_mismatch(self, shape):
         with pytest.raises(ValueError, match="power vector must have shape"):
-            evaluate_links(unit_gains(2, 2), np.ones(shape), 2, CFG_UNIT_NOISE)
+            h = unit_gains(2, 2)
+            evaluate_links(h, np.ones(shape), 2, CFG_UNIT_NOISE, coupled(h, 2, CFG_UNIT_NOISE))
 
 
 class TestSindr:
     def test_single_link_spot_value(self):
-        sindr = evaluate_links(unit_gains(), np.array([1.0, 0.0]), 1, CFG_UNIT_NOISE)[0]
+        h = unit_gains()
+        hw = coupled(h, 1, CFG_UNIT_NOISE)
+        sindr = evaluate_links(h, np.array([1.0, 0.0]), 1, CFG_UNIT_NOISE, hw)[0]
         assert sindr[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
 
     def test_two_symmetric_links(self):
         # both primary links identical: distortion 0.03, interference 1
         p = np.array([1.0, 1.0, 0.0])
-        sindr = evaluate_links(unit_gains(2, 1), p, 2, CFG_UNIT_NOISE)[0]
+        h = unit_gains(2, 1)
+        sindr = evaluate_links(h, p, 2, CFG_UNIT_NOISE, coupled(h, 2, CFG_UNIT_NOISE))[0]
         np.testing.assert_allclose(sindr[:2], 1.0 / 2.03, rtol=1e-12)
 
     def test_zero_power_means_zero_sindr(self):
-        sindr = evaluate_links(unit_gains(3, 2), np.zeros(5), 3, CFG_UNIT_NOISE)[0]
+        h = unit_gains(3, 2)
+        sindr = evaluate_links(h, np.zeros(5), 3, CFG_UNIT_NOISE, coupled(h, 3, CFG_UNIT_NOISE))[0]
         np.testing.assert_array_equal(sindr, np.zeros(5))
 
     def test_scale_invariance_without_impairments(self):
@@ -96,8 +102,8 @@ class TestSindr:
         rng = np.random.default_rng(21)
         h = random_gains(rng, 3, 4)
         p = np.concatenate((rng.random(3) + 0.1, rng.random(4) + 0.1))
-        base = evaluate_links(h, p, 3, cfg)[0]
-        scaled = evaluate_links(h, 17.0 * p, 3, cfg)[0]
+        base = evaluate_links(h, p, 3, cfg, coupled(h, 3, cfg))[0]
+        scaled = evaluate_links(h, 17.0 * p, 3, cfg, coupled(h, 3, cfg))[0]
         np.testing.assert_allclose(base, scaled, rtol=1e-9)
 
     def test_interferer_power_never_helps(self):
@@ -105,10 +111,10 @@ class TestSindr:
         cfg = RadioConfig(noise_power=1e-10)
         h = random_gains(rng, 2, 2)
         p = np.array([0.5, 0.3, 0.4, 0.2])
-        base = evaluate_links(h, p, 2, cfg)[0]
+        base = evaluate_links(h, p, 2, cfg, coupled(h, 2, cfg))[0]
         bumped = p.copy()
         bumped[1] += 0.4
-        got = evaluate_links(h, bumped, 2, cfg)[0]
+        got = evaluate_links(h, bumped, 2, cfg, coupled(h, 2, cfg))[0]
         assert got[0] <= base[0]
         assert np.all(got[2:] <= base[2:])
 
@@ -116,12 +122,13 @@ class TestSindr:
         rng = np.random.default_rng(23)
         h = random_gains(rng, 3, 3)
         p = np.concatenate((rng.random(3), rng.random(3)))
-        lo = evaluate_links(h, p, 3, RadioConfig(noise_power=1e-10))[0]
+        lo_cfg = RadioConfig(noise_power=1e-10)
+        lo = evaluate_links(h, p, 3, lo_cfg, coupled(h, 3, lo_cfg))[0]
         hi_cfg = RadioConfig(
             kappa_t_p=0.2, kappa_r_p=0.2, kappa_t_s=0.2, kappa_r_s=0.2,
             noise_power=1e-10,
         )
-        hi = evaluate_links(h, p, 3, hi_cfg)[0]
+        hi = evaluate_links(h, p, 3, hi_cfg, coupled(h, 3, hi_cfg))[0]
         assert np.all(hi <= lo)
 
     @given(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0))
@@ -129,8 +136,9 @@ class TestSindr:
     def test_own_power_monotone(self, p_small, p_big):
         lo, hi = sorted((p_small, p_big))
         h = unit_gains(2, 1)
-        s_lo = evaluate_links(h, np.array([lo, 0.5, 0.3]), 2, CFG_UNIT_NOISE)[0]
-        s_hi = evaluate_links(h, np.array([hi, 0.5, 0.3]), 2, CFG_UNIT_NOISE)[0]
+        hw = coupled(h, 2, CFG_UNIT_NOISE)
+        s_lo = evaluate_links(h, np.array([lo, 0.5, 0.3]), 2, CFG_UNIT_NOISE, hw)[0]
+        s_hi = evaluate_links(h, np.array([hi, 0.5, 0.3]), 2, CFG_UNIT_NOISE, hw)[0]
         assert s_hi[0] >= s_lo[0]
 
 
@@ -175,7 +183,7 @@ class TestEvaluateLinks:
         cfg = RadioConfig(noise_power=1e-9)
         h = random_gains(rng, 3, 4)
         p = np.concatenate((rng.random(3), rng.random(4)))
-        sindr, rate, ee_s, nqos_p = evaluate_links(h, p, 3, cfg)
+        sindr, rate, ee_s, nqos_p = evaluate_links(h, p, 3, cfg, coupled(h, 3, cfg))
         assert sindr.shape == rate.shape == (7,) and ee_s.shape == (4,)
         np.testing.assert_allclose(rate, np.log2(1.0 + sindr), rtol=1e-15)
         np.testing.assert_allclose(ee_s, energy_efficiency(rate[3:], p[3:], cfg))
@@ -187,7 +195,7 @@ class TestEvaluateLinks:
         for _ in range(30):
             h = random_gains(rng, 4, 4, scale=1e-4)
             p = np.concatenate((rng.random(4), rng.random(4)))
-            for field in evaluate_links(h, p, 4, cfg)[:3]:
+            for field in evaluate_links(h, p, 4, cfg, coupled(h, 4, cfg))[:3]:
                 assert np.all(np.isfinite(field))
 
 
@@ -212,7 +220,7 @@ class TestCouplingForm:
             power[rng.random(k_p + k_s) < 0.25] = 0.0
             pp, ps = power[:k_p], power[k_p:]
 
-            sindr, rate, ee_s, _ = evaluate_links(h, power, k_p, cfg)
+            sindr, rate, ee_s, _ = evaluate_links(h, power, k_p, cfg, coupled(h, k_p, cfg))
             got = (sindr[:k_p], sindr[k_p:])
             ref = sindr_loops(h, pp, ps, cfg)
             for g_arr, r_arr in zip(got, ref):

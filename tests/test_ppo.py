@@ -43,6 +43,7 @@ from underlay_ppo.ppo import (
     TrajectoryBatch,
     _collect,
     build_agents,
+    build_centralized_obs,
     clip_envelope,
     compute_gae,
     episode_heads,
@@ -278,7 +279,8 @@ class TestPolicyObjective:
         batch = random_batch(rng)
         mean, log_std, cache = pol.forward(batch.obs)
         batch.log_probs_old = gaussian_log_prob(mean, log_std, batch.actions)
-        obj, grads, stats = policy_objective(pol, batch, tiny_hyper())
+        envelope = clip_envelope(batch.advantages, tiny_hyper().clip)
+        obj, grads, stats = policy_objective(pol, batch, envelope)
         assert obj == pytest.approx(float(batch.advantages.mean()), abs=1e-12)
         assert stats["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
         assert stats["clip_fraction"] == 0.0
@@ -294,12 +296,12 @@ class TestPolicyObjective:
         for p in pol.params():
             p += 0.1 * rng.standard_normal(p.shape)
         batch = random_batch(rng)
-        h = tiny_hyper()
+        envelope = clip_envelope(batch.advantages, tiny_hyper().clip)
 
         def objective():
-            return policy_objective(pol, batch, h)[0]
+            return policy_objective(pol, batch, envelope)[0]
 
-        _, grads, _ = policy_objective(pol, batch, h)
+        _, grads, _ = policy_objective(pol, batch, envelope)
         numeric = numeric_grad(objective, pol.params(), h=1e-5)
         assert max_rel_err(pol.blocks(grads), numeric) < 1e-4
 
@@ -308,7 +310,8 @@ class TestPolicyObjective:
         pol = make_agent(rng, "t", 4, 2, tiny_hyper(), hidden=(6,)).policy
         for _ in range(10):
             batch = random_batch(rng, ratio_noise=1.0)
-            obj, _, stats = policy_objective(pol, batch, tiny_hyper())
+            envelope = clip_envelope(batch.advantages, tiny_hyper().clip)
+            obj, _, stats = policy_objective(pol, batch, envelope)
             mean0, log_std0, _ = pol.forward(batch.obs)
             ratio = np.exp(
                 gaussian_log_prob(mean0, log_std0, batch.actions)
@@ -378,9 +381,10 @@ class TestPpoUpdate:
         h = tiny_hyper(lr_policy=1e-2)
         agent = make_agent(rng, "t", 4, 2, h, hidden=(8,))
         batch = random_batch(rng)
-        before, _, _ = policy_objective(agent.policy, batch, h)
+        envelope = clip_envelope(batch.advantages, h.clip)
+        before, _, _ = policy_objective(agent.policy, batch, envelope)
         ppo_update(agent, batch, h)
-        after, _, _ = policy_objective(agent.policy, batch, h)
+        after, _, _ = policy_objective(agent.policy, batch, envelope)
         assert after > before
 
     def test_requires_prepared_batch(self):
@@ -619,6 +623,8 @@ class TestObserve:
             want = observation_reference(world, kind, nodes, k_p, cfg.radius)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert got.shape == (observation_dim(kind, k_p, k_s),)
+            if kind in (OBS_CENTRALIZED_DIST, OBS_CENTRALIZED_FULL_CSI):
+                assert build_centralized_obs(world, heads[t]).tobytes() == want.tobytes()
         assert world.step_index == steps
 
     def test_unknown_kind_names_itself(self):
