@@ -13,8 +13,7 @@ listed by ``names`` (``w0``, ``b0``, ..., then a policy's ``mean_w``,
 ``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one fresh
 gradient vector in the same layout, and ``AdamState`` keeps its moments as
 two such vectors. A network's ``dims`` (input, hidden, output sizes) fix the
-layout, so ``GaussianPolicyNet(dims, flat)`` rebuilds a policy; the
-checkpoint format is defined in ``ppo.save_checkpoint``.
+layout, so ``GaussianPolicyNet(dims, flat)`` rebuilds a policy.
 
 Temporaries: a forward pass adds each bias and applies ``tanh`` in place on
 the fresh matmul product, which then is both the layer's output and its

@@ -10,10 +10,7 @@ the unclipped ratio term attains the min.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -212,12 +209,6 @@ def make_agent(rng, name: str, obs_dim: int, action_dim: int,
     )
 
 
-def _parts(agent: Agent):
-    """(tag, network, optimizer) of the agent's policy and value function."""
-    return (("pol", agent.policy, agent.opt_policy),
-            ("val", agent.value, agent.opt_value))
-
-
 def _check_finite(agent: Agent, label: str, value: float, grad) -> None:
     if np.isfinite(value) and np.isfinite(grad).all():
         return
@@ -247,65 +238,6 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
         agent.opt_value.step(agent.value.flat, vgrad)
         stats = dict(pstats, policy_objective=objective, value_loss=vloss)
     return stats
-
-
-def save_checkpoint(path, agents, rng: np.random.Generator, iteration: int) -> None:
-    """Snapshot networks, optimizer moments, rng state and iteration index.
-
-    The one home of the checkpoint format. Keys per agent and net
-    (``pol``/``val``): ``<agent>_<net>_{dims,flat}`` and
-    ``<agent>_adam_<net>_{t,m,v}``. Writes exactly ``path`` by renaming a
-    synced temporary file onto it, so a crash mid-save leaves the previous
-    checkpoint intact.
-    """
-    arrays = {"iteration": np.array(iteration, dtype=np.int64)}
-    for agent in agents:
-        for tag, net, opt in _parts(agent):
-            arrays[f"{agent.name}_{tag}_dims"] = np.array(net.dims, dtype=np.int64)
-            arrays[f"{agent.name}_{tag}_flat"] = net.flat
-            adam = f"{agent.name}_adam_{tag}"
-            arrays.update({f"{adam}_t": np.array(opt.t), f"{adam}_m": opt.m, f"{adam}_v": opt.v})
-    state_json = json.dumps(rng.bit_generator.state)
-    arrays["rng_state"] = np.frombuffer(state_json.encode("utf-8"), dtype=np.uint8)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, **arrays)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_checkpoint(path, agents):
-    """Restore a snapshot into freshly built agents of matching shapes.
-
-    Returns (rng, iteration). Callers must rebuild env and agents from the
-    same seed they trained with so topology and shapes line up.
-    """
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    for agent in agents:
-        for tag, net, opt in _parts(agent):
-            key = f"{agent.name}_{tag}"
-            if f"{key}_flat" not in arrays:
-                if f"{key}_dims" in arrays:  # per-layer keys, before the flat layout
-                    raise ValueError(f"checkpoint stores {key} in the per-layer format "
-                                     "of earlier versions, which cannot be resumed")
-                raise ValueError(f"checkpoint lacks agent {agent.name!r}")
-            if (dims := arrays[f"{key}_dims"].tolist()) != net.dims:
-                raise ValueError(f"checkpoint {key} has dims {dims}, expected {net.dims}")
-            net.flat[...] = arrays[f"{key}_flat"]
-            adam = f"{agent.name}_adam_{tag}"
-            opt.t = int(arrays[f"{adam}_t"])
-            opt.m[...], opt.v[...] = arrays[f"{adam}_m"], arrays[f"{adam}_v"]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = json.loads(
-        arrays["rng_state"].tobytes().decode("utf-8")
-    )
-    return rng, int(arrays["iteration"])
 
 
 def _systems(kind: str) -> tuple[int, ...]:
@@ -429,9 +361,6 @@ def train(
     mode: str,
     rng: np.random.Generator,
     on_iteration=None,
-    checkpoint_path=None,
-    checkpoint_every: int = 0,
-    resume_from=None,
 ) -> list[dict]:
     """Run the outer training loop; returns one metrics row per iteration.
 
@@ -442,11 +371,8 @@ def train(
     """
     env = SpectrumSharingEnv(env_cfg, rng, hyper.episode_len)
     agents = build_agents(mode, env_cfg, hyper, rng)
-    start_iter = 0
-    if resume_from is not None:
-        rng, start_iter = load_checkpoint(resume_from, agents)
     history: list[dict] = []
-    for it in range(start_iter, hyper.iters):
+    for it in range(hyper.iters):
         batches, means = _collect(env, agents, mode, hyper, rng)
         row = {"iter": it + 1, **means}
         for agent, batch in zip(agents, batches):
@@ -461,7 +387,4 @@ def train(
         history.append(row)
         if on_iteration is not None:
             on_iteration(row)
-        if checkpoint_path is not None and checkpoint_every > 0:
-            if (it + 1) % checkpoint_every == 0 or it + 1 == hyper.iters:
-                save_checkpoint(checkpoint_path, agents, rng, it + 1)
     return history

@@ -384,7 +384,7 @@ class TestAdam:
 
 
 class TestSerialization:
-    """A network is rebuilt from its dims and flat vector, the checkpoint format."""
+    """A network is rebuilt from its dims and flat vector."""
 
     def test_policy_round_trip(self):
         rng = np.random.default_rng(21)

@@ -47,14 +47,12 @@ from underlay_ppo.ppo import (
     clip_envelope,
     compute_gae,
     episode_heads,
-    load_checkpoint,
     make_agent,
     normalize_advantages,
     observation_dim,
     observe,
     policy_objective,
     ppo_update,
-    save_checkpoint,
     train,
     value_objective,
 )
@@ -469,6 +467,13 @@ class TestTrain:
         assert "policy_objective_p" in rows[0]
         assert "value_loss_s" in rows[0]
 
+    def test_on_iteration_sees_each_returned_row(self):
+        seen = []
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                     np.random.default_rng(24), on_iteration=seen.append)
+        assert len(seen) == len(rows) == 3
+        assert all(got is row for got, row in zip(seen, rows))
+
     def test_bit_exact_reproducibility(self):
         r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
         r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
@@ -636,131 +641,6 @@ class TestObserve:
                      lambda: observe(world, "tertiary", heads)):
             with pytest.raises(ValueError, match="'tertiary'"):
                 call()
-
-
-class TestCheckpointing:
-    def test_round_trip_restores_networks(self, tmp_path):
-        rng = np.random.default_rng(25)
-        hyper = tiny_hyper()
-        agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
-        path = tmp_path / "ck.npz"
-        save_checkpoint(path, agents, rng, iteration=5)
-
-        fresh = build_agents(MODE_COEXIST, SMALL_ENV, hyper,
-                             np.random.default_rng(26))
-        restored_rng, iteration = load_checkpoint(path, fresh)
-        assert iteration == 5
-        obs = np.random.default_rng(27).standard_normal(6)
-        np.testing.assert_array_equal(
-            agents[0].policy.forward(obs)[0], fresh[0].policy.forward(obs)[0]
-        )
-        # restored rng continues the saved stream
-        np.testing.assert_array_equal(
-            rng.standard_normal(4), restored_rng.standard_normal(4)
-        )
-
-    def test_round_trip_restores_optimizer_state(self, tmp_path):
-        rng = np.random.default_rng(35)
-        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(), rng)
-        for agent in agents:
-            for net, opt in ((agent.policy, agent.opt_policy), (agent.value, agent.opt_value)):
-                for _ in range(3):
-                    opt.step(net.flat, rng.standard_normal(net.flat.size))
-        path = tmp_path / "ck.npz"
-        save_checkpoint(path, agents, rng, iteration=3)
-        with np.load(path) as data:
-            adam_keys = sorted(k for k in data.files if "_adam_" in k)
-        assert adam_keys == [f"{a}_adam_{net}_{part}" for a in "ps"
-                             for net in ("pol", "val") for part in "mtv"]
-
-        fresh = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(),
-                             np.random.default_rng(36))
-        load_checkpoint(path, fresh)
-        for agent, clone in zip(agents, fresh):
-            for opt, got in ((agent.opt_policy, clone.opt_policy),
-                             (agent.opt_value, clone.opt_value)):
-                assert got.t == opt.t == 3
-                np.testing.assert_array_equal(got.m, opt.m)
-                np.testing.assert_array_equal(got.v, opt.v)
-
-    def test_missing_agent_rejected(self, tmp_path):
-        rng = np.random.default_rng(28)
-        hyper = tiny_hyper()
-        agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
-        path = tmp_path / "ck.npz"
-        save_checkpoint(path, agents, rng, iteration=1)
-        lone = build_agents(MODE_CENTRALIZED_DIST, SMALL_ENV, hyper,
-                            np.random.default_rng(29))
-        with pytest.raises(ValueError, match="checkpoint lacks agent 'c'"):
-            load_checkpoint(path, lone)
-
-    def test_per_layer_checkpoint_is_named_as_such(self, tmp_path):
-        rng = np.random.default_rng(28)
-        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(), rng)
-        path = tmp_path / "ck.npz"
-        save_checkpoint(path, agents, rng, iteration=1)
-        # dims plus one key per block, as written before the flat layout
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if not k.endswith("_flat")}
-        for agent in agents:
-            for tag, net in (("pol", agent.policy), ("val", agent.value)):
-                arrays.update({f"{agent.name}_{tag}_{name}": block
-                               for name, block in zip(net.names, net.params())})
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="p_pol in the per-layer format"):
-            load_checkpoint(path, agents)
-
-    def test_resume_matches_straight_run(self, tmp_path):
-        path = tmp_path / "ck.npz"
-        full = train(SMALL_ENV, tiny_hyper(iters=6), MODE_COEXIST,
-                     np.random.default_rng(30))
-        train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
-              np.random.default_rng(30), checkpoint_path=path,
-              checkpoint_every=3)
-        resumed = train(SMALL_ENV, tiny_hyper(iters=6), MODE_COEXIST,
-                        np.random.default_rng(30), resume_from=path)
-        assert [int(r["iter"]) for r in resumed] == [4, 5, 6]
-        assert resumed == full[3:]
-
-    def test_path_without_suffix_is_used_as_given(self, tmp_path):
-        path = tmp_path / "ckpt"
-        full = train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
-                     np.random.default_rng(31))
-        train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
-              np.random.default_rng(31), checkpoint_path=path,
-              checkpoint_every=2)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
-        resumed = train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
-                        np.random.default_rng(31), resume_from=path)
-        assert resumed == full[2:]
-
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "ck.npz"
-        real_savez = np.savez
-        saves = []
-
-        def savez_failing_second(file, **arrays):
-            saves.append(file)
-            if len(saves) == 2:
-                # die part-way through writing the archive
-                if hasattr(file, "write"):
-                    file.write(b"PK partial")
-                else:
-                    Path(file).write_bytes(b"PK partial")
-                raise OSError("synthetic write failure")
-            real_savez(file, **arrays)
-
-        monkeypatch.setattr(np, "savez", savez_failing_second)
-        with pytest.raises(OSError, match="synthetic"):
-            train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
-                  np.random.default_rng(32), checkpoint_path=path,
-                  checkpoint_every=1)
-        assert len(saves) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
-        agents = build_agents(MODE_COEXIST, SMALL_ENV, tiny_hyper(),
-                              np.random.default_rng(33))
-        _, iteration = load_checkpoint(path, agents)
-        assert iteration == 1
 
 
 # Trains in a fresh interpreter, so the BLAS thread count set in its
