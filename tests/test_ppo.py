@@ -474,6 +474,33 @@ class TestTrain:
         assert len(seen) == len(rows) == 3
         assert all(got is row for got, row in zip(seen, rows))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_on_iteration_leaves_the_history_unchanged(self, mode):
+        plain = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(37))
+        hooked = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(37),
+                       on_iteration=lambda row: None)
+        assert hooked == plain
+
+    def test_error_in_on_iteration_stops_the_loop(self):
+        seen = []
+
+        def stop_after_second(row):
+            seen.append(row["iter"])
+            if len(seen) == 2:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
+                  np.random.default_rng(38), on_iteration=stop_after_second)
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, mode):
+        """Iteration k depends only on the seed and iterations 1..k-1, not on ``iters``."""
+        full = train(SMALL_ENV, tiny_hyper(iters=4), mode, np.random.default_rng(39))
+        short = train(SMALL_ENV, tiny_hyper(iters=2), mode, np.random.default_rng(39))
+        assert short == full[:2]
+
     def test_bit_exact_reproducibility(self):
         r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
         r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
