@@ -14,15 +14,15 @@ they last measured.
 
 Positions are fixed within an episode, so everything derived from them (the
 distance matrix, the LOS probabilities and the floored distances) is
-computed once at ``reset``; the world keeps only the distances over the
-radius. No power action changes the channel either, so ``reset`` also draws
-the whole episode's gains at once: a read-only (T + 1, K, K) block, slice 0
-for the reset observation and t + 1 for step t, and multiplies it by the
-coupling weights ``phy.coupling_weights`` once (elementwise, so slice t of the
-product is ``gains[t] * W``, bit for bit). ``step`` draws nothing; it
-moves ``WorldState.gains`` on to the step's slice. A rollout draws only at
-episode starts: first the gains here in ``reset``, then the episode's
-action-noise block in ``ppo._collect``.
+computed once at ``reset``; the env keeps only ``distances``, the (K, K)
+distances over the radius. No power action changes the channel either, so
+``reset`` also draws the episode's gains at once into a read-only
+(T + 1, K, K) block ``episode_gains`` (slice 0 for the reset observation,
+t + 1 for step t) and multiplies it by ``phy.coupling_weights`` once into
+``coupled`` (elementwise, so slice t is ``gains[t] * W``, bit for bit).
+``step`` draws nothing. A rollout draws only at episode starts: first the
+gains here in ``reset``, then the episode's action-noise block in
+``ppo._collect``.
 
 Row contract: ``step`` takes the joint raw power vector, primary links
 first, clips it once against the stacked caps and charges each system the
@@ -91,30 +91,6 @@ class EnvConfig:
             raise ValueError("pair_ring_min must not exceed pair_ring_max")
 
 
-@dataclass(eq=False)
-class WorldState:
-    """Mutable per-episode state; exclusively owned by one rollout.
-
-    ``distances`` (the (K, K) tx -> rx distances over the radius), the
-    read-only (T + 1, K, K) gain block ``episode_gains`` and ``coupled`` (its
-    product with the coupling weights) are fixed at reset; ``gains`` is the
-    slice for ``step_index``, and ``measured[step_index]`` holds what the last
-    step measured (see module doc), zero after a reset.
-    """
-
-    distances: np.ndarray
-    episode_gains: np.ndarray
-    coupled: np.ndarray
-    step_index: int
-    measured: np.ndarray
-    applied: np.ndarray
-    penalties: np.ndarray
-
-    @property
-    def gains(self) -> np.ndarray:
-        return self.episode_gains[self.step_index]
-
-
 def reward_primary(rate_p: np.ndarray, rate_threshold: float, delta_p):
     """Sum of rate margins; scaled down and fined while actions leave the box.
     Takes one step's rates and penalty, or (t, k_p) and (t,) blocks of them."""
@@ -131,17 +107,19 @@ def reward_secondary(ee_s: np.ndarray, nqos_p, delta_s):
 
 
 class SpectrumSharingEnv:
-    """Joint world for one primary and one secondary system.
+    """Joint world for one primary and one secondary system, and its episode.
 
     The constructor draws home positions once; every reset jitters them by at
     most ``channel.max_displacement`` (displacements do not accumulate over
-    episodes) and draws the episode's channel. Every episode lasts
-    ``episode_len`` steps.
+    episodes), draws the episode's channel and allocates its blocks afresh
+    (see module doc), so no array taken from one episode changes under the
+    next. Every episode lasts ``episode_len`` steps.
     """
 
     def __init__(self, cfg: EnvConfig, rng: np.random.Generator, episode_len: int):
         self.cfg = cfg
         self.episode_len = episode_len
+        self.step_index = episode_len  # no episode yet: ``step`` asks for a reset
         self.base_nodes = sample_topology(
             rng,
             cfg.k_p,
@@ -154,48 +132,46 @@ class SpectrumSharingEnv:
         self._p_max = np.repeat((radio.p_max_p, radio.p_max_s), (cfg.k_p, cfg.k_s))
         self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
 
-    def reset(self, rng: np.random.Generator) -> WorldState:
+    def reset(self, rng: np.random.Generator) -> None:
         """Start an episode; its measurements, and so the first observations'
         metric slots, are zero."""
         cfg, k_p, k_s, t_len = self.cfg, self.cfg.k_p, self.cfg.k_s, self.episode_len
         nodes = perturb_topology(self.base_nodes, k_p, rng, cfg.channel.max_displacement,
                                  cfg.radius)
-        p_los, d_eff, distances = link_geometry(nodes, cfg.radius, cfg.channel)
+        p_los, d_eff, self.distances = link_geometry(nodes, cfg.radius, cfg.channel)
         gains = sample_gain_matrices(p_los, d_eff, cfg.channel, rng, t_len + 1)
-        return WorldState(
-            distances=distances, episode_gains=gains,
-            coupled=gains * coupling_weights(cfg.radio, k_p, k_s), step_index=0,
-            measured=np.zeros((t_len + 1, k_p + 2 * k_s + 1)),
-            applied=np.empty((t_len, k_p + k_s)), penalties=np.empty((t_len, 2)))
+        self.episode_gains, self.coupled = gains, gains * coupling_weights(cfg.radio, k_p, k_s)
+        self.step_index, self.measured = 0, np.zeros((t_len + 1, k_p + 2 * k_s + 1))
+        self.applied, self.penalties = np.empty((t_len, k_p + k_s)), np.empty((t_len, 2))
 
-    def step(self, world: WorldState, raw) -> None:
+    def step(self, raw) -> None:
         """Advance the world by one slot under the joint raw power vector and
         write the step into the episode's blocks (see module doc)."""
-        t, k_p = world.step_index, self.cfg.k_p
+        t, k_p = self.step_index, self.cfg.k_p
         if t >= self.episode_len:
             raise RuntimeError("step() called on a finished episode; reset first")
         if np.shape(raw) != self._p_max.shape:
             raise ValueError("the raw action vector must have shape (k_p + k_s,)")
         raw = np.asarray(raw, dtype=float)
-        applied = raw.clip(0.0, self._p_max, out=world.applied[t])
+        applied = raw.clip(0.0, self._p_max, out=self.applied[t])
         excess = np.abs(raw - applied)
-        world.penalties[t] = delta_p, delta_s = _sum(excess[:k_p]), _sum(excess[k_p:])
+        self.penalties[t] = delta_p, delta_s = _sum(excess[:k_p]), _sum(excess[k_p:])
         # a nan or infinite raw action makes its clip penalty non-finite
         if not math.isfinite(delta_p + delta_s):
             raise ValueError("raw actions must be finite")
 
-        world.step_index = t = t + 1
+        self.step_index = t = t + 1
         _, rate, ee_s, nqos_p = evaluate_links(
-            world.episode_gains[t], applied, k_p, self.cfg.radio, world.coupled[t])
-        np.concatenate((rate[:k_p], ee_s, (nqos_p,), rate[k_p:]), out=world.measured[t])
+            self.episode_gains[t], applied, k_p, self.cfg.radio, self.coupled[t])
+        np.concatenate((rate[:k_p], ee_s, (nqos_p,), rate[k_p:]), out=self.measured[t])
 
-    def metric_rows(self, world: WorldState) -> np.ndarray:
-        """The (t, 12) metric rows of the t steps ``world`` has taken in its
-        episode, in ``METRIC_FIELDS`` order (see module doc)."""
-        t, k_p, k = world.step_index, self.cfg.k_p, self.cfg.k_p + self.cfg.k_s
-        measured, applied = world.measured[1:t + 1], world.applied[:t]
+    def metric_rows(self) -> np.ndarray:
+        """The (t, 12) metric rows of the t steps taken so far in the episode,
+        in ``METRIC_FIELDS`` order (see module doc)."""
+        t, k_p, k = self.step_index, self.cfg.k_p, self.cfg.k_p + self.cfg.k_s
+        measured, applied = self.measured[1:t + 1], self.applied[:t]
         rate_p, ee_s, nqos_p = measured[:, :k_p], measured[:, k_p:k], measured[:, k]
-        delta_p, delta_s = world.penalties[:t].T
+        delta_p, delta_s = self.penalties[:t].T
         active = applied > self._active_floor
         return np.column_stack((
             reward_primary(rate_p, self.cfg.radio.rate_threshold, delta_p),

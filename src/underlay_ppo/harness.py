@@ -77,16 +77,9 @@ _EXPERIMENT_PRESETS = {
     "custom": {},
 }
 
-# "desk" is sized to converge in minutes on a laptop; the short schedule
-# needs hotter learning rates than the long "paper" schedule.
+# "desk" runs the ``PpoHyper`` defaults
 _PROFILE_PRESETS = {
-    "desk": {
-        "iters": 300,
-        "batch": 200,
-        "episode_len": 200,
-        "lr_policy": 1e-3,
-        "lr_value": 3e-3,
-    },
+    "desk": {},
     "paper": {
         "iters": 4000,
         "batch": 500,
@@ -118,7 +111,7 @@ class ExperimentConfig:
     out_dir: str | None
     env: EnvConfig
     hyper: PpoHyper
-    settings: tuple[tuple[str, str], ...] = ()
+    settings: tuple[tuple[str, str], ...]
 
 
 def _parse_value(key: str, raw):

@@ -35,7 +35,6 @@ loop oracle in tests/oracles.py pin it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,15 +74,12 @@ class RadioConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@lru_cache(maxsize=16)
 def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> np.ndarray:
-    """Read-only (K, K) weight matrix W of the coupling form; see module doc."""
+    """(K, K) weight matrix W of the coupling form; see module doc."""
     primary = np.arange(k_p + k_s) < k_p
     kt = np.where(np.outer(primary, primary), cfg.kappa_t_p, cfg.kappa_t_s)
     kr = np.where(primary, cfg.kappa_r_p, cfg.kappa_r_s)
-    w = kt**2 + np.diag(kr**2) + (1.0 - np.eye(k_p + k_s))
-    w.flags.writeable = False
-    return w
+    return kt**2 + np.diag(kr**2) + (1.0 - np.eye(k_p + k_s))
 
 
 def energy_efficiency(

@@ -67,7 +67,9 @@ class TrainingDiverged(RuntimeError):
 class PpoHyper:
     """Optimization hyperparameters; batch must hold whole episodes.
 
-    ``episode_len`` is also the length of every environment episode.
+    ``episode_len`` is also the length of every environment episode. The
+    defaults are the "desk" profile, sized to converge in minutes on a laptop;
+    its short schedule needs hotter learning rates than the long "paper" one.
     """
 
     gamma: float = 0.1
@@ -77,8 +79,8 @@ class PpoHyper:
     batch: int = 200
     episode_len: int = 200
     update_epochs: int = 10
-    lr_policy: float = 3e-4
-    lr_value: float = 1e-3
+    lr_policy: float = 1e-3
+    lr_value: float = 3e-3
 
     def __post_init__(self):
         require_finite(self)
@@ -248,7 +250,7 @@ def _systems(kind: str) -> tuple[int, ...]:
 
 def _layout(kind: str, k_p: int, k_s: int) -> tuple[slice, slice]:
     """(links, seen): ``kind``'s links as a slice of the joint power vector, and
-    its systems' measurements as a slice of a world's measurement row (which
+    its systems' measurements as a slice of the env's measurement row (which
     starts with the primary rates, the secondary EEs and the NACK count)."""
     systems = _systems(kind)
     first, last = systems[0], systems[-1] + 1
@@ -262,36 +264,29 @@ def observation_dim(kind: str, k_p: int, k_s: int) -> int:
     return (links.stop - links.start) ** 2 + seen.stop - seen.start
 
 
-def _world_layout(world, kind: str) -> tuple[slice, slice]:
-    """``_layout`` of ``kind`` in ``world``: K links, k_p + 2 k_s + 1 measurement slots."""
-    k, width = world.applied.shape[1], world.measured.shape[1]
-    return _layout(kind, 2 * k + 1 - width, width - k - 1)
-
-
-def episode_heads(world, kind: str) -> np.ndarray:
+def episode_heads(env: SpectrumSharingEnv, kind: str) -> np.ndarray:
     """The observation head of ``kind`` (see ``KIND_SYSTEMS``) at every step
-    index 0..T of ``world``'s episode, one row each."""
-    links = _world_layout(world, kind)[0]
+    index 0..T of ``env``'s episode, one row each."""
+    links = _layout(kind, env.cfg.k_p, env.cfg.k_s)[0]
     if kind == OBS_CENTRALIZED_FULL_CSI:
-        gains = world.episode_gains[:, links, links]
+        gains = env.episode_gains[:, links, links]
         return (np.clip(np.log10(gains), -20.0, 0.0) / 10.0 + 1.0).reshape(len(gains), -1)
-    head = world.distances[links, links].ravel()
-    return np.broadcast_to(head, (len(world.episode_gains), head.size))
+    head = env.distances[links, links].ravel()
+    return np.broadcast_to(head, (len(env.episode_gains), head.size))
 
 
-def build_centralized_obs(world, head: np.ndarray) -> np.ndarray:
+def build_centralized_obs(env: SpectrumSharingEnv, head: np.ndarray) -> np.ndarray:
     """A centralized agent's observation: ``head``, then the first K + 1 slots of
-    the measurement row. The rollout never calls it (``_collect`` writes only the
-    measurement tail per step); it keeps this name for perfbench's tracer."""
-    return np.concatenate((head, world.measured[world.step_index, :world.applied.shape[1] + 1]))
+    ``env``'s measurement row. The rollout never calls it (``_collect`` writes only
+    the measurement tail per step); it keeps this name for perfbench's tracer."""
+    return np.concatenate((head, env.measured[env.step_index, :env.cfg.k_p + env.cfg.k_s + 1]))
 
 
-def observe(world, kind: str, heads: np.ndarray) -> np.ndarray:
-    """What an agent of ``kind`` sees of ``world``: the row of ``heads`` (from
-    ``episode_heads``) for the world's step index, then its systems'
-    measurements."""
-    t, seen = world.step_index, _world_layout(world, kind)[1]
-    return np.concatenate((heads[t], world.measured[t, seen]))
+def observe(env: SpectrumSharingEnv, kind: str, heads: np.ndarray) -> np.ndarray:
+    """What an agent of ``kind`` sees of ``env``: the row of ``heads`` (from
+    ``episode_heads``) for its step index, then its systems' measurements."""
+    t, seen = env.step_index, _layout(kind, env.cfg.k_p, env.cfg.k_s)[1]
+    return np.concatenate((heads[t], env.measured[t, seen]))
 
 
 def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Agent]:
@@ -315,7 +310,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
     Each episode ends with one batched pass for its metric rows
     (``env.metric_rows``) and one per agent for its noise rows' log densities.
     """
-    n, t_len = hyper.batch, hyper.episode_len
+    n, t_len = hyper.batch, env.episode_len
     k_p, k_s = env.cfg.k_p, env.cfg.k_s
     kinds = [kind for _, kind in MODE_AGENTS[mode]]
     links, seen = zip(*(_layout(kind, k_p, k_s) for kind in kinds))
@@ -328,18 +323,18 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
               for agent, ob, cut, col, ls in zip(agents, obs, seen, links, log_stds)]
     for start in range(0, n, t_len):
         stop = start + t_len
-        world = env.reset(rng)
-        heads = [episode_heads(world, kind) for kind in kinds]
+        env.reset(rng)
+        heads = [episode_heads(env, kind) for kind in kinds]
         for ob, head in zip(obs, heads):
             ob[start:stop, :head.shape[1]] = head[:t_len]
         noise = rng.standard_normal((t_len, k_p + k_s))
-        for idx, z, measured in zip(range(start, stop), noise, world.measured):
+        for idx, z, measured in zip(range(start, stop), noise, env.measured):
             for policy, ob, width, cut, col, log_std in acting:
                 row = ob[idx]
                 row[width:] = measured[cut]
                 joint[idx, col], log_std[idx] = sample_action(policy, row, z[col])
-            env.step(world, joint[idx])
-        rows[start:stop] = env.metric_rows(world)
+            env.step(joint[idx])
+        rows[start:stop] = env.metric_rows()
         for logp, col, log_std in zip(log_probs, links, log_stds):
             logp[start:stop] = _log_density(noise[:, col], log_std[start:stop])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
@@ -348,7 +343,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
         TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,
                         rewards=rows[:, _systems(kind)].sum(axis=1),
                         values=agent.value.forward(ob)[0],
-                        bootstrap_value=agent.value.value(observe(world, kind, head)))
+                        bootstrap_value=agent.value.value(observe(env, kind, head)))
         for agent, kind, col, head, ob, logp in zip(agents, kinds, links, heads, obs, log_probs)
     ]
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))

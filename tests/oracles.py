@@ -216,18 +216,17 @@ def reset_nodes_reference(env, rng):
                             cfg.radius)
 
 
-def measurements(world):
-    """(rate_p, ee_s, nqos_p): what ``world``'s last step measured, read from
+def measurements(env):
+    """(rate_p, ee_s, nqos_p): what ``env``'s last step measured, read from
     its measurement row in the layout ``env``'s module doc gives (k_p primary
     rates, k_s EEs, the NACK count, k_s secondary rates)."""
-    k = world.applied.shape[1]
-    k_p = 2 * k + 1 - world.measured.shape[1]
-    row = world.measured[world.step_index]
+    k_p, k = env.cfg.k_p, env.cfg.k_p + env.cfg.k_s
+    row = env.measured[env.step_index]
     return row[:k_p], row[k_p:k], float(row[k])
 
 
-def observation_reference(world, kind, nodes, k_p, radius):
-    """An agent's observation of ``world`` built afresh at this step.
+def observation_reference(env, kind, nodes, k_p, radius):
+    """An agent's observation of ``env`` built afresh at this step.
 
     The head is the kind's distance features of ``nodes`` ("primary",
     "secondary" or, for "centralized_dist", "all"), or for
@@ -236,7 +235,7 @@ def observation_reference(world, kind, nodes, k_p, radius):
     measurements: the primary rates; the secondary EEs and the NACK count;
     or all three, in that order, for a centralized kind.
     """
-    rate_p, ee_s, nqos_p = measurements(world)
+    rate_p, ee_s, nqos_p = measurements(env)
     measured = {
         "primary": (rate_p,),
         "secondary": (ee_s, [nqos_p]),
@@ -244,7 +243,8 @@ def observation_reference(world, kind, nodes, k_p, radius):
         "centralized_full_csi": (rate_p, ee_s, [nqos_p]),
     }[kind]
     if kind == "centralized_full_csi":
-        head = (np.clip(np.log10(world.gains), -20.0, 0.0) / 10.0 + 1.0).ravel()
+        gains = env.episode_gains[env.step_index]
+        head = (np.clip(np.log10(gains), -20.0, 0.0) / 10.0 + 1.0).ravel()
     else:
         which = "all" if kind == "centralized_dist" else kind
         head = distance_features_reference(nodes, k_p, radius, which)

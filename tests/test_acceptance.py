@@ -366,9 +366,9 @@ def test_criterion_9_observation_dims():
     # the live environment must agree with the formula
     rng = np.random.default_rng(3)
     env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng, episode_len=4)
-    world = env.reset(rng)
+    env.reset(rng)
     def observed(kind):
-        return observe(world, kind, episode_heads(world, kind))
+        return observe(env, kind, episode_heads(env, kind))
 
     live_ok = (
         observed(OBS_PRIMARY).shape == (20,)

@@ -161,6 +161,9 @@ class TestConfigDefaults:
         assert cfg.hyper.batch == 200
         assert cfg.hyper.episode_len == 200
 
+    def test_desk_profile_runs_the_dataclass_defaults(self):
+        assert build_config(None, []).hyper == PpoHyper()
+
     def test_paper_profile_scale(self):
         cfg = build_config(None, [("profile", "paper")])
         assert cfg.hyper.iters == 4000
@@ -334,23 +337,24 @@ class TestConfigValidation:
         assert cfg.hyper.gamma == 0.5
 
     def test_preset_and_default_locations(self):
-        with pytest.raises(ConfigError, match=r"^profile preset 'desk': .*'batch'"):
-            build_config(None, [("episode_len", "7")])
+        with pytest.raises(ConfigError, match=r"^profile preset 'paper': .*'batch'"):
+            build_config(None, [("profile", "paper"), ("episode_len", "7")])
         with pytest.raises(ConfigError, match=r"^built-in default: .*'alpha_los'"):
             build_config(None, [("alpha_nlos", "2")])
 
-    @pytest.mark.parametrize("override, culprits", [
-        (("episode_len", "300"), ("'batch'", "profile preset 'desk'", "'episode_len'")),
-        (("alpha_nlos", "2"), ("'alpha_los'", "built-in default", "'alpha_nlos'")),
-        (("pair_ring_max", "5"), ("'pair_ring_min'", "built-in default", "'pair_ring_max'")),
+    @pytest.mark.parametrize("overrides, culprits", [
+        ([("profile", "paper"), ("episode_len", "300")],
+         ("'batch'", "profile preset 'paper'", "'episode_len'")),
+        ([("alpha_nlos", "2")], ("'alpha_los'", "built-in default", "'alpha_nlos'")),
+        ([("pair_ring_max", "5")], ("'pair_ring_min'", "built-in default", "'pair_ring_max'")),
     ], ids=["episode_len", "alpha_nlos", "pair_ring_max"])
-    def test_cross_field_error_names_every_field_and_supplier(self, override, culprits):
+    def test_cross_field_error_names_every_field_and_supplier(self, overrides, culprits):
         # the field set on the command line is named with its location, not
         # only the first field of the rule
         with pytest.raises(ConfigError) as err:
-            build_config(None, [override])
+            build_config(None, overrides)
         message = str(err.value)
-        assert f"'{override[0]}' from command line" in message
+        assert f"'{overrides[-1][0]}' from command line" in message
         assert all(culprit in message for culprit in culprits)
 
     def test_cross_field_check_surfaces_as_config_error(self):

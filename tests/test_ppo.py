@@ -540,9 +540,9 @@ class TestCollect:
         positions), rewards (the two systems' sum for the centralized agent),
         dones, bootstraps, metric means and the final rng state match, bit for
         bit."""
-        def observed(world, nodes):  # each agent's observation, in agent order
+        def observed(env, nodes):  # each agent's observation, in agent order
             kinds = [OBS_PRIMARY, OBS_SECONDARY] if mode == MODE_COEXIST else [mode]
-            return [observation_reference(world, kind, nodes, SMALL_ENV.k_p, SMALL_ENV.radius)
+            return [observation_reference(env, kind, nodes, SMALL_ENV.k_p, SMALL_ENV.radius)
                     for kind in kinds]
 
         for episodes in (1, 2):
@@ -562,20 +562,20 @@ class TestCollect:
             for idx, raw in enumerate(joint):
                 if idx % hyper.episode_len == 0:
                     nodes = reset_nodes_reference(env, twin)
-                    world = env.reset(twin)
+                    env.reset(twin)
                     noise = twin.standard_normal((hyper.episode_len, joint.shape[1]))
-                seen.append(observed(world, nodes))
+                seen.append(observed(env, nodes))
                 z = noise[idx % hyper.episode_len]
                 for agent, batch, col in zip(agents, batches, cols):
                     mean, log_std, _ = agent.policy.forward(batch.obs[idx])
                     np.testing.assert_array_equal(batch.actions[idx],
                                                   mean + np.exp(log_std) * z[col])
-                env.step(world, raw)
-                row = env.metric_rows(world)[-1]
+                env.step(raw)
+                row = env.metric_rows()[-1]
                 rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
-                dones.append(float(world.step_index == hyper.episode_len))
+                dones.append(float(env.step_index == hyper.episode_len))
                 sums += row
-            final = observed(world, nodes)
+            final = observed(env, nodes)
 
             assert dones == [0.0, 0.0, 0.0, 0.0, 1.0] * episodes
             for i, (agent, batch) in enumerate(zip(agents, batches)):
@@ -620,9 +620,9 @@ class TestCollect:
         seen = []
         step = env.step
 
-        def recording_step(world, raw):
-            seen.append(world.step_index)
-            return step(world, raw)
+        def recording_step(raw):
+            seen.append(env.step_index)
+            return step(raw)
 
         env.step = recording_step
         with pytest.raises(ValueError, match="raw actions must be finite"):
@@ -645,27 +645,27 @@ class TestObserve:
         env = SpectrumSharingEnv(cfg, np.random.default_rng(50), steps)
         rng = np.random.default_rng(51)
         nodes = reset_nodes_reference(env, rng)
-        world = env.reset(rng)
-        heads = episode_heads(world, kind)
+        env.reset(rng)
+        heads = episode_heads(env, kind)
         actions = np.random.default_rng(52)
         for t in range(steps + 1):  # the reset, then every step; row T is the bootstrap's
             if t:
-                env.step(world, actions.uniform(0.0, 1.0, k_p + k_s))
-            got = observe(world, kind, heads)
-            want = observation_reference(world, kind, nodes, k_p, cfg.radius)
+                env.step(actions.uniform(0.0, 1.0, k_p + k_s))
+            got = observe(env, kind, heads)
+            want = observation_reference(env, kind, nodes, k_p, cfg.radius)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert got.shape == (observation_dim(kind, k_p, k_s),)
             if kind in (OBS_CENTRALIZED_DIST, OBS_CENTRALIZED_FULL_CSI):
-                assert build_centralized_obs(world, heads[t]).tobytes() == want.tobytes()
-        assert world.step_index == steps
+                assert build_centralized_obs(env, heads[t]).tobytes() == want.tobytes()
+        assert env.step_index == steps
 
     def test_unknown_kind_names_itself(self):
         env = SpectrumSharingEnv(SMALL_ENV, np.random.default_rng(53), 3)
-        world = env.reset(np.random.default_rng(54))
-        heads = episode_heads(world, OBS_PRIMARY)
+        env.reset(np.random.default_rng(54))
+        heads = episode_heads(env, OBS_PRIMARY)
         for call in (lambda: observation_dim("tertiary", 2, 2),
-                     lambda: episode_heads(world, "tertiary"),
-                     lambda: observe(world, "tertiary", heads)):
+                     lambda: episode_heads(env, "tertiary"),
+                     lambda: observe(env, "tertiary", heads)):
             with pytest.raises(ValueError, match="'tertiary'"):
                 call()
 
