@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
 
-@lru_cache(maxsize=1)
 def _thread_controls():
     """(get, set) thread-count functions of the bundled OpenBLAS, or None."""
     try:

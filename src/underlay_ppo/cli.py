@@ -12,6 +12,7 @@ import sys
 from .harness import (
     EXPERIMENTS,
     PROFILES,
+    SUMMARY_WINDOW,
     ConfigError,
     build_config,
     format_summary,
@@ -55,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument(
         "--window",
         type=float,
-        default=0.1,
-        help="fraction of final iterations to average (default 0.1)",
+        default=SUMMARY_WINDOW,
+        help="fraction of final iterations to average (default %(default)s)",
     )
     return parser
 

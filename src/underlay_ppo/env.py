@@ -7,10 +7,10 @@ previous step) tells it how much trouble it is causing. Raw actions are
 unconstrained real vectors; the environment clips them into [0, p_max] and
 charges a penalty proportional to the clipped-away amount.
 
-Episodes have fixed length T. Node positions get a fresh small jitter around
-their home locations at every reset; shadowing and fading change every step.
-Observation vectors hold the previous step's metrics, so agents act on what
-they last measured.
+An episode lasts the T steps its ``reset`` is given. Node positions get a
+fresh small jitter around their home locations at every reset; shadowing and
+fading change every step. Observation vectors hold the previous step's
+metrics, so agents act on what they last measured.
 
 Positions are fixed within an episode, so everything derived from them (the
 distance matrix, the LOS probabilities and the floored distances) is
@@ -113,13 +113,12 @@ class SpectrumSharingEnv:
     most ``channel.max_displacement`` (displacements do not accumulate over
     episodes), draws the episode's channel and allocates its blocks afresh
     (see module doc), so no array taken from one episode changes under the
-    next. Every episode lasts ``episode_len`` steps.
+    next. An episode lasts the ``episode_len`` steps its ``reset`` was given.
     """
 
-    def __init__(self, cfg: EnvConfig, rng: np.random.Generator, episode_len: int):
+    def __init__(self, cfg: EnvConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.episode_len = episode_len
-        self.step_index = episode_len  # no episode yet: ``step`` asks for a reset
+        self.step_index, self.applied = 0, np.empty((0, cfg.k_p + cfg.k_s))  # no episode yet
         self.base_nodes = sample_topology(
             rng,
             cfg.k_p,
@@ -132,10 +131,10 @@ class SpectrumSharingEnv:
         self._p_max = np.repeat((radio.p_max_p, radio.p_max_s), (cfg.k_p, cfg.k_s))
         self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
 
-    def reset(self, rng: np.random.Generator) -> None:
-        """Start an episode; its measurements, and so the first observations'
-        metric slots, are zero."""
-        cfg, k_p, k_s, t_len = self.cfg, self.cfg.k_p, self.cfg.k_s, self.episode_len
+    def reset(self, rng: np.random.Generator, episode_len: int) -> None:
+        """Start an episode of ``episode_len`` steps; its measurements, and so the
+        first observations' metric slots, are zero."""
+        cfg, k_p, k_s, t_len = self.cfg, self.cfg.k_p, self.cfg.k_s, episode_len
         nodes = perturb_topology(self.base_nodes, k_p, rng, cfg.channel.max_displacement,
                                  cfg.radius)
         p_los, d_eff, self.distances = link_geometry(nodes, cfg.radius, cfg.channel)
@@ -148,7 +147,7 @@ class SpectrumSharingEnv:
         """Advance the world by one slot under the joint raw power vector and
         write the step into the episode's blocks (see module doc)."""
         t, k_p = self.step_index, self.cfg.k_p
-        if t >= self.episode_len:
+        if t >= len(self.applied):
             raise RuntimeError("step() called on a finished episode; reset first")
         if np.shape(raw) != self._p_max.shape:
             raise ValueError("the raw action vector must have shape (k_p + k_s,)")

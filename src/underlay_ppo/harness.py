@@ -41,9 +41,7 @@ from .ppo import MODE_COEXIST, MODES, PpoHyper, train
 
 SEED_COLUMNS = ("iter", "seed") + METRIC_FIELDS
 AGGREGATE_COLUMNS = ("iter",) + METRIC_FIELDS
-
-EXPERIMENTS = ("ex1", "ex2", "custom")
-PROFILES = ("desk", "paper")
+SUMMARY_WINDOW = 0.1  # default fraction of final iterations ``summarize_dir`` averages
 
 
 class ConfigError(ValueError):
@@ -88,6 +86,8 @@ _PROFILE_PRESETS = {
         "lr_value": 1e-3,
     },
 }
+EXPERIMENTS = tuple(_EXPERIMENT_PRESETS)
+PROFILES = tuple(_PROFILE_PRESETS)
 
 _CHOICE_KEYS = {
     "experiment": EXPERIMENTS,
@@ -354,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False, verbose: bool = F
     return 0
 
 
-def summarize_dir(csv_dir, window: float = 0.1) -> dict:
+def summarize_dir(csv_dir, window: float = SUMMARY_WINDOW) -> dict:
     """Mean of every metric over the final ``window`` fraction of iterations.
 
     Returns {"seeds": {seed: {metric: mean}}, "mean": {metric: mean},

@@ -13,7 +13,7 @@ listed by ``names`` (``w0``, ``b0``, ..., then a policy's ``mean_w``,
 ``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one fresh
 gradient vector in the same layout, and ``AdamState`` keeps its moments as
 two such vectors. A network's ``dims`` (input, hidden, output sizes) fix the
-layout, so ``GaussianPolicyNet(dims, flat)`` rebuilds a policy.
+layout: ``init(rng, dims)`` draws a net, ``GaussianPolicyNet(dims, flat)`` rebuilds one.
 
 Temporaries: a forward pass adds each bias and applies ``tanh`` in place on
 the fresh matmul product, which then is both the layer's output and its
@@ -30,7 +30,6 @@ import numpy as np
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
-HIDDEN = (64, 64)  # hidden layer widths of the policy and value nets that train builds
 HEAD_SCALE = 0.01  # init shrink of the policy heads: near-zero mean, unit std
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -166,10 +165,10 @@ class GaussianPolicyNet(_FlatParams):
         self.w_mean, self.b_mean, self.w_log_std, self.b_log_std = self.params()[-4:]
 
     @classmethod
-    def init(cls, rng, obs_dim: int, action_dim: int, hidden=HIDDEN):
+    def init(cls, rng, dims):
         """Fan-in init; heads shrunk by ``HEAD_SCALE`` so the initial policy
         has near-zero mean and unit std."""
-        policy = cls([obs_dim, *hidden, action_dim])
+        policy = cls(dims)
         blocks = policy.params()
         _uniform_init(rng, blocks[:-4], 1.0)
         _uniform_init(rng, blocks[-4:], HEAD_SCALE)

@@ -18,7 +18,6 @@ from .blas import one_blas_thread
 from .env import METRIC_FIELDS, EnvConfig, SpectrumSharingEnv
 from .geometry import require_finite
 from .nets import (
-    HIDDEN,
     AdamState,
     GaussianPolicyNet,
     ValueNet,
@@ -56,6 +55,7 @@ MODE_AGENTS = {
     MODE_CENTRALIZED_FULL_CSI: (("c", OBS_CENTRALIZED_FULL_CSI),),
 }
 MODES = tuple(MODE_AGENTS)
+HIDDEN = (64, 64)  # hidden layer widths of every agent's policy and value nets
 
 
 class TrainingDiverged(RuntimeError):
@@ -67,9 +67,9 @@ class TrainingDiverged(RuntimeError):
 class PpoHyper:
     """Optimization hyperparameters; batch must hold whole episodes.
 
-    ``episode_len`` is also the length of every environment episode. The
-    defaults are the "desk" profile, sized to converge in minutes on a laptop;
-    its short schedule needs hotter learning rates than the long "paper" one.
+    ``_collect`` passes ``episode_len`` to every ``env.reset``. The defaults are
+    the "desk" profile, sized to converge in minutes on a laptop; its short
+    schedule needs hotter learning rates than the long "paper" one.
     """
 
     gamma: float = 0.1
@@ -192,23 +192,11 @@ def value_objective(value: ValueNet, batch: TrajectoryBatch):
 @dataclass(eq=False)
 class Agent:
     name: str
+    kind: str  # what the agent observes, powers and earns (``KIND_SYSTEMS``)
     policy: GaussianPolicyNet
     value: ValueNet
     opt_policy: AdamState
     opt_value: AdamState
-
-
-def make_agent(rng, name: str, obs_dim: int, action_dim: int,
-               hyper: PpoHyper, hidden=HIDDEN) -> Agent:
-    policy = GaussianPolicyNet.init(rng, obs_dim, action_dim, hidden=hidden)
-    value = ValueNet.init(rng, [obs_dim, *hidden, 1])
-    return Agent(
-        name=name,
-        policy=policy,
-        value=value,
-        opt_policy=AdamState(policy.flat, lr=hyper.lr_policy),
-        opt_value=AdamState(value.flat, lr=hyper.lr_value),
-    )
 
 
 def _check_finite(agent: Agent, label: str, value: float, grad) -> None:
@@ -293,26 +281,30 @@ def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Ag
     if mode not in MODE_AGENTS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     k_p, k_s = env_cfg.k_p, env_cfg.k_s
-    links = {kind: _layout(kind, k_p, k_s)[0] for _, kind in MODE_AGENTS[mode]}
-    return [make_agent(rng, name, observation_dim(kind, k_p, k_s),
-                       links[kind].stop - links[kind].start, hyper)
-            for name, kind in MODE_AGENTS[mode]]
+    agents = []
+    for name, kind in MODE_AGENTS[mode]:
+        links, trunk = _layout(kind, k_p, k_s)[0], [observation_dim(kind, k_p, k_s), *HIDDEN]
+        policy = GaussianPolicyNet.init(rng, [*trunk, links.stop - links.start])
+        value = ValueNet.init(rng, [*trunk, 1])
+        agents.append(Agent(name, kind, policy, value, AdamState(policy.flat, hyper.lr_policy),
+                            AdamState(value.flat, hyper.lr_value)))
+    return agents
 
 
-def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
+def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
     """Roll out one batch of whole episodes; returns (per-agent batches, metric means).
 
     Every mode runs one loop, which draws only at episode starts: the gains in
-    ``env.reset``, then one standard-normal ``(episode_len, K)`` action-noise block.
-    Each agent's ``(batch, obs_dim)`` observation block takes its episode heads at
+    ``env.reset``, then one standard-normal ``(hyper.episode_len, K)`` noise block.
+    Each agent's ``(batch, obs_dim)`` observation block takes its kind's heads at
     each reset and per step only the measurement tail (``_layout``); it acts into
     its columns of one joint ``(batch, K)`` action block and its log-std block.
     Each episode ends with one batched pass for its metric rows
     (``env.metric_rows``) and one per agent for its noise rows' log densities.
     """
-    n, t_len = hyper.batch, env.episode_len
+    n, t_len = hyper.batch, hyper.episode_len
     k_p, k_s = env.cfg.k_p, env.cfg.k_s
-    kinds = [kind for _, kind in MODE_AGENTS[mode]]
+    kinds = [agent.kind for agent in agents]
     links, seen = zip(*(_layout(kind, k_p, k_s) for kind in kinds))
     obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
     log_stds = [np.empty((n, agent.policy.action_dim)) for agent in agents]
@@ -323,7 +315,7 @@ def _collect(env: SpectrumSharingEnv, agents, mode: str, hyper: PpoHyper, rng):
               for agent, ob, cut, col, ls in zip(agents, obs, seen, links, log_stds)]
     for start in range(0, n, t_len):
         stop = start + t_len
-        env.reset(rng)
+        env.reset(rng, t_len)
         heads = [episode_heads(env, kind) for kind in kinds]
         for ob, head in zip(obs, heads):
             ob[start:stop, :head.shape[1]] = head[:t_len]
@@ -364,11 +356,11 @@ def train(
     are bit-for-bit reproducible at any batch size: numpy's bundled OpenBLAS
     runs on one thread during the call (``blas.one_blas_thread``).
     """
-    env = SpectrumSharingEnv(env_cfg, rng, hyper.episode_len)
+    env = SpectrumSharingEnv(env_cfg, rng)
     agents = build_agents(mode, env_cfg, hyper, rng)
     history: list[dict] = []
     for it in range(hyper.iters):
-        batches, means = _collect(env, agents, mode, hyper, rng)
+        batches, means = _collect(env, agents, hyper, rng)
         row = {"iter": it + 1, **means}
         for agent, batch in zip(agents, batches):
             batch.returns, raw_adv = compute_gae(batch, hyper)

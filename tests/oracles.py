@@ -205,7 +205,7 @@ def distance_features_reference(nodes, k_p, radius, which):
 
 
 def reset_nodes_reference(env, rng):
-    """The node positions ``env.reset(rng)`` jitters into, replayed on a copy
+    """The node positions ``env.reset(rng, episode_len)`` jitters into, replayed on a copy
     of ``rng``; ``rng`` itself does not move."""
     from underlay_ppo.geometry import perturb_topology
 
@@ -291,6 +291,19 @@ def unshrunk_policy(rng, obs_dim, action_dim, hidden):
         w[...] = rng.uniform(-bound, bound, w.shape)
         b[...] = rng.uniform(-bound, bound, b.shape)
     return policy
+
+
+def make_agent(rng, name, obs_dim, action_dim, hyper, hidden):
+    """A PPO agent of any size, drawn as ``ppo.build_agents`` draws each of its
+    agents: the policy's init, then the value net's, then the two Adam states.
+    It has no observation kind, so it can be updated but not rolled out."""
+    from underlay_ppo.nets import AdamState, GaussianPolicyNet, ValueNet
+    from underlay_ppo.ppo import Agent
+
+    policy = GaussianPolicyNet.init(rng, [obs_dim, *hidden, action_dim])
+    value = ValueNet.init(rng, [obs_dim, *hidden, 1])
+    return Agent(name, None, policy, value, AdamState(policy.flat, hyper.lr_policy),
+                 AdamState(value.flat, hyper.lr_value))
 
 
 def clamp_and_penalize(raw_action, p_max):

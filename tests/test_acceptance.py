@@ -24,6 +24,7 @@ from oracles import (
     gain_matrix,
     gaussian_log_prob,
     logprob_grads_from_forward,
+    make_agent,
     max_rel_err,
     numeric_grad,
     random_gains,
@@ -48,7 +49,6 @@ from underlay_ppo.ppo import (
     clip_envelope,
     compute_gae,
     episode_heads,
-    make_agent,
     normalize_advantages,
     observation_dim,
     observe,
@@ -365,8 +365,8 @@ def test_criterion_9_observation_dims():
 
     # the live environment must agree with the formula
     rng = np.random.default_rng(3)
-    env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng, episode_len=4)
-    env.reset(rng)
+    env = SpectrumSharingEnv(EnvConfig(k_p=4, k_s=8), rng)
+    env.reset(rng, 4)
     def observed(kind):
         return observe(env, kind, episode_heads(env, kind))
 

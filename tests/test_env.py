@@ -47,9 +47,9 @@ def step_row(env, raw):
     return env.metric_rows()[-1]
 
 
-def make_env(seed=0, episode_len=10, **kwargs):
+def make_env(seed=0, **kwargs):
     cfg = EnvConfig(**kwargs)
-    return SpectrumSharingEnv(cfg, np.random.default_rng(seed), episode_len), cfg
+    return SpectrumSharingEnv(cfg, np.random.default_rng(seed)), cfg
 
 
 def assert_gains_are_step_slice(env):
@@ -160,9 +160,9 @@ class TestRewards:
 
 class TestReset:
     def test_initial_state(self):
-        env, cfg = make_env(seed=1, episode_len=10)
+        env, cfg = make_env(seed=1)
         rng = np.random.default_rng(2)
-        env.reset(rng)
+        env.reset(rng, 10)
         obs_p, obs_s = observed(env, OBS_PRIMARY), observed(env, OBS_SECONDARY)
         assert env.step_index == 0
         assert obs_p.shape == (observation_dim(OBS_PRIMARY, cfg.k_p, cfg.k_s),)
@@ -177,7 +177,7 @@ class TestReset:
         base = env.base_nodes
         rng, twin = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(10):
-            env.reset(rng)
+            env.reset(rng, 10)
             nodes = perturb_topology(base, cfg.k_p, twin, cfg.channel.max_displacement,
                                      cfg.radius)
             twin.bit_generator.state = rng.bit_generator.state
@@ -189,9 +189,9 @@ class TestReset:
     def test_resets_differ_but_share_base(self):
         env, _ = make_env(seed=5)
         rng = np.random.default_rng(6)
-        env.reset(rng)
+        env.reset(rng, 10)
         first = env.distances
-        env.reset(rng)
+        env.reset(rng, 10)
         assert not np.array_equal(first, env.distances)
 
 
@@ -202,22 +202,36 @@ class TestEpisodeOwnership:
     BLOCKS = ("distances", "episode_gains", "coupled", "measured", "applied", "penalties")
 
     def partial_episode(self, seed):
-        env, cfg = make_env(seed=seed, episode_len=5)
+        env, cfg = make_env(seed=seed)
         rng = np.random.default_rng(seed + 1)
-        env.reset(rng)
+        env.reset(rng, 5)
         for _ in range(3):
             env.step(np.full(cfg.k_p + cfg.k_s, 0.5))
         return env, rng
 
     def test_step_before_the_first_reset_asks_for_one(self):
-        env, cfg = make_env(seed=37, episode_len=5)
+        env, cfg = make_env(seed=37)
         with pytest.raises(RuntimeError, match="reset first"):
             env.step(np.zeros(cfg.k_p + cfg.k_s))
+
+    def test_reset_sizes_the_episode_it_is_given(self):
+        env, cfg = make_env(seed=36)
+        rng = np.random.default_rng(37)
+        raw = np.full(cfg.k_p + cfg.k_s, 0.5)
+        for steps in (3, 5):
+            env.reset(rng, steps)
+            assert len(env.applied) == len(env.penalties) == steps
+            assert len(env.episode_gains) == len(env.coupled) == len(env.measured) == steps + 1
+            for _ in range(steps):
+                env.step(raw)
+            assert env.metric_rows().shape == (steps, len(METRIC_FIELDS))
+            with pytest.raises(RuntimeError, match="reset first"):
+                env.step(raw)
 
     def test_reset_after_a_partial_episode_starts_at_zero(self):
         env, rng = self.partial_episode(38)
         assert env.step_index == 3 and env.measured[1:4].any(axis=1).all()
-        env.reset(rng)
+        env.reset(rng, 5)
         assert env.step_index == 0
         np.testing.assert_array_equal(env.measured, 0.0)
 
@@ -227,7 +241,7 @@ class TestEpisodeOwnership:
         head = episode_heads(env, OBS_CENTRALIZED_DIST)
         assert np.shares_memory(head, env.distances)
         kept = head.copy()
-        env.reset(rng)
+        env.reset(rng, 5)
         for name in self.BLOCKS:
             assert not np.shares_memory(getattr(env, name), before[name]), name
         np.testing.assert_array_equal(head, kept)
@@ -235,13 +249,13 @@ class TestEpisodeOwnership:
 
 class TestStep:
     def test_metrics_and_done_flag(self):
-        env, cfg = make_env(seed=7, episode_len=3)
+        env, cfg = make_env(seed=7)
         rng = np.random.default_rng(8)
-        env.reset(rng)
+        env.reset(rng, 3)
         raw = np.full(cfg.k_p + cfg.k_s, 0.5)
         for t in range(3):
             row = step_row(env, raw)
-            assert (env.step_index == env.episode_len) == (t == 2)
+            assert (env.step_index == 3) == (t == 2)
             assert metric(row, "sum_power_p") == pytest.approx(0.5 * cfg.k_p)
             assert 0 <= metric(row, "nqos_p") <= cfg.k_p
             assert metric(row, "delta_p") == 0.0 and metric(row, "delta_s") == 0.0
@@ -249,9 +263,9 @@ class TestStep:
             env.step(raw)
 
     def test_zero_powers_propagate(self):
-        env, cfg = make_env(seed=9, episode_len=4)
+        env, cfg = make_env(seed=9)
         rng = np.random.default_rng(10)
-        env.reset(rng)
+        env.reset(rng, 4)
         row = step_row(env, np.zeros(cfg.k_p + cfg.k_s))
         assert metric(row, "sum_rate_p") == 0.0
         assert metric(row, "sum_ee_s") == 0.0
@@ -260,27 +274,27 @@ class TestStep:
         assert metric(row, "active_p") == 0 and metric(row, "active_s") == 0
 
     def test_active_count_threshold(self):
-        env, cfg = make_env(seed=11, episode_len=4)
+        env, cfg = make_env(seed=11)
         rng = np.random.default_rng(12)
-        env.reset(rng)
+        env.reset(rng, 4)
         raw = np.array([0.0, 0.5, 2.0 * ACTIVE_POWER_FRACTION, 0.5 * ACTIVE_POWER_FRACTION])
         row = step_row(env, raw)
         assert metric(row, "active_p") == 1
         assert metric(row, "active_s") == 1
 
     def test_gains_resampled_each_step(self):
-        env, cfg = make_env(seed=13, episode_len=5)
+        env, cfg = make_env(seed=13)
         rng = np.random.default_rng(14)
-        env.reset(rng)
+        env.reset(rng, 5)
         g0 = env.episode_gains[env.step_index].copy()
         env.step(np.full(cfg.k_p + cfg.k_s, 0.4))
         g1 = env.episode_gains[env.step_index].copy()
         assert not np.array_equal(g0, g1)
 
     def test_action_shape_validated(self):
-        env, cfg = make_env(seed=15, episode_len=2)
+        env, cfg = make_env(seed=15)
         rng = np.random.default_rng(16)
-        env.reset(rng)
+        env.reset(rng, 2)
         # one entry too many, one system's links only, a batch of one
         for shape in ((cfg.k_p + cfg.k_s + 1,), (cfg.k_p,), (1, cfg.k_p + cfg.k_s)):
             with pytest.raises(ValueError, match="shape"):
@@ -288,9 +302,9 @@ class TestStep:
         assert env.step_index == 0
 
     def test_nan_action_rejected(self):
-        env, cfg = make_env(seed=15, episode_len=2)
+        env, cfg = make_env(seed=15)
         rng = np.random.default_rng(16)
-        env.reset(rng)
+        env.reset(rng, 2)
         # the clip penalty catches nan and both infinities, in either system
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -300,9 +314,9 @@ class TestStep:
         assert env.step_index == 0
 
     def test_observations_carry_this_steps_metrics(self):
-        env, cfg = make_env(seed=17, episode_len=3)
+        env, cfg = make_env(seed=17)
         rng = np.random.default_rng(18)
-        env.reset(rng)
+        env.reset(rng, 3)
         row = step_row(env, np.full(cfg.k_p + cfg.k_s, 0.7))
         obs_p, obs_s = observed(env, OBS_PRIMARY), observed(env, OBS_SECONDARY)
         rate_p, ee_s, nqos_p = measurements(env)
@@ -313,9 +327,9 @@ class TestStep:
     def test_determinism(self):
         rows = []
         for _ in range(2):
-            env, cfg = make_env(seed=19, episode_len=4)
+            env, cfg = make_env(seed=19)
             rng = np.random.default_rng(20)
-            env.reset(rng)
+            env.reset(rng, 4)
             row = step_row(env, np.repeat([0.3, 0.6], (cfg.k_p, cfg.k_s)))
             rows.append(row.tolist())
         assert rows[0] == rows[1]
@@ -323,8 +337,8 @@ class TestStep:
     def test_same_powers_same_stream_same_physics(self):
         # identical env snapshots yield identical metrics, regardless of
         # which controller shape produced the actions
-        env_a, cfg = make_env(seed=21, episode_len=3)
-        env_a.reset(np.random.default_rng(22))
+        env_a, cfg = make_env(seed=21)
+        env_a.reset(np.random.default_rng(22), 3)
         env_b = copy.deepcopy(env_a)
         raw = np.repeat([0.45, 0.55], (cfg.k_p, cfg.k_s))
         row_a = step_row(env_a, raw)
@@ -343,10 +357,10 @@ class TestStepMatchesReferenceChain:
     @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8)])
     def test_row_rewards_and_observations_bit_for_bit(self, k_p, k_s):
         steps = 40
-        env, cfg = make_env(seed=40, episode_len=steps, k_p=k_p, k_s=k_s,
+        env, cfg = make_env(seed=40, k_p=k_p, k_s=k_s,
                             radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
         radio = cfg.radio
-        env.reset(np.random.default_rng(41))
+        env.reset(np.random.default_rng(41), steps)
         draws = np.random.default_rng(42)
         penalties = []
         for t in range(steps):
@@ -376,7 +390,7 @@ class TestStepMatchesReferenceChain:
         # the draws reached both branches of each reward
         penalties = np.array(penalties)
         assert np.all(penalties[0] == 0.0) and np.all(penalties[1:].max(axis=0) > 0.0)
-        assert env.step_index == env.episode_len
+        assert env.step_index == steps
 
 
 class TestMetricRows:
@@ -386,10 +400,10 @@ class TestMetricRows:
     @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8), (8, 4), (3, 1)])
     def test_every_row_matches_step_reference(self, k_p, k_s):
         steps = 60
-        env, cfg = make_env(seed=60, episode_len=steps, k_p=k_p, k_s=k_s,
+        env, cfg = make_env(seed=60, k_p=k_p, k_s=k_s,
                             radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
         radio = cfg.radio
-        env.reset(np.random.default_rng(61))
+        env.reset(np.random.default_rng(61), steps)
         draws = np.random.default_rng(62)
         want = []
         for t in range(steps):
@@ -435,7 +449,7 @@ class TestPerEpisodeGeometry:
     @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8)])
     def test_matches_reference_over_episodes(self, k_p, k_s):
         episodes, steps = 3, 50
-        env, cfg = make_env(seed=32, episode_len=steps, k_p=k_p, k_s=k_s)
+        env, cfg = make_env(seed=32, k_p=k_p, k_s=k_s)
         radio = cfg.radio
         rng = np.random.default_rng(33)
         twin = np.random.default_rng()
@@ -444,7 +458,7 @@ class TestPerEpisodeGeometry:
             # the twin redoes the reset's draws: the jitter, then the whole
             # episode's gain block, slice 0 for the reset observation
             twin.bit_generator.state = rng.bit_generator.state
-            env.reset(rng)
+            env.reset(rng, steps)
             obs_p, obs_s = observed(env, OBS_PRIMARY), observed(env, OBS_SECONDARY)
             nodes = perturb_topology(env.base_nodes, k_p, twin, cfg.channel.max_displacement,
                                      cfg.radius)
@@ -487,9 +501,9 @@ class TestPerEpisodeGeometry:
 
     @pytest.mark.parametrize("k_p, k_s", [(2, 2), (4, 8), (8, 4)])
     def test_coupled_block_is_gains_times_weights(self, k_p, k_s):
-        env, cfg = make_env(seed=35, episode_len=30, k_p=k_p, k_s=k_s,
+        env, cfg = make_env(seed=35, k_p=k_p, k_s=k_s,
                             radio=RadioConfig(kappa_t_p=0.05, kappa_r_s=0.2))
-        env.reset(np.random.default_rng(36))
+        env.reset(np.random.default_rng(36), 30)
         weights = coupling_weights(cfg.radio, k_p, k_s)
         assert env.coupled.shape == env.episode_gains.shape
         for t, gains in enumerate(env.episode_gains):
@@ -499,7 +513,7 @@ class TestPerEpisodeGeometry:
 class TestObservationContent:
     def test_primary_sees_only_primary_distances(self):
         env, cfg = make_env(seed=24)
-        env.reset(np.random.default_rng(25))
+        env.reset(np.random.default_rng(25), 10)
         obs_p = observed(env, OBS_PRIMARY)
         head = world_features_reference(env, 25, "primary")
         np.testing.assert_array_equal(obs_p[: cfg.k_p**2], head)
@@ -507,14 +521,14 @@ class TestObservationContent:
 
     def test_secondary_sees_only_secondary_distances(self):
         env, cfg = make_env(seed=26)
-        env.reset(np.random.default_rng(27))
+        env.reset(np.random.default_rng(27), 10)
         obs_s = observed(env, OBS_SECONDARY)
         head = world_features_reference(env, 27, "secondary")
         np.testing.assert_array_equal(obs_s[: cfg.k_s**2], head)
 
     def test_centralized_variants(self):
         env, cfg = make_env(seed=28)
-        env.reset(np.random.default_rng(29))
+        env.reset(np.random.default_rng(29), 10)
         dim = observation_dim(OBS_CENTRALIZED_DIST, cfg.k_p, cfg.k_s)
         obs_d = observed(env, OBS_CENTRALIZED_DIST)
         obs_c = observed(env, OBS_CENTRALIZED_FULL_CSI)
@@ -528,9 +542,9 @@ class TestObservationContent:
             episode_heads(env, "bogus")
 
     def test_all_observations_finite(self):
-        env, cfg = make_env(seed=30, episode_len=6)
+        env, cfg = make_env(seed=30)
         rng = np.random.default_rng(31)
-        env.reset(rng)
+        env.reset(rng, 6)
         for t in range(7):
             if t:
                 env.step(rng.random(cfg.k_p + cfg.k_s))

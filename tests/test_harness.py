@@ -533,27 +533,23 @@ class TestRunExperiment:
                              ids=["library-not-loadable", "symbol-missing"])
     def test_failed_blas_lookup_counts_as_unknown_blas(
             self, tmp_path, monkeypatch, capsys, cdll):
-        real = blas._thread_controls()  # the real lookup, cached before the failure
+        real = blas._thread_controls()
         monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
-        blas._thread_controls.cache_clear()
         seen = []
-        try:
-            assert not blas.openblas_found()
-            assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
-            if real is not None:  # train leaves the real thread count alone
-                get, set_ = real
-                before = get()
-                set_(2)
-                outside = get()
-                try:
-                    ppo.train(EnvConfig(), PpoHyper(iters=1, batch=5, episode_len=5),
-                              ppo.MODE_COEXIST, np.random.default_rng(0),
-                              on_iteration=lambda row: seen.append(get()))
-                finally:
-                    set_(before)
-                assert seen == [outside]
-        finally:
-            blas._thread_controls.cache_clear()
+        assert not blas.openblas_found()
+        assert run_experiment(tiny_cfg(tmp_path / "run")) == 0
+        if real is not None:  # train leaves the real thread count alone
+            get, set_ = real
+            before = get()
+            set_(2)
+            outside = get()
+            try:
+                ppo.train(EnvConfig(), PpoHyper(iters=1, batch=5, episode_len=5),
+                          ppo.MODE_COEXIST, np.random.default_rng(0),
+                          on_iteration=lambda row: seen.append(get()))
+            finally:
+                set_(before)
+            assert seen == [outside]
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "BLAS thread count is not pinned" in lines[0]
 
@@ -677,6 +673,17 @@ class TestCli:
         assert status == 0
         printed = capsys.readouterr().out
         assert "reward_p" in printed
+
+    def test_summarize_without_window_uses_the_summarize_dir_default(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--seeds", "0", "--out", str(out), "--quiet",
+                         "--set", "iters=20", "--set", "batch=5", "--set", "episode_len=5"]) == 0
+        capsys.readouterr()
+        assert cli.main(["summarize", "--dir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == format_summary(summarize_dir(out)) + "\n"
+        # 20 iterations: the default window averages 2 of them, a full one all 20
+        assert "over 2 iterations" in printed
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -125,21 +125,21 @@ class TestLogDensityBlocks:
 class TestPolicyNet:
     def test_forward_shapes_and_clamp(self):
         rng = np.random.default_rng(6)
-        pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8,))
+        pol = GaussianPolicyNet.init(rng, [5, 8, 3])
         mean, log_std, _ = pol.forward(rng.standard_normal(5))
         assert mean.shape == log_std.shape == (3,)
         assert np.all(log_std >= LOG_STD_MIN) and np.all(log_std <= LOG_STD_MAX)
 
     def test_forced_log_std_is_clamped(self):
         rng = np.random.default_rng(7)
-        pol = GaussianPolicyNet.init(rng, 4, 2, hidden=(6,))
+        pol = GaussianPolicyNet.init(rng, [4, 6, 2])
         pol.b_log_std[:] = 5.0
         _, log_std, _ = pol.forward(np.zeros(4))
         np.testing.assert_array_equal(log_std, LOG_STD_MAX)
 
     def test_initial_mean_small_for_unit_inputs(self):
         rng = np.random.default_rng(8)
-        pol = GaussianPolicyNet.init(rng, 6, 4)
+        pol = GaussianPolicyNet.init(rng, [6, 64, 64, 4])
         worst = 0.0
         for _ in range(200):
             x = rng.standard_normal(6)
@@ -168,7 +168,7 @@ class TestPolicyNet:
 
     def test_saturated_clamp_passes_no_gradient(self):
         rng = np.random.default_rng(10)
-        pol = GaussianPolicyNet.init(rng, 3, 2, hidden=(4,))
+        pol = GaussianPolicyNet.init(rng, [3, 4, 2])
         pol.b_log_std[:] = 10.0  # raw log-std far above the clamp
         obs = rng.standard_normal((5, 3))
         actions = rng.standard_normal((5, 2))
@@ -189,7 +189,7 @@ class TestPolicyNet:
 
     def test_sample_log_prob_self_consistent(self):
         rng = np.random.default_rng(11)
-        pol = GaussianPolicyNet.init(rng, 4, 2)
+        pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         obs = rng.standard_normal(4)
         z = np.random.default_rng(12).standard_normal(2)
         action, sampled_log_std = sample_action(pol, obs, z)
@@ -202,7 +202,7 @@ class TestPolicyNet:
         """The action is mean + exp(log_std) * z, bit for bit, for the noise
         row given; determinism under a seed lies in the rollout's draws."""
         rng = np.random.default_rng(13)
-        pol = GaussianPolicyNet.init(rng, 4, 2)
+        pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         obs = rng.standard_normal(4)
         z = np.random.default_rng(99).standard_normal(2)
         action, _ = sample_action(pol, obs, z)
@@ -211,7 +211,7 @@ class TestPolicyNet:
 
     def test_tiny_std_sampling_sticks_to_mean(self):
         rng = np.random.default_rng(14)
-        pol = GaussianPolicyNet.init(rng, 3, 2, hidden=(4,))
+        pol = GaussianPolicyNet.init(rng, [3, 4, 2])
         pol.b_log_std[:] = -30.0  # clamps to LOG_STD_MIN
         obs = rng.standard_normal(3)
         mean, _, _ = pol.forward(obs)
@@ -220,7 +220,7 @@ class TestPolicyNet:
 
     def test_log_prob_maximal_at_mean(self):
         rng = np.random.default_rng(16)
-        pol = GaussianPolicyNet.init(rng, 4, 2)
+        pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         obs = rng.standard_normal(4)
         mean, log_std, _ = pol.forward(obs)
         at_mean = gaussian_log_prob(mean, log_std, mean)
@@ -270,7 +270,7 @@ class TestBackwardLeavesCache:
         rng = np.random.default_rng(28)
         x = rng.standard_normal((6, 5))
         if kind == "policy":
-            net = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 8))
+            net = GaussianPolicyNet.init(rng, [5, 8, 8, 3])
             mean, log_std, cache = net.forward(x)
             outputs = (mean, log_std)
             douts = (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
@@ -295,7 +295,7 @@ class TestBackwardLeavesCache:
 class TestFlatLayout:
     def test_blocks_are_views_into_flat(self):
         rng = np.random.default_rng(24)
-        pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 4))
+        pol = GaussianPolicyNet.init(rng, [5, 8, 4, 3])
         assert pol.names == ["w0", "b0", "w1", "b1",
                              "mean_w", "mean_b", "log_std_w", "log_std_b"]
         # layout: blocks end to end, in names order, the trunk first
@@ -388,7 +388,7 @@ class TestSerialization:
 
     def test_policy_round_trip(self):
         rng = np.random.default_rng(21)
-        pol = GaussianPolicyNet.init(rng, 5, 3, hidden=(8, 8))
+        pol = GaussianPolicyNet.init(rng, [5, 8, 8, 3])
         clone = GaussianPolicyNet(pol.dims, pol.flat.copy())
         obs = rng.standard_normal((4, 5))
         m1, s1, _ = pol.forward(obs)
@@ -405,7 +405,7 @@ class TestSerialization:
 
     def test_npz_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
-        pol = GaussianPolicyNet.init(rng, 4, 2)
+        pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         path = tmp_path / "pol.npz"
         np.savez(path, dims=np.array(pol.dims), flat=pol.flat)
         with np.load(path) as data:

@@ -13,6 +13,7 @@ from oracles import (
     gae_loops,
     gaussian_log_prob,
     logprob_grads_from_forward,
+    make_agent,
     max_rel_err,
     numeric_grad,
     observation_reference,
@@ -47,7 +48,6 @@ from underlay_ppo.ppo import (
     clip_envelope,
     compute_gae,
     episode_heads,
-    make_agent,
     normalize_advantages,
     observation_dim,
     observe,
@@ -411,16 +411,16 @@ class TestPpoUpdate:
         fresh-array reference forms of the same expressions."""
         rng = np.random.default_rng(26)
         hyper = PpoHyper(iters=1, batch=200, episode_len=200, update_epochs=3)
-        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
-        batches, _ = _collect(env, agents, mode, hyper, rng)
+        batches, _ = _collect(env, agents, hyper, rng)
         for agent, batch in zip(agents, batches):
             batch.returns, raw_adv = compute_gae(batch, hyper)
             batch.advantages = normalize_advantages(raw_adv)
             policy = GaussianPolicyNet(agent.policy.dims, agent.policy.flat.copy())
             value = ValueNet(agent.value.dims, agent.value.flat.copy())
-            ref = Agent(agent.name, policy, value, AdamState(policy.flat, hyper.lr_policy),
-                        AdamState(value.flat, hyper.lr_value))
+            ref = Agent(agent.name, agent.kind, policy, value,
+                        AdamState(policy.flat, hyper.lr_policy), AdamState(value.flat, hyper.lr_value))
             stats = ppo_update(agent, batch, hyper)
             assert stats == ppo_update_reference(ref, batch, hyper)
             for got, want in ((agent.opt_policy, ref.opt_policy),
@@ -437,7 +437,7 @@ class TestBuildAgents:
         agents = build_agents(
             MODE_COEXIST, SMALL_ENV, tiny_hyper(), np.random.default_rng(16)
         )
-        assert [a.name for a in agents] == ["p", "s"]
+        assert [(a.name, a.kind) for a in agents] == [("p", OBS_PRIMARY), ("s", OBS_SECONDARY)]
         assert agents[0].policy.obs_dim == observation_dim("primary", 2, 2)
         assert agents[0].policy.action_dim == 2
         assert agents[1].policy.obs_dim == observation_dim("secondary", 2, 2)
@@ -447,7 +447,7 @@ class TestBuildAgents:
             agents = build_agents(
                 mode, SMALL_ENV, tiny_hyper(), np.random.default_rng(17)
             )
-            assert len(agents) == 1
+            assert [(a.name, a.kind) for a in agents] == [("c", mode)]
             assert agents[0].policy.action_dim == 4
             assert agents[0].policy.obs_dim == observation_dim(mode, 2, 2)
 
@@ -523,9 +523,9 @@ class TestCollect:
     def test_batched_values_match_per_row_values(self, mode):
         rng = np.random.default_rng(24)
         hyper = tiny_hyper()
-        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
-        batches, _ = _collect(env, agents, mode, hyper, rng)
+        batches, _ = _collect(env, agents, hyper, rng)
         for agent, batch in zip(agents, batches):
             per_row = [agent.value.value(ob) for ob in batch.obs]
             np.testing.assert_allclose(batch.values, per_row, rtol=1e-12, atol=0.0)
@@ -548,11 +548,11 @@ class TestCollect:
         for episodes in (1, 2):
             rng = np.random.default_rng(25)
             hyper = tiny_hyper(batch=5 * episodes, episode_len=5)
-            env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+            env = SpectrumSharingEnv(SMALL_ENV, rng)
             agents = build_agents(mode, SMALL_ENV, hyper, rng)
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
-            batches, means = _collect(env, agents, mode, hyper, rng)
+            batches, means = _collect(env, agents, hyper, rng)
             joint = np.concatenate([batch.actions for batch in batches], axis=1)
             ends = np.cumsum([agent.policy.action_dim for agent in agents])
             cols = [slice(end - agent.policy.action_dim, end)
@@ -562,7 +562,7 @@ class TestCollect:
             for idx, raw in enumerate(joint):
                 if idx % hyper.episode_len == 0:
                     nodes = reset_nodes_reference(env, twin)
-                    env.reset(twin)
+                    env.reset(twin, hyper.episode_len)
                     noise = twin.standard_normal((hyper.episode_len, joint.shape[1]))
                 seen.append(observed(env, nodes))
                 z = noise[idx % hyper.episode_len]
@@ -594,14 +594,14 @@ class TestCollect:
         rollout takes, bit for bit."""
         rng = np.random.default_rng(26)
         hyper = tiny_hyper(batch=10, episode_len=5)
-        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
         twin = np.random.default_rng()
         twin.bit_generator.state = rng.bit_generator.state
-        batches, _ = _collect(env, agents, mode, hyper, rng)
+        batches, _ = _collect(env, agents, hyper, rng)
         noise = []
         for _ in range(hyper.batch // hyper.episode_len):
-            env.reset(twin)
+            env.reset(twin, hyper.episode_len)
             noise.extend(twin.standard_normal((hyper.episode_len, SMALL_ENV.k_p + SMALL_ENV.k_s)))
         start = 0
         for agent, batch in zip(agents, batches):
@@ -611,10 +611,25 @@ class TestCollect:
                     for z, ob in zip(noise, batch.obs)]
             assert batch.log_probs_old.tolist() == want
 
+    def test_episode_length_comes_from_the_hyperparameters(self):
+        """One env, built without a length, rolls out 10-step episodes under one
+        ``PpoHyper`` and 4-step ones under the next."""
+        rng = np.random.default_rng(28)
+        env = SpectrumSharingEnv(EnvConfig(), rng)
+        for batch, episode_len in ((10, 10), (8, 4)):
+            hyper = PpoHyper(batch=batch, episode_len=episode_len)
+            agents = build_agents(MODE_COEXIST, EnvConfig(), hyper, rng)
+            batches, _ = _collect(env, agents, hyper, rng)
+            dones = ([0.0] * (episode_len - 1) + [1.0]) * (batch // episode_len)
+            for got in batches:
+                assert got.obs.shape[0] == len(got) == batch
+                assert got.dones.tolist() == dones
+            assert len(env.applied) == env.step_index == episode_len
+
     def test_nan_policy_bias_stops_the_first_step(self):
         rng = np.random.default_rng(27)
         hyper = tiny_hyper()
-        env = SpectrumSharingEnv(SMALL_ENV, rng, hyper.episode_len)
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
         agents[1].policy.b_mean[0] = np.nan
         seen = []
@@ -626,7 +641,7 @@ class TestCollect:
 
         env.step = recording_step
         with pytest.raises(ValueError, match="raw actions must be finite"):
-            _collect(env, agents, MODE_COEXIST, hyper, rng)
+            _collect(env, agents, hyper, rng)
         assert seen == [0]
 
 
@@ -642,10 +657,10 @@ class TestObserve:
     def test_matches_reference_at_every_step(self, kind, k_p, k_s):
         steps = 6
         cfg = EnvConfig(k_p=k_p, k_s=k_s)
-        env = SpectrumSharingEnv(cfg, np.random.default_rng(50), steps)
+        env = SpectrumSharingEnv(cfg, np.random.default_rng(50))
         rng = np.random.default_rng(51)
         nodes = reset_nodes_reference(env, rng)
-        env.reset(rng)
+        env.reset(rng, steps)
         heads = episode_heads(env, kind)
         actions = np.random.default_rng(52)
         for t in range(steps + 1):  # the reset, then every step; row T is the bootstrap's
@@ -660,8 +675,8 @@ class TestObserve:
         assert env.step_index == steps
 
     def test_unknown_kind_names_itself(self):
-        env = SpectrumSharingEnv(SMALL_ENV, np.random.default_rng(53), 3)
-        env.reset(np.random.default_rng(54))
+        env = SpectrumSharingEnv(SMALL_ENV, np.random.default_rng(53))
+        env.reset(np.random.default_rng(54), 3)
         heads = episode_heads(env, OBS_PRIMARY)
         for call in (lambda: observation_dim("tertiary", 2, 2),
                      lambda: episode_heads(env, "tertiary"),
