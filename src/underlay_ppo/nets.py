@@ -62,6 +62,11 @@ class _FlatParams:
         if self.flat.shape != (ends[-1],) or self.flat.dtype != np.float64:
             raise ValueError(f"flat parameters must be a float64 vector of length {ends[-1]}")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the net from (dims, flat), so that its
+        # blocks are views of the copied ``flat`` again
+        return type(self), (self.dims, self.flat)
+
     def blocks(self, flat) -> list[np.ndarray]:
         """Views of ``flat`` (in this network's layout) as its blocks, in order."""
         return [flat[a:b].reshape(shape) for a, b, shape in self._spans]
@@ -96,6 +101,9 @@ class DenseNet(_FlatParams):
         self._own(flat, *_dense_layout(self.dims))
         blocks = self.params()
         self.weights, self.biases = blocks[0::2], blocks[1::2]
+
+    def __reduce__(self):
+        return type(self), (self.dims, self.flat), {"tanh_output": self.tanh_output}
 
     @classmethod
     def init(cls, rng, dims):

@@ -7,9 +7,30 @@ every agent takes several full-batch Adam steps on the clipped surrogate and
 on the value regression. The clip envelope (1 + sign(A) * eps) * A is treated
 as a constant w.r.t. the policy, so gradient flows only through samples where
 the unclipped ratio term attains the min.
+
+The agents' updates share no state, so for two agents ``train`` updates the
+second in a worker process while it updates the first. Each process forks
+one worker when its first two-agent ``train`` starts; later calls reuse it.
+Per call the parent ships that agent (pickled: its nets, and its
+``AdamState``, which the worker then owns; the parent never steps its stale
+copy); per iteration it sends the agent's batch and ``np.geterr()``, and the
+worker runs ``_update`` on one BLAS thread and replies ``(stats, policy.flat,
+value.flat)``, or the exception it hit. The parent copies the flats into its
+nets in place, so histories are bit-identical to a serial loop's. A call that
+leaves with a reply owed kills the worker. The worker ignores SIGINT, exits
+on end-of-file when its parent dies and is killed at interpreter exit; a
+process forked from its parent forks its own. With zero workers (off Linux,
+in a daemonic ``multiprocessing`` process, or if ``fork`` fails) the same
+loop updates every agent in the caller.
 """
 from __future__ import annotations
 
+import atexit
+import contextlib
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +183,22 @@ def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
                      envelope: np.ndarray):
     """Clipped-surrogate objective, its exact gradient, and update stats, given
     the batch's ``clip_envelope`` (``ppo_update`` builds it once per update)."""
+    n = len(batch)
     mean, log_std, cache = policy.forward(batch.obs)
     inv_std = np.exp(-log_std)
     z = (batch.actions - mean) * inv_std
     ratio = np.exp(_log_density(z, log_std) - batch.log_probs_old)
     adv = batch.advantages
     linear = ratio * adv
-    objective = float(np.minimum(linear, envelope).mean())
+    # each mean is the reduce and division that ndarray.mean runs, without its wrapper
+    objective = float(np.add.reduce(np.minimum(linear, envelope)) / n)
     # d(min)/d(theta): only the ratio branch depends on theta
     unclipped = linear <= envelope
-    weights = np.where(unclipped, linear, 0.0) / len(batch)
+    weights = np.where(unclipped, linear, 0.0) / n
     grads = logprob_grads(policy, cache, z, inv_std, weights)
     stats = {
-        "mean_ratio": float(ratio.mean()),
-        "clip_fraction": float(np.mean(~unclipped)),
+        "mean_ratio": float(np.add.reduce(ratio) / n),
+        "clip_fraction": float(np.count_nonzero(~unclipped) / n),
     }
     return objective, grads, stats
 
@@ -184,7 +207,7 @@ def value_objective(value: ValueNet, batch: TrajectoryBatch):
     """Mean squared error against rewards-to-go, with its exact gradient."""
     v, cache = value.forward(batch.obs)
     err = v - batch.returns
-    loss = float(np.mean(err * err))
+    loss = float(np.add.reduce(err * err) / len(batch))
     grads = value.backward(cache, 2.0 * err / len(batch))
     return loss, grads
 
@@ -341,6 +364,138 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 
 
+def _update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
+    """GAE, normalized advantages and one ``ppo_update`` of ``agent`` on ``batch``."""
+    batch.returns, raw_adv = compute_gae(batch, hyper)
+    batch.advantages = normalize_advantages(raw_adv)
+    return ppo_update(agent, batch, hyper)
+
+
+class _UpdateWorker:
+    """This process's update worker (module doc). ``busy``: a message is being
+    sent or its reply is owed; a busy worker is killed, never read again.
+    ``in_call``: a ``train`` holds it, so a nested ``train`` gets none."""
+
+    def __init__(self):
+        (req_in, req_out), (rep_in, rep_out) = os.pipe(), os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (req_in, req_out, rep_in, rep_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the worker; it never returns from here
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(req_out)  # so the parent's death reads as end-of-file
+                os.close(rep_in)
+                _serve(os.fdopen(req_in, "rb"), os.fdopen(rep_out, "wb"))
+            finally:
+                os._exit(0)
+        os.close(req_in)
+        os.close(rep_out)
+        self.requests, self.replies = os.fdopen(req_out, "wb"), os.fdopen(rep_in, "rb")
+        self.busy = self.in_call = False
+        self.names = ""
+
+    def alive(self) -> bool:
+        try:
+            return os.waitpid(self.pid, os.WNOHANG)[0] == 0  # reaps it if it exited
+        except ChildProcessError:  # reaped already
+            return False
+
+    def close(self, kill: bool) -> None:
+        """Close this process's pipe ends and drop the handle; with ``kill``,
+        also kill and reap the worker."""
+        global _worker
+        if self.replies.closed:
+            return
+        self.replies.close()
+        with contextlib.suppress(OSError):  # a dead worker's pipe is broken
+            self.requests.close()
+        if _worker is self:
+            _worker = None
+        if kill:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+
+    def _lost(self) -> RuntimeError:
+        self.close(kill=True)
+        return RuntimeError(f"the update worker of agent {self.names} (pid {self.pid}) "
+                            "exited; the next train call forks a new one")
+
+    def send(self, message) -> None:
+        self.busy = True
+        try:
+            pickle.dump(message, self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        except OSError:
+            raise self._lost() from None
+
+    def ship(self, agents: list[Agent], hyper: PpoHyper) -> None:
+        self.names = ", ".join(repr(agent.name) for agent in agents)
+        self.send((hyper, agents))
+        self.busy = False
+
+    def result(self, agents: list[Agent]) -> list[dict]:
+        """Wait for the reply; copy its flats into ``agents``' nets and return
+        their stats, or raise the worker's exception."""
+        try:
+            reply = pickle.load(self.replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self._lost() from None
+        self.busy = False
+        if isinstance(reply, BaseException):
+            raise reply
+        for agent, (_, policy_flat, value_flat) in zip(agents, reply):
+            agent.policy.flat[...] = policy_flat
+            agent.value.flat[...] = value_flat
+        return [stats for stats, _, _ in reply]
+
+
+def _serve(requests, replies) -> None:
+    """The worker's loop, until the parent's end of ``requests`` closes."""
+    while True:
+        try:
+            head, tail = pickle.load(requests)
+        except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
+            return
+        if isinstance(head, PpoHyper):  # a train call ships its agents
+            hyper, agents = head, tail
+            continue
+        try:
+            with np.errstate(**tail), one_blas_thread():
+                reply = [(_update(agent, batch, hyper), agent.policy.flat, agent.value.flat)
+                         for agent, batch in zip(agents, head)]
+        except Exception as exc:
+            reply = exc
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
+_worker: _UpdateWorker | None = None
+
+
+def _update_worker() -> _UpdateWorker | None:
+    """This process's free update worker, forked if it has none or its last
+    one exited; None where none can start (module doc)."""
+    global _worker
+    if _worker is not None and not _worker.alive():
+        _worker.close(kill=False)
+    # a multiprocessing child has imported multiprocessing, so no import is needed
+    process = sys.modules.get("multiprocessing.process")
+    daemonic = process is not None and process.current_process().daemon
+    if _worker is None and sys.platform.startswith("linux") and not daemonic:
+        with contextlib.suppress(OSError):
+            _worker = _UpdateWorker()
+    return None if _worker is None or _worker.in_call else _worker
+
+
+atexit.register(lambda: _worker and _worker.close(kill=True))
+os.register_at_fork(after_in_child=lambda: _worker and _worker.close(kill=False))
+
+
 @one_blas_thread()
 def train(
     env_cfg: EnvConfig,
@@ -354,24 +509,41 @@ def train(
     Rows carry the METRIC_FIELDS averages plus per-agent update diagnostics
     (suffixed with the agent name). With the same seed and config, histories
     are bit-for-bit reproducible at any batch size: numpy's bundled OpenBLAS
-    runs on one thread during the call (``blas.one_blas_thread``).
+    runs on one thread during the call (``blas.one_blas_thread``). A mode with
+    two agents updates the second in this process's update worker (module
+    doc); the worker is forked here, before ``build_agents``, so it counts as
+    set-up.
     """
+    worker = _update_worker() if len(MODE_AGENTS.get(mode, ())) > 1 else None
     env = SpectrumSharingEnv(env_cfg, rng)
     agents = build_agents(mode, env_cfg, hyper, rng)
+    local = agents[:1] if worker else agents
+    remote = agents[len(local):]
     history: list[dict] = []
-    for it in range(hyper.iters):
-        batches, means = _collect(env, agents, hyper, rng)
-        row = {"iter": it + 1, **means}
-        for agent, batch in zip(agents, batches):
-            batch.returns, raw_adv = compute_gae(batch, hyper)
-            batch.advantages = normalize_advantages(raw_adv)
+    try:
+        if remote:
+            worker.in_call = True
+            worker.ship(remote, hyper)
+        for it in range(hyper.iters):
+            batches, means = _collect(env, agents, hyper, rng)
+            row = {"iter": it + 1, **means}
             try:
-                stats = ppo_update(agent, batch, hyper)
+                if remote:
+                    worker.send((batches[len(local):], np.geterr()))
+                stats = [_update(agent, batch, hyper) for agent, batch in zip(local, batches)]
+                if remote:
+                    stats += worker.result(remote)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"iteration {it + 1}, {exc}") from None
-            for key, val in stats.items():
-                row[f"{key}_{agent.name}"] = val
-        history.append(row)
-        if on_iteration is not None:
-            on_iteration(row)
+            for agent, agent_stats in zip(agents, stats):
+                for key, val in agent_stats.items():
+                    row[f"{key}_{agent.name}"] = val
+            history.append(row)
+            if on_iteration is not None:
+                on_iteration(row)
+    finally:
+        if worker is not None:
+            worker.in_call = False
+            if worker.busy:  # no later call may read the reply this one left owed
+                worker.close(kill=True)
     return history

@@ -476,3 +476,33 @@ def ppo_update_reference(agent, batch, hyper):
         opt.t = adam_step_reference(agent.value.flat, vgrad, opt.m, opt.v, opt.t, opt.lr)
         stats = dict(pstats, policy_objective=objective, value_loss=vloss)
     return stats
+
+
+def train_reference(env_cfg, hyper, mode, rng):
+    """``ppo.train`` as one serial loop in the caller's process: per iteration
+    ``_collect``, then ``compute_gae``, ``normalize_advantages`` and
+    ``ppo_update`` for each agent in turn, on one BLAS thread."""
+    from underlay_ppo.blas import one_blas_thread
+    from underlay_ppo.env import SpectrumSharingEnv
+    from underlay_ppo.ppo import (
+        _collect,
+        build_agents,
+        compute_gae,
+        normalize_advantages,
+        ppo_update,
+    )
+
+    history = []
+    with one_blas_thread():
+        env = SpectrumSharingEnv(env_cfg, rng)
+        agents = build_agents(mode, env_cfg, hyper, rng)
+        for it in range(hyper.iters):
+            batches, means = _collect(env, agents, hyper, rng)
+            row = {"iter": it + 1, **means}
+            for agent, batch in zip(agents, batches):
+                batch.returns, raw_adv = compute_gae(batch, hyper)
+                batch.advantages = normalize_advantages(raw_adv)
+                for key, val in ppo_update(agent, batch, hyper).items():
+                    row[f"{key}_{agent.name}"] = val
+            history.append(row)
+    return history

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -412,3 +414,26 @@ class TestSerialization:
             clone = GaussianPolicyNet(data["dims"].tolist(), data["flat"])
         obs = rng.standard_normal(4)
         np.testing.assert_array_equal(pol.forward(obs)[0], clone.forward(obs)[0])
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("make", [
+        lambda rng: GaussianPolicyNet.init(rng, [4, 8, 8, 2]),
+        lambda rng: ValueNet.init(rng, [4, 8, 8, 1]),
+        lambda rng: DenseNet([4, 8, 3], rng.uniform(-1.0, 1.0, 67), tanh_output=True),
+    ], ids=["policy", "value", "tanh-dense"])
+    def test_copy_keeps_blocks_views_of_flat(self, copier, make):
+        """A copied net owns a fresh ``flat`` that its blocks still view, so an
+        Adam step on ``flat`` moves its output, and the original stays put."""
+        rng = np.random.default_rng(24)
+        net = make(rng)
+        clone = copier(net)
+        obs = rng.standard_normal((3, 4))
+        before = net.forward(obs)[0].copy()
+        assert type(clone) is type(net) and clone.dims == net.dims
+        assert getattr(clone, "tanh_output", None) == getattr(net, "tanh_output", None)
+        assert not np.shares_memory(clone.flat, net.flat)
+        np.testing.assert_array_equal(clone.forward(obs)[0], before)
+        AdamState(clone.flat, 0.1).step(clone.flat, np.ones_like(clone.flat))
+        assert not np.array_equal(clone.forward(obs)[0], before)
+        np.testing.assert_array_equal(net.forward(obs)[0], before)

@@ -1,7 +1,10 @@
 import hashlib
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,9 @@ from oracles import (
     observation_reference,
     ppo_update_reference,
     reset_nodes_reference,
+    train_reference,
 )
-from underlay_ppo import blas
+from underlay_ppo import blas, ppo
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv
 from underlay_ppo.nets import (
     AdamState,
@@ -516,6 +520,199 @@ class TestTrain:
             rows = train(SMALL_ENV, tiny_hyper(), mode, np.random.default_rng(23))
             assert len(rows) == 2
             assert "policy_objective_c" in rows[0]
+
+
+def _train_in_child(conn):
+    rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(41))
+    conn.send((rows, None if ppo._worker is None else ppo._worker.pid))
+
+
+_FRESH_TRAIN = """
+import sys
+import numpy as np
+from underlay_ppo import ppo
+from underlay_ppo.env import EnvConfig
+rows = ppo.train(EnvConfig(k_p=2, k_s=2), ppo.PpoHyper(iters=3, batch=10, episode_len=5),
+                 ppo.MODE_COEXIST, np.random.default_rng(int(sys.argv[1])))
+print(ppo._worker.pid)
+print(repr(rows))
+"""
+
+
+def _fresh_process(seed: int) -> tuple[int, str]:
+    """(worker pid, repr of the history) of a coexist ``train`` in a new
+    interpreter, which has exited when this returns."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _FRESH_TRAIN, str(seed)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    pid, rows = done.stdout.strip().split("\n")
+    return int(pid), rows
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (zombies have)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid: int) -> list[int]:
+    """The running processes whose parent is ``pid``, from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[-1].split()
+        if len(fields) > 1 and int(fields[1]) == pid and fields[0] != "Z":
+            found.append(int(entry.name))
+    return found
+
+
+def _poll(predicate, timeout: float):
+    """``predicate()``'s first truthy value within ``timeout`` seconds, else its last."""
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return value
+
+
+def _kill_and_wait(pid: int) -> None:
+    """SIGKILL ``pid``, a child of this process, and wait for its exit
+    without reaping it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the update worker is forked on Linux only")
+class TestUpdateWorker:
+    """The second coexisting agent is updated in a forked worker process; no
+    result depends on it, and no reply or process outlives its owner."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_equals_the_serial_reference(self, mode):
+        hyper = tiny_hyper(iters=3)
+        got = train(SMALL_ENV, hyper, mode, np.random.default_rng(40))
+        if mode == MODE_COEXIST:
+            assert ppo._worker is not None and ppo._worker.alive()
+        assert repr(got) == repr(train_reference(SMALL_ENV, hyper, mode,
+                                                 np.random.default_rng(40)))
+
+    @pytest.mark.parametrize("daemon", [True, False], ids=["daemonic", "plain"])
+    def test_forked_process_trains_with_zero_workers_or_its_own(self, daemon):
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        ours = ppo._worker.pid
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+        child = ctx.Process(target=_train_in_child, args=(there,), daemon=daemon)
+        child.start()
+        there.close()
+        assert here.poll(60)
+        rows, theirs = here.recv()
+        child.join(30)
+        assert child.exitcode == 0
+        if daemon:
+            assert theirs is None
+        else:
+            assert theirs not in (None, ours)
+        assert rows == train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                             np.random.default_rng(41))
+        assert ppo._worker.pid == ours
+
+    def test_local_divergence_mid_update_leaves_no_stale_reply(self, monkeypatch):
+        real_build_agents = ppo.build_agents
+
+        def poisoned(*args, **kwargs):
+            agents = real_build_agents(*args, **kwargs)
+            agents[0].value.weights[-1][0, 0] = np.inf
+            return agents
+
+        monkeypatch.setattr(ppo, "build_agents", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="iteration 1, agent 'p'"):
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42))
+        monkeypatch.undo()
+        assert ppo._worker is None  # it owed a reply, so it was killed
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
+        assert repr(rows) == _fresh_process(43)[1]
+
+    def test_train_nested_in_a_hook_leaves_the_outer_worker_alone(self):
+        nested = []
+
+        def train_again(row):
+            nested.append(train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
+                                np.random.default_rng(49)))
+
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(50),
+                     on_iteration=train_again)
+        want = repr(train_reference(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
+                                    np.random.default_rng(49)))
+        assert [repr(history) for history in nested] == [want] * 3
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                                                  np.random.default_rng(50)))
+
+    def test_killed_worker_is_replaced_by_the_next_call(self):
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        pid = ppo._worker.pid
+        _kill_and_wait(pid)
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(44))
+        assert ppo._worker.pid != pid
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                                                  np.random.default_rng(44)))
+
+    def test_worker_killed_mid_call_is_named_and_replaced(self):
+        with pytest.raises(RuntimeError, match=r"update worker of agent 's' \(pid \d+\) exited"):
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(45),
+                  on_iteration=lambda row: _kill_and_wait(ppo._worker.pid))
+        assert ppo._worker is None
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(46))
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                                                  np.random.default_rng(46)))
+
+    def test_worker_exception_is_reraised(self):
+        rng = np.random.default_rng(47)
+        hyper = tiny_hyper()
+        agent = make_agent(rng, "s", 4, 2, hyper, (8,))
+        worker = ppo._update_worker()
+        worker.ship([agent], hyper)
+        worker.send(([random_batch(rng, obs_dim=3)], np.geterr()))  # the net takes 4 inputs
+        with pytest.raises(ValueError, match="matmul"):
+            worker.result([agent])
+        assert not worker.busy and worker.alive()
+
+    def test_worker_ignores_sigint(self):
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        pid = ppo._worker.pid
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        assert ppo._worker.pid == pid
+
+    def test_worker_ends_with_its_process(self):
+        pid, _ = _fresh_process(48)
+        assert not _running(pid)
+
+    def test_worker_ends_with_a_killed_cli(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "underlay_ppo", "run", "--profile", "desk", "--seeds", "1",
+             "--set", "iters=100000", "--out", str(tmp_path / "run"), "--quiet"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            workers = _poll(lambda: _children(cli.pid), 60)
+            time.sleep(0.5)  # mid-run
+        finally:
+            cli.kill()
+            cli.wait()
+        assert len(workers) == 1
+        assert _poll(lambda: not _running(workers[0]), 10)
 
 
 class TestCollect:
