@@ -2,26 +2,43 @@
 
 Training runs an outer loop of rollout-then-update iterations. A rollout
 collects a fixed number of transitions through the shared world (one batch
-per agent, each built from that agent's own observations and rewards), then
-every agent takes several full-batch Adam steps on the clipped surrogate and
-on the value regression. The clip envelope (1 + sign(A) * eps) * A is treated
-as a constant w.r.t. the policy, so gradient flows only through samples where
-the unclipped ratio term attains the min.
+per agent, each built from that agent's own observations and rewards); each
+agent's value net then scores its batch, and the agent takes several
+full-batch Adam steps on the clipped surrogate and on the value regression.
+The clip envelope (1 + sign(A) * eps) * A is treated as a constant w.r.t. the
+policy, so gradient flows only through samples where the unclipped ratio
+term attains the min.
 
-The agents' updates share no state, so for two agents ``train`` updates the
-second in a worker process while it updates the first. Each process forks
-one worker when its first two-agent ``train`` starts; later calls reuse it.
-Per call the parent ships that agent (pickled: its nets, and its
-``AdamState``, which the worker then owns; the parent never steps its stale
-copy); per iteration it sends the agent's batch and ``np.geterr()``, and the
-worker runs ``_update`` on one BLAS thread and replies ``(stats, policy.flat,
-value.flat)``, or the exception it hit. The parent copies the flats into its
-nets in place, so histories are bit-identical to a serial loop's. A call that
-leaves with a reply owed kills the worker. The worker ignores SIGINT, exits
-on end-of-file when its parent dies and is killed at interpreter exit; a
-process forked from its parent forks its own. With zero workers (off Linux,
-in a daemonic ``multiprocessing`` process, or if ``fork`` fails) the same
-loop updates every agent in the caller.
+An update has two halves that share no state: the policy epochs read the
+advantages, the value epochs the returns. A failure is raised as the
+interleaved loop meets it first (agent by agent; the earliest epoch; in an
+epoch the policy step, then the value step). A half's message names the
+other net's parameters as its process holds them, so a value half may see
+an older policy; Adam steps on finite gradients keep finite parameters
+finite and non-finite ones non-finite, so the block named is the
+interleaved loop's.
+
+``train``, per iteration: roll out; take the previous iteration's value
+reply; score the batches and send them to the update worker; run the first
+agent's policy half while the worker runs the others' and replies with
+their policy flats; call ``on_iteration``. The worker runs every value half
+during the next rollout. For a ``train`` call it owns every agent's value
+net and value ``AdamState``, and the policy and policy ``AdamState`` of every
+agent but the first; the caller copies back the flats it receives and never
+steps its stale copies, so histories are bit-identical to the interleaved
+serial loop's.
+
+Each process forks one worker at its first ``train`` and reuses it. Per call
+the caller ships the agents (pickled); per iteration it sends the batches and
+``np.geterr()``, and the worker, on one BLAS thread, replies once per half
+with each agent's (result, failure, flat). A failure is the epoch, the
+exception and the worker's formatted traceback, which becomes the
+exception's cause. A call that leaves with a reply owed kills the worker.
+The worker ignores SIGINT, exits on end-of-file when its parent dies and is
+killed at interpreter exit; a process forked from its parent forks its own.
+With zero workers (off Linux, in a daemonic ``multiprocessing`` process, if
+``fork`` fails, or in a ``train`` nested in another's ``on_iteration``),
+``_Serial`` runs the same halves in the caller when their replies are read.
 """
 from __future__ import annotations
 
@@ -31,6 +48,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +102,11 @@ class TrainingDiverged(RuntimeError):
     parameter or gradient block and, raised from ``train``, the iteration."""
 
 
+class _WorkerTraceback(Exception):
+    """The update worker's formatted traceback of an exception it sent; the
+    caller sets it as that exception's cause."""
+
+
 @dataclass(frozen=True)
 class PpoHyper:
     """Optimization hyperparameters; batch must hold whole episodes.
@@ -120,17 +143,19 @@ class PpoHyper:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """One agent's rollout; returns/advantages are filled in post-collection."""
+    """One agent's rollout. ``final_obs`` is the observation after its last
+    step; ``train`` fills the rest after collection (``_score``)."""
 
     obs: np.ndarray
     actions: np.ndarray
     log_probs_old: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    values: np.ndarray
-    bootstrap_value: float
+    values: np.ndarray | None = None
+    bootstrap_value: float | None = None  # the value of ``final_obs``
     returns: np.ndarray | None = None
     advantages: np.ndarray | None = None
+    final_obs: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
@@ -236,21 +261,56 @@ def _check_finite(agent: Agent, label: str, value: float, grad) -> None:
         f"first non-finite block: {where}")
 
 
+def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
+    """The policy epochs of ``ppo_update``. Returns the outcome: (the last
+    epoch's stats, None), or (None, (epoch, exception)) if an epoch raised."""
+    envelope = clip_envelope(batch.advantages, hyper.clip)  # fixed for the update
+    for epoch in range(hyper.update_epochs):
+        try:
+            objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope)
+            _check_finite(agent, "policy objective", objective, pgrad)
+            agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
+        except Exception as exc:
+            return None, (epoch, exc)
+    return dict(pstats, policy_objective=objective), None
+
+
+def _value_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
+    """The value epochs of ``ppo_update``; its outcome holds the last loss."""
+    for epoch in range(hyper.update_epochs):
+        try:
+            vloss, vgrad = value_objective(agent.value, batch)
+            _check_finite(agent, "value loss", vloss, vgrad)
+            agent.opt_value.step(agent.value.flat, vgrad)
+        except Exception as exc:
+            return None, (epoch, exc)
+    return vloss, None
+
+
+_PASSED = (None, None)  # stands in for a half's outcome that holds no failure
+
+
+def _raise_first(outcomes, where: str = "") -> None:
+    """Raise the failure that the interleaved loop meets first (module doc)
+    among ``outcomes``, each agent's (policy, value) outcome pair in agent
+    order; a divergence's message is prefixed with ``where``."""
+    for pair in outcomes:
+        found = [(failure[0], half, failure[1]) for half, (_, failure) in enumerate(pair) if failure]
+        if found:
+            exc = min(found, key=lambda item: item[:2])[2]
+            if where and isinstance(exc, TrainingDiverged):
+                raise TrainingDiverged(where + str(exc)) from exc.__cause__
+            raise exc
+
+
 def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
-    """Full-batch ascent on the surrogate and descent on the value error."""
+    """Full-batch ascent on the surrogate and descent on the value error: the
+    policy half, then the value half (module doc)."""
     if batch.advantages is None or batch.returns is None:
         raise ValueError("batch needs returns and normalized advantages")
-    stats: dict = {}
-    envelope = clip_envelope(batch.advantages, hyper.clip)  # fixed for the update
-    for _ in range(hyper.update_epochs):
-        objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope)
-        _check_finite(agent, "policy objective", objective, pgrad)
-        agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
-        vloss, vgrad = value_objective(agent.value, batch)
-        _check_finite(agent, "value loss", vloss, vgrad)
-        agent.opt_value.step(agent.value.flat, vgrad)
-        stats = dict(pstats, policy_objective=objective, value_loss=vloss)
-    return stats
+    policy, value = _policy_half(agent, batch, hyper), _value_half(agent, batch, hyper)
+    _raise_first([(policy, value)])
+    return dict(policy[0], value_loss=value[0])
 
 
 def _systems(kind: str) -> tuple[int, ...]:
@@ -324,6 +384,8 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
     its columns of one joint ``(batch, K)`` action block and its log-std block.
     Each episode ends with one batched pass for its metric rows
     (``env.metric_rows``) and one per agent for its noise rows' log densities.
+    Each batch keeps the observation after the last step, which the bootstrap
+    value scores; the rollout reads no value net.
     """
     n, t_len = hyper.batch, hyper.episode_len
     k_p, k_s = env.cfg.k_p, env.cfg.k_s
@@ -353,28 +415,52 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
         for logp, col, log_std in zip(log_probs, links, log_stds):
             logp[start:stop] = _log_density(noise[:, col], log_std[start:stop])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
-    # the nets do not change during a rollout, so one batched pass per agent
     batches = [
         TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,
                         rewards=rows[:, _systems(kind)].sum(axis=1),
-                        values=agent.value.forward(ob)[0],
-                        bootstrap_value=agent.value.value(observe(env, kind, head)))
-        for agent, kind, col, head, ob, logp in zip(agents, kinds, links, heads, obs, log_probs)
+                        final_obs=observe(env, kind, head))
+        for kind, col, head, ob, logp in zip(kinds, links, heads, obs, log_probs)
     ]
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 
 
-def _update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
-    """GAE, normalized advantages and one ``ppo_update`` of ``agent`` on ``batch``."""
+def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
+    """Fill ``batch``'s values, bootstrap value, returns and normalized
+    advantages under ``agent``'s value net, in one batched pass."""
+    batch.values = agent.value.forward(batch.obs)[0]
+    batch.bootstrap_value = agent.value.value(batch.final_obs)
     batch.returns, raw_adv = compute_gae(batch, hyper)
     batch.advantages = normalize_advantages(raw_adv)
-    return ppo_update(agent, batch, hyper)
+
+
+class _Serial:
+    """The zero-worker stand-in (module doc): the worker's interface, running
+    each half in the caller when its reply is read."""
+
+    busy = 0
+
+    def ship(self, agents: list[Agent], hyper: PpoHyper) -> None:
+        self.hyper = hyper
+
+    def send(self, batches: list[TrajectoryBatch]) -> None:
+        self.batches = batches
+
+    def policies(self, agents: list[Agent]) -> list:
+        """The outcomes of every agent's policy half but the first's."""
+        return [_policy_half(agent, batch, self.hyper)
+                for agent, batch in zip(agents[1:], self.batches[1:])]
+
+    def values(self, agents: list[Agent]) -> list:
+        """The outcomes of every agent's value half."""
+        return [_value_half(agent, batch, self.hyper)
+                for agent, batch in zip(agents, self.batches)]
 
 
 class _UpdateWorker:
-    """This process's update worker (module doc). ``busy``: a message is being
-    sent or its reply is owed; a busy worker is killed, never read again.
-    ``in_call``: a ``train`` holds it, so a nested ``train`` gets none."""
+    """This process's update worker (module doc). ``busy``: how many replies
+    are owed (1 while a message is being sent); a busy worker is killed, never
+    read again. ``in_call``: a ``train`` holds it, so a nested ``train`` gets
+    none."""
 
     def __init__(self):
         (req_in, req_out), (rep_in, rep_out) = os.pipe(), os.pipe()
@@ -395,8 +481,7 @@ class _UpdateWorker:
         os.close(req_in)
         os.close(rep_out)
         self.requests, self.replies = os.fdopen(req_out, "wb"), os.fdopen(rep_in, "rb")
-        self.busy = self.in_call = False
-        self.names = ""
+        self.busy, self.in_call, self.names = 0, False, ""
 
     def alive(self) -> bool:
         try:
@@ -425,53 +510,70 @@ class _UpdateWorker:
         return RuntimeError(f"the update worker of agent {self.names} (pid {self.pid}) "
                             "exited; the next train call forks a new one")
 
-    def send(self, message) -> None:
-        self.busy = True
+    def _send(self, message, replies: int) -> None:
+        self.busy = replies or 1  # a half-sent message leaves the pipe unusable too
         try:
             pickle.dump(message, self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
         except OSError:
             raise self._lost() from None
+        self.busy = replies
 
     def ship(self, agents: list[Agent], hyper: PpoHyper) -> None:
         self.names = ", ".join(repr(agent.name) for agent in agents)
-        self.send((hyper, agents))
-        self.busy = False
+        self._send((hyper, agents), 0)
 
-    def result(self, agents: list[Agent]) -> list[dict]:
-        """Wait for the reply; copy its flats into ``agents``' nets and return
-        their stats, or raise the worker's exception."""
+    def send(self, batches: list[TrajectoryBatch]) -> None:
+        self._send((batches, np.geterr()), 2)
+
+    def _reply(self, agents: list[Agent], net: str) -> list:
+        """Read a reply; copy its flats into ``agents``' ``net`` nets and return
+        their outcomes, each failure's exception caused by the worker's traceback."""
         try:
             reply = pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
             raise self._lost() from None
-        self.busy = False
-        if isinstance(reply, BaseException):
-            raise reply
-        for agent, (_, policy_flat, value_flat) in zip(agents, reply):
-            agent.policy.flat[...] = policy_flat
-            agent.value.flat[...] = value_flat
-        return [stats for stats, _, _ in reply]
+        self.busy -= 1
+        outcomes = []
+        for agent, (result, failure, flat) in zip(agents, reply):
+            getattr(agent, net).flat[...] = flat
+            if failure:
+                epoch, exc, text = failure
+                exc.__cause__ = _WorkerTraceback(text)
+                failure = epoch, exc
+            outcomes.append((result, failure))
+        return outcomes
+
+    def policies(self, agents: list[Agent]) -> list:
+        return self._reply(agents[1:], "policy")
+
+    def values(self, agents: list[Agent]) -> list:
+        return self._reply(agents, "value")
 
 
 def _serve(requests, replies) -> None:
     """The worker's loop, until the parent's end of ``requests`` closes."""
+    serial = _Serial()
     while True:
         try:
             head, tail = pickle.load(requests)
         except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
             return
         if isinstance(head, PpoHyper):  # a train call ships its agents
-            hyper, agents = head, tail
+            agents = tail
+            serial.ship(agents, head)
             continue
-        try:
-            with np.errstate(**tail), one_blas_thread():
-                reply = [(_update(agent, batch, hyper), agent.policy.flat, agent.value.flat)
-                         for agent, batch in zip(agents, head)]
-        except Exception as exc:
-            reply = exc
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
+        serial.send(head)
+        with np.errstate(**tail), one_blas_thread():
+            for half, owners, net in ((serial.policies, agents[1:], "policy"),
+                                      (serial.values, agents, "value")):
+                reply = []
+                for (result, failure), agent in zip(half(agents), owners):
+                    if failure:  # a traceback does not pickle, so it travels as text
+                        failure = (*failure, "".join(traceback.format_exception(failure[1])))
+                    reply.append((result, failure, getattr(agent, net).flat))
+                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
 
 
 _worker: _UpdateWorker | None = None
@@ -496,6 +598,14 @@ atexit.register(lambda: _worker and _worker.close(kill=True))
 os.register_at_fork(after_in_child=lambda: _worker and _worker.close(kill=False))
 
 
+def _record_values(row: dict, agents: list[Agent], values: list) -> None:
+    """Raise the first failure of ``row``'s value halves, whose outcomes are
+    ``values``, or set its value losses."""
+    _raise_first([(_PASSED, value) for value in values], f"iteration {row['iter']}, ")
+    for agent, (loss, _) in zip(agents, values):
+        row[f"value_loss_{agent.name}"] = loss
+
+
 @one_blas_thread()
 def train(
     env_cfg: EnvConfig,
@@ -509,41 +619,53 @@ def train(
     Rows carry the METRIC_FIELDS averages plus per-agent update diagnostics
     (suffixed with the agent name). With the same seed and config, histories
     are bit-for-bit reproducible at any batch size: numpy's bundled OpenBLAS
-    runs on one thread during the call (``blas.one_blas_thread``). A mode with
-    two agents updates the second in this process's update worker (module
-    doc); the worker is forked here, before ``build_agents``, so it counts as
-    set-up.
+    runs on one thread during the call (``blas.one_blas_thread``). The updates
+    follow the module doc's schedule, in this process's update worker if it
+    has one; the worker is forked here, before ``build_agents``, so it counts
+    as set-up.
+
+    ``on_iteration(row)`` is called once the iteration's policies are final,
+    when the next rollout can start. Its value halves may still be running:
+    each ``value_loss_<agent>`` key is already in the row, holding None, and
+    is set in place before the next ``on_iteration`` call and before
+    ``train`` returns. A divergence in iteration i's value half is raised
+    after rollout i + 1, still naming iteration i.
     """
-    worker = _update_worker() if len(MODE_AGENTS.get(mode, ())) > 1 else None
-    env = SpectrumSharingEnv(env_cfg, rng)
-    agents = build_agents(mode, env_cfg, hyper, rng)
-    local = agents[:1] if worker else agents
-    remote = agents[len(local):]
+    worker = _update_worker()
+    peer = worker or _Serial()
     history: list[dict] = []
     try:
-        if remote:
+        if worker is not None:
             worker.in_call = True
-            worker.ship(remote, hyper)
-        for it in range(hyper.iters):
+        env = SpectrumSharingEnv(env_cfg, rng)
+        agents = build_agents(mode, env_cfg, hyper, rng)
+        peer.ship(agents, hyper)
+        for it in range(1, hyper.iters + 1):
             batches, means = _collect(env, agents, hyper, rng)
-            row = {"iter": it + 1, **means}
-            try:
-                if remote:
-                    worker.send((batches[len(local):], np.geterr()))
-                stats = [_update(agent, batch, hyper) for agent, batch in zip(local, batches)]
-                if remote:
-                    stats += worker.result(remote)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"iteration {it + 1}, {exc}") from None
-            for agent, agent_stats in zip(agents, stats):
-                for key, val in agent_stats.items():
+            if history:
+                _record_values(history[-1], agents, peer.values(agents))
+            for agent, batch in zip(agents, batches):
+                _score(agent, batch, hyper)
+            peer.send(batches)
+            where = f"iteration {it}, "
+            first = _policy_half(agents[0], batches[0], hyper)
+            if first[1] and first[1][0] == 0:  # the update's first check: nothing precedes it
+                _raise_first([(first, _PASSED)], where)
+            policies = [first, *peer.policies(agents)]
+            if any(failure for _, failure in policies):
+                _raise_first(zip(policies, peer.values(agents)), where)
+            row = {"iter": it, **means}
+            for agent, (stats, _) in zip(agents, policies):
+                for key, val in stats.items():
                     row[f"{key}_{agent.name}"] = val
+                row[f"value_loss_{agent.name}"] = None
             history.append(row)
             if on_iteration is not None:
                 on_iteration(row)
+        _record_values(history[-1], agents, peer.values(agents))
     finally:
         if worker is not None:
             worker.in_call = False
-            if worker.busy:  # no later call may read the reply this one left owed
+            if worker.busy:  # no later call may read the replies this one left owed
                 worker.close(kill=True)
     return history

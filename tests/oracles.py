@@ -479,17 +479,21 @@ def ppo_update_reference(agent, batch, hyper):
 
 
 def train_reference(env_cfg, hyper, mode, rng):
-    """``ppo.train`` as one serial loop in the caller's process: per iteration
-    ``_collect``, then ``compute_gae``, ``normalize_advantages`` and
-    ``ppo_update`` for each agent in turn, on one BLAS thread."""
+    """``ppo.train`` as one serial loop in the caller's process, on one BLAS
+    thread: per iteration ``_collect``, then for each agent in turn its value
+    pass and bootstrap value, ``compute_gae``, ``normalize_advantages`` and the
+    interleaved update, which per epoch takes the policy step and then the
+    value step (``policy_objective``, ``value_objective``, ``AdamState.step``)."""
     from underlay_ppo.blas import one_blas_thread
     from underlay_ppo.env import SpectrumSharingEnv
     from underlay_ppo.ppo import (
         _collect,
         build_agents,
+        clip_envelope,
         compute_gae,
         normalize_advantages,
-        ppo_update,
+        policy_objective,
+        value_objective,
     )
 
     history = []
@@ -500,9 +504,18 @@ def train_reference(env_cfg, hyper, mode, rng):
             batches, means = _collect(env, agents, hyper, rng)
             row = {"iter": it + 1, **means}
             for agent, batch in zip(agents, batches):
+                batch.values = agent.value.forward(batch.obs)[0]
+                batch.bootstrap_value = agent.value.value(batch.final_obs)
                 batch.returns, raw_adv = compute_gae(batch, hyper)
                 batch.advantages = normalize_advantages(raw_adv)
-                for key, val in ppo_update(agent, batch, hyper).items():
+                envelope = clip_envelope(batch.advantages, hyper.clip)
+                for _ in range(hyper.update_epochs):
+                    objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope)
+                    agent.opt_policy.step(agent.policy.flat, -pgrad)
+                    vloss, vgrad = value_objective(agent.value, batch)
+                    agent.opt_value.step(agent.value.flat, vgrad)
+                stats = dict(pstats, policy_objective=objective, value_loss=vloss)
+                for key, val in stats.items():
                     row[f"{key}_{agent.name}"] = val
             history.append(row)
     return history

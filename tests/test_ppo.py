@@ -1,10 +1,12 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,15 @@ def tiny_hyper(**kwargs):
     base = dict(iters=2, batch=10, episode_len=5)
     base.update(kwargs)
     return PpoHyper(**base)
+
+
+def collect_scored(env, agents, hyper, rng):
+    """``_collect``, then each batch scored by its agent's value net as
+    ``train`` scores it."""
+    batches, means = _collect(env, agents, hyper, rng)
+    for agent, batch in zip(agents, batches):
+        ppo._score(agent, batch, hyper)
+    return batches, means
 
 
 def random_batch(rng, n=8, obs_dim=4, action_dim=2, ratio_noise=0.3):
@@ -417,7 +428,7 @@ class TestPpoUpdate:
         hyper = PpoHyper(iters=1, batch=200, episode_len=200, update_epochs=3)
         env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
-        batches, _ = _collect(env, agents, hyper, rng)
+        batches, _ = collect_scored(env, agents, hyper, rng)
         for agent, batch in zip(agents, batches):
             batch.returns, raw_adv = compute_gae(batch, hyper)
             batch.advantages = normalize_advantages(raw_adv)
@@ -522,9 +533,42 @@ class TestTrain:
             assert "policy_objective_c" in rows[0]
 
 
-def _train_in_child(conn):
-    rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(41))
+def _train_in_child(conn, mode=MODE_COEXIST, seed=41):
+    rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(seed))
     conn.send((rows, None if ppo._worker is None else ppo._worker.pid))
+
+
+def _nan_at(objective, width, call):
+    """``objective`` (``policy_objective`` or ``value_objective``), except that
+    its ``call``-th call (from 1) on a net of input width ``width`` returns a
+    nan objective. Each process counts its own calls; one process updates a
+    given net."""
+    calls = 0
+
+    def patched(net, *args):
+        nonlocal calls
+        out = objective(net, *args)
+        if net.dims[0] == width:
+            calls += 1
+            if calls == call:
+                return (float("nan"), *out[1:])
+        return out
+
+    return patched
+
+
+@pytest.fixture
+def own_worker():
+    """Kill this process's update worker before and after the test, so that
+    its ``train`` forks one that has its monkeypatches and no later test
+    inherits them."""
+    def kill():
+        if ppo._worker is not None:
+            ppo._worker.close(kill=True)
+
+    kill()
+    yield
+    kill()
 
 
 _FRESH_TRAIN = """
@@ -591,17 +635,100 @@ def _kill_and_wait(pid: int) -> None:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the update worker is forked on Linux only")
 class TestUpdateWorker:
-    """The second coexisting agent is updated in a forked worker process; no
-    result depends on it, and no reply or process outlives its owner."""
+    """Every mode updates in a forked worker process beside the caller, and
+    runs the value epochs during the next rollout; no result depends on it,
+    and no reply or process outlives its owner."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_train_equals_the_serial_reference(self, mode):
-        hyper = tiny_hyper(iters=3)
-        got = train(SMALL_ENV, hyper, mode, np.random.default_rng(40))
-        if mode == MODE_COEXIST:
-            assert ppo._worker is not None and ppo._worker.alive()
+        """Each hook call finds the call's worker held, owing the value reply."""
+        hyper, held = tiny_hyper(iters=3), []
+
+        def check_worker(row):
+            worker = ppo._worker
+            held.append(worker is not None and worker.in_call and worker.busy == 1)
+
+        got = train(SMALL_ENV, hyper, mode, np.random.default_rng(40), on_iteration=check_worker)
+        assert held == [True] * 3
+        assert ppo._worker is not None and ppo._worker.alive()
         assert repr(got) == repr(train_reference(SMALL_ENV, hyper, mode,
                                                  np.random.default_rng(40)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hook_sees_this_rows_value_losses_pending_and_the_last_rows_set(self, mode):
+        """``on_iteration`` gets its row with every ``value_loss_<agent>`` key
+        in place, holding None, while the row of the call before is complete."""
+        seen, earlier = [], []
+
+        def snapshot(row):
+            seen.append((dict(row), dict(earlier[-1]) if earlier else None))
+            earlier.append(row)
+
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(56),
+                     on_iteration=snapshot)
+        want = train_reference(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(56))
+        assert repr(rows) == repr(want)
+        for i, (row, last) in enumerate(seen):
+            pending = {key: None for key in want[i] if key.startswith("value_loss_")}
+            assert len(pending) == len(ppo.MODE_AGENTS[mode])
+            assert list(row) == list(want[i])
+            assert repr(row) == repr({**want[i], **pending})
+            assert repr(last) == repr(want[i - 1] if i else None)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_workers_equal_the_serial_reference(self, mode):
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+        child = ctx.Process(target=_train_in_child, args=(there, mode, 57), daemon=True)
+        child.start()
+        there.close()
+        assert here.poll(60)
+        rows, theirs = here.recv()
+        child.join(30)
+        assert child.exitcode == 0 and theirs is None
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), mode,
+                                                  np.random.default_rng(57)))
+
+    def test_value_half_divergence_names_its_iteration_and_agent(self, monkeypatch, own_worker):
+        """Iteration 2's value half fails in the worker during rollout 3; the
+        error names iteration 2, the worker owes no reply and serves the next
+        call as a fresh process would."""
+        seen = []
+        monkeypatch.setattr(ppo, "value_objective", _nan_at(ppo.value_objective, 7, 14))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="iteration 2, agent 's': non-finite value loss"):
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42),
+                  on_iteration=lambda row: seen.append(row["iter"]))
+        assert seen == [1, 2]
+        pid = ppo._worker.pid
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
+        assert ppo._worker.pid == pid
+        assert repr(rows) == _fresh_process(43)[1]
+
+    @pytest.mark.parametrize("name, width", [("p", 6), ("s", 7)])
+    @pytest.mark.parametrize("policy_epoch, value_epoch, label", [
+        (5, 2, "value loss"), (2, 5, "policy objective"), (3, 3, "policy objective")])
+    def test_the_earliest_failing_epoch_wins(self, monkeypatch, own_worker, name, width,
+                                             policy_epoch, value_epoch, label):
+        """Nan objectives injected into one agent's halves in iteration 1: the
+        error is the one the interleaved loop meets first, and ``ppo_update``
+        raises the same."""
+        real_policy, real_value = ppo.policy_objective, ppo.value_objective
+
+        def inject():  # fresh call counts
+            monkeypatch.setattr(ppo, "policy_objective",
+                                _nan_at(real_policy, width, policy_epoch))
+            monkeypatch.setattr(ppo, "value_objective", _nan_at(real_value, width, value_epoch))
+
+        inject()
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match=f"iteration 1, agent '{name}': non-finite {label}"):
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(55))
+        inject()
+        rng = np.random.default_rng(58)
+        agent = make_agent(rng, name, width, 2, tiny_hyper(), (8,))
+        with pytest.raises(TrainingDiverged, match=f"agent '{name}': non-finite {label}"):
+            ppo_update(agent, random_batch(rng, obs_dim=width), tiny_hyper())
 
     @pytest.mark.parametrize("daemon", [True, False], ids=["daemonic", "plain"])
     def test_forked_process_trains_with_zero_workers_or_its_own(self, daemon):
@@ -666,7 +793,8 @@ class TestUpdateWorker:
                                                   np.random.default_rng(44)))
 
     def test_worker_killed_mid_call_is_named_and_replaced(self):
-        with pytest.raises(RuntimeError, match=r"update worker of agent 's' \(pid \d+\) exited"):
+        with pytest.raises(RuntimeError,
+                           match=r"update worker of agent 'p', 's' \(pid \d+\) exited"):
             train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(45),
                   on_iteration=lambda row: _kill_and_wait(ppo._worker.pid))
         assert ppo._worker is None
@@ -680,9 +808,12 @@ class TestUpdateWorker:
         agent = make_agent(rng, "s", 4, 2, hyper, (8,))
         worker = ppo._update_worker()
         worker.ship([agent], hyper)
-        worker.send(([random_batch(rng, obs_dim=3)], np.geterr()))  # the net takes 4 inputs
-        with pytest.raises(ValueError, match="matmul"):
-            worker.result([agent])
+        worker.send([random_batch(rng, obs_dim=3)])  # the net takes 4 inputs
+        assert worker.policies([agent]) == []  # the first agent's policy half runs in the caller
+        with pytest.raises(ValueError, match="matmul") as raised:
+            ppo._record_values({"iter": 1}, [agent], worker.values([agent]))
+        printed = "".join(traceback.format_exception(raised.value))
+        assert re.search(r'File ".*nets\.py", line \d+, in forward', printed)
         assert not worker.busy and worker.alive()
 
     def test_worker_ignores_sigint(self):
@@ -722,7 +853,7 @@ class TestCollect:
         hyper = tiny_hyper()
         env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
-        batches, _ = _collect(env, agents, hyper, rng)
+        batches, _ = collect_scored(env, agents, hyper, rng)
         for agent, batch in zip(agents, batches):
             per_row = [agent.value.value(ob) for ob in batch.obs]
             np.testing.assert_allclose(batch.values, per_row, rtol=1e-12, atol=0.0)
@@ -735,8 +866,8 @@ class TestCollect:
         Each agent's actions are mean + exp(log_std) * z for its column slice
         of the block; observations (rebuilt by the oracle from the replayed
         positions), rewards (the two systems' sum for the centralized agent),
-        dones, bootstraps, metric means and the final rng state match, bit for
-        bit."""
+        dones, final observations, bootstraps (as ``train`` scores them), metric
+        means and the final rng state match, bit for bit."""
         def observed(env, nodes):  # each agent's observation, in agent order
             kinds = [OBS_PRIMARY, OBS_SECONDARY] if mode == MODE_COEXIST else [mode]
             return [observation_reference(env, kind, nodes, SMALL_ENV.k_p, SMALL_ENV.radius)
@@ -749,7 +880,7 @@ class TestCollect:
             agents = build_agents(mode, SMALL_ENV, hyper, rng)
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
-            batches, means = _collect(env, agents, hyper, rng)
+            batches, means = collect_scored(env, agents, hyper, rng)
             joint = np.concatenate([batch.actions for batch in batches], axis=1)
             ends = np.cumsum([agent.policy.action_dim for agent in agents])
             cols = [slice(end - agent.policy.action_dim, end)
@@ -779,6 +910,7 @@ class TestCollect:
                 np.testing.assert_array_equal(batch.obs, [obs[i] for obs in seen])
                 np.testing.assert_array_equal(batch.rewards, [r[i] for r in rewards])
                 np.testing.assert_array_equal(batch.dones, dones)
+                np.testing.assert_array_equal(batch.final_obs, final[i])
                 assert batch.bootstrap_value == agent.value.value(final[i])
             assert list(means.values()) == (sums / hyper.batch).tolist()
             assert rng.bit_generator.state == twin.bit_generator.state
