@@ -12,8 +12,11 @@ identical configuration and compares the CSV bytes.
 """
 
 import csv
+import importlib.util
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,8 +337,19 @@ def test_criterion_7_reward_improvement(desk_run):
     )
 
 
-def test_criterion_8_determinism(desk_run, tmp_path):
-    """A repeated run with identical config writes byte-identical CSVs."""
+def _csv_digests(monkeypatch):
+    """``scripts/csv_digests.py`` as a module; its ``sys.path`` entry stays local."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "scripts" / "csv_digests.py"
+    spec = importlib.util.spec_from_file_location("csv_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_8_determinism(desk_run, tmp_path, monkeypatch):
+    """A repeated run with identical config writes byte-identical CSVs, whose
+    digests equal this build's record in ``tests/csv_digests.json``."""
     rerun = tmp_path / "rerun"
     run_desk(rerun)
     names = [f"seed_{s}.csv" for s in desk_run["cfg"].seeds] + ["aggregate.csv"]
@@ -344,13 +358,19 @@ def test_criterion_8_determinism(desk_run, tmp_path):
         for name in names
         if (desk_run["out"] / name).read_bytes() != (rerun / name).read_bytes()
     ]
-    report(
-        8,
-        not mismatched,
-        f"{len(names)} CSVs byte-identical across two runs"
-        if not mismatched
-        else f"files differ: {mismatched}",
-    )
+    digests = _csv_digests(monkeypatch)
+    try:
+        differs = digests.first_difference(
+            digests.desk_lines(desk_run["out"], desk_run["cfg"].seeds), digests.recorded("desk"))
+    except LookupError as exc:
+        differs = str(exc)
+    if mismatched:
+        detail = f"files differ: {mismatched}"
+    elif differs:
+        detail = f"{len(names)} CSVs byte-identical across two runs, but not to the record: {differs}"
+    else:
+        detail = f"{len(names)} CSVs byte-identical across two runs and to the record"
+    report(8, not mismatched and not differs, detail)
 
 
 def test_criterion_9_observation_dims():

@@ -3,7 +3,8 @@
 Importing each script as a module checks that every package name it imports
 still exists. The sweep's ``main`` runs with ``train`` or ``run_experiment``
 stubbed, so nothing trains. ``csv_digests`` is also run through its
-``digest_lines``, the byte-identity check refactors rest on.
+``digest_lines``, whose output must equal this build's entry in
+``tests/csv_digests.json``: the byte-identity check refactors rest on.
 """
 import importlib.util
 import re
@@ -38,6 +39,8 @@ def test_csv_digests_are_stable(monkeypatch, tmp_path):
     module = _load("csv_digests")
     runs = [module.digest_lines(tmp_path / name) for name in ("first", "second")]
     assert runs[0] == runs[1]
+    differs = module.first_difference(runs[0], module.recorded("matrix"))
+    assert differs is None, f"first file that differs from the record: {differs}"
     assert len(runs[0]) == 42
     digests, paths = zip(*(line.split("  ") for line in runs[0]))
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
@@ -47,6 +50,20 @@ def test_csv_digests_are_stable(monkeypatch, tmp_path):
     assert paths[36:] == tuple(f"paper/{cell}/{f}"
                                for cell in ("custom/coexist_dist", "ex1/centralized_full_csi")
                                for f in ("seed_5.csv", "aggregate.csv", "config_used.txt"))
+
+
+def test_csv_digests_name_the_first_differing_file_and_an_unrecorded_build(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    module = _load("csv_digests")
+    want = [f"{i:064x}  cell/file_{i}.csv" for i in range(3)]
+    assert module.first_difference(want, want) is None
+    changed = want[:1] + [f"{9:064x}  cell/file_1.csv"] + want[2:]
+    assert module.first_difference(changed, want) == "cell/file_1.csv"
+    assert module.first_difference(want[:2], want).startswith("line 3 (the counts differ")
+    monkeypatch.setattr(module, "build_key", lambda: "numpy 0; an unrecorded BLAS")
+    with pytest.raises(LookupError, match=r"\(numpy 0; an unrecorded BLAS\); record them "
+                                          r"with: python3 scripts/csv_digests.py --record$"):
+        module.recorded("matrix")
 
 
 def _run_main(monkeypatch, module, *args):
