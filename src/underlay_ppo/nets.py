@@ -10,17 +10,30 @@ log-std clamp and at min/clip kinks.
 Flat layout: each network owns one float64 vector ``flat``; its weights
 (fan_in, fan_out) and biases are reshaped views into it, input to output,
 listed by ``names`` (``w0``, ``b0``, ..., then a policy's ``mean_w``,
-``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one fresh
+``mean_b``, ``log_std_w``, ``log_std_b``). Backward passes return one
 gradient vector in the same layout, and ``AdamState`` keeps its moments as
 two such vectors. A network's ``dims`` (input, hidden, output sizes) fix the
 layout: ``init(rng, dims)`` draws a net, ``GaussianPolicyNet(dims, flat)`` rebuilds one.
 
-Temporaries: a forward pass adds each bias and applies ``tanh`` in place on
-the fresh matmul product, which then is both the layer's output and its
+Workspaces: a pass writes each product into a buffer that its ``work``
+argument hands out by key and shape. The default, ``fresh``, hands out a new
+array each time, so what the pass returns outlives the call. The update's
+epochs (``ppo._policy_half``, ``ppo._value_half``) pass the net's
+``workspace`` instead. It makes each buffer on first use and hands it out
+again to every later pass with that key and shape, so by batch size: the
+forward products, the backward ``dz`` and ``dx`` buffers (shared by layers of
+one width, as each is used up before the next) and the flat gradient. Each
+such pass overwrites what the last one returned. A copy or pickle of a net
+carries no buffers. A forward pass adds each bias and applies ``tanh`` in
+place on its matmul product, which then is both the layer's output and its
 cache entry; backward passes only read the cache. Every in-place or ``out=``
 form evaluates the same operations on the same operands in the same order as
 the plain expression, so results are bit-identical to it (the allocating
 forms in ``tests/oracles.py`` check this).
+
+The rollout runs all of a mode's policies at once, one step at a time:
+``PolicyStack`` lays their parameters out in stacked blocks, and
+``sample_action`` runs them on one observation each.
 """
 from __future__ import annotations
 
@@ -51,6 +64,21 @@ def _uniform_init(rng: np.random.Generator, blocks, scale: float) -> None:
         b[...] = rng.uniform(-bound, bound, b.shape)
 
 
+def fresh(key, shape) -> np.ndarray:
+    """The ``work`` of a pass whose products outlive it: a new array each time."""
+    return np.empty(shape)
+
+
+class Workspace(dict):
+    """A net's reusable buffers by (key, shape), so by batch size too (module doc)."""
+
+    def __call__(self, key, shape) -> np.ndarray:
+        buf = self.get((key, shape))
+        if buf is None:
+            buf = self[key, shape] = np.empty(shape)
+        return buf
+
+
 class _FlatParams:
     """Parameters as named blocks laid end to end in one flat vector."""
 
@@ -61,6 +89,7 @@ class _FlatParams:
         self.flat = np.zeros(ends[-1]) if flat is None else flat
         if self.flat.shape != (ends[-1],) or self.flat.dtype != np.float64:
             raise ValueError(f"flat parameters must be a float64 vector of length {ends[-1]}")
+        self.workspace = Workspace()
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the net from (dims, flat), so that its
@@ -112,26 +141,26 @@ class DenseNet(_FlatParams):
         _uniform_init(rng, net.params(), 1.0)
         return net
 
-    def forward(self, x):
+    def forward(self, x, work=fresh):
         """Run the stack; returns (output, cache of per-layer activations)."""
         x = np.asarray(x, dtype=float)
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w
+            x = np.matmul(x, w, out=work(("act", i), (*x.shape[:-1], w.shape[1])))
             x += b
             if i < last or self.tanh_output:
                 np.tanh(x, out=x)
             acts.append(x)
         return x, acts
 
-    def backward(self, cache, dout, grad=None):
+    def backward(self, cache, dout, grad=None, work=fresh):
         """Backprop ``dout`` (gradient w.r.t. the output, batched 2-D) into the
-        parameter gradient ``grad`` (fresh if None), which it returns; the
+        parameter gradient ``grad`` (``work``'s if None), which it returns; the
         gradient w.r.t. the input is not formed."""
         if dout.ndim != 2:
             raise ValueError("backward expects batched (2-D) gradients")
-        grad = np.empty(self.flat.size) if grad is None else grad
+        grad = work("grad", self.flat.shape) if grad is None else grad
         blocks = self.blocks(grad)
         last = len(self.weights) - 1
         dx = dout
@@ -139,14 +168,14 @@ class DenseNet(_FlatParams):
             a_in, a_out = cache[i], cache[i + 1]
             if i == last and not self.tanh_output:
                 dz = dx
-            else:  # dx * (1 - a_out**2), formed in one fresh buffer
-                dz = np.multiply(a_out, a_out)
+            else:  # dx * (1 - a_out**2), formed in one buffer
+                dz = np.multiply(a_out, a_out, out=work("dz", a_out.shape))
                 np.subtract(1.0, dz, out=dz)
                 np.multiply(dx, dz, out=dz)
             np.matmul(a_in.T, dz, out=blocks[2 * i])
             dz.sum(axis=0, out=blocks[2 * i + 1])
-            if i:
-                dx = dz @ self.weights[i].T
+            if i:  # each dz and dx is used up before the next layer's, so they share buffers
+                dx = np.matmul(dz, self.weights[i].T, out=work("dx", a_in.shape))
         return grad
 
 
@@ -190,31 +219,33 @@ class GaussianPolicyNet(_FlatParams):
     def action_dim(self) -> int:
         return self.dims[-1]
 
-    def forward(self, obs):
+    def forward(self, obs, work=fresh):
         """Returns (mean, log_std, cache); accepts a single obs or a batch."""
-        h, trunk_cache = self.trunk.forward(obs)
-        mean = h @ self.w_mean
+        h, trunk_cache = self.trunk.forward(obs, work)
+        shape = (*h.shape[:-1], self.action_dim)
+        mean = np.matmul(h, self.w_mean, out=work("mean", shape))
         mean += self.b_mean
-        raw_log_std = h @ self.w_log_std
+        raw_log_std = np.matmul(h, self.w_log_std, out=work("raw_log_std", shape))
         raw_log_std += self.b_log_std
-        log_std = raw_log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+        log_std = raw_log_std.clip(LOG_STD_MIN, LOG_STD_MAX, out=work("log_std", shape))
         return mean, log_std, (trunk_cache, h, raw_log_std)
 
-    def backward(self, cache, dmean, dlog_std):
+    def backward(self, cache, dmean, dlog_std, work=fresh):
         """Backprop head gradients; returns one gradient vector in the flat layout."""
         trunk_cache, h, raw_log_std = cache
         dlog_std = np.where(
             (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX), dlog_std, 0.0
         )
-        grad = np.empty(self.flat.size)
+        grad = work("grad", self.flat.shape)
         dw_mean, db_mean, dw_log_std, db_log_std = self.blocks(grad)[-4:]
         np.matmul(h.T, dmean, out=dw_mean)
         dmean.sum(axis=0, out=db_mean)
         np.matmul(h.T, dlog_std, out=dw_log_std)
         dlog_std.sum(axis=0, out=db_log_std)
-        dh = dmean @ self.w_mean.T
-        dh += dlog_std @ self.w_log_std.T
-        self.trunk.backward(trunk_cache, dh, grad[: self.trunk.flat.size])
+        # dh is the trunk's incoming dx; its dz buffer is free until its backward starts
+        dh = np.matmul(dmean, self.w_mean.T, out=work("dx", h.shape))
+        dh += np.matmul(dlog_std, self.w_log_std.T, out=work("dz", h.shape))
+        self.trunk.backward(trunk_cache, dh, grad[: self.trunk.flat.size], work)
         return grad
 
 
@@ -227,13 +258,13 @@ class ValueNet(DenseNet):
             raise ValueError("value net needs a linear single-unit output")
         super().__init__(dims, flat)
 
-    def forward(self, obs):
-        out, cache = super().forward(obs)
+    def forward(self, obs, work=fresh):
+        out, cache = super().forward(obs, work)
         return out[..., 0], cache
 
-    def backward(self, cache, dvalues):
+    def backward(self, cache, dvalues, work=fresh):
         """Gradient of sum(dvalues * values) as one vector in the flat layout."""
-        return super().backward(cache, dvalues[:, None])
+        return super().backward(cache, dvalues[:, None], work=work)
 
     def value(self, obs) -> float:
         """Scalar value of one observation."""
@@ -248,24 +279,80 @@ def _log_density(z, log_std):
             - 0.5 * z.shape[-1] * _LOG_2PI)
 
 
-def sample_action(policy: GaussianPolicyNet, obs, z):
-    """The action ``mean + std * z`` for one observation and its standard-normal
-    noise row ``z``; returns (action, log_std). Draws nothing and leaves the log
-    density to ``ppo._collect``, which takes it once per episode over the noise
-    and log-std blocks."""
-    mean, log_std, _ = policy.forward(obs)
-    std = np.exp(log_std)
-    mean += np.multiply(std, z, out=std)  # mean + std * z
-    return mean, log_std
+class PolicyStack:
+    """Several policies' parameters, laid out for ``sample_action``.
+
+    Every policy needs the same hidden widths. The first layer stays per
+    policy, because observation widths differ; each later trunk layer runs as
+    one ``(P, 1, n) @ (P, n, m)`` product. The mean and log-std heads run the
+    same way where every action width is equal, and per policy otherwise. They
+    are never fused into one product nor zero-padded, which changes bits.
+    Policy p acts on the action columns after those of policies 0..p-1. The
+    stacked blocks are copies: build the stack once the policies are final,
+    and again after they change.
+    """
+
+    def __init__(self, policies):
+        if len({tuple(policy.dims[1:-1]) for policy in policies}) != 1:
+            raise ValueError("stacked policies need equal hidden widths")
+        trunks = [policy.trunk for policy in policies]
+        self.weights = [np.stack(ws) for ws in zip(*(trunk.weights[1:] for trunk in trunks))]
+        self.biases = [np.stack(bs)[:, None] for bs in zip(*(trunk.biases for trunk in trunks))]
+        self.hidden = [np.empty((len(policies), 1, width)) for width in policies[0].dims[1:-1]]
+        # each policy's first-layer weights, and its row of the layer's product
+        self.first = [(trunk.weights[0], out) for trunk, out in zip(trunks, self.hidden[0][:, 0])]
+        widths = [policy.action_dim for policy in policies]
+        self.b_mean = np.concatenate([policy.b_mean for policy in policies])
+        self.b_log_std = np.concatenate([policy.b_log_std for policy in policies])
+        self.std = np.empty(sum(widths))
+        self.head_shape = (len(policies), 1, widths[0]) if len(set(widths)) == 1 else None
+        if self.head_shape:
+            self.heads = (np.stack([policy.w_mean for policy in policies]),
+                          np.stack([policy.w_log_std for policy in policies]))
+        else:
+            ends = np.cumsum(widths).tolist()
+            self.heads = [(h, policy.w_mean, policy.w_log_std, slice(end - width, end))
+                          for h, policy, width, end
+                          in zip(self.hidden[-1][:, 0], policies, widths, ends)]
 
 
-def logprob_grads(policy, cache, z, inv_std, weights):
+def sample_action(stack: PolicyStack, rows, z, action, log_std) -> None:
+    """One step of every policy of ``stack``, policy p on observation
+    ``rows[p]``: writes ``mean + std * z`` into the contiguous row ``action``
+    and the log-stds into the contiguous row ``log_std``, each over all the
+    policies' action columns, for the step's standard-normal noise row ``z``.
+    Draws nothing and leaves the log density to ``ppo._collect``, which takes
+    it once per episode over the noise and log-std blocks."""
+    for row, (w, out) in zip(rows, stack.first):
+        np.matmul(row, w, out=out)
+    h = stack.hidden[0]
+    h += stack.biases[0]
+    np.tanh(h, out=h)
+    for w, b, out in zip(stack.weights, stack.biases[1:], stack.hidden[1:]):
+        h = np.matmul(h, w, out=out)
+        h += b
+        np.tanh(h, out=h)
+    if stack.head_shape:
+        np.matmul(h, stack.heads[0], out=action.reshape(stack.head_shape))
+        np.matmul(h, stack.heads[1], out=log_std.reshape(stack.head_shape))
+    else:
+        for h_p, w_mean, w_log_std, col in stack.heads:
+            np.matmul(h_p, w_mean, out=action[col])
+            np.matmul(h_p, w_log_std, out=log_std[col])
+    action += stack.b_mean
+    log_std += stack.b_log_std
+    log_std.clip(LOG_STD_MIN, LOG_STD_MAX, out=log_std)
+    std = np.exp(log_std, out=stack.std)
+    action += np.multiply(std, z, out=std)  # mean + std * z
+
+
+def logprob_grads(policy, cache, z, inv_std, weights, work=fresh):
     """Gradient of sum_t weights[t] * log pi(a_t | s_t), given a forward pass's
     standardized actions ``z = (a - mean) * inv_std`` and ``inv_std = exp(-log_std)``."""
     w = weights[:, None]
     dmean = w * z * inv_std
     dlog_std = w * (z * z - 1.0)
-    return policy.backward(cache, dmean, dlog_std)
+    return policy.backward(cache, dmean, dlog_std, work)
 
 
 class AdamState:

@@ -59,8 +59,10 @@ from .geometry import require_finite
 from .nets import (
     AdamState,
     GaussianPolicyNet,
+    PolicyStack,
     ValueNet,
     _log_density,
+    fresh,
     logprob_grads,
     sample_action,
 )
@@ -205,11 +207,13 @@ def clip_envelope(advantage, eps: float) -> np.ndarray:
 
 
 def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
-                     envelope: np.ndarray):
+                     envelope: np.ndarray, work=fresh):
     """Clipped-surrogate objective, its exact gradient, and update stats, given
-    the batch's ``clip_envelope`` (``ppo_update`` builds it once per update)."""
+    the batch's ``clip_envelope`` (``ppo_update`` builds it once per update).
+    The update's epochs pass the policy's workspace as ``work``; the gradient
+    returned is then its buffer, which the next such call overwrites."""
     n = len(batch)
-    mean, log_std, cache = policy.forward(batch.obs)
+    mean, log_std, cache = policy.forward(batch.obs, work)
     inv_std = np.exp(-log_std)
     z = (batch.actions - mean) * inv_std
     ratio = np.exp(_log_density(z, log_std) - batch.log_probs_old)
@@ -220,7 +224,7 @@ def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
     # d(min)/d(theta): only the ratio branch depends on theta
     unclipped = linear <= envelope
     weights = np.where(unclipped, linear, 0.0) / n
-    grads = logprob_grads(policy, cache, z, inv_std, weights)
+    grads = logprob_grads(policy, cache, z, inv_std, weights, work)
     stats = {
         "mean_ratio": float(np.add.reduce(ratio) / n),
         "clip_fraction": float(np.count_nonzero(~unclipped) / n),
@@ -228,12 +232,13 @@ def policy_objective(policy: GaussianPolicyNet, batch: TrajectoryBatch,
     return objective, grads, stats
 
 
-def value_objective(value: ValueNet, batch: TrajectoryBatch):
-    """Mean squared error against rewards-to-go, with its exact gradient."""
-    v, cache = value.forward(batch.obs)
+def value_objective(value: ValueNet, batch: TrajectoryBatch, work=fresh):
+    """Mean squared error against rewards-to-go, with its exact gradient;
+    ``work`` as ``policy_objective`` takes it."""
+    v, cache = value.forward(batch.obs, work)
     err = v - batch.returns
     loss = float(np.add.reduce(err * err) / len(batch))
-    grads = value.backward(cache, 2.0 * err / len(batch))
+    grads = value.backward(cache, 2.0 * err / len(batch), work)
     return loss, grads
 
 
@@ -265,9 +270,10 @@ def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
     """The policy epochs of ``ppo_update``. Returns the outcome: (the last
     epoch's stats, None), or (None, (epoch, exception)) if an epoch raised."""
     envelope = clip_envelope(batch.advantages, hyper.clip)  # fixed for the update
+    work = agent.policy.workspace
     for epoch in range(hyper.update_epochs):
         try:
-            objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope)
+            objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope, work)
             _check_finite(agent, "policy objective", objective, pgrad)
             agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
         except Exception as exc:
@@ -277,9 +283,10 @@ def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
 
 def _value_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
     """The value epochs of ``ppo_update``; its outcome holds the last loss."""
+    work = agent.value.workspace
     for epoch in range(hyper.update_epochs):
         try:
-            vloss, vgrad = value_objective(agent.value, batch)
+            vloss, vgrad = value_objective(agent.value, batch, work)
             _check_finite(agent, "value loss", vloss, vgrad)
             agent.opt_value.step(agent.value.flat, vgrad)
         except Exception as exc:
@@ -380,8 +387,11 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
     Every mode runs one loop, which draws only at episode starts: the gains in
     ``env.reset``, then one standard-normal ``(hyper.episode_len, K)`` noise block.
     Each agent's ``(batch, obs_dim)`` observation block takes its kind's heads at
-    each reset and per step only the measurement tail (``_layout``); it acts into
-    its columns of one joint ``(batch, K)`` action block and its log-std block.
+    each reset and per step only the measurement tail (``_layout``). Per step
+    one ``sample_action`` runs every agent's policy from a ``PolicyStack`` built
+    here, and writes into the step's rows of one joint ``(batch, K)`` action
+    block and one joint log-std block, each agent in its links' columns (which
+    follow the previous agent's, as ``MODE_AGENTS`` orders the agents).
     Each episode ends with one batched pass for its metric rows
     (``env.metric_rows``) and one per agent for its noise rows' log densities.
     Each batch keeps the observation after the last step, which the bootstrap
@@ -392,12 +402,13 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
     kinds = [agent.kind for agent in agents]
     links, seen = zip(*(_layout(kind, k_p, k_s) for kind in kinds))
     obs = [np.empty((n, agent.policy.obs_dim)) for agent in agents]
-    log_stds = [np.empty((n, agent.policy.action_dim)) for agent in agents]
     joint = np.empty((n, k_p + k_s))  # the joint actions, primary links first
+    log_std = np.empty((n, k_p + k_s))  # and their log-stds
     log_probs = np.empty((len(agents), n))
     rows = np.empty((n, len(METRIC_FIELDS)))  # step rows, in METRIC_FIELDS order
-    acting = [(agent.policy, ob, agent.policy.obs_dim - (cut.stop - cut.start), cut, col, ls)
-              for agent, ob, cut, col, ls in zip(agents, obs, seen, links, log_stds)]
+    stack = PolicyStack([agent.policy for agent in agents])
+    tails = [(agent.policy.obs_dim - (cut.stop - cut.start), cut)  # measurement slots
+             for agent, cut in zip(agents, seen)]
     for start in range(0, n, t_len):
         stop = start + t_len
         env.reset(rng, t_len)
@@ -406,14 +417,14 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
             ob[start:stop, :head.shape[1]] = head[:t_len]
         noise = rng.standard_normal((t_len, k_p + k_s))
         for idx, z, measured in zip(range(start, stop), noise, env.measured):
-            for policy, ob, width, cut, col, log_std in acting:
-                row = ob[idx]
+            step_obs = [ob[idx] for ob in obs]
+            for row, (width, cut) in zip(step_obs, tails):
                 row[width:] = measured[cut]
-                joint[idx, col], log_std[idx] = sample_action(policy, row, z[col])
+            sample_action(stack, step_obs, z, joint[idx], log_std[idx])
             env.step(joint[idx])
         rows[start:stop] = env.metric_rows()
-        for logp, col, log_std in zip(log_probs, links, log_stds):
-            logp[start:stop] = _log_density(noise[:, col], log_std[start:stop])
+        for logp, col in zip(log_probs, links):
+            logp[start:stop] = _log_density(noise[:, col], log_std[start:stop, col])
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     batches = [
         TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,

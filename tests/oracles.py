@@ -330,6 +330,29 @@ def logprob_grads_from_forward(policy, cache, mean, log_std, actions, weights):
     return logprob_grads(policy, cache, (actions - mean) * inv_std, inv_std, weights)
 
 
+def sample_action_reference(policy, obs, z):
+    """One policy's per-step pass, as the rollout ran it before the policies
+    were stacked: ``(mean + exp(log_std) * z, log_std)`` from ``policy.forward``
+    on one observation and its noise row ``z``."""
+    mean, log_std, _ = policy.forward(obs)
+    std = np.exp(log_std)
+    mean += np.multiply(std, z, out=std)  # mean + std * z
+    return mean, log_std
+
+
+def per_net_sample_action(policies):
+    """A stand-in for ``nets.sample_action`` that ignores the stack and runs
+    ``policies`` one by one through ``sample_action_reference``, each on its
+    action columns (after those of the policies before it)."""
+    def sample_action(stack, rows, z, action, log_std):
+        start = 0
+        for policy, row in zip(policies, rows):
+            col = slice(start, start + policy.action_dim)
+            start = col.stop
+            action[col], log_std[col] = sample_action_reference(policy, row, z[col])
+    return sample_action
+
+
 def step_reference(gains, raw_p, raw_s, radio, active_fraction):
     """One environment step's physics and bookkeeping, system by system.
 

@@ -11,6 +11,7 @@ from oracles import (
     logprob_grads_from_forward,
     max_rel_err,
     numeric_grad,
+    sample_action_reference,
     unshrunk_policy,
 )
 from underlay_ppo.nets import (
@@ -19,6 +20,7 @@ from underlay_ppo.nets import (
     AdamState,
     DenseNet,
     GaussianPolicyNet,
+    PolicyStack,
     ValueNet,
     _log_density,
     sample_action,
@@ -26,6 +28,13 @@ from underlay_ppo.nets import (
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
+
+
+def _sample(policy, obs, z):
+    """``sample_action`` on a stack of one: (action, log_std)."""
+    action, log_std = np.empty(policy.action_dim), np.empty(policy.action_dim)
+    sample_action(PolicyStack([policy]), [obs], z, action, log_std)
+    return action, log_std
 
 
 class TestDenseNet:
@@ -111,13 +120,13 @@ class TestLogDensityBlocks:
     @pytest.mark.parametrize("dim", range(1, 21))
     def test_episode_block_equals_per_row_calls(self, dim):
         """``_log_density`` over a (T, d) block, as a rollout takes it once per
-        episode (the noise as a column slice of the joint noise block), equals
-        its per-row calls bit for bit."""
+        episode (the noise and the log-stds as column slices of the joint noise
+        and log-std blocks), equals its per-row calls bit for bit."""
         rng = np.random.default_rng(100 + dim)
         t_len, lead = 200, 3
         noise = rng.standard_normal((t_len, lead + dim + 2))
         z = noise[:, lead:lead + dim]
-        log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, (t_len, dim))
+        log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, noise.shape)[:, lead:lead + dim]
         block = _log_density(z, log_std)
         rows = [float(_log_density(z[t], log_std[t])) for t in range(t_len)]
         assert block.shape == (t_len,)
@@ -194,7 +203,7 @@ class TestPolicyNet:
         pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         obs = rng.standard_normal(4)
         z = np.random.default_rng(12).standard_normal(2)
-        action, sampled_log_std = sample_action(pol, obs, z)
+        action, sampled_log_std = _sample(pol, obs, z)
         mean, log_std, _ = pol.forward(obs)
         np.testing.assert_array_equal(sampled_log_std, log_std)
         lp = _log_density(z, sampled_log_std)  # the rollout's density of the draw
@@ -207,7 +216,7 @@ class TestPolicyNet:
         pol = GaussianPolicyNet.init(rng, [4, 64, 64, 2])
         obs = rng.standard_normal(4)
         z = np.random.default_rng(99).standard_normal(2)
-        action, _ = sample_action(pol, obs, z)
+        action, _ = _sample(pol, obs, z)
         mean, log_std, _ = pol.forward(obs)
         np.testing.assert_array_equal(action, mean + np.exp(log_std) * z)
 
@@ -217,7 +226,7 @@ class TestPolicyNet:
         pol.b_log_std[:] = -30.0  # clamps to LOG_STD_MIN
         obs = rng.standard_normal(3)
         mean, _, _ = pol.forward(obs)
-        action, _ = sample_action(pol, obs, np.random.default_rng(15).standard_normal(2))
+        action, _ = _sample(pol, obs, np.random.default_rng(15).standard_normal(2))
         np.testing.assert_allclose(action, mean, atol=1e-8)
 
     def test_log_prob_maximal_at_mean(self):
@@ -229,6 +238,82 @@ class TestPolicyNet:
         for _ in range(20):
             other = mean + rng.standard_normal(2) * 0.5
             assert gaussian_log_prob(mean, log_std, other) <= at_mean
+
+
+def _clamp_biting(rng, policy):
+    """Widen ``policy``'s log-std head so that its clamp saturates on some
+    observations and not on others, at both ends."""
+    policy.w_log_std[...] = rng.standard_normal(policy.w_log_std.shape)
+    policy.b_log_std[...] = np.resize([LOG_STD_MAX - 0.5, LOG_STD_MIN + 0.5], policy.action_dim)
+    return policy
+
+
+class TestPolicyStack:
+    """The stacked per-step pass against each policy's own pass
+    (``sample_action_reference``), bit for bit."""
+
+    @pytest.mark.parametrize("widths", [
+        [(6, 2)], [(157, 12)], [(6, 2), (7, 2)], [(20, 4), (73, 8)], [(72, 8), (21, 4)],
+        [(3, 1), (5, 3)], [(4, 3), (9, 3)], [(5, 1), (6, 1), (7, 2)],
+    ], ids=str)
+    def test_equals_the_per_policy_pass(self, widths):
+        rng = np.random.default_rng(sum(a * b for a, b in widths))
+        policies = [_clamp_biting(rng, GaussianPolicyNet.init(rng, [obs_dim, 64, 64, action_dim]))
+                    for obs_dim, action_dim in widths]
+        stack = PolicyStack(policies)
+        assert (stack.head_shape is not None) == (len({d for _, d in widths}) == 1)
+        k = sum(d for _, d in widths)
+        clamped = []
+        for _ in range(50):
+            rows = [rng.standard_normal(obs_dim) * 3.0 for obs_dim, _ in widths]
+            z = rng.standard_normal(k)
+            action, log_std = np.full(k, np.nan), np.full(k, np.nan)
+            sample_action(stack, rows, z, action, log_std)
+            start = 0
+            for policy, row in zip(policies, rows):
+                col = slice(start, start + policy.action_dim)
+                start = col.stop
+                want_action, want_log_std = sample_action_reference(policy, row, z[col])
+                assert action[col].tobytes() == want_action.tobytes()
+                assert log_std[col].tobytes() == want_log_std.tobytes()
+            clamped += [(log_std == LOG_STD_MAX).any(), (log_std == LOG_STD_MIN).any(),
+                        ((log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)).any()]
+        assert all(np.any(clamped[i::3]) for i in range(3))  # both clamp ends and neither
+
+    def test_outputs_are_the_callers_rows(self):
+        """A later call leaves the rows an earlier call wrote as they were."""
+        rng = np.random.default_rng(40)
+        policies = [GaussianPolicyNet.init(rng, [d, 64, 64, 2]) for d in (6, 7)]
+        stack = PolicyStack(policies)
+        out = np.empty((4, 4))
+        sample_action(stack, [rng.standard_normal(6), rng.standard_normal(7)],
+                      rng.standard_normal(4), out[0], out[1])
+        before = out[:2].copy()
+        sample_action(stack, [rng.standard_normal(6), rng.standard_normal(7)],
+                      rng.standard_normal(4), out[2], out[3])
+        assert out[:2].tobytes() == before.tobytes()
+        assert not np.array_equal(out[2:], before)
+
+    def test_holds_copies_of_the_stacked_blocks(self):
+        """The stacked pass runs the parameters the stack was built from."""
+        rng = np.random.default_rng(41)
+        policies = [GaussianPolicyNet.init(rng, [5, 8, 8, 2]) for _ in range(2)]
+        stack = PolicyStack(policies)
+        rows, z = [rng.standard_normal(5), rng.standard_normal(5)], rng.standard_normal(4)
+        want = [np.empty(4), np.empty(4)]
+        sample_action(stack, rows, z, *want)
+        for policy in policies:
+            policy.flat[policy.trunk.flat.size:] += 1.0  # the heads
+            policy.trunk.weights[1][...] += 1.0
+        got = [np.empty(4), np.empty(4)]
+        sample_action(stack, rows, z, *got)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_unequal_hidden_widths_rejected(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(ValueError, match="equal hidden widths"):
+            PolicyStack([GaussianPolicyNet.init(rng, [4, 8, 2]),
+                         GaussianPolicyNet.init(rng, [4, 6, 2])])
 
 
 class TestValueNet:
@@ -385,6 +470,15 @@ class TestAdam:
             opt.step(params, np.zeros(3))
 
 
+COPIERS = pytest.mark.parametrize(
+    "copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))], ids=["deepcopy", "pickle"])
+MAKERS = pytest.mark.parametrize("make", [
+    lambda rng: GaussianPolicyNet.init(rng, [4, 8, 8, 2]),
+    lambda rng: ValueNet.init(rng, [4, 8, 8, 1]),
+    lambda rng: DenseNet([4, 8, 3], rng.uniform(-1.0, 1.0, 67), tanh_output=True),
+], ids=["policy", "value", "tanh-dense"])
+
+
 class TestSerialization:
     """A network is rebuilt from its dims and flat vector."""
 
@@ -415,13 +509,8 @@ class TestSerialization:
         obs = rng.standard_normal(4)
         np.testing.assert_array_equal(pol.forward(obs)[0], clone.forward(obs)[0])
 
-    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
-                             ids=["deepcopy", "pickle"])
-    @pytest.mark.parametrize("make", [
-        lambda rng: GaussianPolicyNet.init(rng, [4, 8, 8, 2]),
-        lambda rng: ValueNet.init(rng, [4, 8, 8, 1]),
-        lambda rng: DenseNet([4, 8, 3], rng.uniform(-1.0, 1.0, 67), tanh_output=True),
-    ], ids=["policy", "value", "tanh-dense"])
+    @COPIERS
+    @MAKERS
     def test_copy_keeps_blocks_views_of_flat(self, copier, make):
         """A copied net owns a fresh ``flat`` that its blocks still view, so an
         Adam step on ``flat`` moves its output, and the original stays put."""
@@ -437,3 +526,15 @@ class TestSerialization:
         AdamState(clone.flat, 0.1).step(clone.flat, np.ones_like(clone.flat))
         assert not np.array_equal(clone.forward(obs)[0], before)
         np.testing.assert_array_equal(net.forward(obs)[0], before)
+
+    @COPIERS
+    @MAKERS
+    def test_copy_carries_no_workspace(self, copier, make):
+        """A net's workspace buffers stay behind when it is copied or pickled."""
+        rng = np.random.default_rng(25)
+        net = make(rng)
+        size = len(pickle.dumps(net))
+        net.forward(rng.standard_normal((50, 4)), net.workspace)
+        assert net.workspace
+        assert len(pickle.dumps(net)) == size
+        assert copier(net).workspace == {}

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import traceback
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from oracles import (
     max_rel_err,
     numeric_grad,
     observation_reference,
+    per_net_sample_action,
     ppo_update_reference,
     reset_nodes_reference,
     train_reference,
@@ -30,6 +32,8 @@ from underlay_ppo import blas, ppo
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv
 from underlay_ppo.nets import (
     AdamState,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     GaussianPolicyNet,
     ValueNet,
     _log_density,
@@ -445,6 +449,59 @@ class TestPpoUpdate:
                 assert got.v.tobytes() == want.v.tobytes()
             assert agent.policy.flat.tobytes() == policy.flat.tobytes()
             assert agent.value.flat.tobytes() == value.flat.tobytes()
+
+
+class TestWorkspaces:
+    """The objectives run in per-net workspaces: an epoch after the first
+    allocates no batch-sized array, and what outlives a call keeps its bytes."""
+
+    @pytest.mark.parametrize("net", ["policy", "value"])
+    def test_a_second_epoch_allocates_less_than_one_hidden_product(self, net):
+        rng = np.random.default_rng(29)
+        hyper = PpoHyper(iters=1)
+        agent = make_agent(rng, "t", 7, 2, hyper, hidden=(64, 64))
+        batch = random_batch(rng, n=200, obs_dim=7, action_dim=2)
+        envelope = clip_envelope(batch.advantages, hyper.clip)
+        if net == "policy":
+            def objective():
+                return policy_objective(agent.policy, batch, envelope, agent.policy.workspace)
+        else:
+            def objective():
+                return value_objective(agent.value, batch, agent.value.workspace)
+        objective()  # the first epoch makes the workspace
+        tracemalloc.start()
+        try:
+            objective()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 64 * 8  # the bytes of one (200, 64) float64 array
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_arrays_that_outlive_a_call_keep_their_bytes(self, mode):
+        """A rollout's blocks (the stacked pass's actions among them), the
+        scored values and ``ValueNet.value`` stay put through an update that
+        runs in the nets' workspaces, and so do the objectives' default
+        results."""
+        rng = np.random.default_rng(30)
+        hyper = tiny_hyper(batch=20, episode_len=10)
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
+        agents = build_agents(mode, SMALL_ENV, hyper, rng)
+        batches, _ = collect_scored(env, agents, hyper, rng)
+        kept = [(batch, agent.value.value(batch.final_obs)) for agent, batch in zip(agents, batches)]
+        before = [[a.copy() for a in (b.obs, b.actions, b.log_probs_old, b.values, b.returns)]
+                  for b, _ in kept]
+        outside = [value_objective(agent.value, batch)[1] for agent, batch in zip(agents, batches)]
+        kept_grads = [grad.copy() for grad in outside]
+        for agent, batch in zip(agents, batches):
+            ppo_update(agent, batch, hyper)
+            assert ("grad", agent.policy.flat.shape) in agent.policy.workspace
+            assert ("grad", agent.value.flat.shape) in agent.value.workspace
+        assert [g.tobytes() for g in outside] == [g.tobytes() for g in kept_grads]
+        for (batch, value), arrays in zip(kept, before):
+            after = (batch.obs, batch.actions, batch.log_probs_old, batch.values, batch.returns)
+            assert [a.tobytes() for a in after] == [a.tobytes() for a in arrays]
+            assert value == batch.bootstrap_value
 
 
 class TestBuildAgents:
@@ -939,6 +996,40 @@ class TestCollect:
             want = [float(_log_density(z[col], agent.policy.forward(ob)[1]))
                     for z, ob in zip(noise, batch.obs)]
             assert batch.log_probs_old.tolist() == want
+
+    @pytest.mark.parametrize("k_p, k_s", [(k_p, k_s) for k_p in range(1, 5) for k_s in range(1, 5)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stacked_pass_equals_the_per_net_pass(self, monkeypatch, mode, k_p, k_s):
+        """``_collect`` with the stacked ``sample_action`` equals, bit for bit,
+        a rollout that runs each policy on its own (``per_net_sample_action``),
+        on policies whose log-std clamp saturates on some rows."""
+        cfg = EnvConfig(k_p=k_p, k_s=k_s)
+        hyper = tiny_hyper(batch=12, episode_len=6)
+
+        def rollout():
+            rng = np.random.default_rng(31)
+            env = SpectrumSharingEnv(cfg, rng)
+            agents = build_agents(mode, cfg, hyper, rng)
+            for i, agent in enumerate(agents):  # biased onto the clamp's ends, in turn
+                policy = agent.policy
+                policy.w_log_std[...] = rng.standard_normal(policy.w_log_std.shape)
+                policy.b_log_std[...] = np.resize([LOG_STD_MAX, LOG_STD_MIN][i:], policy.action_dim)
+            batches, means = _collect(env, agents, hyper, rng)
+            return agents, batches, means, rng.bit_generator.state
+
+        agents, batches, means, state = rollout()
+        with monkeypatch.context() as patch:
+            patch.setattr(ppo, "sample_action",
+                          per_net_sample_action([agent.policy for agent in agents]))
+            _, ref_batches, ref_means, ref_state = rollout()
+        assert ppo.sample_action is not per_net_sample_action
+        for batch, ref in zip(batches, ref_batches):
+            for name in ("obs", "actions", "log_probs_old", "rewards", "dones", "final_obs"):
+                assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert list(means.values()) == list(ref_means.values()) and state == ref_state
+        raw = np.concatenate([agent.policy.forward(batch.obs)[2][2]
+                              for agent, batch in zip(agents, batches)], axis=1)
+        assert 0.0 < ((raw > LOG_STD_MAX) | (raw < LOG_STD_MIN)).mean() < 1.0
 
     def test_episode_length_comes_from_the_hyperparameters(self):
         """One env, built without a length, rolls out 10-step episodes under one
