@@ -20,9 +20,12 @@ distances over the radius. No power action changes the channel either, so
 (T + 1, K, K) block ``episode_gains`` (slice 0 for the reset observation,
 t + 1 for step t) and multiplies it by ``phy.coupling_weights`` once into
 ``coupled`` (elementwise, so slice t is ``gains[t] * W``, bit for bit).
-``step`` draws nothing. A rollout draws only at episode starts: first the
-gains here in ``reset``, then the episode's action-noise block in
-``ppo._collect``.
+``step`` draws nothing. ``reset`` is its two halves in sequence: the random
+``draw_episode`` (the jitter, ``link_geometry`` and the gain block) and the
+deterministic ``start_episode`` (the coupled block and fresh measurement,
+power and penalty blocks). A rollout draws only at episode starts: first
+the env's draws, then the episode's action-noise block (``ppo``'s episode
+source, which may draw both ahead in the update worker).
 
 Row contract: ``step`` takes the joint raw power vector, primary links
 first, clips it once against the stacked caps and charges each system the
@@ -134,12 +137,27 @@ class SpectrumSharingEnv:
     def reset(self, rng: np.random.Generator, episode_len: int) -> None:
         """Start an episode of ``episode_len`` steps; its measurements, and so the
         first observations' metric slots, are zero."""
-        cfg, k_p, k_s, t_len = self.cfg, self.cfg.k_p, self.cfg.k_s, episode_len
-        nodes = perturb_topology(self.base_nodes, k_p, rng, cfg.channel.max_displacement,
+        self.start_episode(self.draw_episode(rng, episode_len))
+
+    def draw_episode(self, rng: np.random.Generator, episode_len: int):
+        """The random half of ``reset``: the episode's (distances, gains) blocks
+        (module doc), drawn from ``rng``. It reads only the base layout and the
+        config, so the blocks may be drawn in another process."""
+        cfg = self.cfg
+        nodes = perturb_topology(self.base_nodes, cfg.k_p, rng, cfg.channel.max_displacement,
                                  cfg.radius)
-        p_los, d_eff, self.distances = link_geometry(nodes, cfg.radius, cfg.channel)
-        gains = sample_gain_matrices(p_los, d_eff, cfg.channel, rng, t_len + 1)
-        self.episode_gains, self.coupled = gains, gains * coupling_weights(cfg.radio, k_p, k_s)
+        p_los, d_eff, distances = link_geometry(nodes, cfg.radius, cfg.channel)
+        return distances, sample_gain_matrices(p_los, d_eff, cfg.channel, rng, episode_len + 1)
+
+    def start_episode(self, episode) -> None:
+        """The deterministic half of ``reset``: start the episode whose blocks
+        ``draw_episode`` drew (its gain block read-only again, as unpickling
+        leaves it writable)."""
+        k_p, k_s = self.cfg.k_p, self.cfg.k_s
+        self.distances, gains = episode
+        gains.flags.writeable = False
+        self.episode_gains, self.coupled = gains, gains * coupling_weights(self.cfg.radio, k_p, k_s)
+        t_len = len(gains) - 1
         self.step_index, self.measured = 0, np.zeros((t_len + 1, k_p + 2 * k_s + 1))
         self.applied, self.penalties = np.empty((t_len, k_p + k_s)), np.empty((t_len, 2))
 

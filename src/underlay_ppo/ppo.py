@@ -28,17 +28,36 @@ agent but the first; the caller copies back the flats it receives and never
 steps its stale copies, so histories are bit-identical to the interleaved
 serial loop's.
 
+No action changes the channel, so a rollout's draws depend on the
+generator alone: per episode the env's (``env.draw_episode``), then one
+noise block. The worker draws them one iteration ahead, from a copy of
+``train``'s generator taken at ``ship``, and ships each episode with the
+generator state its draws leave; the caller adopts that state as the
+episode starts, so the generator is where the serial loop leaves it at
+every episode start, raise and return. The worker draws ``iters`` times
+``batch / episode_len`` episodes and no more; a draw that raises there is
+shipped in its episode's place and raised as that episode starts, and no
+later one is drawn. Both sources refuse to start an episode if the
+generator moved since the last one's draws (a hook drew from it).
+
 Each process forks one worker at its first ``train`` and reuses it. Per call
-the caller ships the agents (pickled); per iteration it sends the batches and
-``np.geterr()``, and the worker, on one BLAS thread, replies once per half
-with each agent's (result, failure, flat). A failure is the epoch, the
-exception and the worker's formatted traceback, which becomes the
-exception's cause. A call that leaves with a reply owed kills the worker.
-The worker ignores SIGINT, exits on end-of-file when its parent dies and is
-killed at interpreter exit; a process forked from its parent forks its own.
-With zero workers (off Linux, in a daemonic ``multiprocessing`` process, if
-``fork`` fails, or in a ``train`` nested in another's ``on_iteration``),
-``_Serial`` runs the same halves in the caller when their replies are read.
+the caller ships the agents, the env and the generator (pickled), with
+``np.geterr()``; per iteration it sends the batches and ``np.geterr()``. The
+worker, on one BLAS thread, replies with iteration 1's episodes and then,
+as its own reply, with iteration 2's; the caller reads the second before it
+sends iteration 1's batches. Per iteration it then replies once per half
+with each agent's (result, failure, flat), and iteration i's value reply
+also carries iteration i + 2's episodes. So the worker writes only what the
+caller reads before its own next write, and neither blocks on a full pipe.
+A failure is the epoch, the exception and the worker's formatted traceback,
+which becomes the exception's cause. ``busy`` counts every reply owed, and a
+call that leaves with one owed kills the worker. The worker ignores SIGINT,
+exits on end-of-file when its parent dies and is killed at interpreter exit;
+a process forked from its parent forks its own. With zero workers (off
+Linux, in a daemonic ``multiprocessing`` process, if ``fork`` fails, or in a
+``train`` nested in another's ``on_iteration``), ``_Serial`` draws each
+episode in the caller as it starts and runs the same halves in the caller
+when their replies are read.
 """
 from __future__ import annotations
 
@@ -49,6 +68,7 @@ import pickle
 import signal
 import sys
 import traceback
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +133,7 @@ class _WorkerTraceback(Exception):
 class PpoHyper:
     """Optimization hyperparameters; batch must hold whole episodes.
 
-    ``_collect`` passes ``episode_len`` to every ``env.reset``. The defaults are
+    Every episode is drawn ``episode_len`` steps long. The defaults are
     the "desk" profile, sized to converge in minutes on a laptop; its short
     schedule needs hotter learning rates than the long "paper" one.
     """
@@ -381,13 +401,15 @@ def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Ag
     return agents
 
 
-def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
+def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
     """Roll out one batch of whole episodes; returns (per-agent batches, metric means).
 
-    Every mode runs one loop, which draws only at episode starts: the gains in
-    ``env.reset``, then one standard-normal ``(hyper.episode_len, K)`` noise block.
-    Each agent's ``(batch, obs_dim)`` observation block takes its kind's heads at
-    each reset and per step only the measurement tail (``_layout``). Per step
+    Every mode runs one loop, which draws nothing: each episode starts from
+    ``source.episode()`` (``_Serial`` or ``_UpdateWorker``), the env's blocks
+    (``env.start_episode``) and one standard-normal ``(hyper.episode_len, K)``
+    noise block, drawn in that order from ``train``'s generator. Each agent's
+    ``(batch, obs_dim)`` observation block takes its kind's heads at each
+    episode start and per step only the measurement tail (``_layout``). Per step
     one ``sample_action`` runs every agent's policy from a ``PolicyStack`` built
     here, and writes into the step's rows of one joint ``(batch, K)`` action
     block and one joint log-std block, each agent in its links' columns (which
@@ -411,11 +433,11 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, rng):
              for agent, cut in zip(agents, seen)]
     for start in range(0, n, t_len):
         stop = start + t_len
-        env.reset(rng, t_len)
+        episode, noise = source.episode()
+        env.start_episode(episode)
         heads = [episode_heads(env, kind) for kind in kinds]
         for ob, head in zip(obs, heads):
             ob[start:stop, :head.shape[1]] = head[:t_len]
-        noise = rng.standard_normal((t_len, k_p + k_s))
         for idx, z, measured in zip(range(start, stop), noise, env.measured):
             step_obs = [ob[idx] for ob in obs]
             for row, (width, cut) in zip(step_obs, tails):
@@ -444,14 +466,35 @@ def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
     batch.advantages = normalize_advantages(raw_adv)
 
 
+def _require_unmoved(rng: np.random.Generator, drawn_from: dict) -> None:
+    """Raise unless ``rng`` is still where the last episode's draws left it (or
+    where ``ship`` found it): a draw between episodes would be dropped from the
+    stream the worker draws ahead (``train`` doc)."""
+    if rng.bit_generator.state != drawn_from:
+        raise RuntimeError("train's generator moved between two episodes' draws; "
+                           "on_iteration must not draw from it")
+
+
 class _Serial:
-    """The zero-worker stand-in (module doc): the worker's interface, running
-    each half in the caller when its reply is read."""
+    """The zero-worker stand-in (module doc): the worker's interface, drawing
+    each episode in the caller when it starts and running each half in the
+    caller when its reply is read."""
 
     busy = 0
 
-    def ship(self, agents: list[Agent], hyper: PpoHyper) -> None:
-        self.hyper = hyper
+    def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
+             rng: np.random.Generator) -> None:
+        self.hyper, self.env, self.rng = hyper, env, rng
+        self.drawn_from = rng.bit_generator.state
+
+    def episode(self):
+        """The next episode's draws: ``env.draw_episode``, then the noise block."""
+        _require_unmoved(self.rng, self.drawn_from)
+        env, t_len = self.env, self.hyper.episode_len
+        drawn = (env.draw_episode(self.rng, t_len),
+                 self.rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s)))
+        self.drawn_from = self.rng.bit_generator.state
+        return drawn
 
     def send(self, batches: list[TrajectoryBatch]) -> None:
         self.batches = batches
@@ -530,28 +573,47 @@ class _UpdateWorker:
             raise self._lost() from None
         self.busy = replies
 
-    def ship(self, agents: list[Agent], hyper: PpoHyper) -> None:
+    def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
+             rng: np.random.Generator) -> None:
+        """Send the call's agents, env and a copy of ``rng``; the worker replies
+        with iteration 1's episodes, then with iteration 2's."""
         self.names = ", ".join(repr(agent.name) for agent in agents)
-        self._send((hyper, agents), 0)
+        self.rng, self.drawn_from, self.ahead = rng, rng.bit_generator.state, deque()
+        self._send((hyper, (agents, env, rng, np.geterr())), min(2, hyper.iters))
+
+    def episode(self):
+        """The next episode the worker drew; ``rng`` takes the state its draws
+        left, and a draw that raised there raises here."""
+        if not self.ahead:  # iteration 1's, the first reply to ``ship``
+            self._reply()
+        _require_unmoved(self.rng, self.drawn_from)
+        self.drawn_from, drawn, failure = self.ahead.popleft()
+        self.rng.bit_generator.state = self.drawn_from
+        if failure:
+            raise _caused(*failure)
+        return drawn
 
     def send(self, batches: list[TrajectoryBatch]) -> None:
+        while self.busy:  # in iteration 1, iteration 2's episodes
+            self._reply()
         self._send((batches, np.geterr()), 2)
 
-    def _reply(self, agents: list[Agent], net: str) -> list:
-        """Read a reply; copy its flats into ``agents``' ``net`` nets and return
-        their outcomes, each failure's exception caused by the worker's traceback."""
+    def _reply(self, agents: list[Agent] = (), net: str = "value") -> list:
+        """Read a reply and queue the episodes it carries; copy its flats into
+        ``agents``' ``net`` nets and return their outcomes, each failure's
+        exception caused by the worker's traceback."""
         try:
-            reply = pickle.load(self.replies)
+            reply, episodes = pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
             raise self._lost() from None
         self.busy -= 1
+        self.ahead.extend(episodes)
         outcomes = []
         for agent, (result, failure, flat) in zip(agents, reply):
             getattr(agent, net).flat[...] = flat
             if failure:
                 epoch, exc, text = failure
-                exc.__cause__ = _WorkerTraceback(text)
-                failure = epoch, exc
+                failure = epoch, _caused(exc, text)
             outcomes.append((result, failure))
         return outcomes
 
@@ -562,17 +624,55 @@ class _UpdateWorker:
         return self._reply(agents, "value")
 
 
+def _caused(exc: BaseException, text: str) -> BaseException:
+    """``exc``, sent by the worker, with its formatted traceback as the cause."""
+    exc.__cause__ = _WorkerTraceback(text)
+    return exc
+
+
+def _formatted(exc: BaseException) -> str:
+    """A traceback does not pickle, so it travels as text."""
+    return "".join(traceback.format_exception(exc))
+
+
+def _draw_ahead(serial: _Serial, left: int):
+    """(the next iteration's episodes as the worker ships them, the iterations
+    left to draw after it). Each is (the generator state after its draws, the
+    draws, None); a draw that raises ends the list as (the state where it
+    raised, None, (the exception, its traceback)), and the drawing."""
+    episodes = []
+    for _ in range(serial.hyper.batch // serial.hyper.episode_len if left else 0):
+        try:
+            drawn, failure = serial.episode(), None
+        except Exception as exc:
+            drawn, failure = None, (exc, _formatted(exc))
+        episodes.append((serial.rng.bit_generator.state, drawn, failure))
+        if failure:
+            return episodes, 0
+    return episodes, max(left - 1, 0)
+
+
 def _serve(requests, replies) -> None:
     """The worker's loop, until the parent's end of ``requests`` closes."""
     serial = _Serial()
+
+    def put(reply: list, episodes: list) -> None:
+        pickle.dump((reply, episodes), replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
     while True:
         try:
             head, tail = pickle.load(requests)
         except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
             return
-        if isinstance(head, PpoHyper):  # a train call ships its agents
-            agents = tail
-            serial.ship(agents, head)
+        if isinstance(head, PpoHyper):  # a train call ships its agents, env and generator
+            agents, env, rng, errors = tail
+            serial.ship(agents, head, env, rng)
+            left = head.iters  # the iterations whose episodes are still to draw
+            with np.errstate(**errors), one_blas_thread():
+                for _ in range(min(2, left)):
+                    episodes, left = _draw_ahead(serial, left)
+                    put([], episodes)
             continue
         serial.send(head)
         with np.errstate(**tail), one_blas_thread():
@@ -580,11 +680,13 @@ def _serve(requests, replies) -> None:
                                       (serial.values, agents, "value")):
                 reply = []
                 for (result, failure), agent in zip(half(agents), owners):
-                    if failure:  # a traceback does not pickle, so it travels as text
-                        failure = (*failure, "".join(traceback.format_exception(failure[1])))
+                    if failure:
+                        failure = (*failure, _formatted(failure[1]))
                     reply.append((result, failure, getattr(agent, net).flat))
-                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-                replies.flush()
+                episodes = []
+                if net == "value":  # iteration i + 2's episodes ride on iteration i's values
+                    episodes, left = _draw_ahead(serial, left)
+                put(reply, episodes)
 
 
 _worker: _UpdateWorker | None = None
@@ -635,6 +737,11 @@ def train(
     has one; the worker is forked here, before ``build_agents``, so it counts
     as set-up.
 
+    ``train`` owns ``rng`` for the call: the update worker draws the rollouts'
+    channel and noise ahead from a copy of it (module doc), and ``rng`` is
+    left where a serial loop would leave it. ``on_iteration`` must not draw
+    from it; the next episode's start raises ``RuntimeError`` if it did.
+
     ``on_iteration(row)`` is called once the iteration's policies are final,
     when the next rollout can start. Its value halves may still be running:
     each ``value_loss_<agent>`` key is already in the row, holding None, and
@@ -650,9 +757,9 @@ def train(
             worker.in_call = True
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
-        peer.ship(agents, hyper)
+        peer.ship(agents, hyper, env, rng)
         for it in range(1, hyper.iters + 1):
-            batches, means = _collect(env, agents, hyper, rng)
+            batches, means = _collect(env, agents, hyper, peer)
             if history:
                 _record_values(history[-1], agents, peer.values(agents))
             for agent, batch in zip(agents, batches):

@@ -501,6 +501,16 @@ def ppo_update_reference(agent, batch, hyper):
     return stats
 
 
+def caller_source(env, hyper, rng):
+    """``train``'s zero-worker episode source (``ppo._Serial``), shipped: it
+    draws each episode ``_collect`` starts from ``rng``, in the caller."""
+    from underlay_ppo.ppo import _Serial
+
+    source = _Serial()
+    source.ship([], hyper, env, rng)
+    return source
+
+
 def train_reference(env_cfg, hyper, mode, rng):
     """``ppo.train`` as one serial loop in the caller's process, on one BLAS
     thread: per iteration ``_collect``, then for each agent in turn its value
@@ -523,8 +533,9 @@ def train_reference(env_cfg, hyper, mode, rng):
     with one_blas_thread():
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
+        source = caller_source(env, hyper, rng)
         for it in range(hyper.iters):
-            batches, means = _collect(env, agents, hyper, rng)
+            batches, means = _collect(env, agents, hyper, source)
             row = {"iter": it + 1, **means}
             for agent, batch in zip(agents, batches):
                 batch.values = agent.value.forward(batch.obs)[0]

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -245,6 +246,33 @@ class TestEpisodeOwnership:
         for name in self.BLOCKS:
             assert not np.shares_memory(getattr(env, name), before[name]), name
         np.testing.assert_array_equal(head, kept)
+
+
+class TestResetHalves:
+    """``reset`` is ``draw_episode``, which alone draws, then ``start_episode``,
+    which alone writes the env; an episode drawn in another process (here,
+    pickled) starts the same episode, its gain block read-only."""
+
+    def test_halves_equal_reset_across_a_pickle(self):
+        env, cfg = make_env(seed=71, k_p=3, k_s=2)
+        twin = copy.deepcopy(env)
+        rng, other = np.random.default_rng(72), np.random.default_rng(72)
+        raw = np.full(cfg.k_p + cfg.k_s, 0.5)
+        for steps in (4, 6):
+            env.reset(rng, steps)
+            before = {name: getattr(twin, name) for name in ("step_index", "applied")}  # kept
+            episode = pickle.loads(pickle.dumps(twin.draw_episode(other, steps)))
+            assert all(getattr(twin, name) is value for name, value in before.items())
+            assert episode[1].flags.writeable and other.bit_generator.state == rng.bit_generator.state
+            twin.start_episode(episode)
+            assert other.bit_generator.state == rng.bit_generator.state  # starting drew nothing
+            assert_gains_are_step_slice(twin)
+            for _ in range(steps):
+                env.step(raw)
+                twin.step(raw)
+            for name in TestEpisodeOwnership.BLOCKS:
+                assert getattr(twin, name).tobytes() == getattr(env, name).tobytes(), name
+            assert env.metric_rows().tobytes() == twin.metric_rows().tobytes()
 
 
 class TestStep:

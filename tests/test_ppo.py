@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    caller_source,
     gae_loops,
     gaussian_log_prob,
     logprob_grads_from_forward,
@@ -29,6 +30,7 @@ from oracles import (
     train_reference,
 )
 from underlay_ppo import blas, ppo
+from underlay_ppo import env as env_module
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv
 from underlay_ppo.nets import (
     AdamState,
@@ -79,7 +81,7 @@ def tiny_hyper(**kwargs):
 def collect_scored(env, agents, hyper, rng):
     """``_collect``, then each batch scored by its agent's value net as
     ``train`` scores it."""
-    batches, means = _collect(env, agents, hyper, rng)
+    batches, means = _collect(env, agents, hyper, caller_source(env, hyper, rng))
     for agent, batch in zip(agents, batches):
         ppo._score(agent, batch, hyper)
     return batches, means
@@ -864,7 +866,7 @@ class TestUpdateWorker:
         hyper = tiny_hyper()
         agent = make_agent(rng, "s", 4, 2, hyper, (8,))
         worker = ppo._update_worker()
-        worker.ship([agent], hyper)
+        worker.ship([agent], hyper, SpectrumSharingEnv(SMALL_ENV, rng), rng)
         worker.send([random_batch(rng, obs_dim=3)])  # the net takes 4 inputs
         assert worker.policies([agent]) == []  # the first agent's policy half runs in the caller
         with pytest.raises(ValueError, match="matmul") as raised:
@@ -901,6 +903,182 @@ class TestUpdateWorker:
             cli.wait()
         assert len(workers) == 1
         assert _poll(lambda: not _running(workers[0]), 10)
+
+
+@pytest.fixture(params=[1, 0], ids=["worker", "zero-workers"])
+def workers(request, monkeypatch):
+    """Train with this process's update worker, or with none (``_Serial``)."""
+    if not request.param:
+        monkeypatch.setattr(ppo, "_update_worker", lambda: None)
+    return request.param
+
+
+def drawn_state(mode, hyper, seed, episodes, reset_only=False):
+    """The generator state that ``train(SMALL_ENV, hyper, mode,
+    default_rng(seed))`` reaches after ``episodes`` whole episodes' draws
+    (``env.reset``, then the noise block), replayed in the caller; with
+    ``reset_only`` one more ``env.reset`` follows."""
+    rng = np.random.default_rng(seed)
+    env = SpectrumSharingEnv(SMALL_ENV, rng)
+    build_agents(mode, SMALL_ENV, hyper, rng)
+    for _ in range(episodes):
+        env.reset(rng, hyper.episode_len)
+        rng.standard_normal((hyper.episode_len, SMALL_ENV.k_p + SMALL_ENV.k_s))
+    if reset_only:
+        env.reset(rng, hyper.episode_len)
+    return rng.bit_generator.state
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the update worker is forked on Linux only")
+class TestEpisodeSource:
+    """The worker draws each rollout's episodes ahead; the caller's generator
+    is where the serial loop leaves it at every return and raise, a draw
+    that fails there is raised where its episode starts, and a hook that
+    draws from the generator is refused, with a worker and with none."""
+
+    @pytest.mark.parametrize("episodes", [1, 2])
+    @pytest.mark.parametrize("iters", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generator_ends_where_the_serial_loop_leaves_it(self, monkeypatch, tmp_path,
+                                                            own_worker, workers, mode, iters,
+                                                            episodes):
+        """... and the episodes drawn, in whichever process, are exactly the
+        ones the rollouts start."""
+        hyper, drawn = tiny_hyper(iters=iters, batch=5 * episodes), tmp_path / "drawn"
+        want = drawn_state(mode, hyper, 60, iters * episodes)
+        reference = train_reference(SMALL_ENV, hyper, mode, np.random.default_rng(60))
+        real = env_module.sample_gain_matrices
+
+        def counted_draw(*args):
+            with open(drawn, "ab") as f:
+                f.write(b".")
+            return real(*args)
+
+        monkeypatch.setattr(env_module, "sample_gain_matrices", counted_draw)
+        rng = np.random.default_rng(60)
+        rows = train(SMALL_ENV, hyper, mode, rng)
+        assert ppo._worker is not None or not workers
+        assert drawn.read_bytes() == b"." * (iters * episodes)
+        assert rng.bit_generator.state == want
+        assert repr(rows) == repr(reference)
+
+    @pytest.mark.parametrize("episodes", [1, 2])
+    @pytest.mark.parametrize("stop", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generator_ends_where_the_serial_loop_leaves_it_after_a_raise(
+            self, workers, mode, stop, episodes):
+        """A hook that raises in iteration ``stop``: the episodes the worker
+        drew beyond it are not taken."""
+        def raise_at_stop(row):
+            if row["iter"] == stop:
+                raise RuntimeError("stop")
+
+        hyper = tiny_hyper(iters=3, batch=5 * episodes)
+        rng = np.random.default_rng(61)
+        with pytest.raises(RuntimeError, match="stop"):
+            train(SMALL_ENV, hyper, mode, rng, on_iteration=raise_at_stop)
+        assert rng.bit_generator.state == drawn_state(mode, hyper, 61, stop * episodes)
+
+    @pytest.mark.parametrize("episodes", [1, 2])
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_draw_is_raised_where_its_episode_starts(self, monkeypatch, own_worker,
+                                                           workers, failing, episodes):
+        """``sample_gain_matrices`` raises after its draws in the last episode
+        of iteration ``failing``, in whichever process draws: the caller
+        raises it after ``failing - 1`` hook calls, with its type and message,
+        the worker's traceback as its cause, and the generator where the
+        failing draw left it."""
+        real, calls = env_module.sample_gain_matrices, []
+
+        def failing_draw(*args):
+            calls.append(None)  # each process counts its own calls
+            block = real(*args)
+            if len(calls) == failing * episodes:
+                raise FloatingPointError(f"draw {len(calls)} failed")
+            return block
+
+        hyper, seen = tiny_hyper(iters=3, batch=5 * episodes), []
+        want = drawn_state(MODE_COEXIST, hyper, 62, failing * episodes - 1, reset_only=True)
+        monkeypatch.setattr(env_module, "sample_gain_matrices", failing_draw)
+        rng = np.random.default_rng(62)
+        with pytest.raises(FloatingPointError, match=f"^draw {failing * episodes} failed$") as raised:
+            train(SMALL_ENV, hyper, MODE_COEXIST, rng, on_iteration=seen.append)
+        assert len(seen) == failing - 1
+        assert rng.bit_generator.state == want
+        cause = raised.value.__cause__
+        if workers:
+            assert isinstance(cause, ppo._WorkerTraceback) and "failing_draw" in str(cause)
+            assert not calls  # the caller drew nothing
+        else:
+            assert cause is None and len(calls) == failing * episodes
+
+    def test_draws_run_under_the_callers_error_state(self, monkeypatch, own_worker, workers):
+        real = env_module.sample_gain_matrices
+
+        def overflowing_draw(*args):
+            np.float64(1e308) * 10.0
+            return real(*args)
+
+        monkeypatch.setattr(env_module, "sample_gain_matrices", overflowing_draw)
+        with np.errstate(over="ignore"):  # a worker forked here keeps this state as its own
+            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(66))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(66))
+
+    def test_an_earlier_divergence_wins_over_a_failed_draw(self, monkeypatch, own_worker,
+                                                           workers):
+        """Iteration 1's value half diverges and iteration 3's draw fails; the
+        worker ships both on one reply, and the divergence is raised."""
+        real = env_module.sample_gain_matrices
+        calls = []
+
+        def failing_draw(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("draw 3 failed")
+            return real(*args)
+
+        monkeypatch.setattr(env_module, "sample_gain_matrices", failing_draw)
+        monkeypatch.setattr(ppo, "value_objective", _nan_at(ppo.value_objective, 7, 1))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="iteration 1, agent 's': non-finite value loss"):
+            train(SMALL_ENV, tiny_hyper(iters=3, batch=5), MODE_COEXIST,
+                  np.random.default_rng(63))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hook_that_draws_from_the_generator_is_refused(self, workers, mode):
+        seen = []
+
+        def drawing_hook(row):
+            seen.append(row["iter"])
+            rng.random()
+
+        rng = np.random.default_rng(64)
+        with pytest.raises(RuntimeError, match="on_iteration must not draw from it"):
+            train(SMALL_ENV, tiny_hyper(iters=3), mode, rng, on_iteration=drawing_hook)
+        assert seen == [1]
+        want = np.random.default_rng()
+        want.bit_generator.state = drawn_state(mode, tiny_hyper(iters=3), 64, 2)
+        want.random()
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_blocks_beyond_the_pipe_buffer_flow(self):
+        """Batch 500 at K = 4 + 8, full CSI: each episode's gain block (577 KB)
+        and each batch (628 KB) overflow a 64 KiB pipe, and the call ends."""
+        cfg, hyper = EnvConfig(k_p=4, k_s=8), PpoHyper(iters=3, batch=500, episode_len=500)
+        def timed_out(signum, frame):
+            raise TimeoutError("train did not finish")
+
+        signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(120)
+        try:
+            rows = train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, np.random.default_rng(65))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        assert [row["iter"] for row in rows] == [1, 2, 3]
+        assert not ppo._worker.busy and ppo._worker.alive()
 
 
 class TestCollect:
@@ -984,7 +1162,7 @@ class TestCollect:
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
         twin = np.random.default_rng()
         twin.bit_generator.state = rng.bit_generator.state
-        batches, _ = _collect(env, agents, hyper, rng)
+        batches, _ = _collect(env, agents, hyper, caller_source(env, hyper, rng))
         noise = []
         for _ in range(hyper.batch // hyper.episode_len):
             env.reset(twin, hyper.episode_len)
@@ -1014,7 +1192,7 @@ class TestCollect:
                 policy = agent.policy
                 policy.w_log_std[...] = rng.standard_normal(policy.w_log_std.shape)
                 policy.b_log_std[...] = np.resize([LOG_STD_MAX, LOG_STD_MIN][i:], policy.action_dim)
-            batches, means = _collect(env, agents, hyper, rng)
+            batches, means = _collect(env, agents, hyper, caller_source(env, hyper, rng))
             return agents, batches, means, rng.bit_generator.state
 
         agents, batches, means, state = rollout()
@@ -1039,7 +1217,7 @@ class TestCollect:
         for batch, episode_len in ((10, 10), (8, 4)):
             hyper = PpoHyper(batch=batch, episode_len=episode_len)
             agents = build_agents(MODE_COEXIST, EnvConfig(), hyper, rng)
-            batches, _ = _collect(env, agents, hyper, rng)
+            batches, _ = _collect(env, agents, hyper, caller_source(env, hyper, rng))
             dones = ([0.0] * (episode_len - 1) + [1.0]) * (batch // episode_len)
             for got in batches:
                 assert got.obs.shape[0] == len(got) == batch
@@ -1061,7 +1239,7 @@ class TestCollect:
 
         env.step = recording_step
         with pytest.raises(ValueError, match="raw actions must be finite"):
-            _collect(env, agents, hyper, rng)
+            _collect(env, agents, hyper, caller_source(env, hyper, rng))
         assert seen == [0]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from underlay_ppo import harness
+from underlay_ppo import harness, ppo
 from underlay_ppo.env import METRIC_FIELDS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,10 +34,14 @@ def test_scripts_import(monkeypatch):
 
 
 def test_csv_digests_are_stable(monkeypatch, tmp_path):
-    # two different absolute roots: no file may record where it was written
+    # two different absolute roots: no file may record where it was written;
+    # the second pass trains with zero workers, so the episodes the update
+    # worker draws ahead are compared with those the caller draws itself
     monkeypatch.setattr(sys, "path", list(sys.path))
     module = _load("csv_digests")
-    runs = [module.digest_lines(tmp_path / name) for name in ("first", "second")]
+    runs = [module.digest_lines(tmp_path / "first")]
+    monkeypatch.setattr(ppo, "_update_worker", lambda: None)
+    runs.append(module.digest_lines(tmp_path / "second"))
     assert runs[0] == runs[1]
     differs = module.first_difference(runs[0], module.recorded("matrix"))
     assert differs is None, f"first file that differs from the record: {differs}"
