@@ -943,8 +943,9 @@ class TestEpisodeSource:
     def test_generator_ends_where_the_serial_loop_leaves_it(self, monkeypatch, tmp_path,
                                                             own_worker, workers, mode, iters,
                                                             episodes):
-        """... and the episodes drawn, in whichever process, are exactly the
-        ones the rollouts start."""
+        """The generator ends where a replay of the rollouts' draws leaves it,
+        the history equals the serial reference, and the episodes drawn, in
+        whichever process draws, are exactly the ones the rollouts start."""
         hyper, drawn = tiny_hyper(iters=iters, batch=5 * episodes), tmp_path / "drawn"
         want = drawn_state(mode, hyper, 60, iters * episodes)
         reference = train_reference(SMALL_ENV, hyper, mode, np.random.default_rng(60))
