@@ -30,24 +30,25 @@ serial loop's.
 
 No action changes the channel, so a rollout's draws depend on the
 generator alone: per episode the env's (``env.draw_episode``), then one
-noise block. The worker draws them one iteration ahead, from a copy of
-``train``'s generator taken at ``ship``, and ships each episode with the
-generator state its draws leave; the caller adopts that state as the
-episode starts, so the generator is where the serial loop leaves it at
-every episode start, raise and return. The worker draws ``iters`` times
-``batch / episode_len`` episodes and no more; a draw that raises there is
-shipped in its episode's place and raised as that episode starts, and no
-later one is drawn. Both sources refuse to start an episode if the
-generator moved since the last one's draws (a hook drew from it).
+noise block. ``ship`` draws iteration 1's episodes in the caller from a
+copy of ``train``'s generator and ships the copy; the worker draws each
+later iteration's one iteration ahead. Each episode is kept with the
+generator state its draws leave, which the caller adopts as the episode
+starts, so the generator is where the serial loop leaves it at every
+episode start, raise and return. The two draw ``iters`` times
+``batch / episode_len`` episodes and no more; a draw that raises is kept
+in its episode's place and raised as that episode starts, and no later one
+is drawn. Both sources refuse to start an episode if the generator moved
+since the last one's draws (a hook drew from it).
 
 Each process forks one worker at its first ``train`` and reuses it. Per call
-the caller ships the agents, the env and the generator (pickled), with
-``np.geterr()``; per iteration it sends the batches and ``np.geterr()``. The
-worker, on one BLAS thread, replies with iteration 1's episodes and then,
-as its own reply, with iteration 2's; the caller reads the second before it
-sends iteration 1's batches. Per iteration it then replies once per half
-with each agent's (result, failure, flat), and iteration i's value reply
-also carries iteration i + 2's episodes. So the worker writes only what the
+the caller ships the agents, the env and the generator's copy (pickled),
+with ``np.geterr()``; per iteration it sends the batches and
+``np.geterr()``. The worker, on one BLAS thread, first replies with
+iteration 2's episodes, which the caller reads before it sends iteration
+1's batches. Per iteration it then replies once per half with each agent's
+(result, failure, flat), and iteration i's value reply also carries
+iteration i + 2's episodes. So the worker writes only what the
 caller reads before its own next write, and neither blocks on a full pipe.
 A failure is the epoch, the exception and the worker's formatted traceback,
 which becomes the exception's cause. ``busy`` counts every reply owed, and a
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import copy
 import os
 import pickle
 import signal
@@ -466,11 +468,19 @@ def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
     batch.advantages = normalize_advantages(raw_adv)
 
 
-def _require_unmoved(rng: np.random.Generator, drawn_from: dict) -> None:
-    """Raise unless ``rng`` is still where the last episode's draws left it (or
-    where ``ship`` found it): a draw between episodes would be dropped from the
-    stream the worker draws ahead (``train`` doc)."""
-    if rng.bit_generator.state != drawn_from:
+def _position(rng: np.random.Generator) -> bytes:
+    """``rng``'s state in a form that compares by value: the states of some
+    bit generators (MT19937, Philox, SFC64) hold arrays, which ``==`` does
+    not reduce to one bool."""
+    return pickle.dumps(rng.bit_generator.state, pickle.HIGHEST_PROTOCOL)
+
+
+def _require_unmoved(rng: np.random.Generator, drawn_from: bytes) -> None:
+    """Raise unless ``rng`` is still at ``drawn_from`` (``_position``), where
+    the last episode's draws left it or ``ship`` found it: a draw between
+    episodes would be dropped from the stream the worker draws ahead
+    (``train`` doc)."""
+    if _position(rng) != drawn_from:
         raise RuntimeError("train's generator moved between two episodes' draws; "
                            "on_iteration must not draw from it")
 
@@ -485,7 +495,7 @@ class _Serial:
     def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
              rng: np.random.Generator) -> None:
         self.hyper, self.env, self.rng = hyper, env, rng
-        self.drawn_from = rng.bit_generator.state
+        self.drawn_from = _position(rng)
 
     def episode(self):
         """The next episode's draws: ``env.draw_episode``, then the noise block."""
@@ -493,7 +503,7 @@ class _Serial:
         env, t_len = self.env, self.hyper.episode_len
         drawn = (env.draw_episode(self.rng, t_len),
                  self.rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s)))
-        self.drawn_from = self.rng.bit_generator.state
+        self.drawn_from = _position(self.rng)
         return drawn
 
     def send(self, batches: list[TrajectoryBatch]) -> None:
@@ -575,26 +585,30 @@ class _UpdateWorker:
 
     def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
              rng: np.random.Generator) -> None:
-        """Send the call's agents, env and a copy of ``rng``; the worker replies
-        with iteration 1's episodes, then with iteration 2's."""
+        """Draw iteration 1's episodes here from a copy of ``rng``, then send the
+        call's agents, env and that copy; the worker replies with iteration
+        2's episodes."""
         self.names = ", ".join(repr(agent.name) for agent in agents)
-        self.rng, self.drawn_from, self.ahead = rng, rng.bit_generator.state, deque()
-        self._send((hyper, (agents, env, rng, np.geterr())), min(2, hyper.iters))
+        self.rng, self.drawn_from = rng, _position(rng)
+        first = _Serial()
+        first.ship(agents, hyper, env, copy.deepcopy(rng))
+        episodes, left = _draw_ahead(first, hyper.iters)
+        self.ahead = deque(episodes)
+        self._send((hyper, (agents, env, first.rng, left, np.geterr())), min(1, left))
 
     def episode(self):
-        """The next episode the worker drew; ``rng`` takes the state its draws
-        left, and a draw that raised there raises here."""
-        if not self.ahead:  # iteration 1's, the first reply to ``ship``
-            self._reply()
+        """The next episode drawn ahead; ``rng`` takes the state its draws left,
+        and a draw that raised raises here."""
         _require_unmoved(self.rng, self.drawn_from)
-        self.drawn_from, drawn, failure = self.ahead.popleft()
-        self.rng.bit_generator.state = self.drawn_from
+        state, drawn, failure = self.ahead.popleft()
+        self.rng.bit_generator.state = state
+        self.drawn_from = _position(self.rng)
         if failure:
-            raise _caused(*failure)
+            raise failure
         return drawn
 
     def send(self, batches: list[TrajectoryBatch]) -> None:
-        while self.busy:  # in iteration 1, iteration 2's episodes
+        while self.busy:  # in iteration 1, the reply with iteration 2's episodes
             self._reply()
         self._send((batches, np.geterr()), 2)
 
@@ -607,7 +621,8 @@ class _UpdateWorker:
         except (EOFError, OSError, pickle.UnpicklingError):
             raise self._lost() from None
         self.busy -= 1
-        self.ahead.extend(episodes)
+        self.ahead.extend((state, drawn, failure and _caused(*failure))
+                          for state, drawn, failure in episodes)
         outcomes = []
         for agent, (result, failure, flat) in zip(agents, reply):
             getattr(agent, net).flat[...] = flat
@@ -636,16 +651,16 @@ def _formatted(exc: BaseException) -> str:
 
 
 def _draw_ahead(serial: _Serial, left: int):
-    """(the next iteration's episodes as the worker ships them, the iterations
-    left to draw after it). Each is (the generator state after its draws, the
-    draws, None); a draw that raises ends the list as (the state where it
-    raised, None, (the exception, its traceback)), and the drawing."""
+    """(the next iteration's episodes, the iterations left to draw after it).
+    Each is (the generator state after its draws, the draws, None); a draw
+    that raises ends the list as (the state where it raised, None, the
+    exception), and the drawing."""
     episodes = []
     for _ in range(serial.hyper.batch // serial.hyper.episode_len if left else 0):
         try:
             drawn, failure = serial.episode(), None
         except Exception as exc:
-            drawn, failure = None, (exc, _formatted(exc))
+            drawn, failure = None, exc
         episodes.append((serial.rng.bit_generator.state, drawn, failure))
         if failure:
             return episodes, 0
@@ -657,6 +672,8 @@ def _serve(requests, replies) -> None:
     serial = _Serial()
 
     def put(reply: list, episodes: list) -> None:
+        episodes = [(state, drawn, failure and (failure, _formatted(failure)))
+                    for state, drawn, failure in episodes]
         pickle.dump((reply, episodes), replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
 
@@ -666,13 +683,12 @@ def _serve(requests, replies) -> None:
         except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
             return
         if isinstance(head, PpoHyper):  # a train call ships its agents, env and generator
-            agents, env, rng, errors = tail
+            agents, env, rng, left, errors = tail  # left: the iterations still to draw
             serial.ship(agents, head, env, rng)
-            left = head.iters  # the iterations whose episodes are still to draw
-            with np.errstate(**errors), one_blas_thread():
-                for _ in range(min(2, left)):
+            if left:
+                with np.errstate(**errors), one_blas_thread():
                     episodes, left = _draw_ahead(serial, left)
-                    put([], episodes)
+                put([], episodes)
             continue
         serial.send(head)
         with np.errstate(**tail), one_blas_thread():

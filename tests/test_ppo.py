@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -913,12 +914,13 @@ def workers(request, monkeypatch):
     return request.param
 
 
-def drawn_state(mode, hyper, seed, episodes, reset_only=False):
+def drawn_state(mode, hyper, seed, episodes, reset_only=False, bit_generator=np.random.PCG64):
     """The generator state that ``train(SMALL_ENV, hyper, mode,
-    default_rng(seed))`` reaches after ``episodes`` whole episodes' draws
-    (``env.reset``, then the noise block), replayed in the caller; with
-    ``reset_only`` one more ``env.reset`` follows."""
-    rng = np.random.default_rng(seed)
+    Generator(bit_generator(seed)))`` reaches after ``episodes`` whole
+    episodes' draws (``env.reset``, then the noise block), replayed in the
+    caller; with ``reset_only`` one more ``env.reset`` follows. PCG64 is
+    ``default_rng``'s bit generator."""
+    rng = np.random.Generator(bit_generator(seed))
     env = SpectrumSharingEnv(SMALL_ENV, rng)
     build_agents(mode, SMALL_ENV, hyper, rng)
     for _ in range(episodes):
@@ -929,10 +931,29 @@ def drawn_state(mode, hyper, seed, episodes, reset_only=False):
     return rng.bit_generator.state
 
 
+def failing_draws(log: Path, fail_at: int):
+    """A ``sample_gain_matrices`` that appends the drawing process's pid to
+    ``log`` and raises after its draws in call ``fail_at``, so that the
+    caller's and the worker's calls count as one sequence."""
+    real = env_module.sample_gain_matrices
+
+    def failing_draw(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        calls = len(log.read_text().split())
+        block = real(*args)
+        if calls == fail_at:
+            raise FloatingPointError(f"draw {calls} failed")
+        return block
+
+    return failing_draw
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the update worker is forked on Linux only")
 class TestEpisodeSource:
-    """The worker draws each rollout's episodes ahead; the caller's generator
+    """Iteration 1's episodes are drawn in the caller, and the worker draws
+    each later rollout's ahead; the caller's generator
     is where the serial loop leaves it at every return and raise, a draw
     that fails there is raised where its episode starts, and a hook that
     draws from the generator is refused, with a worker and with none."""
@@ -983,36 +1004,30 @@ class TestEpisodeSource:
 
     @pytest.mark.parametrize("episodes", [1, 2])
     @pytest.mark.parametrize("failing", [1, 2, 3])
-    def test_failed_draw_is_raised_where_its_episode_starts(self, monkeypatch, own_worker,
-                                                           workers, failing, episodes):
+    def test_failed_draw_is_raised_where_its_episode_starts(self, monkeypatch, tmp_path,
+                                                           own_worker, workers, failing,
+                                                           episodes):
         """``sample_gain_matrices`` raises after its draws in the last episode
-        of iteration ``failing``, in whichever process draws: the caller
-        raises it after ``failing - 1`` hook calls, with its type and message,
-        the worker's traceback as its cause, and the generator where the
-        failing draw left it."""
-        real, calls = env_module.sample_gain_matrices, []
-
-        def failing_draw(*args):
-            calls.append(None)  # each process counts its own calls
-            block = real(*args)
-            if len(calls) == failing * episodes:
-                raise FloatingPointError(f"draw {len(calls)} failed")
-            return block
-
-        hyper, seen = tiny_hyper(iters=3, batch=5 * episodes), []
+        of iteration ``failing``: the caller raises it after ``failing - 1``
+        hook calls, with its type and message, and the generator where the
+        failing draw left it. Iteration 1's draws run in the caller, later
+        ones in the worker, whose traceback is then the exception's cause."""
+        hyper, seen, log = tiny_hyper(iters=3, batch=5 * episodes), [], tmp_path / "draws"
         want = drawn_state(MODE_COEXIST, hyper, 62, failing * episodes - 1, reset_only=True)
-        monkeypatch.setattr(env_module, "sample_gain_matrices", failing_draw)
+        monkeypatch.setattr(env_module, "sample_gain_matrices",
+                            failing_draws(log, failing * episodes))
         rng = np.random.default_rng(62)
         with pytest.raises(FloatingPointError, match=f"^draw {failing * episodes} failed$") as raised:
             train(SMALL_ENV, hyper, MODE_COEXIST, rng, on_iteration=seen.append)
         assert len(seen) == failing - 1
         assert rng.bit_generator.state == want
+        in_caller = [pid == str(os.getpid()) for pid in log.read_text().split()]
+        assert in_caller == [not workers or i < episodes for i in range(failing * episodes)]
         cause = raised.value.__cause__
-        if workers:
-            assert isinstance(cause, ppo._WorkerTraceback) and "failing_draw" in str(cause)
-            assert not calls  # the caller drew nothing
+        if in_caller[-1]:
+            assert cause is None
         else:
-            assert cause is None and len(calls) == failing * episodes
+            assert isinstance(cause, ppo._WorkerTraceback) and "failing_draw" in str(cause)
 
     def test_draws_run_under_the_callers_error_state(self, monkeypatch, own_worker, workers):
         real = env_module.sample_gain_matrices
@@ -1027,20 +1042,12 @@ class TestEpisodeSource:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(66))
 
-    def test_an_earlier_divergence_wins_over_a_failed_draw(self, monkeypatch, own_worker,
-                                                           workers):
+    def test_an_earlier_divergence_wins_over_a_failed_draw(self, monkeypatch, tmp_path,
+                                                           own_worker, workers):
         """Iteration 1's value half diverges and iteration 3's draw fails; the
         worker ships both on one reply, and the divergence is raised."""
-        real = env_module.sample_gain_matrices
-        calls = []
-
-        def failing_draw(*args):
-            calls.append(None)
-            if len(calls) == 3:
-                raise FloatingPointError("draw 3 failed")
-            return real(*args)
-
-        monkeypatch.setattr(env_module, "sample_gain_matrices", failing_draw)
+        monkeypatch.setattr(env_module, "sample_gain_matrices",
+                            failing_draws(tmp_path / "draws", 3))
         monkeypatch.setattr(ppo, "value_objective", _nan_at(ppo.value_objective, 7, 1))
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match="iteration 1, agent 's': non-finite value loss"):
@@ -1063,6 +1070,30 @@ class TestEpisodeSource:
         want.bit_generator.state = drawn_state(mode, tiny_hyper(iters=3), 64, 2)
         want.random()
         assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64])
+    def test_bit_generators_whose_state_holds_arrays(self, workers, bit_generator):
+        """The generator ends where the serial loop leaves it, and a hook that
+        draws from it is refused, also where its state holds arrays."""
+        def state(rng):
+            return pickle.dumps(rng.bit_generator.state)
+
+        hyper = tiny_hyper(iters=3)
+        rng = np.random.Generator(bit_generator(67))
+        train(SMALL_ENV, hyper, MODE_COEXIST, rng)
+        want = np.random.Generator(bit_generator())
+        want.bit_generator.state = drawn_state(MODE_COEXIST, hyper, 67, 6,
+                                               bit_generator=bit_generator)
+        assert state(rng) == state(want)
+
+        rng = np.random.Generator(bit_generator(68))
+        with pytest.raises(RuntimeError, match="on_iteration must not draw from it"):
+            train(SMALL_ENV, hyper, MODE_COEXIST, rng, on_iteration=lambda row: rng.random())
+        want.bit_generator.state = drawn_state(MODE_COEXIST, hyper, 68, 2,
+                                               bit_generator=bit_generator)
+        want.random()
+        assert state(rng) == state(want)
 
     def test_blocks_beyond_the_pipe_buffer_flow(self):
         """Batch 500 at K = 4 + 8, full CSI: each episode's gain block (577 KB)
