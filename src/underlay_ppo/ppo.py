@@ -753,9 +753,9 @@ def train(
     has one; the worker is forked here, before ``build_agents``, so it counts
     as set-up.
 
-    ``train`` owns ``rng`` for the call: the update worker draws the rollouts'
-    channel and noise ahead from a copy of it (module doc), and ``rng`` is
-    left where a serial loop would leave it. ``on_iteration`` must not draw
+    ``train`` owns ``rng`` for the call: with an update worker the rollouts'
+    channel and noise are drawn ahead from a copy of it (module doc), and
+    ``rng`` is left where a serial loop would leave it. ``on_iteration`` must not draw
     from it; the next episode's start raises ``RuntimeError`` if it did.
 
     ``on_iteration(row)`` is called once the iteration's policies are final,
