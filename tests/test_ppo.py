@@ -914,18 +914,19 @@ def workers(request, monkeypatch):
     return request.param
 
 
-def drawn_state(mode, hyper, seed, episodes, reset_only=False, bit_generator=np.random.PCG64):
-    """The generator state that ``train(SMALL_ENV, hyper, mode,
+def drawn_state(mode, hyper, seed, episodes, reset_only=False, bit_generator=np.random.PCG64,
+                cfg=SMALL_ENV):
+    """The generator state that ``train(cfg, hyper, mode,
     Generator(bit_generator(seed)))`` reaches after ``episodes`` whole
     episodes' draws (``env.reset``, then the noise block), replayed in the
     caller; with ``reset_only`` one more ``env.reset`` follows. PCG64 is
     ``default_rng``'s bit generator."""
     rng = np.random.Generator(bit_generator(seed))
-    env = SpectrumSharingEnv(SMALL_ENV, rng)
-    build_agents(mode, SMALL_ENV, hyper, rng)
+    env = SpectrumSharingEnv(cfg, rng)
+    build_agents(mode, cfg, hyper, rng)
     for _ in range(episodes):
         env.reset(rng, hyper.episode_len)
-        rng.standard_normal((hyper.episode_len, SMALL_ENV.k_p + SMALL_ENV.k_s))
+        rng.standard_normal((hyper.episode_len, cfg.k_p + cfg.k_s))
     if reset_only:
         env.reset(rng, hyper.episode_len)
     return rng.bit_generator.state
@@ -1111,6 +1112,83 @@ class TestEpisodeSource:
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
         assert [row["iter"] for row in rows] == [1, 2, 3]
         assert not ppo._worker.busy and ppo._worker.alive()
+
+
+def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
+    """Wrap the update worker's read of a result so that read ``kill_at``
+    (counted from 1 over the process) first SIGKILLs the worker and drops
+    what it wrote, as if it died before it replied. With ``mid_reply`` the
+    kill waits for the reply's first bytes instead and drops nothing, so the
+    worker dies while it writes and the read meets a truncated reply.
+    Returns the list that gets the killed worker's pid."""
+    real, reads, killed = ppo._UpdateWorker._reply, [], []
+
+    def read(self, *args):
+        reads.append(None)
+        if len(reads) == kill_at:
+            if mid_reply:
+                self.replies.peek(1)
+            killed.append(self.pid)
+            _kill_and_wait(self.pid)
+            if not mid_reply:
+                self.replies.read()  # up to the end-of-file its death leaves
+        return real(self, *args)
+
+    monkeypatch.setattr(ppo._UpdateWorker, "_reply", read)
+    return killed
+
+
+def lost_worker(mode: str, pid: int) -> str:
+    """The message that names ``mode``'s agents and the lost worker's pid."""
+    names = ", ".join(repr(name) for name, _ in ppo.MODE_AGENTS[mode])
+    return re.escape(f"the update worker of agent {names} (pid {pid}) exited")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the update worker is forked on Linux only")
+class TestWorkerFaults:
+    """The worker is SIGKILLed before each read of a result: the call raises
+    and names it, drops it, leaves the generator where the serial loop leaves
+    it at the last episode start, and the next call trains as the serial
+    reference does."""
+
+    READS = 1 + 2 * 3  # a 3-iteration call: the start-up reply, then a policy and a value reply each
+
+    @pytest.mark.parametrize("read", range(1, READS + 1))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worker_killed_before_a_read(self, monkeypatch, own_worker, mode, read):
+        hyper = tiny_hyper(iters=3)
+        started = min((read + 1) // 2, hyper.iters) * (hyper.batch // hyper.episode_len)
+        killed = killing_reads(monkeypatch, read)
+        rng = np.random.default_rng(69)
+        with pytest.raises(RuntimeError) as raised:
+            train(SMALL_ENV, hyper, mode, rng)
+        monkeypatch.undo()
+        assert re.match(lost_worker(mode, killed[0]), str(raised.value))
+        assert ppo._worker is None
+        assert rng.bit_generator.state == drawn_state(mode, hyper, 69, started)
+        rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(70))
+        assert repr(rows) == repr(train_reference(SMALL_ENV, hyper, mode,
+                                                  np.random.default_rng(70)))
+
+    @pytest.mark.parametrize("read", [1, 3])
+    def test_worker_killed_mid_reply(self, monkeypatch, own_worker, read):
+        """Batch 500 at K = 4 + 8, full CSI: the replies that carry the next
+        iteration's episodes (577 KB each) overflow the 64 KiB pipe, so the
+        worker is still writing when it is killed."""
+        cfg, hyper = EnvConfig(k_p=4, k_s=8), PpoHyper(iters=3, batch=500, episode_len=500)
+        killed = killing_reads(monkeypatch, read, mid_reply=True)
+        rng = np.random.default_rng(71)
+        with pytest.raises(RuntimeError) as raised:
+            train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, rng)
+        monkeypatch.undo()
+        assert re.match(lost_worker(MODE_CENTRALIZED_FULL_CSI, killed[0]), str(raised.value))
+        assert ppo._worker is None
+        assert rng.bit_generator.state == drawn_state(MODE_CENTRALIZED_FULL_CSI, hyper, 71,
+                                                      (read + 1) // 2, cfg=cfg)
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(72))
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
+                                                  np.random.default_rng(72)))
 
 
 class TestCollect:
