@@ -18,58 +18,36 @@ an older policy; Adam steps on finite gradients keep finite parameters
 finite and non-finite ones non-finite, so the block named is the
 interleaved loop's.
 
-``train``, per iteration: roll out; take the previous iteration's value
-reply; score the batches and send them to the update worker; run the first
-agent's policy half while the worker runs the others' and replies with
-their policy flats; call ``on_iteration``. The worker runs every value half
-during the next rollout. For a ``train`` call it owns every agent's value
-net and value ``AdamState``, and the policy and policy ``AdamState`` of every
-agent but the first; the caller copies back the flats it receives and never
-steps its stale copies, so histories are bit-identical to the interleaved
-serial loop's.
+``train`` runs the update as three tasks (``worker`` module) on an
+executor: this process's update worker, or ``Inline`` where it has none.
+``_ship`` keeps the call's agents, env and a copy of its generator;
+``_policies`` runs the policy half of every agent but the first;
+``_values`` runs every value half, then draws the episodes one iteration
+ahead. Per iteration ``train`` rolls out; reads the previous value result
+(in iteration 1, ship's); scores the batches; submits ``_policies``, then
+``_values``; runs the first agent's policy half and reads the policy
+result; calls ``on_iteration``. So the value halves run during the next
+rollout. The caller copies back the flats of each result and never steps
+its own copies of the nets and Adam states the tasks step, so histories
+are bit-identical to the interleaved serial loop's.
 
 No action changes the channel, so a rollout's draws depend on the
 generator alone: per episode the env's (``env.draw_episode``), then one
-noise block. ``ship`` draws iteration 1's episodes in the caller from a
-copy of ``train``'s generator and ships the copy; the worker draws each
-later iteration's one iteration ahead. Each episode is kept with the
-generator state its draws leave, which the caller adopts as the episode
-starts, so the generator is where the serial loop leaves it at every
-episode start, raise and return. The two draw ``iters`` times
-``batch / episode_len`` episodes and no more; a draw that raises is kept
-in its episode's place and raised as that episode starts, and no later one
-is drawn. Both sources refuse to start an episode if the generator moved
-since the last one's draws (a hook drew from it).
-
-Each process forks one worker at its first ``train`` and reuses it. Per call
-the caller ships the agents, the env and the generator's copy (pickled),
-with ``np.geterr()``; per iteration it sends the batches and
-``np.geterr()``. The worker, on one BLAS thread, first replies with
-iteration 2's episodes, which the caller reads before it sends iteration
-1's batches. Per iteration it then replies once per half with each agent's
-(result, failure, flat), and iteration i's value reply also carries
-iteration i + 2's episodes. So the worker writes only what the
-caller reads before its own next write, and neither blocks on a full pipe.
-A failure is the epoch, the exception and the worker's formatted traceback,
-which becomes the exception's cause. ``busy`` counts every reply owed, and a
-call that leaves with one owed kills the worker. The worker ignores SIGINT,
-exits on end-of-file when its parent dies and is killed at interpreter exit;
-a process forked from its parent forks its own. With zero workers (off
-Linux, in a daemonic ``multiprocessing`` process, if ``fork`` fails, or in a
-``train`` nested in another's ``on_iteration``), ``_Serial`` draws each
-episode in the caller as it starts and runs the same halves in the caller
-when their replies are read.
+noise block. The caller draws iteration 1's episodes from a copy of
+``train``'s generator and ships the copy; ship's result carries iteration
+2's, and iteration i's value result iteration i + 2's. Each episode is kept
+with the generator state its draws leave, which the caller adopts as the
+episode starts, so the generator is where the serial loop leaves it at
+every episode start, raise and return. The draws stop after ``iters`` times
+``batch / episode_len`` episodes; a draw that raises is kept in its
+episode's place and raised as that episode starts, and no later one is
+drawn. No episode starts if the generator moved since the last one's draws
+(a hook drew from it).
 """
 from __future__ import annotations
 
-import atexit
-import contextlib
 import copy
-import os
 import pickle
-import signal
-import sys
-import traceback
 from collections import deque
 from dataclasses import dataclass
 
@@ -88,6 +66,8 @@ from .nets import (
     logprob_grads,
     sample_action,
 )
+from .worker import Inline
+from .worker import update_worker as _update_worker
 
 OBS_PRIMARY = "primary"
 OBS_SECONDARY = "secondary"
@@ -124,11 +104,6 @@ HIDDEN = (64, 64)  # hidden layer widths of every agent's policy and value nets
 class TrainingDiverged(RuntimeError):
     """A non-finite loss or gradient; names the agent, the first non-finite
     parameter or gradient block and, raised from ``train``, the iteration."""
-
-
-class _WorkerTraceback(Exception):
-    """The update worker's formatted traceback of an exception it sent; the
-    caller sets it as that exception's cause."""
 
 
 @dataclass(frozen=True)
@@ -407,7 +382,7 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
     """Roll out one batch of whole episodes; returns (per-agent batches, metric means).
 
     Every mode runs one loop, which draws nothing: each episode starts from
-    ``source.episode()`` (``_Serial`` or ``_UpdateWorker``), the env's blocks
+    ``source.episode()`` (``train``'s ``_Schedule``), the env's blocks
     (``env.start_episode``) and one standard-normal ``(hyper.episode_len, K)``
     noise block, drawn in that order from ``train``'s generator. Each agent's
     ``(batch, obs_dim)`` observation block takes its kind's heads at each
@@ -475,131 +450,71 @@ def _position(rng: np.random.Generator) -> bytes:
     return pickle.dumps(rng.bit_generator.state, pickle.HIGHEST_PROTOCOL)
 
 
-def _require_unmoved(rng: np.random.Generator, drawn_from: bytes) -> None:
-    """Raise unless ``rng`` is still at ``drawn_from`` (``_position``), where
-    the last episode's draws left it or ``ship`` found it: a draw between
-    episodes would be dropped from the stream the worker draws ahead
-    (``train`` doc)."""
-    if _position(rng) != drawn_from:
-        raise RuntimeError("train's generator moved between two episodes' draws; "
-                           "on_iteration must not draw from it")
+def _draw_ahead(here: dict) -> list:
+    """The next iteration's episodes, if any are ``left``. Each is (the
+    generator state after its draws, the draws, None); a draw that raises
+    ends the list, and the drawing, as (its state, None, the exception)."""
+    if not here["left"]:
+        return []
+    here["left"] -= 1
+    env, rng, t_len = here["env"], here["rng"], here["hyper"].episode_len
+    episodes = []
+    for _ in range(here["hyper"].batch // t_len):
+        try:
+            drawn, failure = (env.draw_episode(rng, t_len),
+                              rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s))), None
+        except Exception as exc:
+            drawn, failure = None, exc
+            here["left"] = 0
+        episodes.append((rng.bit_generator.state, drawn, failure))
+        if failure:
+            break
+    return episodes
 
 
-class _Serial:
-    """The zero-worker stand-in (module doc): the worker's interface, drawing
-    each episode in the caller when it starts and running each half in the
-    caller when its reply is read."""
+def _ship(here: dict, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
+          rng: np.random.Generator, left: int):
+    """Task: keep a call's agents, env and generator; draw the next iteration."""
+    here.update(agents=agents, hyper=hyper, env=env, rng=rng, left=left)
+    return [], _draw_ahead(here)
 
-    busy = 0
 
-    def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
-             rng: np.random.Generator) -> None:
-        self.hyper, self.env, self.rng = hyper, env, rng
+def _policies(here: dict, batches: list[TrajectoryBatch]):
+    """Task: keep the iteration's batches, and run the policy half of every
+    agent but the first; each outcome comes with its policy's flat."""
+    here["batches"] = batches
+    return [(*_policy_half(agent, batch, here["hyper"]), agent.policy.flat)
+            for agent, batch in zip(here["agents"][1:], batches[1:])], []
+
+
+def _values(here: dict):
+    """Task: every agent's value half, then the draw one iteration ahead."""
+    return [(*_value_half(agent, batch, here["hyper"]), agent.value.flat)
+            for agent, batch in zip(here["agents"], here["batches"])], _draw_ahead(here)
+
+
+class _Schedule:
+    """The caller's side of the schedule (module doc), on either executor:
+    ``_collect``'s episode source and ``train``'s peer."""
+
+    def __init__(self, executor, agents: list[Agent], hyper: PpoHyper,
+                 env: SpectrumSharingEnv, rng: np.random.Generator):
+        """Draw iteration 1's episodes here from a copy of ``rng``, then ship
+        the copy with the agents and the env."""
+        executor.owner = "agent " + ", ".join(repr(agent.name) for agent in agents)
+        self.executor, self.agents, self.rng = executor, agents, rng
+        first = {}
+        self.ahead = deque(_ship(first, agents, hyper, env, copy.deepcopy(rng), hyper.iters)[1])
         self.drawn_from = _position(rng)
-
-    def episode(self):
-        """The next episode's draws: ``env.draw_episode``, then the noise block."""
-        _require_unmoved(self.rng, self.drawn_from)
-        env, t_len = self.env, self.hyper.episode_len
-        drawn = (env.draw_episode(self.rng, t_len),
-                 self.rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s)))
-        self.drawn_from = _position(self.rng)
-        return drawn
-
-    def send(self, batches: list[TrajectoryBatch]) -> None:
-        self.batches = batches
-
-    def policies(self, agents: list[Agent]) -> list:
-        """The outcomes of every agent's policy half but the first's."""
-        return [_policy_half(agent, batch, self.hyper)
-                for agent, batch in zip(agents[1:], self.batches[1:])]
-
-    def values(self, agents: list[Agent]) -> list:
-        """The outcomes of every agent's value half."""
-        return [_value_half(agent, batch, self.hyper)
-                for agent, batch in zip(agents, self.batches)]
-
-
-class _UpdateWorker:
-    """This process's update worker (module doc). ``busy``: how many replies
-    are owed (1 while a message is being sent); a busy worker is killed, never
-    read again. ``in_call``: a ``train`` holds it, so a nested ``train`` gets
-    none."""
-
-    def __init__(self):
-        (req_in, req_out), (rep_in, rep_out) = os.pipe(), os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (req_in, req_out, rep_in, rep_out):
-                os.close(fd)
-            raise
-        if self.pid == 0:  # the worker; it never returns from here
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(req_out)  # so the parent's death reads as end-of-file
-                os.close(rep_in)
-                _serve(os.fdopen(req_in, "rb"), os.fdopen(rep_out, "wb"))
-            finally:
-                os._exit(0)
-        os.close(req_in)
-        os.close(rep_out)
-        self.requests, self.replies = os.fdopen(req_out, "wb"), os.fdopen(rep_in, "rb")
-        self.busy, self.in_call, self.names = 0, False, ""
-
-    def alive(self) -> bool:
-        try:
-            return os.waitpid(self.pid, os.WNOHANG)[0] == 0  # reaps it if it exited
-        except ChildProcessError:  # reaped already
-            return False
-
-    def close(self, kill: bool) -> None:
-        """Close this process's pipe ends and drop the handle; with ``kill``,
-        also kill and reap the worker."""
-        global _worker
-        if self.replies.closed:
-            return
-        self.replies.close()
-        with contextlib.suppress(OSError):  # a dead worker's pipe is broken
-            self.requests.close()
-        if _worker is self:
-            _worker = None
-        if kill:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-
-    def _lost(self) -> RuntimeError:
-        self.close(kill=True)
-        return RuntimeError(f"the update worker of agent {self.names} (pid {self.pid}) "
-                            "exited; the next train call forks a new one")
-
-    def _send(self, message, replies: int) -> None:
-        self.busy = replies or 1  # a half-sent message leaves the pipe unusable too
-        try:
-            pickle.dump(message, self.requests, pickle.HIGHEST_PROTOCOL)
-            self.requests.flush()
-        except OSError:
-            raise self._lost() from None
-        self.busy = replies
-
-    def ship(self, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
-             rng: np.random.Generator) -> None:
-        """Draw iteration 1's episodes here from a copy of ``rng``, then send the
-        call's agents, env and that copy; the worker replies with iteration
-        2's episodes."""
-        self.names = ", ".join(repr(agent.name) for agent in agents)
-        self.rng, self.drawn_from = rng, _position(rng)
-        first = _Serial()
-        first.ship(agents, hyper, env, copy.deepcopy(rng))
-        episodes, left = _draw_ahead(first, hyper.iters)
-        self.ahead = deque(episodes)
-        self._send((hyper, (agents, env, first.rng, left, np.geterr())), min(1, left))
+        executor.submit(_ship, agents, hyper, env, first["rng"], first["left"])
 
     def episode(self):
         """The next episode drawn ahead; ``rng`` takes the state its draws left,
-        and a draw that raised raises here."""
-        _require_unmoved(self.rng, self.drawn_from)
+        and a draw that raised raises here. ``rng`` must be where the last
+        draws left it: a draw in between would be lost from the stream."""
+        if _position(self.rng) != self.drawn_from:
+            raise RuntimeError("train's generator moved between two episodes' draws; "
+                               "on_iteration must not draw from it")
         state, drawn, failure = self.ahead.popleft()
         self.rng.bit_generator.state = state
         self.drawn_from = _position(self.rng)
@@ -607,124 +522,20 @@ class _UpdateWorker:
             raise failure
         return drawn
 
-    def send(self, batches: list[TrajectoryBatch]) -> None:
-        while self.busy:  # in iteration 1, the reply with iteration 2's episodes
-            self._reply()
-        self._send((batches, np.geterr()), 2)
+    def update(self, batches: list[TrajectoryBatch]) -> None:
+        self.executor.submit(_policies, batches)
+        self.executor.submit(_values)
 
-    def _reply(self, agents: list[Agent] = (), net: str = "value") -> list:
-        """Read a reply and queue the episodes it carries; copy its flats into
-        ``agents``' ``net`` nets and return their outcomes, each failure's
-        exception caused by the worker's traceback."""
-        try:
-            reply, episodes = pickle.load(self.replies)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            raise self._lost() from None
-        self.busy -= 1
-        self.ahead.extend((state, drawn, failure and _caused(*failure))
-                          for state, drawn, failure in episodes)
-        outcomes = []
-        for agent, (result, failure, flat) in zip(agents, reply):
+    def result(self, net: str) -> list:
+        """Read the next result: queue the episodes it carries, copy its flats
+        into the ``net`` nets it updates (every value net, or every policy but
+        the first) and return their outcomes."""
+        outcomes, episodes = self.executor.result()
+        self.ahead.extend(episodes)
+        owners = self.agents[1:] if net == "policy" else self.agents
+        for agent, (_, _, flat) in zip(owners, outcomes):
             getattr(agent, net).flat[...] = flat
-            if failure:
-                epoch, exc, text = failure
-                failure = epoch, _caused(exc, text)
-            outcomes.append((result, failure))
-        return outcomes
-
-    def policies(self, agents: list[Agent]) -> list:
-        return self._reply(agents[1:], "policy")
-
-    def values(self, agents: list[Agent]) -> list:
-        return self._reply(agents, "value")
-
-
-def _caused(exc: BaseException, text: str) -> BaseException:
-    """``exc``, sent by the worker, with its formatted traceback as the cause."""
-    exc.__cause__ = _WorkerTraceback(text)
-    return exc
-
-
-def _formatted(exc: BaseException) -> str:
-    """A traceback does not pickle, so it travels as text."""
-    return "".join(traceback.format_exception(exc))
-
-
-def _draw_ahead(serial: _Serial, left: int):
-    """(the next iteration's episodes, the iterations left to draw after it).
-    Each is (the generator state after its draws, the draws, None); a draw
-    that raises ends the list as (the state where it raised, None, the
-    exception), and the drawing."""
-    episodes = []
-    for _ in range(serial.hyper.batch // serial.hyper.episode_len if left else 0):
-        try:
-            drawn, failure = serial.episode(), None
-        except Exception as exc:
-            drawn, failure = None, exc
-        episodes.append((serial.rng.bit_generator.state, drawn, failure))
-        if failure:
-            return episodes, 0
-    return episodes, max(left - 1, 0)
-
-
-def _serve(requests, replies) -> None:
-    """The worker's loop, until the parent's end of ``requests`` closes."""
-    serial = _Serial()
-
-    def put(reply: list, episodes: list) -> None:
-        episodes = [(state, drawn, failure and (failure, _formatted(failure)))
-                    for state, drawn, failure in episodes]
-        pickle.dump((reply, episodes), replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
-
-    while True:
-        try:
-            head, tail = pickle.load(requests)
-        except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
-            return
-        if isinstance(head, PpoHyper):  # a train call ships its agents, env and generator
-            agents, env, rng, left, errors = tail  # left: the iterations still to draw
-            serial.ship(agents, head, env, rng)
-            if left:
-                with np.errstate(**errors), one_blas_thread():
-                    episodes, left = _draw_ahead(serial, left)
-                put([], episodes)
-            continue
-        serial.send(head)
-        with np.errstate(**tail), one_blas_thread():
-            for half, owners, net in ((serial.policies, agents[1:], "policy"),
-                                      (serial.values, agents, "value")):
-                reply = []
-                for (result, failure), agent in zip(half(agents), owners):
-                    if failure:
-                        failure = (*failure, _formatted(failure[1]))
-                    reply.append((result, failure, getattr(agent, net).flat))
-                episodes = []
-                if net == "value":  # iteration i + 2's episodes ride on iteration i's values
-                    episodes, left = _draw_ahead(serial, left)
-                put(reply, episodes)
-
-
-_worker: _UpdateWorker | None = None
-
-
-def _update_worker() -> _UpdateWorker | None:
-    """This process's free update worker, forked if it has none or its last
-    one exited; None where none can start (module doc)."""
-    global _worker
-    if _worker is not None and not _worker.alive():
-        _worker.close(kill=False)
-    # a multiprocessing child has imported multiprocessing, so no import is needed
-    process = sys.modules.get("multiprocessing.process")
-    daemonic = process is not None and process.current_process().daemon
-    if _worker is None and sys.platform.startswith("linux") and not daemonic:
-        with contextlib.suppress(OSError):
-            _worker = _UpdateWorker()
-    return None if _worker is None or _worker.in_call else _worker
-
-
-atexit.register(lambda: _worker and _worker.close(kill=True))
-os.register_at_fork(after_in_child=lambda: _worker and _worker.close(kill=False))
+        return [outcome[:2] for outcome in outcomes]
 
 
 def _record_values(row: dict, agents: list[Agent], values: list) -> None:
@@ -749,14 +560,14 @@ def train(
     (suffixed with the agent name). With the same seed and config, histories
     are bit-for-bit reproducible at any batch size: numpy's bundled OpenBLAS
     runs on one thread during the call (``blas.one_blas_thread``). The updates
-    follow the module doc's schedule, in this process's update worker if it
-    has one; the worker is forked here, before ``build_agents``, so it counts
-    as set-up.
+    and draws follow the module doc's schedule, in this process's update
+    worker if it has one and in the caller if not (``worker.Inline``); the
+    worker is forked here, before ``build_agents``, so it counts as set-up.
 
-    ``train`` owns ``rng`` for the call: with an update worker the rollouts'
-    channel and noise are drawn ahead from a copy of it (module doc), and
-    ``rng`` is left where a serial loop would leave it. ``on_iteration`` must not draw
-    from it; the next episode's start raises ``RuntimeError`` if it did.
+    ``train`` owns ``rng`` for the call: the rollouts' channel and noise are
+    drawn ahead from a copy of it (module doc), with a worker or without, and
+    ``rng`` is left where a serial loop would leave it. ``on_iteration`` must
+    not draw from it; the next episode's start raises ``RuntimeError`` if it did.
 
     ``on_iteration(row)`` is called once the iteration's policies are final,
     when the next rollout can start. Its value halves may still be running:
@@ -765,29 +576,26 @@ def train(
     ``train`` returns. A divergence in iteration i's value half is raised
     after rollout i + 1, still naming iteration i.
     """
-    worker = _update_worker()
-    peer = worker or _Serial()
     history: list[dict] = []
-    try:
-        if worker is not None:
-            worker.in_call = True
+    with _update_worker() or Inline() as executor:
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
-        peer.ship(agents, hyper, env, rng)
+        peer = _Schedule(executor, agents, hyper, env, rng)
         for it in range(1, hyper.iters + 1):
             batches, means = _collect(env, agents, hyper, peer)
+            values = peer.result("value")  # in iteration 1, ship's
             if history:
-                _record_values(history[-1], agents, peer.values(agents))
+                _record_values(history[-1], agents, values)
             for agent, batch in zip(agents, batches):
                 _score(agent, batch, hyper)
-            peer.send(batches)
+            peer.update(batches)
             where = f"iteration {it}, "
             first = _policy_half(agents[0], batches[0], hyper)
             if first[1] and first[1][0] == 0:  # the update's first check: nothing precedes it
                 _raise_first([(first, _PASSED)], where)
-            policies = [first, *peer.policies(agents)]
+            policies = [first, *peer.result("policy")]
             if any(failure for _, failure in policies):
-                _raise_first(zip(policies, peer.values(agents)), where)
+                _raise_first(zip(policies, peer.result("value")), where)
             row = {"iter": it, **means}
             for agent, (stats, _) in zip(agents, policies):
                 for key, val in stats.items():
@@ -796,10 +604,5 @@ def train(
             history.append(row)
             if on_iteration is not None:
                 on_iteration(row)
-        _record_values(history[-1], agents, peer.values(agents))
-    finally:
-        if worker is not None:
-            worker.in_call = False
-            if worker.busy:  # no later call may read the replies this one left owed
-                worker.close(kill=True)
+        _record_values(history[-1], agents, peer.result("value"))
     return history

@@ -501,14 +501,18 @@ def ppo_update_reference(agent, batch, hyper):
     return stats
 
 
-def caller_source(env, hyper, rng):
-    """``train``'s zero-worker episode source (``ppo._Serial``), shipped: it
-    draws each episode ``_collect`` starts from ``rng``, in the caller."""
-    from underlay_ppo.ppo import _Serial
+class caller_source:  # keeps the name of the function it replaced
+    """An episode source for ``ppo._collect`` that draws each episode from
+    ``rng`` in the caller as it starts: ``env.draw_episode``, then the noise
+    block, the draws ``train`` makes ahead of time, in the same order."""
 
-    source = _Serial()
-    source.ship([], hyper, env, rng)
-    return source
+    def __init__(self, env, hyper, rng):
+        self.env, self.t_len, self.rng = env, hyper.episode_len, rng
+
+    def episode(self):
+        cfg = self.env.cfg
+        return (self.env.draw_episode(self.rng, self.t_len),
+                self.rng.standard_normal((self.t_len, cfg.k_p + cfg.k_s)))
 
 
 def train_reference(env_cfg, hyper, mode, rng):

@@ -30,7 +30,7 @@ from oracles import (
     reset_nodes_reference,
     train_reference,
 )
-from underlay_ppo import blas, ppo
+from underlay_ppo import blas, ppo, worker
 from underlay_ppo import env as env_module
 from underlay_ppo.env import EnvConfig, SpectrumSharingEnv
 from underlay_ppo.nets import (
@@ -595,7 +595,7 @@ class TestTrain:
 
 def _train_in_child(conn, mode=MODE_COEXIST, seed=41):
     rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(seed))
-    conn.send((rows, None if ppo._worker is None else ppo._worker.pid))
+    conn.send((rows, None if worker._worker is None else worker._worker.pid))
 
 
 def _nan_at(objective, width, call):
@@ -623,8 +623,8 @@ def own_worker():
     its ``train`` forks one that has its monkeypatches and no later test
     inherits them."""
     def kill():
-        if ppo._worker is not None:
-            ppo._worker.close(kill=True)
+        if worker._worker is not None:
+            worker._worker.close(kill=True)
 
     kill()
     yield
@@ -634,11 +634,11 @@ def own_worker():
 _FRESH_TRAIN = """
 import sys
 import numpy as np
-from underlay_ppo import ppo
+from underlay_ppo import ppo, worker
 from underlay_ppo.env import EnvConfig
 rows = ppo.train(EnvConfig(k_p=2, k_s=2), ppo.PpoHyper(iters=3, batch=10, episode_len=5),
                  ppo.MODE_COEXIST, np.random.default_rng(int(sys.argv[1])))
-print(ppo._worker.pid)
+print(worker._worker.pid)
 print(repr(rows))
 """
 
@@ -705,12 +705,12 @@ class TestUpdateWorker:
         hyper, held = tiny_hyper(iters=3), []
 
         def check_worker(row):
-            worker = ppo._worker
-            held.append(worker is not None and worker.in_call and worker.busy == 1)
+            current = worker._worker
+            held.append(current is not None and current.in_call and current.busy == 1)
 
         got = train(SMALL_ENV, hyper, mode, np.random.default_rng(40), on_iteration=check_worker)
         assert held == [True] * 3
-        assert ppo._worker is not None and ppo._worker.alive()
+        assert worker._worker is not None and worker._worker.alive()
         assert repr(got) == repr(train_reference(SMALL_ENV, hyper, mode,
                                                  np.random.default_rng(40)))
 
@@ -760,9 +760,9 @@ class TestUpdateWorker:
             train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42),
                   on_iteration=lambda row: seen.append(row["iter"]))
         assert seen == [1, 2]
-        pid = ppo._worker.pid
+        pid = worker._worker.pid
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
-        assert ppo._worker.pid == pid
+        assert worker._worker.pid == pid
         assert repr(rows) == _fresh_process(43)[1]
 
     @pytest.mark.parametrize("name, width", [("p", 6), ("s", 7)])
@@ -793,7 +793,7 @@ class TestUpdateWorker:
     @pytest.mark.parametrize("daemon", [True, False], ids=["daemonic", "plain"])
     def test_forked_process_trains_with_zero_workers_or_its_own(self, daemon):
         train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
-        ours = ppo._worker.pid
+        ours = worker._worker.pid
         ctx = multiprocessing.get_context("fork")
         here, there = ctx.Pipe()
         child = ctx.Process(target=_train_in_child, args=(there,), daemon=daemon)
@@ -809,7 +809,7 @@ class TestUpdateWorker:
             assert theirs not in (None, ours)
         assert rows == train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                              np.random.default_rng(41))
-        assert ppo._worker.pid == ours
+        assert worker._worker.pid == ours
 
     def test_local_divergence_mid_update_leaves_no_stale_reply(self, monkeypatch):
         real_build_agents = ppo.build_agents
@@ -824,7 +824,7 @@ class TestUpdateWorker:
                 TrainingDiverged, match="iteration 1, agent 'p'"):
             train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42))
         monkeypatch.undo()
-        assert ppo._worker is None  # it owed a reply, so it was killed
+        assert worker._worker is None  # it owed a reply, so it was killed
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
         assert repr(rows) == _fresh_process(43)[1]
 
@@ -845,10 +845,10 @@ class TestUpdateWorker:
 
     def test_killed_worker_is_replaced_by_the_next_call(self):
         train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
-        pid = ppo._worker.pid
+        pid = worker._worker.pid
         _kill_and_wait(pid)
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(44))
-        assert ppo._worker.pid != pid
+        assert worker._worker.pid != pid
         assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                                                   np.random.default_rng(44)))
 
@@ -856,8 +856,8 @@ class TestUpdateWorker:
         with pytest.raises(RuntimeError,
                            match=r"update worker of agent 'p', 's' \(pid \d+\) exited"):
             train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(45),
-                  on_iteration=lambda row: _kill_and_wait(ppo._worker.pid))
-        assert ppo._worker is None
+                  on_iteration=lambda row: _kill_and_wait(worker._worker.pid))
+        assert worker._worker is None
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(46))
         assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                                                   np.random.default_rng(46)))
@@ -867,22 +867,23 @@ class TestUpdateWorker:
         hyper = tiny_hyper()
         agent = make_agent(rng, "s", 4, 2, hyper, (8,))
         worker = ppo._update_worker()
-        worker.ship([agent], hyper, SpectrumSharingEnv(SMALL_ENV, rng), rng)
-        worker.send([random_batch(rng, obs_dim=3)])  # the net takes 4 inputs
-        assert worker.policies([agent]) == []  # the first agent's policy half runs in the caller
+        peer = ppo._Schedule(worker, [agent], hyper, SpectrumSharingEnv(SMALL_ENV, rng), rng)
+        peer.result("value")  # ship's
+        peer.update([random_batch(rng, obs_dim=3)])  # the net takes 4 inputs
+        assert peer.result("policy") == []  # the first agent's policy half runs in the caller
         with pytest.raises(ValueError, match="matmul") as raised:
-            ppo._record_values({"iter": 1}, [agent], worker.values([agent]))
+            ppo._record_values({"iter": 1}, [agent], peer.result("value"))
         printed = "".join(traceback.format_exception(raised.value))
         assert re.search(r'File ".*nets\.py", line \d+, in forward', printed)
         assert not worker.busy and worker.alive()
 
     def test_worker_ignores_sigint(self):
         train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
-        pid = ppo._worker.pid
+        pid = worker._worker.pid
         os.kill(pid, signal.SIGINT)
         time.sleep(0.2)
         train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
-        assert ppo._worker.pid == pid
+        assert worker._worker.pid == pid
 
     def test_worker_ends_with_its_process(self):
         pid, _ = _fresh_process(48)
@@ -908,7 +909,7 @@ class TestUpdateWorker:
 
 @pytest.fixture(params=[1, 0], ids=["worker", "zero-workers"])
 def workers(request, monkeypatch):
-    """Train with this process's update worker, or with none (``_Serial``)."""
+    """Train with this process's update worker, or with none (``worker.Inline``)."""
     if not request.param:
         monkeypatch.setattr(ppo, "_update_worker", lambda: None)
     return request.param
@@ -981,7 +982,7 @@ class TestEpisodeSource:
         monkeypatch.setattr(env_module, "sample_gain_matrices", counted_draw)
         rng = np.random.default_rng(60)
         rows = train(SMALL_ENV, hyper, mode, rng)
-        assert ppo._worker is not None or not workers
+        assert worker._worker is not None or not workers
         assert drawn.read_bytes() == b"." * (iters * episodes)
         assert rng.bit_generator.state == want
         assert repr(rows) == repr(reference)
@@ -1028,7 +1029,7 @@ class TestEpisodeSource:
         if in_caller[-1]:
             assert cause is None
         else:
-            assert isinstance(cause, ppo._WorkerTraceback) and "failing_draw" in str(cause)
+            assert isinstance(cause, worker.WorkerTraceback) and "failing_draw" in str(cause)
 
     def test_draws_run_under_the_callers_error_state(self, monkeypatch, own_worker, workers):
         real = env_module.sample_gain_matrices
@@ -1111,7 +1112,11 @@ class TestEpisodeSource:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
         assert [row["iter"] for row in rows] == [1, 2, 3]
-        assert not ppo._worker.busy and ppo._worker.alive()
+        assert not worker._worker.busy and worker._worker.alive()
+
+
+class Odd(Exception):
+    """An exception that does not pickle when it holds a lambda."""
 
 
 def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
@@ -1121,7 +1126,7 @@ def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
     kill waits for the reply's first bytes instead and drops nothing, so the
     worker dies while it writes and the read meets a truncated reply.
     Returns the list that gets the killed worker's pid."""
-    real, reads, killed = ppo._UpdateWorker._reply, [], []
+    real, reads, killed = worker.Worker.result, [], []
 
     def read(self, *args):
         reads.append(None)
@@ -1134,7 +1139,7 @@ def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
                 self.replies.read()  # up to the end-of-file its death leaves
         return real(self, *args)
 
-    monkeypatch.setattr(ppo._UpdateWorker, "_reply", read)
+    monkeypatch.setattr(worker.Worker, "result", read)
     return killed
 
 
@@ -1152,7 +1157,7 @@ class TestWorkerFaults:
     it at the last episode start, and the next call trains as the serial
     reference does."""
 
-    READS = 1 + 2 * 3  # a 3-iteration call: the start-up reply, then a policy and a value reply each
+    READS = 1 + 2 * 3  # a 3-iteration call reads ship's result, then each iteration's two
 
     @pytest.mark.parametrize("read", range(1, READS + 1))
     @pytest.mark.parametrize("mode", MODES)
@@ -1165,11 +1170,34 @@ class TestWorkerFaults:
             train(SMALL_ENV, hyper, mode, rng)
         monkeypatch.undo()
         assert re.match(lost_worker(mode, killed[0]), str(raised.value))
-        assert ppo._worker is None
+        assert worker._worker is None
         assert rng.bit_generator.state == drawn_state(mode, hyper, 69, started)
         rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(70))
         assert repr(rows) == repr(train_reference(SMALL_ENV, hyper, mode,
                                                   np.random.default_rng(70)))
+
+    def test_exception_that_does_not_pickle_is_named(self, monkeypatch, own_worker, workers):
+        """Iteration 1's value half of agent 's' raises an exception that
+        holds a lambda. With a worker the call raises a ``RuntimeError`` that
+        names its type and message, caused by the worker's traceback, and the
+        worker, owing nothing, is kept; with none the exception itself is raised."""
+        real = ppo.value_objective
+
+        def odd(net, *args):
+            if net.dims[0] == 7:
+                raise Odd("holds a lambda", lambda: 0)
+            return real(net, *args)
+
+        monkeypatch.setattr(ppo, "value_objective", odd)
+        with pytest.raises(RuntimeError if workers else Odd) as raised:
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(73))
+        if workers:
+            assert re.match(r"Odd: \('holds a lambda', <function ", str(raised.value))
+            cause = raised.value.__cause__
+            assert isinstance(cause, worker.WorkerTraceback) and "in odd" in str(cause)
+            assert worker._worker.busy == 0 and worker._worker.alive()
+        else:
+            assert raised.value.args[0] == "holds a lambda"
 
     @pytest.mark.parametrize("read", [1, 3])
     def test_worker_killed_mid_reply(self, monkeypatch, own_worker, read):
@@ -1183,7 +1211,7 @@ class TestWorkerFaults:
             train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, rng)
         monkeypatch.undo()
         assert re.match(lost_worker(MODE_CENTRALIZED_FULL_CSI, killed[0]), str(raised.value))
-        assert ppo._worker is None
+        assert worker._worker is None
         assert rng.bit_generator.state == drawn_state(MODE_CENTRALIZED_FULL_CSI, hyper, 71,
                                                       (read + 1) // 2, cfg=cfg)
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(72))
