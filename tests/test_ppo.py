@@ -1128,7 +1128,7 @@ def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
     Returns the list that gets the killed worker's pid."""
     real, reads, killed = worker.Worker.result, [], []
 
-    def read(self, *args):
+    def read(self):
         reads.append(None)
         if len(reads) == kill_at:
             if mid_reply:
@@ -1137,7 +1137,7 @@ def killing_reads(monkeypatch, kill_at: int, mid_reply: bool = False) -> list:
             _kill_and_wait(self.pid)
             if not mid_reply:
                 self.replies.read()  # up to the end-of-file its death leaves
-        return real(self, *args)
+        return real(self)
 
     monkeypatch.setattr(worker.Worker, "result", read)
     return killed
