@@ -33,7 +33,6 @@ file as it is.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import sys
@@ -45,7 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from underlay_ppo import harness  # noqa: E402
+from underlay_ppo import blas, harness  # noqa: E402
 from underlay_ppo.cli import main as cli_main  # noqa: E402
 from underlay_ppo.ppo import MODES  # noqa: E402
 
@@ -107,13 +106,7 @@ def run_desk(out: Path) -> list[str]:
 def build_key() -> str:
     """This build's key in the record: numpy's version and its OpenBLAS's
     configuration string, which names the CPU kernel it picked at run time."""
-    try:
-        get = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_config64_
-        get.restype = ctypes.c_char_p
-        blas = get().decode()
-    except (OSError, AttributeError):
-        blas = "no bundled OpenBLAS"
-    return f"numpy {np.__version__}; {blas}"
+    return f"numpy {np.__version__}; {blas.openblas_config() or 'no bundled OpenBLAS'}"
 
 
 def recorded(part: str) -> list[str]:

@@ -2,30 +2,39 @@
 
 From a few hundred rows up OpenBLAS splits a matrix product across its
 threads and the partial sums round differently, so ``ppo.train`` runs on one
-thread. The thread controls are looked up through numpy's own linalg
-extension; the symbol search covers the libraries it links, so they belong
-to the OpenBLAS numpy really calls. Any other BLAS is left alone;
-``openblas_found`` is then false.
+thread. The thread controls are looked up once per process, through numpy's
+own linalg extension; the symbol search covers the libraries it links, so
+they belong to the OpenBLAS numpy really calls. Any other BLAS is left
+alone; ``openblas_found`` is then false.
 """
 from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
 
-def _thread_controls():
-    """(get, set) thread-count functions of the bundled OpenBLAS, or None."""
+@cache
+def _lookup():
+    """(get, set, configuration string) of the bundled OpenBLAS, or None."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
+        config = lib.scipy_openblas_get_config64_
     except (OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return get, set_, config().decode()
+
+
+def _thread_controls():
+    """(get, set) thread-count functions of the bundled OpenBLAS, or None."""
+    return _lookup() and _lookup()[:2]
 
 
 def openblas_found() -> bool:
@@ -33,15 +42,16 @@ def openblas_found() -> bool:
     return _thread_controls() is not None
 
 
+def openblas_config() -> str | None:
+    """The bundled OpenBLAS's run-time configuration string, or None."""
+    return _lookup() and _lookup()[2]
+
+
 @contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the caller's count,
     also when the block raises. Under any other BLAS, do nothing."""
-    controls = _thread_controls()
-    if controls is None:
-        yield
-        return
-    get, set_ = controls
+    get, set_ = _thread_controls() or (lambda: None, lambda count: None)
     before = get()
     set_(1)
     try:

@@ -22,26 +22,25 @@ t + 1 for step t) and multiplies it by ``phy.coupling_weights`` once into
 ``coupled`` (elementwise, so slice t is ``gains[t] * W``, bit for bit).
 ``step`` draws nothing. ``reset`` is its two halves in sequence: the random
 ``draw_episode`` (the jitter, ``link_geometry`` and the gain block) and the
-deterministic ``start_episode`` (the coupled block and fresh measurement,
-power and penalty blocks). A rollout draws only at episode starts: first
-the env's draws, then the episode's action-noise block (``ppo``'s episode
-source, which may draw both ahead in the update worker).
+deterministic ``start_episode`` (the coupled block and fresh measurement
+and action blocks). A rollout draws only at episode starts: first the env's
+draws, then the episode's action-noise block (``ppo``'s episode source,
+which may draw both ahead in the update worker).
 
-Row contract: ``step`` takes the joint raw power vector, primary links
-first, clips it once against the stacked caps and charges each system the
-sum of its slice of ``|raw - applied|``. It does only what the next
-observation needs and writes into the episode's blocks: row t of
-``applied`` and ``penalties`` for step t, and row t + 1 of ``measured``
-(primary rates, secondary EEs, NACK count, then secondary rates; row 0 is
-the reset's zeros). ``metric_rows`` turns the blocks of the steps taken so
-far into a (t, 12) float64 block in ``METRIC_FIELDS`` order, each row the
-bits a single step's computation gives; the two rewards come first, and a
+Row contract: ``step`` does only what the next observation needs. It writes
+the joint raw power vector (primary links first) into row t of ``raw``,
+stops at a non-finite entry, clips the vector against the stacked caps for
+the physics and writes row t + 1 of ``measured`` (primary rates, secondary
+EEs, NACK count, then secondary rates; row 0 is the reset's zeros).
+``metric_rows`` turns the blocks of the steps taken so far into a (t, 12)
+float64 block in ``METRIC_FIELDS`` order: it clips ``raw`` once and charges
+each system the sum of its slice of ``|raw - applied|``, and each row is
+the bits a single step's computation gives. The two rewards come first; a
 rollout's CSV row is the mean of its step rows. The environment builds no
 observation; ``ppo`` builds each from its head and a measurement row.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,7 @@ from .phy import RadioConfig, coupling_weights, evaluate_links
 ACTIVE_POWER_FRACTION = 1e-3
 
 # the sum exactly as ndarray.sum computes it, minus the method's Python-level
-# argument handling (a step takes two sums)
+# argument handling
 _sum = np.add.reduce
 
 # per-step scalar metrics, in the order of the step row and the CSV columns
@@ -112,16 +111,17 @@ def reward_secondary(ee_s: np.ndarray, nqos_p, delta_s):
 class SpectrumSharingEnv:
     """Joint world for one primary and one secondary system, and its episode.
 
-    The constructor draws home positions once; every reset jitters them by at
-    most ``channel.max_displacement`` (displacements do not accumulate over
-    episodes), draws the episode's channel and allocates its blocks afresh
-    (see module doc), so no array taken from one episode changes under the
-    next. An episode lasts the ``episode_len`` steps its ``reset`` was given.
+    The constructor draws home positions once. Every reset jitters them by at
+    most ``channel.max_displacement`` (not accumulated over episodes), draws
+    the episode's channel and allocates its blocks afresh, so no array taken
+    from one episode changes under the next; an episode lasts the
+    ``episode_len`` steps its ``reset`` was given. Its steps keep their raw
+    actions and measurements, and ``metric_rows`` derives the rest (module doc).
     """
 
     def __init__(self, cfg: EnvConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.step_index, self.applied = 0, np.empty((0, cfg.k_p + cfg.k_s))  # no episode yet
+        self.step_index, self.raw = 0, np.empty((0, cfg.k_p + cfg.k_s))  # no episode yet
         self.base_nodes = sample_topology(
             rng,
             cfg.k_p,
@@ -159,36 +159,35 @@ class SpectrumSharingEnv:
         self.episode_gains, self.coupled = gains, gains * coupling_weights(self.cfg.radio, k_p, k_s)
         t_len = len(gains) - 1
         self.step_index, self.measured = 0, np.zeros((t_len + 1, k_p + 2 * k_s + 1))
-        self.applied, self.penalties = np.empty((t_len, k_p + k_s)), np.empty((t_len, 2))
+        self.raw = np.empty((t_len, k_p + k_s))
 
     def step(self, raw) -> None:
         """Advance the world by one slot under the joint raw power vector and
         write the step into the episode's blocks (see module doc)."""
         t, k_p = self.step_index, self.cfg.k_p
-        if t >= len(self.applied):
+        if t >= len(self.raw):
             raise RuntimeError("step() called on a finished episode; reset first")
         if np.shape(raw) != self._p_max.shape:
             raise ValueError("the raw action vector must have shape (k_p + k_s,)")
-        raw = np.asarray(raw, dtype=float)
-        applied = raw.clip(0.0, self._p_max, out=self.applied[t])
-        excess = np.abs(raw - applied)
-        self.penalties[t] = delta_p, delta_s = _sum(excess[:k_p]), _sum(excess[k_p:])
-        # a nan or infinite raw action makes its clip penalty non-finite
-        if not math.isfinite(delta_p + delta_s):
+        row = self.raw[t]
+        row[...] = raw
+        if not np.isfinite(row).all():
             raise ValueError("raw actions must be finite")
 
         self.step_index = t = t + 1
         _, rate, ee_s, nqos_p = evaluate_links(
-            self.episode_gains[t], applied, k_p, self.cfg.radio, self.coupled[t])
+            self.episode_gains[t], row.clip(0.0, self._p_max), k_p, self.cfg.radio, self.coupled[t])
         np.concatenate((rate[:k_p], ee_s, (nqos_p,), rate[k_p:]), out=self.measured[t])
 
     def metric_rows(self) -> np.ndarray:
         """The (t, 12) metric rows of the t steps taken so far in the episode,
         in ``METRIC_FIELDS`` order (see module doc)."""
         t, k_p, k = self.step_index, self.cfg.k_p, self.cfg.k_p + self.cfg.k_s
-        measured, applied = self.measured[1:t + 1], self.applied[:t]
+        measured, raw = self.measured[1:t + 1], self.raw[:t]
         rate_p, ee_s, nqos_p = measured[:, :k_p], measured[:, k_p:k], measured[:, k]
-        delta_p, delta_s = self.penalties[:t].T
+        applied = raw.clip(0.0, self._p_max)
+        excess = np.abs(raw - applied)
+        delta_p, delta_s = _sum(excess[:, :k_p], axis=-1), _sum(excess[:, k_p:], axis=-1)
         active = applied > self._active_floor
         return np.column_stack((
             reward_primary(rate_p, self.cfg.radio.rate_threshold, delta_p),

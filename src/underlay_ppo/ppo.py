@@ -142,8 +142,8 @@ class PpoHyper:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """One agent's rollout. ``final_obs`` is the observation after its last
-    step; ``train`` fills the rest after collection (``_score``)."""
+    """One agent's rollout of whole episodes, its last step done; ``train``
+    fills the rest after collection (``_score``)."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -151,10 +151,9 @@ class TrajectoryBatch:
     rewards: np.ndarray
     dones: np.ndarray
     values: np.ndarray | None = None
-    bootstrap_value: float | None = None  # the value of ``final_obs``
+    bootstrap_value: float | None = None  # the value of the state after the last step
     returns: np.ndarray | None = None
     advantages: np.ndarray | None = None
-    final_obs: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
@@ -176,9 +175,8 @@ def compute_gae(batch: TrajectoryBatch, hyper: PpoHyper):
     values = batch.values.tolist()
     returns = [0.0] * n
     advantages = [0.0] * n
-    next_ret = batch.bootstrap_value
+    next_ret = next_value = batch.bootstrap_value
     next_adv = 0.0
-    next_value = batch.bootstrap_value
     for t in range(n - 1, -1, -1):
         nonterm = 1.0 - dones[t]
         returns[t] = rewards[t] + gamma * nonterm * next_ret
@@ -351,10 +349,11 @@ def episode_heads(env: SpectrumSharingEnv, kind: str) -> np.ndarray:
 
 
 def build_centralized_obs(env: SpectrumSharingEnv, head: np.ndarray) -> np.ndarray:
-    """A centralized agent's observation: ``head``, then the first K + 1 slots of
-    ``env``'s measurement row. The rollout never calls it (``_collect`` writes only
+    """A centralized agent's observation: ``head``, then both systems' slots of
+    ``env``'s measurement row. The rollout never calls it (``_collect`` writes
     the measurement tail per step); it keeps this name for perfbench's tracer."""
-    return np.concatenate((head, env.measured[env.step_index, :env.cfg.k_p + env.cfg.k_s + 1]))
+    seen = _layout(OBS_CENTRALIZED_DIST, env.cfg.k_p, env.cfg.k_s)[1]
+    return np.concatenate((head, env.measured[env.step_index, seen]))
 
 
 def observe(env: SpectrumSharingEnv, kind: str, heads: np.ndarray) -> np.ndarray:
@@ -393,8 +392,8 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
     follow the previous agent's, as ``MODE_AGENTS`` orders the agents).
     Each episode ends with one batched pass for its metric rows
     (``env.metric_rows``) and one per agent for its noise rows' log densities.
-    Each batch keeps the observation after the last step, which the bootstrap
-    value scores; the rollout reads no value net.
+    Every episode's last step is marked done, so no observation after it is
+    built; the rollout reads no value net.
     """
     n, t_len = hyper.batch, hyper.episode_len
     k_p, k_s = env.cfg.k_p, env.cfg.k_s
@@ -412,9 +411,8 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
         stop = start + t_len
         episode, noise = source.episode()
         env.start_episode(episode)
-        heads = [episode_heads(env, kind) for kind in kinds]
-        for ob, head in zip(obs, heads):
-            ob[start:stop, :head.shape[1]] = head[:t_len]
+        for ob, kind, (width, _) in zip(obs, kinds, tails):
+            ob[start:stop, :width] = episode_heads(env, kind)[:t_len]
         for idx, z, measured in zip(range(start, stop), noise, env.measured):
             step_obs = [ob[idx] for ob in obs]
             for row, (width, cut) in zip(step_obs, tails):
@@ -427,18 +425,18 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
     dones = (np.arange(1, n + 1) % t_len == 0).astype(float)  # each episode's last step
     batches = [
         TrajectoryBatch(obs=ob, actions=joint[:, col], log_probs_old=logp, dones=dones,
-                        rewards=rows[:, _systems(kind)].sum(axis=1),
-                        final_obs=observe(env, kind, head))
-        for kind, col, head, ob, logp in zip(kinds, links, heads, obs, log_probs)
+                        rewards=rows[:, _systems(kind)].sum(axis=1))
+        for kind, col, ob, logp in zip(kinds, links, obs, log_probs)
     ]
     return batches, dict(zip(METRIC_FIELDS, rows.mean(axis=0).tolist()))
 
 
 def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
-    """Fill ``batch``'s values, bootstrap value, returns and normalized
-    advantages under ``agent``'s value net, in one batched pass."""
+    """Fill ``batch``'s values, returns and normalized advantages in one batched
+    value pass. The bootstrap is 0.0: ``PpoHyper`` makes every batch whole episodes,
+    ``_collect`` marks its last step done, and there ``compute_gae`` zeroes it."""
     batch.values = agent.value.forward(batch.obs)[0]
-    batch.bootstrap_value = agent.value.value(batch.final_obs)
+    batch.bootstrap_value = 0.0
     batch.returns, raw_adv = compute_gae(batch, hyper)
     batch.advantages = normalize_advantages(raw_adv)
 
@@ -589,13 +587,9 @@ def train(
             for agent, batch in zip(agents, batches):
                 _score(agent, batch, hyper)
             peer.update(batches)
-            where = f"iteration {it}, "
-            first = _policy_half(agents[0], batches[0], hyper)
-            if first[1] and first[1][0] == 0:  # the update's first check: nothing precedes it
-                _raise_first([(first, _PASSED)], where)
-            policies = [first, *peer.result("policy")]
+            policies = [_policy_half(agents[0], batches[0], hyper), *peer.result("policy")]
             if any(failure for _, failure in policies):
-                _raise_first(zip(policies, peer.result("value")), where)
+                _raise_first(zip(policies, peer.result("value")), f"iteration {it}, ")
             row = {"iter": it, **means}
             for agent, (stats, _) in zip(agents, policies):
                 for key, val in stats.items():

@@ -518,9 +518,11 @@ class caller_source:  # keeps the name of the function it replaced
 def train_reference(env_cfg, hyper, mode, rng):
     """``ppo.train`` as one serial loop in the caller's process, on one BLAS
     thread: per iteration ``_collect``, then for each agent in turn its value
-    pass and bootstrap value, ``compute_gae``, ``normalize_advantages`` and the
-    interleaved update, which per epoch takes the policy step and then the
-    value step (``policy_objective``, ``value_objective``, ``AdamState.step``)."""
+    pass, ``compute_gae``, ``normalize_advantages`` and the interleaved update,
+    which per epoch takes the policy step and then the value step
+    (``policy_objective``, ``value_objective``, ``AdamState.step``). The
+    bootstrap value is the true one, the value of the observation after the
+    last step, where ``train`` passes 0.0 for a batch whose last step is done."""
     from underlay_ppo.blas import one_blas_thread
     from underlay_ppo.env import SpectrumSharingEnv
     from underlay_ppo.ppo import (
@@ -528,7 +530,9 @@ def train_reference(env_cfg, hyper, mode, rng):
         build_agents,
         clip_envelope,
         compute_gae,
+        episode_heads,
         normalize_advantages,
+        observe,
         policy_objective,
         value_objective,
     )
@@ -543,7 +547,8 @@ def train_reference(env_cfg, hyper, mode, rng):
             row = {"iter": it + 1, **means}
             for agent, batch in zip(agents, batches):
                 batch.values = agent.value.forward(batch.obs)[0]
-                batch.bootstrap_value = agent.value.value(batch.final_obs)
+                final = observe(env, agent.kind, episode_heads(env, agent.kind))
+                batch.bootstrap_value = agent.value.value(final)
                 batch.returns, raw_adv = compute_gae(batch, hyper)
                 batch.advantages = normalize_advantages(raw_adv)
                 envelope = clip_envelope(batch.advantages, hyper.clip)

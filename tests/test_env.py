@@ -199,8 +199,8 @@ class TestReset:
 class TestEpisodeOwnership:
     """The env holds one episode at a time; a reset starts the next afresh."""
 
-    # step_index, the seventh per-episode value, is an int
-    BLOCKS = ("distances", "episode_gains", "coupled", "measured", "applied", "penalties")
+    # step_index, the sixth per-episode value, is an int
+    BLOCKS = ("distances", "episode_gains", "coupled", "measured", "raw")
 
     def partial_episode(self, seed):
         env, cfg = make_env(seed=seed)
@@ -221,7 +221,7 @@ class TestEpisodeOwnership:
         raw = np.full(cfg.k_p + cfg.k_s, 0.5)
         for steps in (3, 5):
             env.reset(rng, steps)
-            assert len(env.applied) == len(env.penalties) == steps
+            assert len(env.raw) == steps
             assert len(env.episode_gains) == len(env.coupled) == len(env.measured) == steps + 1
             for _ in range(steps):
                 env.step(raw)
@@ -260,7 +260,7 @@ class TestResetHalves:
         raw = np.full(cfg.k_p + cfg.k_s, 0.5)
         for steps in (4, 6):
             env.reset(rng, steps)
-            before = {name: getattr(twin, name) for name in ("step_index", "applied")}  # kept
+            before = {name: getattr(twin, name) for name in ("step_index", "raw")}  # kept
             episode = pickle.loads(pickle.dumps(twin.draw_episode(other, steps)))
             assert all(getattr(twin, name) is value for name, value in before.items())
             assert episode[1].flags.writeable and other.bit_generator.state == rng.bit_generator.state
@@ -340,6 +340,27 @@ class TestStep:
             with pytest.raises(ValueError, match="finite"):
                 env.step(np.array([0.0, 0.0, 0.5, bad]))
         assert env.step_index == 0
+
+    @pytest.mark.parametrize("system", ["primary", "secondary"])
+    def test_step_after_a_rejected_one_matches_the_reference(self, system):
+        """A step refused for a non-finite entry has already written its vector
+        into ``raw``; the valid step that follows takes that row, and every
+        metric row equals ``step_reference``'s, bit for bit."""
+        env, cfg = make_env(seed=43, radio=RadioConfig(p_max_p=0.8, p_max_s=1.7))
+        env.reset(np.random.default_rng(44), 4)
+        draws = np.random.default_rng(45)
+        want = []
+        for t, bad in enumerate((np.nan, np.inf, -np.inf)):
+            raw = draws.uniform(-1.0, 2.0, cfg.k_p + cfg.k_s)  # both boxes left on most steps
+            refused = 3.0 * raw
+            refused[0 if system == "primary" else -1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                env.step(refused)
+            assert env.step_index == t
+            env.step(raw)
+            want.append(step_reference(env.episode_gains[t + 1], raw[:cfg.k_p], raw[cfg.k_p:],
+                                       cfg.radio, ACTIVE_POWER_FRACTION)[0])
+        assert env.metric_rows().tobytes() == np.array(want).tobytes()
 
     def test_observations_carry_this_steps_metrics(self):
         env, cfg = make_env(seed=17)

@@ -534,6 +534,8 @@ class TestRunExperiment:
     def test_failed_blas_lookup_counts_as_unknown_blas(
             self, tmp_path, monkeypatch, capsys, cdll):
         real = blas._thread_controls()
+        # a process looks the library up once; this one does so afresh at every call
+        monkeypatch.setattr(blas, "_lookup", blas._lookup.__wrapped__)
         monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
         seen = []
         assert not blas.openblas_found()

@@ -491,9 +491,11 @@ class TestWorkspaces:
         env = SpectrumSharingEnv(SMALL_ENV, rng)
         agents = build_agents(mode, SMALL_ENV, hyper, rng)
         batches, _ = collect_scored(env, agents, hyper, rng)
-        kept = [(batch, agent.value.value(batch.final_obs)) for agent, batch in zip(agents, batches)]
+        final = [observe(env, agent.kind, episode_heads(env, agent.kind)) for agent in agents]
+        kept = [(batch, agent.value.value(ob)) for agent, batch, ob in zip(agents, batches, final)]
         before = [[a.copy() for a in (b.obs, b.actions, b.log_probs_old, b.values, b.returns)]
                   for b, _ in kept]
+        flats = [agent.value.flat.copy() for agent in agents]
         outside = [value_objective(agent.value, batch)[1] for agent, batch in zip(agents, batches)]
         kept_grads = [grad.copy() for grad in outside]
         for agent, batch in zip(agents, batches):
@@ -501,10 +503,11 @@ class TestWorkspaces:
             assert ("grad", agent.policy.flat.shape) in agent.policy.workspace
             assert ("grad", agent.value.flat.shape) in agent.value.workspace
         assert [g.tobytes() for g in outside] == [g.tobytes() for g in kept_grads]
-        for (batch, value), arrays in zip(kept, before):
+        for agent, (batch, value), arrays, ob, flat in zip(agents, kept, before, final, flats):
             after = (batch.obs, batch.actions, batch.log_probs_old, batch.values, batch.returns)
             assert [a.tobytes() for a in after] == [a.tobytes() for a in arrays]
-            assert value == batch.bootstrap_value
+            agent.value.flat[...] = flat  # the parameters that gave ``value``
+            assert agent.value.value(ob) == value
 
 
 class TestBuildAgents:
@@ -824,7 +827,8 @@ class TestUpdateWorker:
                 TrainingDiverged, match="iteration 1, agent 'p'"):
             train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42))
         monkeypatch.undo()
-        assert worker._worker is None  # it owed a reply, so it was killed
+        assert worker._worker is not None and worker._worker.alive()  # both results were read
+        assert worker._worker.busy == 0
         rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
         assert repr(rows) == _fresh_process(43)[1]
 
@@ -1115,6 +1119,24 @@ class TestEpisodeSource:
         assert not worker._worker.busy and worker._worker.alive()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_train_scores_no_observation_after_the_last_step(monkeypatch, own_worker, workers, mode):
+    """Every batch ends on a done step, so ``train`` builds no final observation
+    and runs no single-row value pass; its history still equals the reference,
+    which bootstraps from the true value of the observation after the last step."""
+    hyper = tiny_hyper(iters=3)
+    want = train_reference(SMALL_ENV, hyper, mode, np.random.default_rng(59))
+
+    def refused(*args):
+        raise AssertionError("train scored the observation after the last step")
+
+    monkeypatch.setattr(ValueNet, "value", refused)
+    monkeypatch.setattr(ppo, "observe", refused)
+    rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(59))
+    assert worker._worker is not None or not workers
+    assert repr(rows) == repr(want)
+
+
 class Odd(Exception):
     """An exception that does not pickle when it holds a lambda."""
 
@@ -1239,8 +1261,7 @@ class TestCollect:
         Each agent's actions are mean + exp(log_std) * z for its column slice
         of the block; observations (rebuilt by the oracle from the replayed
         positions), rewards (the two systems' sum for the centralized agent),
-        dones, final observations, bootstraps (as ``train`` scores them), metric
-        means and the final rng state match, bit for bit."""
+        dones, metric means and the final rng state match, bit for bit."""
         def observed(env, nodes):  # each agent's observation, in agent order
             kinds = [OBS_PRIMARY, OBS_SECONDARY] if mode == MODE_COEXIST else [mode]
             return [observation_reference(env, kind, nodes, SMALL_ENV.k_p, SMALL_ENV.radius)
@@ -1276,15 +1297,12 @@ class TestCollect:
                 rewards.append([row[0], row[1]] if mode == MODE_COEXIST else [row[0] + row[1]])
                 dones.append(float(env.step_index == hyper.episode_len))
                 sums += row
-            final = observed(env, nodes)
 
             assert dones == [0.0, 0.0, 0.0, 0.0, 1.0] * episodes
             for i, (agent, batch) in enumerate(zip(agents, batches)):
                 np.testing.assert_array_equal(batch.obs, [obs[i] for obs in seen])
                 np.testing.assert_array_equal(batch.rewards, [r[i] for r in rewards])
                 np.testing.assert_array_equal(batch.dones, dones)
-                np.testing.assert_array_equal(batch.final_obs, final[i])
-                assert batch.bootstrap_value == agent.value.value(final[i])
             assert list(means.values()) == (sums / hyper.batch).tolist()
             assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -1340,7 +1358,7 @@ class TestCollect:
             _, ref_batches, ref_means, ref_state = rollout()
         assert ppo.sample_action is not per_net_sample_action
         for batch, ref in zip(batches, ref_batches):
-            for name in ("obs", "actions", "log_probs_old", "rewards", "dones", "final_obs"):
+            for name in ("obs", "actions", "log_probs_old", "rewards", "dones"):
                 assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), name
         assert list(means.values()) == list(ref_means.values()) and state == ref_state
         raw = np.concatenate([agent.policy.forward(batch.obs)[2][2]
@@ -1360,7 +1378,7 @@ class TestCollect:
             for got in batches:
                 assert got.obs.shape[0] == len(got) == batch
                 assert got.dones.tolist() == dones
-            assert len(env.applied) == env.step_index == episode_len
+            assert len(env.raw) == env.step_index == episode_len
 
     def test_nan_policy_bias_stops_the_first_step(self):
         rng = np.random.default_rng(27)
