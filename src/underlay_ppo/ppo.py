@@ -142,8 +142,8 @@ class PpoHyper:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """One agent's rollout of whole episodes, its last step done; ``train``
-    fills the rest after collection (``_score``)."""
+    """One agent's rollout, whole episodes whose last steps are done as
+    ``_collect`` builds it; ``train`` fills the rest after collection (``_score``)."""
 
     obs: np.ndarray
     actions: np.ndarray
