@@ -46,10 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    AT_LEAST_ONE,
+    POSITIVE,
     ChannelParams,
+    check_config,
     link_geometry,
     perturb_topology,
-    require_finite,
+    ranged,
     sample_gain_matrices,
     sample_topology,
 )
@@ -71,24 +74,19 @@ METRIC_FIELDS = (
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Static description of one world: population sizes, geometry, radio."""
+    """Static description of one world: population sizes, geometry, radio;
+    each field's range sits beside its default."""
 
-    k_p: int = 2
-    k_s: int = 2
-    radius: float = 100.0
-    pair_ring_min: float = 10.0
-    pair_ring_max: float = 30.0
+    k_p: int = ranged(2, AT_LEAST_ONE)
+    k_s: int = ranged(2, AT_LEAST_ONE)
+    radius: float = ranged(100.0, POSITIVE)
+    pair_ring_min: float = ranged(10.0, POSITIVE)
+    pair_ring_max: float = ranged(30.0, POSITIVE)
     channel: ChannelParams = field(default_factory=ChannelParams)
     radio: RadioConfig = field(default_factory=RadioConfig)
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("k_p", "k_s"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("radius", "pair_ring_min", "pair_ring_max"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_config(self)
         if self.pair_ring_min > self.pair_ring_max:
             raise ValueError("pair_ring_min must not exceed pair_ring_max")
 

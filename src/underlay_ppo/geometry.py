@@ -18,12 +18,20 @@ realisations from them at once and checks the block once, with one
 vectorised "positive and finite" test. It returns the block read-only, and
 draw t is its (K, K) slice t: entry [j, k] is the gain from transmitter j to
 receiver k.
+
+Every field of the four config dataclasses (``ChannelParams`` here,
+``RadioConfig`` in ``phy``, ``EnvConfig`` in ``env``, ``PpoHyper`` in
+``ppo``) that has a valid range declares it beside its default with
+``ranged``. The shared rules (``POSITIVE``, ``NON_NEGATIVE``,
+``AT_LEAST_ONE``) live here and the one-off ones beside their class.
+``check_config`` checks every field in declaration order, and each
+``__post_init__`` then adds only its rules across fields.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,13 +41,15 @@ DISTANCE_FLOOR_M = 1.0
 
 _TWO_PI = 2.0 * np.pi
 
-def require_finite(config) -> None:
-    """Reject nan/inf in any float field of a config dataclass, and anything
-    but an integer (numpy integers included) in a field whose default is one.
+def check_config(config) -> None:
+    """Check a config dataclass: each float field finite and each field whose
+    default is an integer an integer (numpy integers included), then each
+    field's range (``ranged``) in declaration order, raising the
+    ``ValueError("<field> <rule>")`` that ``harness.build_config`` reads.
 
-    Range checks such as ``x <= 0.0`` are false for nan, and a count such as
-    2.0 passes them but fails later as an array size, so every config
-    ``__post_init__`` calls this before its own checks.
+    Range tests are false for nan, and a count such as 2.0 passes them but
+    fails later as an array size, hence the first pass. Every config
+    ``__post_init__`` calls this before its rules across fields.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -50,33 +60,42 @@ def require_finite(config) -> None:
                 raise ValueError(f"{f.name} must be an integer") from None
         elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
+    for f in fields(config):
+        if "range" in f.metadata:
+            test, rule = f.metadata["range"]
+            if not test(getattr(config, f.name)):
+                raise ValueError(f"{f.name} {rule}")
+
+
+def ranged(default, rule):
+    """A config field with its range ``rule``, a (test, rule text) pair."""
+    return field(default=default, metadata={"range": rule})
+
+
+# ranges that fields of several configs share; one-off ones sit where they are used
+POSITIVE = (lambda x: x > 0.0, "must be positive")
+NON_NEGATIVE = (lambda x: x >= 0.0, "must be non-negative")
+AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelParams:
-    """LOS/NLOS path-loss, shadowing, fading and mobility parameters."""
+    """LOS/NLOS path-loss, shadowing, fading and mobility parameters; each
+    field's range sits beside its default."""
 
-    alpha_los: float = 2.4
-    alpha_nlos: float = 3.78
-    d0: float = 18.0
-    d1: float = 36.0
-    nakagami_m: float = 10.0
-    shadow_std_los_db: float = 5.0
-    shadow_std_nlos_db: float = 8.6
-    max_displacement: float = 5.0
+    alpha_los: float = ranged(2.4, POSITIVE)
+    alpha_nlos: float = ranged(3.78, POSITIVE)
+    d0: float = ranged(18.0, POSITIVE)
+    d1: float = ranged(36.0, POSITIVE)
+    nakagami_m: float = ranged(10.0, (lambda m: m >= 0.5, "must be >= 0.5"))
+    shadow_std_los_db: float = ranged(5.0, NON_NEGATIVE)
+    shadow_std_nlos_db: float = ranged(8.6, NON_NEGATIVE)
+    max_displacement: float = ranged(5.0, NON_NEGATIVE)
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("alpha_los", "alpha_nlos", "d0", "d1"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_config(self)
         if self.alpha_los >= self.alpha_nlos:
             raise ValueError("alpha_los must be below alpha_nlos")
-        if self.nakagami_m < 0.5:
-            raise ValueError("nakagami_m must be >= 0.5")
-        for name in ("shadow_std_los_db", "shadow_std_nlos_db", "max_displacement"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 def sample_disc_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:

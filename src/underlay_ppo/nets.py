@@ -361,8 +361,6 @@ class AdamState:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr: float):
-        if lr <= 0.0:
-            raise ValueError("lr must be positive")
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params)

@@ -38,40 +38,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import require_finite
+from .geometry import NON_NEGATIVE, POSITIVE, check_config, ranged
 
 # -173 dBm/Hz thermal noise density over a 10 MHz band = -103 dBm.
 DEFAULT_NOISE_POWER_W = 10.0 ** (-13.3)
+_KAPPA = (lambda k: 0.0 <= k <= 0.5, "must lie in [0, 0.5]")
 
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Impairment coefficients, budgets and QoS constants for both systems."""
+    """Impairment coefficients, budgets and QoS constants for both systems;
+    each field's range sits beside its default."""
 
-    kappa_t_p: float = 0.1
-    kappa_r_p: float = 0.1
-    kappa_t_s: float = 0.1
-    kappa_r_s: float = 0.1
-    noise_power: float = DEFAULT_NOISE_POWER_W
-    p_max_p: float = 1.0
-    p_max_s: float = 1.0
-    rate_threshold: float = 0.5
-    tau: float = 1.0
-    p_circuit: float = 0.1
-    rho_decode: float = 0.1
+    kappa_t_p: float = ranged(0.1, _KAPPA)
+    kappa_r_p: float = ranged(0.1, _KAPPA)
+    kappa_t_s: float = ranged(0.1, _KAPPA)
+    kappa_r_s: float = ranged(0.1, _KAPPA)
+    noise_power: float = ranged(DEFAULT_NOISE_POWER_W, POSITIVE)
+    p_max_p: float = ranged(1.0, POSITIVE)
+    p_max_s: float = ranged(1.0, POSITIVE)
+    rate_threshold: float = ranged(0.5, NON_NEGATIVE)
+    tau: float = ranged(1.0, POSITIVE)
+    p_circuit: float = ranged(0.1, POSITIVE)
+    rho_decode: float = ranged(0.1, NON_NEGATIVE)
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("kappa_t_p", "kappa_r_p", "kappa_t_s", "kappa_r_s"):
-            k = getattr(self, name)
-            if not 0.0 <= k <= 0.5:
-                raise ValueError(f"{name} must lie in [0, 0.5]")
-        for name in ("noise_power", "p_max_p", "p_max_s", "tau", "p_circuit"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("rate_threshold", "rho_decode"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        check_config(self)
 
 
 def coupling_weights(cfg: RadioConfig, k_p: int, k_s: int) -> np.ndarray:

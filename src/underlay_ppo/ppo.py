@@ -55,7 +55,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .env import METRIC_FIELDS, EnvConfig, SpectrumSharingEnv
-from .geometry import require_finite
+from .geometry import AT_LEAST_ONE, POSITIVE, check_config, ranged
 from .nets import (
     AdamState,
     GaussianPolicyNet,
@@ -103,41 +103,37 @@ HIDDEN = (64, 64)  # hidden layer widths of every agent's policy and value nets
 
 class TrainingDiverged(RuntimeError):
     """A non-finite loss or gradient; names the agent, the first non-finite
-    parameter or gradient block and, raised from ``train``, the iteration."""
+    parameter block, batch array or gradient block and, raised from
+    ``train``, the iteration."""
+
+
+_UNIT = (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class PpoHyper:
-    """Optimization hyperparameters; batch must hold whole episodes.
+    """Optimization hyperparameters; batch must hold whole episodes. Each
+    field's range sits beside its default.
 
     Every episode is drawn ``episode_len`` steps long. The defaults are
     the "desk" profile, sized to converge in minutes on a laptop; its short
     schedule needs hotter learning rates than the long "paper" one.
     """
 
-    gamma: float = 0.1
-    lam: float = 0.94
-    clip: float = 0.1
-    iters: int = 300
-    batch: int = 200
-    episode_len: int = 200
-    update_epochs: int = 10
-    lr_policy: float = 1e-3
-    lr_value: float = 3e-3
+    gamma: float = ranged(0.1, _UNIT)
+    lam: float = ranged(0.94, _UNIT)
+    clip: float = ranged(0.1, _UNIT)
+    iters: int = ranged(300, AT_LEAST_ONE)
+    batch: int = ranged(200, AT_LEAST_ONE)
+    episode_len: int = ranged(200, AT_LEAST_ONE)
+    update_epochs: int = ranged(10, AT_LEAST_ONE)
+    lr_policy: float = ranged(1e-3, POSITIVE)
+    lr_value: float = ranged(3e-3, POSITIVE)
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("gamma", "lam", "clip"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("iters", "batch", "episode_len", "update_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_config(self)
         if self.batch % self.episode_len != 0:
             raise ValueError("batch must be a multiple of episode_len")
-        for name in ("lr_policy", "lr_value"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(eq=False)
@@ -247,18 +243,32 @@ class Agent:
     opt_value: AdamState
 
 
-def _check_finite(agent: Agent, label: str, value: float, grad) -> None:
+# the batch arrays each half of an update reads
+_HALF_READS = {"policy": ("obs", "actions", "log_probs_old", "advantages"),
+               "value": ("obs", "returns")}
+
+
+def _check_finite(agent: Agent, label: str, value: float, grad, batch: TrajectoryBatch) -> None:
     if np.isfinite(value) and np.isfinite(grad).all():
         return
-    # failure path: name the first non-finite block, parameters before gradient
-    suspects = [("policy", agent.policy.flat, "parameters"),
-                ("value", agent.value.flat, "parameters"), (label.split()[0], grad, "gradient")]
-    found = [(net, getattr(agent, net).first_nonfinite(flat), what)
-             for net, flat, what in suspects]
-    where = next((f"{net} {block} ({what})" for net, block, what in found if block), "none")
     raise TrainingDiverged(
         f"agent {agent.name!r}: non-finite {label} (value={value!r}); "
-        f"first non-finite block: {where}")
+        f"first non-finite block: {_first_nonfinite(agent, label.split()[0], grad, batch)}")
+
+
+def _first_nonfinite(agent: Agent, half: str, grad, batch: TrajectoryBatch) -> str:
+    """A failure's culprit: the first non-finite block of the parameters, else
+    the first non-finite array ``half`` reads from ``batch``, else the first
+    non-finite block of its gradient, else "none"."""
+    for net in ("policy", "value"):
+        block = getattr(agent, net).first_nonfinite(getattr(agent, net).flat)
+        if block:
+            return f"{net} {block} (parameters)"
+    for name in _HALF_READS[half]:
+        if not np.isfinite(getattr(batch, name)).all():
+            return f"{name} (batch)"
+    block = getattr(agent, half).first_nonfinite(grad)
+    return f"{half} {block} (gradient)" if block else "none"
 
 
 def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
@@ -269,7 +279,7 @@ def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
     for epoch in range(hyper.update_epochs):
         try:
             objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope, work)
-            _check_finite(agent, "policy objective", objective, pgrad)
+            _check_finite(agent, "policy objective", objective, pgrad, batch)
             agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
         except Exception as exc:
             return None, (epoch, exc)
@@ -282,7 +292,7 @@ def _value_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
     for epoch in range(hyper.update_epochs):
         try:
             vloss, vgrad = value_objective(agent.value, batch, work)
-            _check_finite(agent, "value loss", vloss, vgrad)
+            _check_finite(agent, "value loss", vloss, vgrad, batch)
             agent.opt_value.step(agent.value.flat, vgrad)
         except Exception as exc:
             return None, (epoch, exc)

@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -362,6 +363,80 @@ class TestConfigValidation:
             build_config(None, [("pair_ring_min", "40"), ("pair_ring_max", "20")])
         with pytest.raises(ConfigError):
             build_config(None, [("batch", "10"), ("episode_len", "7"), ("iters", "2")])
+
+
+SMALLEST = math.ulp(0.0)  # the smallest positive float
+
+
+class TestRangeEdges:
+    """Each range rule at its edges. The field lists are written out by hand,
+    not read from the dataclasses, so that a field that loses its range shows."""
+
+    @pytest.mark.parametrize("cls, name, others", [
+        (ChannelParams, "alpha_los", {}), (ChannelParams, "d0", {}), (ChannelParams, "d1", {}),
+        (RadioConfig, "noise_power", {}), (RadioConfig, "p_max_p", {}),
+        (RadioConfig, "p_max_s", {}), (RadioConfig, "tau", {}), (RadioConfig, "p_circuit", {}),
+        (EnvConfig, "radius", {}), (EnvConfig, "pair_ring_min", {}),
+        (EnvConfig, "pair_ring_max", {"pair_ring_min": SMALLEST}),
+        (PpoHyper, "lr_policy", {}), (PpoHyper, "lr_value", {}),
+    ])
+    def test_positive(self, cls, name, others):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            cls(**{name: 0.0})
+        assert getattr(cls(**others, **{name: SMALLEST}), name) == SMALLEST
+
+    def test_positive_alpha_nlos(self):
+        # no positive alpha_los lies below the smallest positive float
+        with pytest.raises(ValueError, match="^alpha_nlos must be positive$"):
+            ChannelParams(alpha_nlos=0.0)
+        assert ChannelParams(alpha_los=SMALLEST, alpha_nlos=2 * SMALLEST).alpha_nlos > 0.0
+
+    @pytest.mark.parametrize("cls, name", [
+        (ChannelParams, "shadow_std_los_db"), (ChannelParams, "shadow_std_nlos_db"),
+        (ChannelParams, "max_displacement"), (RadioConfig, "rate_threshold"),
+        (RadioConfig, "rho_decode"),
+    ])
+    def test_non_negative(self, cls, name):
+        assert getattr(cls(**{name: 0.0}), name) == 0.0
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            cls(**{name: -SMALLEST})
+
+    @pytest.mark.parametrize("cls, name, others", [
+        (EnvConfig, "k_p", {}), (EnvConfig, "k_s", {}), (PpoHyper, "iters", {}),
+        (PpoHyper, "batch", {"episode_len": 1}), (PpoHyper, "episode_len", {}),
+        (PpoHyper, "update_epochs", {}),
+    ])
+    def test_counts(self, cls, name, others):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            cls(**{name: 0})
+        assert getattr(cls(**others, **{name: 1}), name) == 1
+
+    @pytest.mark.parametrize("name", ["kappa_t_p", "kappa_r_p", "kappa_t_s", "kappa_r_s"])
+    def test_kappa(self, name):
+        assert getattr(RadioConfig(**{name: 0.5}), name) == 0.5
+        assert getattr(RadioConfig(**{name: 0.0}), name) == 0.0
+        for bad in (0.5000001, -SMALLEST):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 0.5\]$"):
+                RadioConfig(**{name: bad})
+
+    def test_nakagami_m(self):
+        assert ChannelParams(nakagami_m=0.5).nakagami_m == 0.5
+        with pytest.raises(ValueError, match="^nakagami_m must be >= 0.5$"):
+            ChannelParams(nakagami_m=np.nextafter(0.5, 0.0))
+
+    @pytest.mark.parametrize("name", ["gamma", "lam", "clip"])
+    def test_unit_interval(self, name):
+        assert getattr(PpoHyper(**{name: 1.0}), name) == 1.0
+        assert getattr(PpoHyper(**{name: SMALLEST}), name) == SMALLEST
+        for bad in (0.0, np.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\]$"):
+                PpoHyper(**{name: bad})
+
+    def test_field_rules_come_before_rules_across_fields(self):
+        with pytest.raises(ValueError, match="^nakagami_m must be >= 0.5$"):
+            ChannelParams(alpha_los=5.0, nakagami_m=0.1)
+        with pytest.raises(ValueError, match="^episode_len must be >= 1$"):
+            PpoHyper(episode_len=0)  # before batch % episode_len divides by zero
 
 
 class TestCsvRoundTrip:

@@ -1137,6 +1137,35 @@ def test_train_scores_no_observation_after_the_last_step(monkeypatch, own_worker
     assert repr(rows) == repr(want)
 
 
+def test_divergence_from_the_batch_names_the_array(monkeypatch, workers):
+    """A policy mean bias of 1e308 keeps every parameter and gradient finite,
+    but the clip penalty of its actions overflows the rewards to -inf and so
+    the advantages to nan: the error names the first non-finite array that
+    the policy half reads from its batch."""
+    real_build_agents = ppo.build_agents
+
+    def biased(*args, **kwargs):
+        agents = real_build_agents(*args, **kwargs)
+        agents[0].policy.b_mean[...] = 1e308
+        return agents
+
+    monkeypatch.setattr(ppo, "build_agents", biased)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as raised:
+        train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(67))
+    assert str(raised.value).startswith("iteration 1, agent 'p': non-finite policy objective")
+    assert str(raised.value).endswith("first non-finite block: advantages (batch)")
+
+
+def test_value_divergence_from_the_batch_names_the_returns():
+    rng = np.random.default_rng(68)
+    batch = random_batch(rng)
+    batch.returns[3] = -np.inf
+    agent = make_agent(rng, "c", 4, 2, tiny_hyper(), (8,))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            TrainingDiverged, match=r"non-finite value loss .*block: returns \(batch\)$"):
+        ppo_update(agent, batch, tiny_hyper())
+
+
 class Odd(Exception):
     """An exception that does not pickle when it holds a lambda."""
 
