@@ -6,6 +6,14 @@ thread. The thread controls are looked up once per process, through numpy's
 own linalg extension; the symbol search covers the libraries it links, so
 they belong to the OpenBLAS numpy really calls. Any other BLAS is left
 alone; ``openblas_found`` is then false.
+
+OpenBLAS stops its thread pool when the process forks (a ``pthread_atfork``
+handler, in the parent; the child starts with none), and any later set call
+restarts it, even one that sets the count already in force. A restarted
+helper thread spins for about 0.1 s before it sleeps, taking a CPU from the
+training processes beside it. Hence the rule: after a fork, make no set
+call. ``one_blas_thread`` makes none when the count is already one, so a
+process forked on one thread, like the update worker, never starts a pool.
 """
 from __future__ import annotations
 
@@ -50,9 +58,13 @@ def openblas_config() -> str | None:
 @contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the caller's count,
-    also when the block raises. Under any other BLAS, do nothing."""
-    get, set_ = _thread_controls() or (lambda: None, lambda count: None)
+    also when the block raises. At a count of one, or under any other BLAS,
+    do nothing: no set call (module doc)."""
+    get, set_ = _thread_controls() or (lambda: 1, None)
     before = get()
+    if before == 1:
+        yield
+        return
     set_(1)
     try:
         yield

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import openblas_found
+from .blas import one_blas_thread, openblas_found
 from .env import METRIC_FIELDS, EnvConfig
 from .geometry import ChannelParams
 from .phy import RadioConfig
@@ -329,18 +329,21 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False, verbose: bool = F
               "from batch 400 up may depend on it", file=sys.stderr)
     histories = []
     try:
-        for seed in cfg.seeds:
-            start = time.perf_counter()
-            rng = np.random.default_rng(seed)
-            history = train(cfg.env, cfg.hyper, cfg.mode, rng)
-            write_seed_csv(out / f"seed_{seed}.csv", seed, history)
-            histories.append((seed, history))
-            if verbose:
-                elapsed = time.perf_counter() - start
-                print(
-                    f"seed {seed}: {len(history)} iterations in {elapsed:.1f}s",
-                    file=sys.stderr,
-                )
+        # one pin for every seed: a restore between seeds would restart the
+        # thread pool that the update worker's fork stopped (blas module doc)
+        with one_blas_thread():
+            for seed in cfg.seeds:
+                start = time.perf_counter()
+                rng = np.random.default_rng(seed)
+                history = train(cfg.env, cfg.hyper, cfg.mode, rng)
+                write_seed_csv(out / f"seed_{seed}.csv", seed, history)
+                histories.append((seed, history))
+                if verbose:
+                    elapsed = time.perf_counter() - start
+                    print(
+                        f"seed {seed}: {len(history)} iterations in {elapsed:.1f}s",
+                        file=sys.stderr,
+                    )
     except Exception:
         (out / "failure_diagnostics.txt").write_text(
             f"seed {seed} failed\n{traceback.format_exc()}", encoding="utf-8")

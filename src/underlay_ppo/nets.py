@@ -24,12 +24,13 @@ again to every later pass with that key and shape, so by batch size: the
 forward products, the backward ``dz`` and ``dx`` buffers (shared by layers of
 one width, as each is used up before the next) and the flat gradient. Each
 such pass overwrites what the last one returned. A copy or pickle of a net
-carries no buffers. A forward pass adds each bias and applies ``tanh`` in
-place on its matmul product, which then is both the layer's output and its
-cache entry; backward passes only read the cache. Every in-place or ``out=``
-form evaluates the same operations on the same operands in the same order as
-the plain expression, so results are bit-identical to it (the allocating
-forms in ``tests/oracles.py`` check this).
+carries no buffers, and one of an ``AdamState`` no work vectors. A forward
+pass adds each bias and applies ``tanh`` in place on its matmul product,
+which then is both the layer's output and its cache entry; backward passes
+only read the cache. Every in-place or ``out=`` form evaluates the same
+operations on the same operands in the same order as the plain expression,
+so results are bit-identical to it (the allocating forms in
+``tests/oracles.py`` check this).
 
 The rollout runs all of a mode's policies at once, one step at a time:
 ``PolicyStack`` lays their parameters out in stacked blocks, and
@@ -366,6 +367,13 @@ class AdamState:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._scratch = np.empty((2,) + self.m.shape)  # step's two work vectors
+
+    def __getstate__(self):
+        # pickle and deepcopy leave the work vectors behind, as a net's workspace
+        return {key: val for key, val in self.__dict__.items() if key != "_scratch"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _scratch=np.empty((2,) + state["m"].shape))
 
     def step(self, params, grads):
         """One descent step; pass negated gradients to ascend an objective.

@@ -130,6 +130,26 @@ print(harness.run_experiment(cfg))
 """
 
 
+# a child run of two seeds whose every iteration records how many threads its
+# process and its update worker have; prints the (caller, worker) pairs
+_THREAD_COUNTING_RUN = """
+import os, sys
+from underlay_ppo import harness, ppo, worker
+
+counts = []
+
+def count_threads(row):
+    counts.append((len(os.listdir("/proc/self/task")),
+                   len(os.listdir(f"/proc/{worker._worker.pid}/task"))))
+
+harness.train = lambda *args: ppo.train(*args, on_iteration=count_threads)
+cfg = harness.build_config(None, [("iters", "3"), ("batch", "10"), ("episode_len", "5"),
+                                  ("seeds", "0,1"), ("out", sys.argv[1])])
+assert harness.run_experiment(cfg) == 0
+print(counts)
+"""
+
+
 def _unloadable(path):
     raise OSError(f"cannot load {path}")
 
@@ -662,6 +682,22 @@ class TestRunExperiment:
         report = (out / "failure_diagnostics.txt").read_text(encoding="utf-8")
         assert report.startswith("seed 0 failed\n")
         assert "RuntimeError: diverged at caf\u00e9" in report
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_no_blas_thread_runs_beside_training(self, tmp_path):
+        """Neither the caller nor its update worker runs a second thread while
+        a two-seed run trains: the worker's fork stops OpenBLAS's pool, and no
+        set call restarts it (``blas`` module doc). The child starts on two
+        BLAS threads, so that its import starts a pool for the fork to stop."""
+        if not blas.openblas_found():
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _THREAD_COUNTING_RUN, str(tmp_path / "run")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == repr([(1, 1)] * 6)
 
 
 class TestSummarize:

@@ -528,6 +528,27 @@ class TestSerialization:
         np.testing.assert_array_equal(net.forward(obs)[0], before)
 
     @COPIERS
+    def test_adam_copy_carries_no_work_vectors(self, copier):
+        """A copied or unpickled ``AdamState`` leaves its step's two work
+        vectors behind, builds its own, and steps to the same bits."""
+        rng = np.random.default_rng(26)
+        params = rng.standard_normal(4868)
+        opt = AdamState(params, lr=3e-4)
+        for _ in range(3):
+            opt.step(params, rng.standard_normal(4868))
+        # m and v are two vectors of params' size; the work vectors would be two more
+        size = len(pickle.dumps(opt))
+        assert 2 * params.nbytes < size < 3 * params.nbytes
+        clone = copier(opt)
+        assert clone._scratch.shape == opt._scratch.shape
+        assert not np.shares_memory(clone._scratch, opt._scratch)
+        grads, theirs = rng.standard_normal(4868), params.copy()
+        opt.step(params, grads)
+        clone.step(theirs, grads)
+        assert clone.t == opt.t == 4 and theirs.tobytes() == params.tobytes()
+        assert clone.m.tobytes() == opt.m.tobytes() and clone.v.tobytes() == opt.v.tobytes()
+
+    @COPIERS
     @MAKERS
     def test_copy_carries_no_workspace(self, copier, make):
         """A net's workspace buffers stay behind when it is copied or pickled."""

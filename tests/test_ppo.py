@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1567,3 +1568,43 @@ class TestBlasThreadCount:
             assert seen == [1] and get() == 2
         finally:
             set_(before)
+
+
+class TestOneBlasThread:
+    """``blas.one_blas_thread`` on fake thread controls. A set call restarts
+    the pool a fork stopped, so at a count of one it makes none."""
+
+    @pytest.fixture
+    def controls(self, monkeypatch):
+        """Fake (get, set) over ``count``, which starts at 1; each set call
+        lands in ``calls``."""
+        fake = SimpleNamespace(count=1, calls=[])
+
+        def set_(count):
+            fake.calls.append(count)
+            fake.count = count
+
+        monkeypatch.setattr(blas, "_thread_controls", lambda: (lambda: fake.count, set_))
+        return fake
+
+    def test_no_set_call_at_one_thread(self, controls):
+        with blas.one_blas_thread():
+            assert controls.count == 1
+        with pytest.raises(RuntimeError, match="boom"), blas.one_blas_thread():
+            raise RuntimeError("boom")
+        assert controls.calls == []
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_sets_one_then_restores_on_return(self, controls, count):
+        controls.count = count
+        with blas.one_blas_thread():
+            assert controls.count == 1
+        assert controls.calls == [1, count] and controls.count == count
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_sets_one_then_restores_on_raise(self, controls, count):
+        controls.count = count
+        with pytest.raises(RuntimeError, match="boom"), blas.one_blas_thread():
+            assert controls.count == 1
+            raise RuntimeError("boom")
+        assert controls.calls == [1, count] and controls.count == count
