@@ -570,7 +570,8 @@ def train(
     runs on one thread during the call (``blas.one_blas_thread``). The updates
     and draws follow the module doc's schedule, in this process's update
     worker if it has one and in the caller if not (``worker.Inline``); the
-    worker is forked here, before ``build_agents``, so it counts as set-up.
+    worker is forked here, on one BLAS thread, before ``build_agents``, so it
+    counts as set-up.
 
     ``train`` owns ``rng`` for the call: the rollouts' channel and noise are
     drawn ahead from a copy of it (module doc), with a worker or without, and

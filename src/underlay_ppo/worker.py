@@ -22,6 +22,10 @@ write when the second fits in the pipe unread. ``ppo``'s schedule reads
 ship's result and each value result before it submits the next batches, and
 submits the value task (a few hundred bytes) right after the policy task.
 
+``ppo.train`` forks the worker on one BLAS thread, so the worker inherits a
+count of one and its per-task ``one_blas_thread`` makes no set call: the
+fork stopped OpenBLAS's thread pool, and no call restarts it (``blas``).
+
 The worker ignores SIGINT, exits on end-of-file when its parent dies and is
 killed at interpreter exit; a process forked from its parent forks its own.
 ``update_worker`` gives none off Linux, in a daemonic ``multiprocessing``
