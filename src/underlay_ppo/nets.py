@@ -19,18 +19,19 @@ Workspaces: a pass writes each product into a buffer that its ``work``
 argument hands out by key and shape. The default, ``fresh``, hands out a new
 array each time, so what the pass returns outlives the call. The update's
 epochs (``ppo._policy_half``, ``ppo._value_half``) pass the net's
-``workspace`` instead. It makes each buffer on first use and hands it out
-again to every later pass with that key and shape, so by batch size: the
-forward products, the backward ``dz`` and ``dx`` buffers (shared by layers of
-one width, as each is used up before the next) and the flat gradient. Each
-such pass overwrites what the last one returned. A copy or pickle of a net
-carries no buffers, and one of an ``AdamState`` no work vectors. A forward
-pass adds each bias and applies ``tanh`` in place on its matmul product,
-which then is both the layer's output and its cache entry; backward passes
-only read the cache. Every in-place or ``out=`` form evaluates the same
-operations on the same operands in the same order as the plain expression,
-so results are bit-identical to it (the allocating forms in
-``tests/oracles.py`` check this).
+``workspace`` instead, to its Adam steps too. It makes each buffer on first
+use and hands it out again to every later pass with that key and shape, so
+by batch size: the forward products, the backward ``dz`` and ``dx`` buffers
+(shared by layers of one width, as each is used up before the next), the
+flat gradient and Adam's two work vectors. Each such pass overwrites what
+the last one returned. A copy or pickle of a net carries no buffers (its
+``__reduce__``); an ``AdamState`` holds none, only ``lr``, ``t``, ``m`` and
+``v``. A forward pass adds each bias and applies ``tanh`` in place on its
+matmul product, which then is both the layer's output and its cache entry;
+backward passes only read the cache. Every in-place or ``out=`` form
+evaluates the same operations on the same operands in the same order as the
+plain expression, so results are bit-identical to it (the allocating forms
+in ``tests/oracles.py`` check this).
 
 The rollout runs all of a mode's policies at once, one step at a time:
 ``PolicyStack`` lays their parameters out in stacked blocks, and
@@ -366,21 +367,14 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._scratch = np.empty((2,) + self.m.shape)  # step's two work vectors
 
-    def __getstate__(self):
-        # pickle and deepcopy leave the work vectors behind, as a net's workspace
-        return {key: val for key, val in self.__dict__.items() if key != "_scratch"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, _scratch=np.empty((2,) + state["m"].shape))
-
-    def step(self, params, grads):
+    def step(self, params, grads, work=fresh):
         """One descent step; pass negated gradients to ascend an objective.
 
         Evaluates ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2)
         g**2`` and ``params -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, each
-        operation in that order, through two preallocated work vectors.
+        operation in that order, through two work vectors from ``work``
+        (module doc), which the update's epochs take from the net's workspace.
         """
         if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ValueError("parameter/gradient structure does not match state")
@@ -388,7 +382,7 @@ class AdamState:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         m, v = self.m, self.v
-        step, denom = self._scratch
+        step, denom = work("adam_step", m.shape), work("adam_denom", m.shape)
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, grads, out=step)
         v *= self.beta2

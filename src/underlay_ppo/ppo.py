@@ -280,7 +280,7 @@ def _policy_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
         try:
             objective, pgrad, pstats = policy_objective(agent.policy, batch, envelope, work)
             _check_finite(agent, "policy objective", objective, pgrad, batch)
-            agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad))
+            agent.opt_policy.step(agent.policy.flat, np.negative(pgrad, out=pgrad), work)
         except Exception as exc:
             return None, (epoch, exc)
     return dict(pstats, policy_objective=objective), None
@@ -293,7 +293,7 @@ def _value_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
         try:
             vloss, vgrad = value_objective(agent.value, batch, work)
             _check_finite(agent, "value loss", vloss, vgrad, batch)
-            agent.opt_value.step(agent.value.flat, vgrad)
+            agent.opt_value.step(agent.value.flat, vgrad, work)
         except Exception as exc:
             return None, (epoch, exc)
     return vloss, None

@@ -2,10 +2,9 @@
 
 A task is a module-level function ``task(here, *args)``, where ``here`` is a
 dict that belongs to the executor. An executor runs its tasks in submission
-order, each under the submitter's ``np.geterr()`` and on one BLAS thread;
-``result()`` returns the oldest unread result, or raises what its task
-raised. ``Inline``, the zero-worker executor, runs each task in the caller
-when its result is read.
+order, each under the submitter's ``np.geterr()``; ``result()`` returns the
+oldest unread result, or raises what its task raised. ``Inline``, the
+zero-worker executor, runs each task in the caller when its result is read.
 
 ``Worker`` runs them in a forked process and pickles each message (the task
 by name, its arguments, the error state) and each reply. Every exception in
@@ -22,9 +21,11 @@ write when the second fits in the pipe unread. ``ppo``'s schedule reads
 ship's result and each value result before it submits the next batches, and
 submits the value task (a few hundred bytes) right after the policy task.
 
-``ppo.train`` forks the worker on one BLAS thread, so the worker inherits a
-count of one and its per-task ``one_blas_thread`` makes no set call: the
-fork stopped OpenBLAS's thread pool, and no call restarts it (``blas``).
+``update_worker`` forks the worker inside ``one_blas_thread``, so the worker
+inherits a count of one and runs on one BLAS thread for its whole life: the
+fork stopped OpenBLAS's thread pool, and no task pins the count, so no set
+call restarts it (``blas``). ``Inline`` pins nothing either; ``ppo.train``,
+which alone builds one, runs on one thread.
 
 The worker ignores SIGINT, exits on end-of-file when its parent dies and is
 killed at interpreter exit; a process forked from its parent forks its own.
@@ -80,7 +81,7 @@ def _serve(requests, replies) -> None:
         except (EOFError, OSError, pickle.UnpicklingError):  # the parent closed its end or died
             return
         try:
-            with np.errstate(**errors), one_blas_thread():
+            with np.errstate(**errors):
                 reply = False, task(here, *args)
         except Exception as exc:
             reply = True, exc
@@ -185,7 +186,7 @@ class Inline:
 
     def result(self):
         task, args, errors = self.tasks.popleft()
-        with np.errstate(**errors), one_blas_thread():
+        with np.errstate(**errors):
             return task(self.here, *args)
 
 
@@ -202,7 +203,7 @@ def update_worker() -> Worker | None:
     process = sys.modules.get("multiprocessing.process")
     daemonic = process is not None and process.current_process().daemon
     if _worker is None and sys.platform.startswith("linux") and not daemonic:
-        with contextlib.suppress(OSError):
+        with contextlib.suppress(OSError), one_blas_thread():
             _worker = Worker()
     return None if _worker is None or _worker.in_call else _worker
 

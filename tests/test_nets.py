@@ -22,7 +22,9 @@ from underlay_ppo.nets import (
     GaussianPolicyNet,
     PolicyStack,
     ValueNet,
+    Workspace,
     _log_density,
+    fresh,
     sample_action,
 )
 
@@ -446,9 +448,12 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_matches_allocating_reference(self):
+    @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "workspace"])
+    def test_matches_allocating_reference(self, reuse):
         """50 steps on a desk-policy-sized vector, bit for bit against the
-        fresh-array form of the same expression; the gradient is only read."""
+        fresh-array form of the same expression, with new work vectors each
+        step or one workspace's throughout; the gradient is only read."""
+        work = Workspace() if reuse else fresh
         rng = np.random.default_rng(20)
         params = rng.standard_normal(4868)
         ref, m, v, t = params.copy(), np.zeros(4868), np.zeros(4868), 0
@@ -456,7 +461,7 @@ class TestAdam:
         for _ in range(50):
             grads = rng.standard_normal(4868) * 10.0 ** rng.uniform(-6.0, 1.0)
             kept = grads.copy()
-            opt.step(params, grads)
+            opt.step(params, grads, work)
             t = adam_step_reference(ref, grads, m, v, t, lr=3e-4)
             assert grads.tobytes() == kept.tobytes()
         assert opt.t == t == 50
@@ -529,8 +534,8 @@ class TestSerialization:
 
     @COPIERS
     def test_adam_copy_carries_no_work_vectors(self, copier):
-        """A copied or unpickled ``AdamState`` leaves its step's two work
-        vectors behind, builds its own, and steps to the same bits."""
+        """A copied or unpickled ``AdamState`` holds no work vectors, only its
+        moments, and steps to the same bits."""
         rng = np.random.default_rng(26)
         params = rng.standard_normal(4868)
         opt = AdamState(params, lr=3e-4)
@@ -540,8 +545,7 @@ class TestSerialization:
         size = len(pickle.dumps(opt))
         assert 2 * params.nbytes < size < 3 * params.nbytes
         clone = copier(opt)
-        assert clone._scratch.shape == opt._scratch.shape
-        assert not np.shares_memory(clone._scratch, opt._scratch)
+        assert [key for key, val in vars(clone).items() if isinstance(val, np.ndarray)] == ["m", "v"]
         grads, theirs = rng.standard_normal(4868), params.copy()
         opt.step(params, grads)
         clone.step(theirs, grads)

@@ -501,8 +501,9 @@ class TestWorkspaces:
         kept_grads = [grad.copy() for grad in outside]
         for agent, batch in zip(agents, batches):
             ppo_update(agent, batch, hyper)
-            assert ("grad", agent.policy.flat.shape) in agent.policy.workspace
-            assert ("grad", agent.value.flat.shape) in agent.value.workspace
+            for net in (agent.policy, agent.value):  # the gradient and Adam's work vectors
+                assert {(key, net.flat.shape) for key in ("grad", "adam_step", "adam_denom")
+                        } <= net.workspace.keys()
         assert [g.tobytes() for g in outside] == [g.tobytes() for g in kept_grads]
         for agent, (batch, value), arrays, ob, flat in zip(agents, kept, before, final, flats):
             after = (batch.obs, batch.actions, batch.log_probs_old, batch.values, batch.returns)
@@ -644,6 +645,22 @@ rows = ppo.train(EnvConfig(k_p=2, k_s=2), ppo.PpoHyper(iters=3, batch=10, episod
                  ppo.MODE_COEXIST, np.random.default_rng(int(sys.argv[1])))
 print(worker._worker.pid)
 print(repr(rows))
+"""
+
+
+_FORKED_AT_TWO_THREADS = """
+import os
+from underlay_ppo import blas, worker
+
+def task(here):
+    return None
+
+get, set_ = blas._thread_controls()
+set_(2)
+forked = worker.update_worker()
+forked.submit(task)
+forked.result()
+print(get(), len(os.listdir(f"/proc/{forked.pid}/task")))
 """
 
 
@@ -910,6 +927,15 @@ class TestUpdateWorker:
             cli.wait()
         assert len(workers) == 1
         assert _poll(lambda: not _running(workers[0]), 10)
+
+    @pytest.mark.skipif(not blas.openblas_found(), reason="numpy does not use its bundled OpenBLAS")
+    def test_worker_forked_at_two_blas_threads_runs_on_one(self):
+        """The worker is forked on one BLAS thread and no task sets the count,
+        so its pool, which the fork stopped, stays stopped. A per-task pin's
+        restore to the caller's 2 would restart it: a second thread."""
+        done = subprocess.run([sys.executable, "-c", _FORKED_AT_TWO_THREADS], env=_thread_env(2),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["2", "1"]  # the caller's count, the worker's threads
 
 
 @pytest.fixture(params=[1, 0], ids=["worker", "zero-workers"])
