@@ -12,9 +12,8 @@ handler, in the parent; the child starts with none), and any later set call
 restarts it, even one that sets the count already in force. A restarted
 helper thread spins for about 0.1 s before it sleeps, taking a CPU from the
 training processes beside it. Hence the rule: after a fork, make no set
-call. ``one_blas_thread`` makes none when the count is already one. The
-package forks at one site, ``worker.update_worker``, inside this pin, so the
-update worker starts at a count of one and never starts a pool.
+call. ``one_blas_thread`` makes none at a count of one. The one fork site,
+``worker.update_worker``, forks inside it, so the worker starts no pool.
 """
 from __future__ import annotations
 

@@ -373,8 +373,7 @@ class AdamState:
 
         Evaluates ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2)
         g**2`` and ``params -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, each
-        operation in that order, through two work vectors from ``work``
-        (module doc), which the update's epochs take from the net's workspace.
+        operation in that order, in two work vectors from ``work`` (module doc).
         """
         if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ValueError("parameter/gradient structure does not match state")

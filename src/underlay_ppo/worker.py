@@ -21,11 +21,10 @@ write when the second fits in the pipe unread. ``ppo``'s schedule reads
 ship's result and each value result before it submits the next batches, and
 submits the value task (a few hundred bytes) right after the policy task.
 
-``update_worker`` forks the worker inside ``one_blas_thread``, so the worker
-inherits a count of one and runs on one BLAS thread for its whole life: the
-fork stopped OpenBLAS's thread pool, and no task pins the count, so no set
-call restarts it (``blas``). ``Inline`` pins nothing either; ``ppo.train``,
-which alone builds one, runs on one thread.
+``update_worker`` forks the worker inside ``one_blas_thread``: the worker
+starts at a count of one, the fork stopped OpenBLAS's pool, and no task pins
+the count, so no set call restarts it (``blas``). ``Inline`` runs its tasks
+inside ``ppo.train``'s pin, as only ``train`` builds one.
 
 The worker ignores SIGINT, exits on end-of-file when its parent dies and is
 killed at interpreter exit; a process forked from its parent forks its own.
