@@ -7,7 +7,7 @@
 Each (experiment, mode) cell trains the seed list into
 <out-root>/<experiment>/<mode>/, where out-root defaults to
 results/<profile>, and prints its final-window summary. A desk cell takes
-about a minute, a paper cell hours. A cell with an ``aggregate.csv`` is
+about 20 s, a paper cell hours. A cell with an ``aggregate.csv`` is
 finished and skipped unless --force is given, but only if its
 ``config_used.txt`` records the configuration this sweep would run; a cell
 with seed files but no ``aggregate.csv`` was interrupted and is rerun over
@@ -34,7 +34,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("--profile", required=True, choices=PROFILES)
+    ap.add_argument("--profile", required=True,
+                    help=f"training scale preset: {', '.join(PROFILES)}")
     ap.add_argument(
         "--experiments", default="ex1,ex2", help="comma-separated preset names"
     )

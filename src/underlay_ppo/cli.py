@@ -30,9 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train a seed sweep and write CSV metrics")
-    run.add_argument("--experiment", choices=EXPERIMENTS, help="user-count preset")
-    run.add_argument("--mode", choices=MODES, help="controller architecture")
-    run.add_argument("--profile", choices=PROFILES, help="training scale preset")
+    # the harness checks these values, as it checks --set and config lines
+    run.add_argument("--experiment", help=f"user-count preset: {', '.join(EXPERIMENTS)}")
+    run.add_argument("--mode", help=f"controller architecture: {', '.join(MODES)}")
+    run.add_argument("--profile", help=f"training scale preset: {', '.join(PROFILES)}")
     run.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--out", help="output directory for CSV results")

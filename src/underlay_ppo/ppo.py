@@ -366,13 +366,6 @@ def build_centralized_obs(env: SpectrumSharingEnv, head: np.ndarray) -> np.ndarr
     return np.concatenate((head, env.measured[env.step_index, seen]))
 
 
-def observe(env: SpectrumSharingEnv, kind: str, heads: np.ndarray) -> np.ndarray:
-    """What an agent of ``kind`` sees of ``env``: the row of ``heads`` (from
-    ``episode_heads``) for its step index, then its systems' measurements."""
-    t, seen = env.step_index, _layout(kind, env.cfg.k_p, env.cfg.k_s)[1]
-    return np.concatenate((heads[t], env.measured[t, seen]))
-
-
 def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Agent]:
     if mode not in MODE_AGENTS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -2,7 +2,9 @@
 
 Everything here is written in the dumbest possible style (explicit python
 loops, forward-in-time sums) precisely so it shares no structure with the
-vectorized / backward-recursive production code it validates.
+vectorized / backward-recursive production code it validates. ``observe`` is
+the one exception: it reads an agent's observation at a single step the way
+``ppo._collect`` writes it, and ``observation_reference`` checks it.
 """
 import math
 
@@ -223,6 +225,16 @@ def measurements(env):
     k_p, k = env.cfg.k_p, env.cfg.k_p + env.cfg.k_s
     row = env.measured[env.step_index]
     return row[:k_p], row[k_p:k], float(row[k])
+
+
+def observe(env, kind, heads):
+    """What an agent of ``kind`` sees of ``env``, as ``ppo._collect`` writes
+    it: the row of ``heads`` (from ``ppo.episode_heads``) for its step index,
+    then its systems' slots of the measurement row (``ppo._layout``)."""
+    from underlay_ppo.ppo import _layout
+
+    t, seen = env.step_index, _layout(kind, env.cfg.k_p, env.cfg.k_s)[1]
+    return np.concatenate((heads[t], env.measured[t, seen]))
 
 
 def observation_reference(env, kind, nodes, k_p, radius):
@@ -532,7 +544,6 @@ def train_reference(env_cfg, hyper, mode, rng):
         compute_gae,
         episode_heads,
         normalize_advantages,
-        observe,
         policy_objective,
         value_objective,
     )

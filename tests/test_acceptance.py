@@ -30,6 +30,7 @@ from oracles import (
     make_agent,
     max_rel_err,
     numeric_grad,
+    observe,
     random_gains,
     sindr_loops,
     unshrunk_policy,
@@ -54,7 +55,6 @@ from underlay_ppo.ppo import (
     episode_heads,
     normalize_advantages,
     observation_dim,
-    observe,
     policy_objective,
     value_objective,
 )

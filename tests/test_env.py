@@ -23,7 +23,6 @@ from underlay_ppo.ppo import (
     OBS_SECONDARY,
     episode_heads,
     observation_dim,
-    observe,
 )
 
 from oracles import (
@@ -33,6 +32,7 @@ from oracles import (
     gain_matrix,
     gains_reference,
     measurements,
+    observe,
     step_reference,
 )
 

@@ -809,6 +809,28 @@ class TestCli:
         assert status == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["experiment", "mode", "profile"])
+    def test_bad_choice_flag_is_the_config_error_set_gives(self, tmp_path, capsys, key):
+        # the harness alone checks a choice, whether a flag, --set or a config line gives it
+        out = tmp_path / "x"
+        assert cli.main(["run", f"--{key}", "telepathy", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: command line: invalid value for '{key}': 'telepathy' "
+                              "(choose from ")
+        assert cli.main(["run", "--set", f"{key}=telepathy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_run_help_lists_every_choice(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--help"])
+        assert exited.value.code == 0
+        printed = capsys.readouterr().out
+        for key, choices in [("experiment", harness.EXPERIMENTS), ("mode", ppo.MODES),
+                             ("profile", harness.PROFILES)]:
+            assert f"--{key}" in printed
+            assert all(choice in printed for choice in choices), key
+
     def test_zero_tau_is_config_error(self, tmp_path, capsys):
         # tau = rho_decode = 0 would leave the EE denominator zero and the
         # first step's secondary rewards infinite

@@ -26,6 +26,7 @@ from oracles import (
     max_rel_err,
     numeric_grad,
     observation_reference,
+    observe,
     per_net_sample_action,
     ppo_update_reference,
     reset_nodes_reference,
@@ -64,7 +65,6 @@ from underlay_ppo.ppo import (
     episode_heads,
     normalize_advantages,
     observation_dim,
-    observe,
     policy_objective,
     ppo_update,
     train,
@@ -1158,7 +1158,6 @@ def test_train_scores_no_observation_after_the_last_step(monkeypatch, own_worker
         raise AssertionError("train scored the observation after the last step")
 
     monkeypatch.setattr(ValueNet, "value", refused)
-    monkeypatch.setattr(ppo, "observe", refused)
     rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(59))
     assert worker._worker is not None or not workers
     assert repr(rows) == repr(want)
@@ -1456,9 +1455,10 @@ class TestCollect:
 
 
 class TestObserve:
-    """``observe`` on ``episode_heads`` against ``oracles.observation_reference``,
-    which builds each observation afresh at its step from the positions the
-    reset jittered into and that step's gains."""
+    """``oracles.observe`` (the layout ``_collect`` writes) on ``episode_heads``
+    against ``oracles.observation_reference``, which builds each observation
+    afresh at its step from the positions the reset jittered into and that
+    step's gains."""
 
     KINDS = [OBS_PRIMARY, OBS_SECONDARY, OBS_CENTRALIZED_DIST, OBS_CENTRALIZED_FULL_CSI]
 

@@ -160,3 +160,14 @@ def test_sweep_config_error_exits_2(monkeypatch, tmp_path, capsys):
     assert _run_main(monkeypatch, module, "--profile", "desk", "--out-root", str(tmp_path),
                      "--seeds", "1,x") == 2
     assert capsys.readouterr().err.startswith("error: command line: malformed value")
+
+
+def test_sweep_bad_profile_is_the_harness_config_error(monkeypatch, tmp_path, capsys):
+    # the harness alone checks the profile, as it does for underlay-ppo run
+    module = _load("sweep")
+    monkeypatch.setattr(module, "run_experiment", pytest.fail)
+    root = tmp_path / "bogus"
+    assert _run_main(monkeypatch, module, "--profile", "bogus", "--out-root", str(root)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: command line: invalid value for 'profile': 'bogus' (choose from ")
+    assert not root.exists()
