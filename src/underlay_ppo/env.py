@@ -115,11 +115,13 @@ class SpectrumSharingEnv:
     from one episode changes under the next; an episode lasts the
     ``episode_len`` steps its ``reset`` was given. Its steps keep their raw
     actions and measurements, and ``metric_rows`` derives the rest (module doc).
+    Before the first reset the env holds an episode of zero steps.
     """
 
     def __init__(self, cfg: EnvConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.step_index, self.raw = 0, np.empty((0, cfg.k_p + cfg.k_s))  # no episode yet
+        self.step_index, self.raw = 0, np.empty((0, cfg.k_p + cfg.k_s))  # a zero-step episode
+        self.measured = np.zeros((1, cfg.k_p + 2 * cfg.k_s + 1))  # a reset's zeros
         self.base_nodes = sample_topology(
             rng,
             cfg.k_p,
@@ -164,7 +166,7 @@ class SpectrumSharingEnv:
         write the step into the episode's blocks (see module doc)."""
         t, k_p = self.step_index, self.cfg.k_p
         if t >= len(self.raw):
-            raise RuntimeError("step() called on a finished episode; reset first")
+            raise RuntimeError("step() called with no step left in the episode; reset first")
         if np.shape(raw) != self._p_max.shape:
             raise ValueError("the raw action vector must have shape (k_p + k_s,)")
         row = self.raw[t]

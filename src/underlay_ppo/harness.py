@@ -31,8 +31,6 @@ import traceback
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .blas import one_blas_thread, openblas_found
 from .env import METRIC_FIELDS, EnvConfig
 from .geometry import ChannelParams
@@ -334,8 +332,7 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False, verbose: bool = F
         with one_blas_thread():
             for seed in cfg.seeds:
                 start = time.perf_counter()
-                rng = np.random.default_rng(seed)
-                history = train(cfg.env, cfg.hyper, cfg.mode, rng)
+                history = train(cfg.env, cfg.hyper, cfg.mode, seed)
                 write_seed_csv(out / f"seed_{seed}.csv", seed, history)
                 histories.append((seed, history))
                 if verbose:

@@ -20,7 +20,7 @@ interleaved loop's.
 
 ``train`` runs the update as three tasks (``worker`` module) on an
 executor: this process's update worker, or ``Inline`` where it has none.
-``_ship`` keeps the call's agents, env and a copy of its generator;
+``_ship`` keeps the call's agents, env and generator;
 ``_policies`` runs the policy half of every agent but the first;
 ``_values`` runs every value half, then draws the episodes one iteration
 ahead. Per iteration ``train`` rolls out; reads the previous value result
@@ -33,21 +33,17 @@ are bit-identical to the interleaved serial loop's.
 
 No action changes the channel, so a rollout's draws depend on the
 generator alone: per episode the env's (``env.draw_episode``), then one
-noise block. The caller draws iteration 1's episodes from a copy of
-``train``'s generator and ships the copy; ship's result carries iteration
-2's, and iteration i's value result iteration i + 2's. Each episode is kept
-with the generator state its draws leave, which the caller adopts as the
-episode starts, so the generator is where the serial loop leaves it at
-every episode start, raise and return. The draws stop after ``iters`` times
+noise block. ``train`` seeds its own generator, draws the env, the agents
+and iteration 1's episodes from it in the caller, then ships it; ship's
+result carries iteration 2's episodes, and iteration i's value result
+iteration i + 2's. Only the draws ahead use it after that, so the stream is
+the serial loop's. The draws stop after ``iters`` times
 ``batch / episode_len`` episodes; a draw that raises is kept in its
 episode's place and raised as that episode starts, and no later one is
-drawn. No episode starts if the generator moved since the last one's draws
-(a hook drew from it).
+drawn.
 """
 from __future__ import annotations
 
-import copy
-import pickle
 from collections import deque
 from dataclasses import dataclass
 
@@ -444,17 +440,10 @@ def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
     batch.advantages = normalize_advantages(raw_adv)
 
 
-def _position(rng: np.random.Generator) -> bytes:
-    """``rng``'s state in a form that compares by value: the states of some
-    bit generators (MT19937, Philox, SFC64) hold arrays, which ``==`` does
-    not reduce to one bool."""
-    return pickle.dumps(rng.bit_generator.state, pickle.HIGHEST_PROTOCOL)
-
-
 def _draw_ahead(here: dict) -> list:
     """The next iteration's episodes, if any are ``left``. Each is (the
-    generator state after its draws, the draws, None); a draw that raises
-    ends the list, and the drawing, as (its state, None, the exception)."""
+    draws, None); a draw that raises ends the list, and the drawing, as
+    (None, the exception)."""
     if not here["left"]:
         return []
     here["left"] -= 1
@@ -462,13 +451,11 @@ def _draw_ahead(here: dict) -> list:
     episodes = []
     for _ in range(here["hyper"].batch // t_len):
         try:
-            drawn, failure = (env.draw_episode(rng, t_len),
-                              rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s))), None
+            episodes.append(((env.draw_episode(rng, t_len),
+                              rng.standard_normal((t_len, env.cfg.k_p + env.cfg.k_s))), None))
         except Exception as exc:
-            drawn, failure = None, exc
             here["left"] = 0
-        episodes.append((rng.bit_generator.state, drawn, failure))
-        if failure:
+            episodes.append((None, exc))
             break
     return episodes
 
@@ -500,25 +487,17 @@ class _Schedule:
 
     def __init__(self, executor, agents: list[Agent], hyper: PpoHyper,
                  env: SpectrumSharingEnv, rng: np.random.Generator):
-        """Draw iteration 1's episodes here from a copy of ``rng``, then ship
-        the copy with the agents and the env."""
+        """Draw iteration 1's episodes here from ``rng``, then ship it with the
+        agents and the env."""
         executor.owner = "agent " + ", ".join(repr(agent.name) for agent in agents)
-        self.executor, self.agents, self.rng = executor, agents, rng
+        self.executor, self.agents = executor, agents
         first = {}
-        self.ahead = deque(_ship(first, agents, hyper, env, copy.deepcopy(rng), hyper.iters)[1])
-        self.drawn_from = _position(rng)
-        executor.submit(_ship, agents, hyper, env, first["rng"], first["left"])
+        self.ahead = deque(_ship(first, agents, hyper, env, rng, hyper.iters)[1])
+        executor.submit(_ship, agents, hyper, env, rng, first["left"])
 
     def episode(self):
-        """The next episode drawn ahead; ``rng`` takes the state its draws left,
-        and a draw that raised raises here. ``rng`` must be where the last
-        draws left it: a draw in between would be lost from the stream."""
-        if _position(self.rng) != self.drawn_from:
-            raise RuntimeError("train's generator moved between two episodes' draws; "
-                               "on_iteration must not draw from it")
-        state, drawn, failure = self.ahead.popleft()
-        self.rng.bit_generator.state = state
-        self.drawn_from = _position(self.rng)
+        """The next episode drawn ahead; a draw that raised raises here."""
+        drawn, failure = self.ahead.popleft()
         if failure:
             raise failure
         return drawn
@@ -552,7 +531,7 @@ def train(
     env_cfg: EnvConfig,
     hyper: PpoHyper,
     mode: str,
-    rng: np.random.Generator,
+    seed: int,
     on_iteration=None,
 ) -> list[dict]:
     """Run the outer training loop; returns one metrics row per iteration.
@@ -566,10 +545,10 @@ def train(
     worker is forked here, on one BLAS thread, before ``build_agents``, so it
     counts as set-up.
 
-    ``train`` owns ``rng`` for the call: the rollouts' channel and noise are
-    drawn ahead from a copy of it (module doc), with a worker or without, and
-    ``rng`` is left where a serial loop would leave it. ``on_iteration`` must
-    not draw from it; the next episode's start raises ``RuntimeError`` if it did.
+    Every draw of the call comes from ``np.random.default_rng(seed)``, which
+    ``train`` builds and keeps to itself: the env, the agents, then the
+    rollouts' channel and noise, drawn ahead (module doc), with a worker or
+    without.
 
     ``on_iteration(row)`` is called once the iteration's policies are final,
     when the next rollout can start. Its value halves may still be running:
@@ -580,6 +559,7 @@ def train(
     """
     history: list[dict] = []
     with _update_worker() or Inline() as executor:
+        rng = np.random.default_rng(seed)
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
         peer = _Schedule(executor, agents, hyper, env, rng)

@@ -215,6 +215,15 @@ class TestEpisodeOwnership:
         with pytest.raises(RuntimeError, match="reset first"):
             env.step(np.zeros(cfg.k_p + cfg.k_s))
 
+    def test_env_before_the_first_reset_holds_an_episode_of_zero_steps(self):
+        """Its metric rows are an empty block and its last measurement the
+        zeros a reset leaves, so no reader meets a missing attribute."""
+        env, cfg = make_env(seed=40)
+        assert env.step_index == 0
+        assert env.metric_rows().shape == (0, len(METRIC_FIELDS))
+        np.testing.assert_array_equal(env.measured[env.step_index],
+                                      np.zeros(cfg.k_p + 2 * cfg.k_s + 1))
+
     def test_reset_sizes_the_episode_it_is_given(self):
         env, cfg = make_env(seed=36)
         rng = np.random.default_rng(37)

@@ -530,6 +530,17 @@ class TestRunExperiment:
         assert "gamma=0.1\n" in used
         assert "iters=3\n" in used
 
+    def test_seed_csv_is_the_library_run_of_that_seed(self, tmp_path):
+        """The harness and the library mean the same run by a seed: each
+        ``seed_<s>.csv`` holds the bytes ``write_seed_csv`` writes for
+        ``train(cfg.env, cfg.hyper, cfg.mode, s)``."""
+        cfg = tiny_cfg(tmp_path / "run")
+        assert run_experiment(cfg) == 0
+        for seed in cfg.seeds:
+            path = tmp_path / f"library_{seed}.csv"
+            write_seed_csv(path, seed, ppo.train(cfg.env, cfg.hyper, cfg.mode, seed))
+            assert path.read_bytes() == (tmp_path / "run" / f"seed_{seed}.csv").read_bytes()
+
     @pytest.mark.parametrize("overrides, expected", [
         ([], USED_DEFAULT),
         ([("profile", "paper"), ("experiment", "ex1")], USED_PAPER_EX1),
@@ -641,9 +652,8 @@ class TestRunExperiment:
             set_(2)
             outside = get()
             try:
-                ppo.train(EnvConfig(), PpoHyper(iters=1, batch=5, episode_len=5),
-                          ppo.MODE_COEXIST, np.random.default_rng(0),
-                          on_iteration=lambda row: seen.append(get()))
+                ppo.train(EnvConfig(), PpoHyper(iters=1, batch=5, episode_len=5), ppo.MODE_COEXIST,
+                          0, on_iteration=lambda row: seen.append(get()))
             finally:
                 set_(before)
             assert seen == [outside]

@@ -1,7 +1,6 @@
 import hashlib
 import multiprocessing
 import os
-import pickle
 import re
 import signal
 import subprocess
@@ -538,8 +537,7 @@ class TestBuildAgents:
 
 class TestTrain:
     def test_history_length_and_fields(self):
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
-                     np.random.default_rng(19))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 19)
         assert len(rows) == 3
         assert [int(r["iter"]) for r in rows] == [1, 2, 3]
         for field in METRIC_FIELDS:
@@ -549,15 +547,14 @@ class TestTrain:
 
     def test_on_iteration_sees_each_returned_row(self):
         seen = []
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
-                     np.random.default_rng(24), on_iteration=seen.append)
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 24, on_iteration=seen.append)
         assert len(seen) == len(rows) == 3
         assert all(got is row for got, row in zip(seen, rows))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_on_iteration_leaves_the_history_unchanged(self, mode):
-        plain = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(37))
-        hooked = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(37),
+        plain = train(SMALL_ENV, tiny_hyper(iters=3), mode, 37)
+        hooked = train(SMALL_ENV, tiny_hyper(iters=3), mode, 37,
                        on_iteration=lambda row: None)
         assert hooked == plain
 
@@ -570,36 +567,35 @@ class TestTrain:
                 raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
-            train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST,
-                  np.random.default_rng(38), on_iteration=stop_after_second)
+            train(SMALL_ENV, tiny_hyper(iters=4), MODE_COEXIST, 38, on_iteration=stop_after_second)
         assert seen == [1, 2]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, mode):
         """Iteration k depends only on the seed and iterations 1..k-1, not on ``iters``."""
-        full = train(SMALL_ENV, tiny_hyper(iters=4), mode, np.random.default_rng(39))
-        short = train(SMALL_ENV, tiny_hyper(iters=2), mode, np.random.default_rng(39))
+        full = train(SMALL_ENV, tiny_hyper(iters=4), mode, 39)
+        short = train(SMALL_ENV, tiny_hyper(iters=2), mode, 39)
         assert short == full[:2]
 
     def test_bit_exact_reproducibility(self):
-        r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
-        r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(20))
+        r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, 20)
+        r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, 20)
         assert r1 == r2
 
     def test_seeds_differ(self):
-        r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(21))
-        r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(22))
+        r1 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, 21)
+        r2 = train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, 22)
         assert r1 != r2
 
     def test_centralized_modes_run(self):
         for mode in (MODE_CENTRALIZED_DIST, MODE_CENTRALIZED_FULL_CSI):
-            rows = train(SMALL_ENV, tiny_hyper(), mode, np.random.default_rng(23))
+            rows = train(SMALL_ENV, tiny_hyper(), mode, 23)
             assert len(rows) == 2
             assert "policy_objective_c" in rows[0]
 
 
 def _train_in_child(conn, mode=MODE_COEXIST, seed=41):
-    rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(seed))
+    rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, seed)
     conn.send((rows, None if worker._worker is None else worker._worker.pid))
 
 
@@ -638,11 +634,10 @@ def own_worker():
 
 _FRESH_TRAIN = """
 import sys
-import numpy as np
 from underlay_ppo import ppo, worker
 from underlay_ppo.env import EnvConfig
 rows = ppo.train(EnvConfig(k_p=2, k_s=2), ppo.PpoHyper(iters=3, batch=10, episode_len=5),
-                 ppo.MODE_COEXIST, np.random.default_rng(int(sys.argv[1])))
+                 ppo.MODE_COEXIST, int(sys.argv[1]))
 print(worker._worker.pid)
 print(repr(rows))
 """
@@ -729,7 +724,7 @@ class TestUpdateWorker:
             current = worker._worker
             held.append(current is not None and current.in_call and current.busy == 1)
 
-        got = train(SMALL_ENV, hyper, mode, np.random.default_rng(40), on_iteration=check_worker)
+        got = train(SMALL_ENV, hyper, mode, 40, on_iteration=check_worker)
         assert held == [True] * 3
         assert worker._worker is not None and worker._worker.alive()
         assert repr(got) == repr(train_reference(SMALL_ENV, hyper, mode,
@@ -745,7 +740,7 @@ class TestUpdateWorker:
             seen.append((dict(row), dict(earlier[-1]) if earlier else None))
             earlier.append(row)
 
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(56),
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, 56,
                      on_iteration=snapshot)
         want = train_reference(SMALL_ENV, tiny_hyper(iters=3), mode, np.random.default_rng(56))
         assert repr(rows) == repr(want)
@@ -778,11 +773,11 @@ class TestUpdateWorker:
         monkeypatch.setattr(ppo, "value_objective", _nan_at(ppo.value_objective, 7, 14))
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match="iteration 2, agent 's': non-finite value loss"):
-            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42),
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 42,
                   on_iteration=lambda row: seen.append(row["iter"]))
         assert seen == [1, 2]
         pid = worker._worker.pid
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 43)
         assert worker._worker.pid == pid
         assert repr(rows) == _fresh_process(43)[1]
 
@@ -804,7 +799,7 @@ class TestUpdateWorker:
         inject()
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match=f"iteration 1, agent '{name}': non-finite {label}"):
-            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(55))
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 55)
         inject()
         rng = np.random.default_rng(58)
         agent = make_agent(rng, name, width, 2, tiny_hyper(), (8,))
@@ -813,7 +808,7 @@ class TestUpdateWorker:
 
     @pytest.mark.parametrize("daemon", [True, False], ids=["daemonic", "plain"])
     def test_forked_process_trains_with_zero_workers_or_its_own(self, daemon):
-        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 0)
         ours = worker._worker.pid
         ctx = multiprocessing.get_context("fork")
         here, there = ctx.Pipe()
@@ -828,8 +823,7 @@ class TestUpdateWorker:
             assert theirs is None
         else:
             assert theirs not in (None, ours)
-        assert rows == train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
-                             np.random.default_rng(41))
+        assert rows == train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 41)
         assert worker._worker.pid == ours
 
     def test_local_divergence_mid_update_leaves_no_stale_reply(self, monkeypatch):
@@ -843,21 +837,20 @@ class TestUpdateWorker:
         monkeypatch.setattr(ppo, "build_agents", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match="iteration 1, agent 'p'"):
-            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(42))
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 42)
         monkeypatch.undo()
         assert worker._worker is not None and worker._worker.alive()  # both results were read
         assert worker._worker.busy == 0
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(43))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 43)
         assert repr(rows) == _fresh_process(43)[1]
 
     def test_train_nested_in_a_hook_leaves_the_outer_worker_alone(self):
         nested = []
 
         def train_again(row):
-            nested.append(train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
-                                np.random.default_rng(49)))
+            nested.append(train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST, 49))
 
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(50),
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 50,
                      on_iteration=train_again)
         want = repr(train_reference(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
                                     np.random.default_rng(49)))
@@ -866,10 +859,10 @@ class TestUpdateWorker:
                                                   np.random.default_rng(50)))
 
     def test_killed_worker_is_replaced_by_the_next_call(self):
-        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 0)
         pid = worker._worker.pid
         _kill_and_wait(pid)
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(44))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 44)
         assert worker._worker.pid != pid
         assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                                                   np.random.default_rng(44)))
@@ -877,10 +870,10 @@ class TestUpdateWorker:
     def test_worker_killed_mid_call_is_named_and_replaced(self):
         with pytest.raises(RuntimeError,
                            match=r"update worker of agent 'p', 's' \(pid \d+\) exited"):
-            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(45),
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 45,
                   on_iteration=lambda row: _kill_and_wait(worker._worker.pid))
         assert worker._worker is None
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(46))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 46)
         assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                                                   np.random.default_rng(46)))
 
@@ -900,11 +893,11 @@ class TestUpdateWorker:
         assert not worker.busy and worker.alive()
 
     def test_worker_ignores_sigint(self):
-        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 0)
         pid = worker._worker.pid
         os.kill(pid, signal.SIGINT)
         time.sleep(0.2)
-        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(0))
+        train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 0)
         assert worker._worker.pid == pid
 
     def test_worker_ends_with_its_process(self):
@@ -946,24 +939,6 @@ def workers(request, monkeypatch):
     return request.param
 
 
-def drawn_state(mode, hyper, seed, episodes, reset_only=False, bit_generator=np.random.PCG64,
-                cfg=SMALL_ENV):
-    """The generator state that ``train(cfg, hyper, mode,
-    Generator(bit_generator(seed)))`` reaches after ``episodes`` whole
-    episodes' draws (``env.reset``, then the noise block), replayed in the
-    caller; with ``reset_only`` one more ``env.reset`` follows. PCG64 is
-    ``default_rng``'s bit generator."""
-    rng = np.random.Generator(bit_generator(seed))
-    env = SpectrumSharingEnv(cfg, rng)
-    build_agents(mode, cfg, hyper, rng)
-    for _ in range(episodes):
-        env.reset(rng, hyper.episode_len)
-        rng.standard_normal((hyper.episode_len, cfg.k_p + cfg.k_s))
-    if reset_only:
-        env.reset(rng, hyper.episode_len)
-    return rng.bit_generator.state
-
-
 def failing_draws(log: Path, fail_at: int):
     """A ``sample_gain_matrices`` that appends the drawing process's pid to
     ``log`` and raises after its draws in call ``fail_at``, so that the
@@ -986,22 +961,18 @@ def failing_draws(log: Path, fail_at: int):
                     reason="the update worker is forked on Linux only")
 class TestEpisodeSource:
     """Iteration 1's episodes are drawn in the caller, and the worker draws
-    each later rollout's ahead; the caller's generator
-    is where the serial loop leaves it at every return and raise, a draw
-    that fails there is raised where its episode starts, and a hook that
-    draws from the generator is refused, with a worker and with none."""
+    each later rollout's ahead, each episode once; the history is the serial
+    loop's, and a draw that fails is raised where its episode starts, with a
+    worker and with none."""
 
     @pytest.mark.parametrize("episodes", [1, 2])
     @pytest.mark.parametrize("iters", [1, 2, 3])
     @pytest.mark.parametrize("mode", MODES)
-    def test_generator_ends_where_the_serial_loop_leaves_it(self, monkeypatch, tmp_path,
-                                                            own_worker, workers, mode, iters,
-                                                            episodes):
-        """The generator ends where a replay of the rollouts' draws leaves it,
-        the history equals the serial reference, and the episodes drawn, in
-        whichever process draws, are exactly the ones the rollouts start."""
+    def test_draws_the_started_episodes_once_and_matches_the_serial_reference(
+            self, monkeypatch, tmp_path, own_worker, workers, mode, iters, episodes):
+        """The episodes drawn, in whichever process draws, are exactly the ones
+        the rollouts start, and the history equals the serial reference."""
         hyper, drawn = tiny_hyper(iters=iters, batch=5 * episodes), tmp_path / "drawn"
-        want = drawn_state(mode, hyper, 60, iters * episodes)
         reference = train_reference(SMALL_ENV, hyper, mode, np.random.default_rng(60))
         real = env_module.sample_gain_matrices
 
@@ -1011,29 +982,10 @@ class TestEpisodeSource:
             return real(*args)
 
         monkeypatch.setattr(env_module, "sample_gain_matrices", counted_draw)
-        rng = np.random.default_rng(60)
-        rows = train(SMALL_ENV, hyper, mode, rng)
+        rows = train(SMALL_ENV, hyper, mode, 60)
         assert worker._worker is not None or not workers
         assert drawn.read_bytes() == b"." * (iters * episodes)
-        assert rng.bit_generator.state == want
         assert repr(rows) == repr(reference)
-
-    @pytest.mark.parametrize("episodes", [1, 2])
-    @pytest.mark.parametrize("stop", [1, 2, 3])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_generator_ends_where_the_serial_loop_leaves_it_after_a_raise(
-            self, workers, mode, stop, episodes):
-        """A hook that raises in iteration ``stop``: the episodes the worker
-        drew beyond it are not taken."""
-        def raise_at_stop(row):
-            if row["iter"] == stop:
-                raise RuntimeError("stop")
-
-        hyper = tiny_hyper(iters=3, batch=5 * episodes)
-        rng = np.random.default_rng(61)
-        with pytest.raises(RuntimeError, match="stop"):
-            train(SMALL_ENV, hyper, mode, rng, on_iteration=raise_at_stop)
-        assert rng.bit_generator.state == drawn_state(mode, hyper, 61, stop * episodes)
 
     @pytest.mark.parametrize("episodes", [1, 2])
     @pytest.mark.parametrize("failing", [1, 2, 3])
@@ -1042,18 +994,14 @@ class TestEpisodeSource:
                                                            episodes):
         """``sample_gain_matrices`` raises after its draws in the last episode
         of iteration ``failing``: the caller raises it after ``failing - 1``
-        hook calls, with its type and message, and the generator where the
-        failing draw left it. Iteration 1's draws run in the caller, later
+        hook calls, with its type and message. Iteration 1's draws run in the caller, later
         ones in the worker, whose traceback is then the exception's cause."""
         hyper, seen, log = tiny_hyper(iters=3, batch=5 * episodes), [], tmp_path / "draws"
-        want = drawn_state(MODE_COEXIST, hyper, 62, failing * episodes - 1, reset_only=True)
         monkeypatch.setattr(env_module, "sample_gain_matrices",
                             failing_draws(log, failing * episodes))
-        rng = np.random.default_rng(62)
         with pytest.raises(FloatingPointError, match=f"^draw {failing * episodes} failed$") as raised:
-            train(SMALL_ENV, hyper, MODE_COEXIST, rng, on_iteration=seen.append)
+            train(SMALL_ENV, hyper, MODE_COEXIST, 62, on_iteration=seen.append)
         assert len(seen) == failing - 1
-        assert rng.bit_generator.state == want
         in_caller = [pid == str(os.getpid()) for pid in log.read_text().split()]
         assert in_caller == [not workers or i < episodes for i in range(failing * episodes)]
         cause = raised.value.__cause__
@@ -1071,9 +1019,9 @@ class TestEpisodeSource:
 
         monkeypatch.setattr(env_module, "sample_gain_matrices", overflowing_draw)
         with np.errstate(over="ignore"):  # a worker forked here keeps this state as its own
-            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(66))
+            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 66)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, np.random.default_rng(66))
+            train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 66)
 
     def test_an_earlier_divergence_wins_over_a_failed_draw(self, monkeypatch, tmp_path,
                                                            own_worker, workers):
@@ -1084,49 +1032,7 @@ class TestEpisodeSource:
         monkeypatch.setattr(ppo, "value_objective", _nan_at(ppo.value_objective, 7, 1))
         with np.errstate(invalid="ignore"), pytest.raises(
                 TrainingDiverged, match="iteration 1, agent 's': non-finite value loss"):
-            train(SMALL_ENV, tiny_hyper(iters=3, batch=5), MODE_COEXIST,
-                  np.random.default_rng(63))
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_hook_that_draws_from_the_generator_is_refused(self, workers, mode):
-        seen = []
-
-        def drawing_hook(row):
-            seen.append(row["iter"])
-            rng.random()
-
-        rng = np.random.default_rng(64)
-        with pytest.raises(RuntimeError, match="on_iteration must not draw from it"):
-            train(SMALL_ENV, tiny_hyper(iters=3), mode, rng, on_iteration=drawing_hook)
-        assert seen == [1]
-        want = np.random.default_rng()
-        want.bit_generator.state = drawn_state(mode, tiny_hyper(iters=3), 64, 2)
-        want.random()
-        assert rng.bit_generator.state == want.bit_generator.state
-
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
-                                               np.random.SFC64])
-    def test_bit_generators_whose_state_holds_arrays(self, workers, bit_generator):
-        """The generator ends where the serial loop leaves it, and a hook that
-        draws from it is refused, also where its state holds arrays."""
-        def state(rng):
-            return pickle.dumps(rng.bit_generator.state)
-
-        hyper = tiny_hyper(iters=3)
-        rng = np.random.Generator(bit_generator(67))
-        train(SMALL_ENV, hyper, MODE_COEXIST, rng)
-        want = np.random.Generator(bit_generator())
-        want.bit_generator.state = drawn_state(MODE_COEXIST, hyper, 67, 6,
-                                               bit_generator=bit_generator)
-        assert state(rng) == state(want)
-
-        rng = np.random.Generator(bit_generator(68))
-        with pytest.raises(RuntimeError, match="on_iteration must not draw from it"):
-            train(SMALL_ENV, hyper, MODE_COEXIST, rng, on_iteration=lambda row: rng.random())
-        want.bit_generator.state = drawn_state(MODE_COEXIST, hyper, 68, 2,
-                                               bit_generator=bit_generator)
-        want.random()
-        assert state(rng) == state(want)
+            train(SMALL_ENV, tiny_hyper(iters=3, batch=5), MODE_COEXIST, 63)
 
     def test_blocks_beyond_the_pipe_buffer_flow(self):
         """Batch 500 at K = 4 + 8, full CSI: each episode's gain block (577 KB)
@@ -1138,7 +1044,7 @@ class TestEpisodeSource:
         signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(120)
         try:
-            rows = train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, np.random.default_rng(65))
+            rows = train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, 65)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
@@ -1158,7 +1064,7 @@ def test_train_scores_no_observation_after_the_last_step(monkeypatch, own_worker
         raise AssertionError("train scored the observation after the last step")
 
     monkeypatch.setattr(ValueNet, "value", refused)
-    rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(59))
+    rows = train(SMALL_ENV, hyper, mode, 59)
     assert worker._worker is not None or not workers
     assert repr(rows) == repr(want)
 
@@ -1177,7 +1083,7 @@ def test_divergence_from_the_batch_names_the_array(monkeypatch, workers):
 
     monkeypatch.setattr(ppo, "build_agents", biased)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as raised:
-        train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, np.random.default_rng(67))
+        train(SMALL_ENV, tiny_hyper(), MODE_COEXIST, 67)
     assert str(raised.value).startswith("iteration 1, agent 'p': non-finite policy objective")
     assert str(raised.value).endswith("first non-finite block: advantages (batch)")
 
@@ -1230,9 +1136,8 @@ def lost_worker(mode: str, pid: int) -> str:
                     reason="the update worker is forked on Linux only")
 class TestWorkerFaults:
     """The worker is SIGKILLed before each read of a result: the call raises
-    and names it, drops it, leaves the generator where the serial loop leaves
-    it at the last episode start, and the next call trains as the serial
-    reference does."""
+    and names it, drops it, and the next call trains as the serial reference
+    does."""
 
     READS = 1 + 2 * 3  # a 3-iteration call reads ship's result, then each iteration's two
 
@@ -1240,16 +1145,13 @@ class TestWorkerFaults:
     @pytest.mark.parametrize("mode", MODES)
     def test_worker_killed_before_a_read(self, monkeypatch, own_worker, mode, read):
         hyper = tiny_hyper(iters=3)
-        started = min((read + 1) // 2, hyper.iters) * (hyper.batch // hyper.episode_len)
         killed = killing_reads(monkeypatch, read)
-        rng = np.random.default_rng(69)
         with pytest.raises(RuntimeError) as raised:
-            train(SMALL_ENV, hyper, mode, rng)
+            train(SMALL_ENV, hyper, mode, 69)
         monkeypatch.undo()
         assert re.match(lost_worker(mode, killed[0]), str(raised.value))
         assert worker._worker is None
-        assert rng.bit_generator.state == drawn_state(mode, hyper, 69, started)
-        rows = train(SMALL_ENV, hyper, mode, np.random.default_rng(70))
+        rows = train(SMALL_ENV, hyper, mode, 70)
         assert repr(rows) == repr(train_reference(SMALL_ENV, hyper, mode,
                                                   np.random.default_rng(70)))
 
@@ -1267,7 +1169,7 @@ class TestWorkerFaults:
 
         monkeypatch.setattr(ppo, "value_objective", odd)
         with pytest.raises(RuntimeError if workers else Odd) as raised:
-            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(73))
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 73)
         if workers:
             assert re.match(r"Odd: \('holds a lambda', <function ", str(raised.value))
             cause = raised.value.__cause__
@@ -1283,15 +1185,12 @@ class TestWorkerFaults:
         worker is still writing when it is killed."""
         cfg, hyper = EnvConfig(k_p=4, k_s=8), PpoHyper(iters=3, batch=500, episode_len=500)
         killed = killing_reads(monkeypatch, read, mid_reply=True)
-        rng = np.random.default_rng(71)
         with pytest.raises(RuntimeError) as raised:
-            train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, rng)
+            train(cfg, hyper, MODE_CENTRALIZED_FULL_CSI, 71)
         monkeypatch.undo()
         assert re.match(lost_worker(MODE_CENTRALIZED_FULL_CSI, killed[0]), str(raised.value))
         assert worker._worker is None
-        assert rng.bit_generator.state == drawn_state(MODE_CENTRALIZED_FULL_CSI, hyper, 71,
-                                                      (read + 1) // 2, cfg=cfg)
-        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, np.random.default_rng(72))
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 72)
         assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST,
                                                   np.random.default_rng(72)))
 
@@ -1505,7 +1404,7 @@ from underlay_ppo.env import EnvConfig
 from underlay_ppo.ppo import PpoHyper, train
 k_p, k_s, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 hyper = PpoHyper(iters=3, batch=200, episode_len=200)
-rows = train(EnvConfig(k_p=k_p, k_s=k_s), hyper, mode, np.random.default_rng(5))
+rows = train(EnvConfig(k_p=k_p, k_s=k_s), hyper, mode, 5)
 print(hashlib.sha256(repr(rows).encode()).hexdigest())
 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 print(blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}")
@@ -1586,11 +1485,11 @@ class TestBlasThreadCount:
 
         try:
             set_(2)
-            train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST, np.random.default_rng(34))
+            train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST, 34)
             assert get() == 2
             with pytest.raises(RuntimeError, match="stop"):
-                train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST,
-                      np.random.default_rng(34), on_iteration=stop_after_first)
+                train(SMALL_ENV, tiny_hyper(iters=2), MODE_COEXIST, 34,
+                      on_iteration=stop_after_first)
             assert seen == [1] and get() == 2
         finally:
             set_(before)
