@@ -558,8 +558,10 @@ def train(
     after rollout i + 1, still naming iteration i.
     """
     history: list[dict] = []
+    # before the fork: numpy imports numpy.random at first use, and a worker forked
+    # without it imports it (about 15 ms) as it unpickles the generator
+    rng = np.random.default_rng(seed)
     with _update_worker() or Inline() as executor:
-        rng = np.random.default_rng(seed)
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
         peer = _Schedule(executor, agents, hyper, env, rng)

@@ -659,6 +659,24 @@ print(get(), len(os.listdir(f"/proc/{forked.pid}/task")))
 """
 
 
+# Trains once in a fresh interpreter; prints whether numpy.random was imported
+# at each fork of an update worker.
+_FORK_SEES_NUMPY_RANDOM = """
+import sys
+from underlay_ppo import ppo, worker
+from underlay_ppo.env import EnvConfig
+fork, seen = worker.Worker.__init__, []
+
+def forking(self):
+    seen.append("numpy.random" in sys.modules)
+    fork(self)
+
+worker.Worker.__init__ = forking
+ppo.train(EnvConfig(), ppo.PpoHyper(iters=1, batch=5, episode_len=5), ppo.MODE_COEXIST, 0)
+print(seen)
+"""
+
+
 def _fresh_process(seed: int) -> tuple[int, str]:
     """(worker pid, repr of the history) of a coexist ``train`` in a new
     interpreter, which has exited when this returns."""
@@ -920,6 +938,14 @@ class TestUpdateWorker:
             cli.wait()
         assert len(workers) == 1
         assert _poll(lambda: not _running(workers[0]), 10)
+
+    def test_worker_is_forked_after_numpy_random_is_imported(self):
+        """numpy imports numpy.random at first use. A fresh process's first
+        ``train`` builds its generator before the fork, so the worker inherits
+        the import and does not pay it as it unpickles the generator."""
+        done = subprocess.run([sys.executable, "-c", _FORK_SEES_NUMPY_RANDOM], env=_thread_env(1),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split() == ["[True]"]
 
     @pytest.mark.skipif(not blas.openblas_found(), reason="numpy does not use its bundled OpenBLAS")
     def test_worker_forked_at_two_blas_threads_runs_on_one(self):
