@@ -1014,6 +1014,59 @@ class TestEpisodeSource:
         assert repr(rows) == repr(reference)
 
     @pytest.mark.parametrize("episodes", [1, 2])
+    @pytest.mark.parametrize("stop", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hook_raise_leaves_no_drawn_episode_for_the_next_call(
+            self, own_worker, workers, mode, stop, episodes):
+        """A hook that raises in iteration ``stop``: the raise reaches the
+        caller, the worker, which still owes results, is dropped with the
+        episodes it drew beyond ``stop``, and the next call trains as the
+        serial reference."""
+        seen = []
+
+        def raise_at_stop(row):
+            seen.append(row["iter"])
+            if row["iter"] == stop:
+                raise RuntimeError("stop")
+
+        hyper = tiny_hyper(iters=3, batch=5 * episodes)
+        with pytest.raises(RuntimeError, match="stop"):
+            train(SMALL_ENV, hyper, mode, 61, on_iteration=raise_at_stop)
+        assert seen == list(range(1, stop + 1))
+        assert worker._worker is None
+        rows = train(SMALL_ENV, hyper, mode, 61)
+        assert worker._worker is not None or not workers
+        assert repr(rows) == repr(train_reference(SMALL_ENV, hyper, mode,
+                                                  np.random.default_rng(61)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hook_that_draws_leaves_the_history_unchanged(self, workers, mode):
+        """``train``'s generator is its own: a hook that draws from a generator
+        of the same seed, and from numpy's global state, changes no row."""
+        seen, same_seed = [], np.random.default_rng(64)
+
+        def drawing_hook(row):
+            seen.append(row["iter"])
+            same_seed.random()
+            np.random.random()
+
+        rows = train(SMALL_ENV, tiny_hyper(iters=3), mode, 64, on_iteration=drawing_hook)
+        assert seen == [1, 2, 3]
+        assert repr(rows) == repr(train_reference(SMALL_ENV, tiny_hyper(iters=3), mode,
+                                                  np.random.default_rng(64)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_leaves_the_global_random_state_alone(self, workers, mode):
+        """Every draw of the call comes from the seed's generator: numpy's
+        global state, whose MT19937 key is an array, ends where it started."""
+        np.random.seed(68)
+        before = np.random.get_state()
+        train(SMALL_ENV, tiny_hyper(iters=3), mode, 68)
+        after = np.random.get_state()
+        assert after[0] == before[0] and after[2:] == before[2:]
+        assert np.array_equal(after[1], before[1])
+
+    @pytest.mark.parametrize("episodes", [1, 2])
     @pytest.mark.parametrize("failing", [1, 2, 3])
     def test_failed_draw_is_raised_where_its_episode_starts(self, monkeypatch, tmp_path,
                                                            own_worker, workers, failing,
