@@ -24,8 +24,8 @@ t + 1 for step t) and multiplies it by ``phy.coupling_weights`` once into
 ``draw_episode`` (the jitter, ``link_geometry`` and the gain block) and the
 deterministic ``start_episode`` (the coupled block and fresh measurement
 and action blocks). A rollout draws only at episode starts: first the env's
-draws, then the episode's action-noise block (``ppo``'s episode source,
-which may draw both ahead in the update worker).
+draws, then the episode's action-noise block (``ppo``'s schedule draws
+both ahead, one iteration's episodes at a time, maybe in the update worker).
 
 Row contract: ``step`` does only what the next observation needs. It writes
 the joint raw power vector (primary links first) into row t of ``raw``,
@@ -133,6 +133,7 @@ class SpectrumSharingEnv:
         # per-link power caps and "active" floors of the joint vector
         self._p_max = np.repeat((radio.p_max_p, radio.p_max_s), (cfg.k_p, cfg.k_s))
         self._active_floor = ACTIVE_POWER_FRACTION * self._p_max
+        self._coupling = coupling_weights(radio, cfg.k_p, cfg.k_s)  # W, fixed by the config
 
     def reset(self, rng: np.random.Generator, episode_len: int) -> None:
         """Start an episode of ``episode_len`` steps; its measurements, and so the
@@ -153,13 +154,11 @@ class SpectrumSharingEnv:
         """The deterministic half of ``reset``: start the episode whose blocks
         ``draw_episode`` drew (its gain block read-only again, as unpickling
         leaves it writable)."""
-        k_p, k_s = self.cfg.k_p, self.cfg.k_s
         self.distances, gains = episode
         gains.flags.writeable = False
-        self.episode_gains, self.coupled = gains, gains * coupling_weights(self.cfg.radio, k_p, k_s)
-        t_len = len(gains) - 1
-        self.step_index, self.measured = 0, np.zeros((t_len + 1, k_p + 2 * k_s + 1))
-        self.raw = np.empty((t_len, k_p + k_s))
+        self.episode_gains, self.coupled = gains, gains * self._coupling
+        self.step_index, self.measured = 0, np.zeros((len(gains), self.measured.shape[1]))
+        self.raw = np.empty((len(gains) - 1, self.raw.shape[1]))
 
     def step(self, raw) -> None:
         """Advance the world by one slot under the joint raw power vector and

@@ -386,6 +386,9 @@ def summarize_dir(csv_dir, window: float = SUMMARY_WINDOW) -> dict:
                               f"{path} has {len(rows)}")
         k = max(1, int(round(len(rows) * window)))
         tail = rows[-k:]
+        if not (rows[0]["seed"].is_integer() and rows[0]["seed"] >= 0):
+            raise ConfigError(f"{path}: column 'seed' holds {rows[0]['seed']!r}, "
+                              "not a non-negative integer")
         seed = int(rows[0]["seed"])
         if (other := files_of.setdefault(seed, path)) != path:
             raise ConfigError(f"{other} and {path} both hold seed {seed}")

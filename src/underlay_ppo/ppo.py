@@ -20,7 +20,8 @@ interleaved loop's.
 
 ``train`` runs the update as three tasks (``worker`` module) on an
 executor: this process's update worker, or ``Inline`` where it has none.
-``_ship`` keeps the call's agents, env and generator;
+``_ship`` adopts the call's state (its agents, hyperparameters, env,
+generator and iterations left), built once in the caller, and draws;
 ``_policies`` runs the policy half of every agent but the first;
 ``_values`` runs every value half, then draws the episodes one iteration
 ahead. Per iteration ``train`` rolls out; reads the previous value result
@@ -36,11 +37,11 @@ generator alone: per episode the env's (``env.draw_episode``), then one
 noise block. ``train`` seeds its own generator, draws the env, the agents
 and iteration 1's episodes from it in the caller, then ships it; ship's
 result carries iteration 2's episodes, and iteration i's value result
-iteration i + 2's. Only the draws ahead use it after that, so the stream is
-the serial loop's. The draws stop after ``iters`` times
-``batch / episode_len`` episodes; a draw that raises is kept in its
-episode's place and raised as that episode starts, and no later one is
-drawn.
+iteration i + 2's, each iteration's as one list that ``_collect`` takes
+whole. Only the draws ahead use the generator after that, so the stream is
+the serial loop's. The draws stop after ``iters`` lists; a draw that
+raises ends its list in its episode's place and is raised as that episode
+starts, and no later one is drawn.
 """
 from __future__ import annotations
 
@@ -295,20 +296,18 @@ def _value_half(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper):
     return vloss, None
 
 
-_PASSED = (None, None)  # stands in for a half's outcome that holds no failure
-
-
-def _raise_first(outcomes, where: str = "") -> None:
+def _raise_first(policies, values, where: str = "") -> None:
     """Raise the failure that the interleaved loop meets first (module doc)
-    among ``outcomes``, each agent's (policy, value) outcome pair in agent
-    order; a divergence's message is prefixed with ``where``."""
-    for pair in outcomes:
-        found = [(failure[0], half, failure[1]) for half, (_, failure) in enumerate(pair) if failure]
-        if found:
-            exc = min(found, key=lambda item: item[:2])[2]
-            if where and isinstance(exc, TrainingDiverged):
-                raise TrainingDiverged(where + str(exc)) from exc.__cause__
-            raise exc
+    among the policy and the value outcomes, each list in agent order from
+    the first agent; a divergence's message is prefixed with ``where``."""
+    found = [(agent, failure[0], half, failure[1])
+             for half, outcomes in enumerate((policies, values))
+             for agent, (_, failure) in enumerate(outcomes) if failure]
+    if found:
+        exc = min(found, key=lambda item: item[:3])[3]
+        if where and isinstance(exc, TrainingDiverged):
+            raise TrainingDiverged(where + str(exc)) from exc.__cause__
+        raise exc
 
 
 def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
@@ -317,7 +316,7 @@ def ppo_update(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> dict:
     if batch.advantages is None or batch.returns is None:
         raise ValueError("batch needs returns and normalized advantages")
     policy, value = _policy_half(agent, batch, hyper), _value_half(agent, batch, hyper)
-    _raise_first([(policy, value)])
+    _raise_first([policy], [value])
     return dict(policy[0], value_loss=value[0])
 
 
@@ -376,11 +375,12 @@ def build_agents(mode: str, env_cfg: EnvConfig, hyper: PpoHyper, rng) -> list[Ag
     return agents
 
 
-def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
+def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, episodes):
     """Roll out one batch of whole episodes; returns (per-agent batches, metric means).
 
     Every mode runs one loop, which draws nothing: each episode starts from
-    ``source.episode()`` (``train``'s ``_Schedule``), the env's blocks
+    its entry of ``episodes`` (``_draw_ahead``; a failed draw raises here, as
+    does a list that does not match the batch), the env's blocks
     (``env.start_episode``) and one standard-normal ``(hyper.episode_len, K)``
     noise block, drawn in that order from ``train``'s generator. Each agent's
     ``(batch, obs_dim)`` observation block takes its kind's heads at each
@@ -406,9 +406,10 @@ def _collect(env: SpectrumSharingEnv, agents, hyper: PpoHyper, source):
     stack = PolicyStack([agent.policy for agent in agents])
     tails = [(agent.policy.obs_dim - (cut.stop - cut.start), cut)  # measurement slots
              for agent, cut in zip(agents, seen)]
-    for start in range(0, n, t_len):
-        stop = start + t_len
-        episode, noise = source.episode()
+    for start, (drawn, failure) in zip(range(0, n, t_len), episodes, strict=True):
+        if failure:
+            raise failure
+        (episode, noise), stop = drawn, start + t_len
         env.start_episode(episode)
         for ob, kind, (width, _) in zip(obs, kinds, tails):
             ob[start:stop, :width] = episode_heads(env, kind)[:t_len]
@@ -441,9 +442,9 @@ def _score(agent: Agent, batch: TrajectoryBatch, hyper: PpoHyper) -> None:
 
 
 def _draw_ahead(here: dict) -> list:
-    """The next iteration's episodes, if any are ``left``. Each is (the
-    draws, None); a draw that raises ends the list, and the drawing, as
-    (None, the exception)."""
+    """The next iteration's episodes as one entry of ``_Schedule.ahead``, or no
+    entry if no iteration is ``left``. Each episode is (the draws, None); a
+    draw that raises ends the list, and the drawing, as (None, the exception)."""
     if not here["left"]:
         return []
     here["left"] -= 1
@@ -457,13 +458,12 @@ def _draw_ahead(here: dict) -> list:
             here["left"] = 0
             episodes.append((None, exc))
             break
-    return episodes
+    return [episodes]
 
 
-def _ship(here: dict, agents: list[Agent], hyper: PpoHyper, env: SpectrumSharingEnv,
-          rng: np.random.Generator, left: int):
-    """Task: keep a call's agents, env and generator; draw the next iteration."""
-    here.update(agents=agents, hyper=hyper, env=env, rng=rng, left=left)
+def _ship(here: dict, call: dict):
+    """Task: adopt the call's state (``_Schedule``); draw the next iteration."""
+    here.update(call)
     return [], _draw_ahead(here)
 
 
@@ -483,35 +483,27 @@ def _values(here: dict):
 
 class _Schedule:
     """The caller's side of the schedule (module doc), on either executor:
-    ``_collect``'s episode source and ``train``'s peer."""
+    ``train``'s peer; ``ahead`` holds one episode list per iteration drawn."""
 
     def __init__(self, executor, agents: list[Agent], hyper: PpoHyper,
                  env: SpectrumSharingEnv, rng: np.random.Generator):
-        """Draw iteration 1's episodes here from ``rng``, then ship it with the
-        agents and the env."""
+        """Draw iteration 1's episodes here from ``rng``, then ship the call's state."""
         executor.owner = "agent " + ", ".join(repr(agent.name) for agent in agents)
         self.executor, self.agents = executor, agents
-        first = {}
-        self.ahead = deque(_ship(first, agents, hyper, env, rng, hyper.iters)[1])
-        executor.submit(_ship, agents, hyper, env, rng, first["left"])
-
-    def episode(self):
-        """The next episode drawn ahead; a draw that raised raises here."""
-        drawn, failure = self.ahead.popleft()
-        if failure:
-            raise failure
-        return drawn
+        call = dict(agents=agents, hyper=hyper, env=env, rng=rng, left=hyper.iters)
+        self.ahead = deque(_draw_ahead(call))
+        executor.submit(_ship, call)
 
     def update(self, batches: list[TrajectoryBatch]) -> None:
         self.executor.submit(_policies, batches)
         self.executor.submit(_values)
 
     def result(self, net: str) -> list:
-        """Read the next result: queue the episodes it carries, copy its flats
+        """Read the next result: queue the episode list it carries, copy its flats
         into the ``net`` nets it updates (every value net, or every policy but
         the first) and return their outcomes."""
-        outcomes, episodes = self.executor.result()
-        self.ahead.extend(episodes)
+        outcomes, drawn = self.executor.result()
+        self.ahead.extend(drawn)
         owners = self.agents[1:] if net == "policy" else self.agents
         for agent, (_, _, flat) in zip(owners, outcomes):
             getattr(agent, net).flat[...] = flat
@@ -521,7 +513,7 @@ class _Schedule:
 def _record_values(row: dict, agents: list[Agent], values: list) -> None:
     """Raise the first failure of ``row``'s value halves, whose outcomes are
     ``values``, or set its value losses."""
-    _raise_first([(_PASSED, value) for value in values], f"iteration {row['iter']}, ")
+    _raise_first([], values, f"iteration {row['iter']}, ")
     for agent, (loss, _) in zip(agents, values):
         row[f"value_loss_{agent.name}"] = loss
 
@@ -566,7 +558,7 @@ def train(
         agents = build_agents(mode, env_cfg, hyper, rng)
         peer = _Schedule(executor, agents, hyper, env, rng)
         for it in range(1, hyper.iters + 1):
-            batches, means = _collect(env, agents, hyper, peer)
+            batches, means = _collect(env, agents, hyper, peer.ahead.popleft())
             values = peer.result("value")  # in iteration 1, ship's
             if history:
                 _record_values(history[-1], agents, values)
@@ -575,7 +567,7 @@ def train(
             peer.update(batches)
             policies = [_policy_half(agents[0], batches[0], hyper), *peer.result("policy")]
             if any(failure for _, failure in policies):
-                _raise_first(zip(policies, peer.result("value")), f"iteration {it}, ")
+                _raise_first(policies, peer.result("value"), f"iteration {it}, ")
             row = {"iter": it, **means}
             for agent, (stats, _) in zip(agents, policies):
                 for key, val in stats.items():

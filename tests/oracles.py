@@ -513,18 +513,14 @@ def ppo_update_reference(agent, batch, hyper):
     return stats
 
 
-class caller_source:  # keeps the name of the function it replaced
-    """An episode source for ``ppo._collect`` that draws each episode from
-    ``rng`` in the caller as it starts: ``env.draw_episode``, then the noise
-    block, the draws ``train`` makes ahead of time, in the same order."""
-
-    def __init__(self, env, hyper, rng):
-        self.env, self.t_len, self.rng = env, hyper.episode_len, rng
-
-    def episode(self):
-        cfg = self.env.cfg
-        return (self.env.draw_episode(self.rng, self.t_len),
-                self.rng.standard_normal((self.t_len, cfg.k_p + cfg.k_s)))
+def caller_source(env, hyper, rng):
+    """One iteration's episodes for ``ppo._collect``, as (drawn, None) pairs,
+    each drawn from ``rng`` in the caller as its episode starts:
+    ``env.draw_episode``, then the noise block, the draws ``train`` makes
+    ahead of time, in the same order."""
+    t_len, k = hyper.episode_len, env.cfg.k_p + env.cfg.k_s
+    for _ in range(hyper.batch // t_len):
+        yield (env.draw_episode(rng, t_len), rng.standard_normal((t_len, k))), None
 
 
 def train_reference(env_cfg, hyper, mode, rng):
@@ -552,9 +548,8 @@ def train_reference(env_cfg, hyper, mode, rng):
     with one_blas_thread():
         env = SpectrumSharingEnv(env_cfg, rng)
         agents = build_agents(mode, env_cfg, hyper, rng)
-        source = caller_source(env, hyper, rng)
         for it in range(hyper.iters):
-            batches, means = _collect(env, agents, hyper, source)
+            batches, means = _collect(env, agents, hyper, caller_source(env, hyper, rng))
             row = {"iter": it + 1, **means}
             for agent, batch in zip(agents, batches):
                 batch.values = agent.value.forward(batch.obs)[0]

@@ -891,6 +891,15 @@ class TestCli:
         assert cli.main(["summarize", "--dir", str(tmp_path)]) == 2
         assert f"error: cannot read {tmp_path / 'seed_1.csv'}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["nan", "inf", "1.5", "-1"])
+    def test_seed_that_is_not_a_non_negative_integer_is_config_error(self, tmp_path, capsys,
+                                                                      seed):
+        path = tmp_path / "seed_1.csv"
+        row = dict.fromkeys(SEED_COLUMNS, "0") | {"seed": seed}
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n", encoding="utf-8")
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 2
+        assert f"error: {path}: column 'seed' holds " in capsys.readouterr().err
+
     def test_malformed_set_flag(self, tmp_path, capsys):
         status = cli.main(["run", "--out", str(tmp_path / "x"), "--set", "oops"])
         assert status == 2

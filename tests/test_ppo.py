@@ -824,6 +824,22 @@ class TestUpdateWorker:
         with pytest.raises(TrainingDiverged, match=f"agent '{name}': non-finite {label}"):
             ppo_update(agent, random_batch(rng, obs_dim=width), tiny_hyper())
 
+    @pytest.mark.parametrize("policy_width, policy_call, value_width, value_call, label", [
+        (7, 1, 6, 10, "value loss"), (6, 10, 7, 1, "policy objective")])
+    def test_the_first_agent_wins_over_an_earlier_epoch_of_a_later_one(
+            self, monkeypatch, own_worker, workers, policy_width, policy_call, value_width,
+            value_call, label):
+        """Agent 'p' fails in its last epoch and agent 's' in its first, in the
+        other half, both in iteration 1: the interleaved loop finishes agent 'p'
+        first, so agent 'p''s failure is raised, with a worker and with none."""
+        monkeypatch.setattr(ppo, "policy_objective",
+                            _nan_at(ppo.policy_objective, policy_width, policy_call))
+        monkeypatch.setattr(ppo, "value_objective",
+                            _nan_at(ppo.value_objective, value_width, value_call))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match=f"^iteration 1, agent 'p': non-finite {label}"):
+            train(SMALL_ENV, tiny_hyper(iters=3), MODE_COEXIST, 55)
+
     @pytest.mark.parametrize("daemon", [True, False], ids=["daemonic", "plain"])
     def test_forked_process_trains_with_zero_workers_or_its_own(self, daemon):
         train(SMALL_ENV, tiny_hyper(iters=1), MODE_COEXIST, 0)
@@ -1412,6 +1428,28 @@ class TestCollect:
                 assert got.obs.shape[0] == len(got) == batch
                 assert got.dones.tolist() == dones
             assert len(env.raw) == env.step_index == episode_len
+
+    def test_a_list_one_episode_short_raises(self):
+        """A list that does not hold the batch's episodes raises at the episode
+        it lacks, so no row of the batch is left unwritten."""
+        rng = np.random.default_rng(29)
+        hyper = tiny_hyper()
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
+        short = list(caller_source(env, hyper, rng))[:-1]
+        with pytest.raises(ValueError, match="shorter"):
+            _collect(env, agents, hyper, short)
+        assert env.step_index == hyper.episode_len
+
+    def test_a_failed_draw_raises_where_its_episode_starts(self):
+        rng = np.random.default_rng(30)
+        hyper = tiny_hyper()
+        env = SpectrumSharingEnv(SMALL_ENV, rng)
+        agents = build_agents(MODE_COEXIST, SMALL_ENV, hyper, rng)
+        ok = next(caller_source(env, hyper, rng))
+        with pytest.raises(FloatingPointError, match="^draw failed$"):
+            _collect(env, agents, hyper, [ok, (None, FloatingPointError("draw failed"))])
+        assert env.step_index == hyper.episode_len
 
     def test_nan_policy_bias_stops_the_first_step(self):
         rng = np.random.default_rng(27)
