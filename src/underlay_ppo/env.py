@@ -24,8 +24,8 @@ t + 1 for step t) and multiplies it by ``phy.coupling_weights`` once into
 ``draw_episode`` (the jitter, ``link_geometry`` and the gain block) and the
 deterministic ``start_episode`` (the coupled block and fresh measurement
 and action blocks). A rollout draws only at episode starts: first the env's
-draws, then the episode's action-noise block (``ppo``'s schedule draws
-both ahead, one iteration's episodes at a time, maybe in the update worker).
+draws, then the episode's action-noise block (``ppo``'s schedule draws both
+ahead, one iteration's episodes at a time, in its update worker if it has one).
 
 Row contract: ``step`` does only what the next observation needs. It writes
 the joint raw power vector (primary links first) into row t of ``raw``,
